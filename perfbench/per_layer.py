@@ -1,40 +1,21 @@
 """Per-layer metrics of a traced run, from the tracer and the traced passes.
 
-Counts are those of the *first* traced pass (a fixed amount of work for a
-given seed, so they repeat exactly); times are summed over every traced
-pass; ``*.p50`` values and ratios are medians over the traced samples.
+Counts are those of the *first* traced cycle (every campaign of the set
+once: the same work in every run, so they repeat exactly);
+times are summed over every traced pass; ``*.p50`` values and ratios are
+medians over the traced samples.
 """
 
 from __future__ import annotations
 
-import math
-import statistics
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from layers import LAYERS, UNATTRIBUTED
+from measures import cells_per_s, median
 
 #: Float rounding allowed per traced pass when the layer self times plus
 #: ``unattributed`` are checked against the traced wall time.
 ACCOUNTING_TOLERANCE_S = 1e-6
-
-
-def median(values: Sequence[float]) -> float:
-    return statistics.median(values) if values else 0.0
-
-
-def percentile(ordered: Sequence[float], quantile: float) -> float:
-    """Nearest-rank percentile of sorted values (0 when there are none)."""
-    return ordered[max(1, math.ceil(quantile * len(ordered))) - 1] if ordered else 0.0
-
-
-def lower_quartile(values: Sequence[float]) -> float:
-    return percentile(sorted(values), 0.25)
-
-
-def cells_per_s(results: Sequence) -> float:
-    """Cold cells per second of cold-pass wall time, upper quartile over passes."""
-    rates = sorted(r.cells / r.cold_s for r in results if r.cold_s > 0)
-    return percentile(rates, 0.75)
 
 
 def _sum_keys(table: Dict[str, float], prefix: str, suffix: str) -> float:
@@ -42,11 +23,16 @@ def _sum_keys(table: Dict[str, float], prefix: str, suffix: str) -> float:
 
 
 def per_layer_metrics(
-    tracer, traced: List, untraced: List
+    tracer, traced: List, untraced: List, cycle_passes: int
 ) -> Tuple[Dict[str, float], Dict[str, str], bool]:
     """``(metrics, units, accounted)``; ``accounted`` is whether the layer
-    self times plus ``unattributed`` add up to the traced wall time."""
-    first = tracer.passes[0]
+    self times plus ``unattributed`` add up to the traced wall time.
+    ``cycle_passes`` is the number of passes in one cycle."""
+    first: Dict[str, int] = {}
+    for counts in tracer.passes[:cycle_passes]:
+        for key, value in counts.items():
+            first[key] = first.get(key, 0) + value
+    first_cycle = traced[:cycle_passes]
     totals = tracer.totals()
     count = first.get
     metrics: Dict[str, float] = {}
@@ -103,7 +89,7 @@ def per_layer_metrics(
         "s",
     )
     put("experiments.store_write_s", totals.get("experiments:ResultStore.add_many", 0.0), "s")
-    put("experiments.store_bytes", traced[0].store_bytes, "bytes")
+    put("experiments.store_bytes", sum(r.store_bytes for r in first_cycle), "bytes")
 
     spools = [r.spool for r in traced if r.spool is not None]
     put(
@@ -120,25 +106,30 @@ def per_layer_metrics(
     put("distributed.publish_s", totals.get("distributed:Spool.publish_task", 0.0), "s")
     put("distributed.ingest_s", totals.get("distributed:Spool.read_result_shard", 0.0), "s")
     put("distributed.join_s", median([s["join_s"] for s in spools]), "s")
-    put("distributed.tasks", spools[0]["tasks"] if spools else 0, "count")
+    put("distributed.tasks", sum(r.spool["tasks"] for r in first_cycle if r.spool), "count")
     put("distributed.reclaims", sum(s["reclaims"] for s in spools), "count")
     put("distributed.idle_workers", sum(s["idle_workers"] for s in spools), "count")
 
-    put("cache.gets", traced[0].cache_gets, "count")
+    cache_gets = sum(r.cache_gets for r in first_cycle)
+    cache_hits = sum(r.cache_hits for r in first_cycle)
+    put("cache.gets", cache_gets, "count")
     put("cache.get_s", totals.get("cache:CacheIndex.get", 0.0), "s")
     put(
         "cache.hit_ratio",
-        traced[0].cache_hits / traced[0].cache_gets if traced[0].cache_gets else 0.0,
+        cache_hits / cache_gets if cache_gets else 0.0,
         "ratio",
     )
-    put("cache.puts", traced[0].cache_puts, "count")
+    put("cache.puts", sum(r.cache_puts for r in first_cycle), "count")
     put("cache.put_s", totals.get("cache:CacheIndex.put", 0.0), "s")
 
     put("observability.events_written", count("observability:EventLog.emit", 0), "count")
     put("observability.emit_s", totals.get("observability:EventLog.emit", 0.0), "s")
     put("observability.progress_writes", count("observability:write_progress", 0), "count")
 
-    vector = traced[0].vector
+    vector: Dict[str, int] = {}
+    for result in first_cycle:
+        for name, value in result.vector.items():
+            vector[name] = vector.get(name, 0) + value
     put("vectorized.fast_cells", vector.get("fast_cells", 0), "count")
     put("vectorized.probe_cells", vector.get("probe_cells", 0), "count")
     put("vectorized.fallback_cells", vector.get("fallback_cells", 0), "count")

@@ -1,4 +1,4 @@
-"""Regenerate ``digests.json``: the pinned record digest of every inline pool cell.
+"""Regenerate ``digests.json``: the pinned store-line digest of every benchmark cell.
 
 Run from the repository root after a deliberate physics change::
 
@@ -16,7 +16,7 @@ from pathlib import Path
 def main() -> int:
     root = Path.cwd()
     sys.path.insert(0, str(root / "src"))
-    from workloads import DIGESTS_PATH, WORKLOADS, Campaign, reference_digests
+    from workloads import DIGESTS_PATH, WORKLOADS, reference_digests
 
     work = root / ".bench_work" / "pin"
     shutil.rmtree(work, ignore_errors=True)
@@ -24,20 +24,13 @@ def main() -> int:
     pins = {}
     try:
         for workload in WORKLOADS.values():
-            if not workload.pinned:
-                continue
-            campaigns = [
-                Campaign(name, params, tuple(range(workload.pool)))
-                for name, params, _cells in workload.kinds
-            ]
-            workdir = work / workload.name
-            workdir.mkdir()
-            for index, digests in enumerate(reference_digests(campaigns, workdir)):
-                lines = (workdir / f"reference-{index}.jsonl").read_text("utf-8").splitlines()
-                for line, digest in zip(lines, digests):
+            for index, campaign in enumerate(workload.campaigns()):
+                path = work / f"{workload.name}-{index}.jsonl"
+                digests = reference_digests(campaign, path)
+                for line, digest in zip(path.read_text("utf-8").splitlines(), digests):
                     record = json.loads(line)
                     if record["status"] != "ok":
-                        raise SystemExit(f"pool cell failed: {record['key']}: {record.get('error')}")
+                        raise SystemExit(f"cell failed: {record['key']}: {record.get('error')}")
                     pins[record["key"]] = digest
             print(f"{workload.name}: {len(pins)} cells pinned so far", flush=True)
     finally:

@@ -8,38 +8,35 @@ Workloads (see ``workloads.py`` for why each exists): ``spectrum_cells`` and
 ``kernel_cells`` run simulator cells in-process, one after the other (a
 closed loop with one client); ``spool_campaign`` runs campaigns through a
 2-worker spool; ``vector_batch`` runs 64-seed campaigns on the lockstep
-vector backend.  Every workload repeats *passes* — a cold campaign and its
-warm-cache replay — until ``--seconds`` have passed, checking every store
-line of every pass.
+vector backend.  Every workload repeats *cycles* over a fixed set of
+campaigns — each a cold pass and its warm-cache replays — until
+``--seconds`` have passed, checking every store line of every pass.
 
-``--trace 0`` reports the end-to-end metrics, with the program untouched:
+``--trace 0`` reports the end-to-end metrics, with the program untouched.
+Every time is scaled to the reference host by a speed probe read around it
+(``speed.py``) and is the median of the run's samples of the same work
+(``measures.py``):
 
-``cells_per_s``   cold cells per second of cold-pass wall time, upper quartile
-                  over passes
-``cell_ms.p50``   median wall time the executing backend charged one cell:
-                  ``RunRecord.duration`` inline and on the vector backend,
-                  a spool task's worker-side elapsed time over its cells
-``cell_ms.p90``   the highest percentile up to p90 with at least ten samples
-                  beyond it (percentile and sample count are printed)
-``setup_s``       median of five fresh interpreters made ready to run the
-                  workload's first cell (imports, registry, scenario source
+``cells_per_s``   cells of the set per second of ``campaign_s``
+``cell_ms.p50``   wall time the executing backend charged one cell, averaged
+                  over the set's cells: ``RunRecord.duration`` inline, a
+                  spool task's worker-side elapsed time over its cells, a
+                  vector campaign over its cells
+``setup_s``       seven fresh interpreters made ready to run the workload's
+                  first cell (imports, registry, scenario source
                   fingerprints); on the spool, campaign start to the first
-                  ``task_claimed`` (worker spawn and import), median per pass
-``campaign_s``    lower quartile of the wall time of one cold pass: publish to
+                  ``task_claimed`` (worker spawn and import) of every pass
+``campaign_s``    one cold pass over every campaign of the set: publish to
                   store written and, on the spool, workers joined
-``replay_s``      lower quartile of the wall time of one replay against the
-                  warm cache
-
-Whole-pass times are few and long, and the shared host they run on slows
-down for seconds at a time; interference only ever adds time, so their
-lower quartile tracks the program's cost where a median follows the host.
+``replay_s``      one replay of every campaign of the set against its warm
+                  cache
 
 Failures — a raised campaign, a record that differs from its reference, a
 missing cell — are the result's ``failed`` over ``attempted``.
 
-``--trace 1`` alternates untraced and traced passes and reports per-layer
+``--trace 1`` alternates untraced and traced cycles and reports per-layer
 metrics from the traced ones (``layers.py``): counts from the first traced
-pass, which repeat exactly for a given seed, and times summed over all
+cycle, which repeat exactly for a given seed, and times summed over all
 traced passes, whose self times plus ``unattributed_s`` add up to
 ``trace.wall_s``.  ``trace.overhead`` is traced over untraced cells/s.
 
@@ -62,13 +59,16 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Sequence
 
+import measures
 from layers import LayerTracer
-from per_layer import cells_per_s, lower_quartile, median, per_layer_metrics, percentile
+from measures import median
+from per_layer import per_layer_metrics
+from speed import SpeedProbe
 
 #: Each of these changes the program's behaviour at import time.
 GUARDED_ENV = ("REPRO_TELEMETRY", "REPRO_TRACE_DIR", "REPRO_TRACE_ID", "REPRO_FAULT_PLAN")
 
-SETUP_PROBES = 5
+SETUP_PROBES = 7
 
 #: A spool iteration is flagged when its workers took this long to join.
 SLOW_JOIN_S = 1.0
@@ -76,7 +76,6 @@ SLOW_JOIN_S = 1.0
 END_TO_END = {
     "cells_per_s": "cells/s",
     "cell_ms.p50": "ms",
-    "cell_ms.p90": "ms",
     "setup_s": "s",
     "campaign_s": "s",
     "replay_s": "s",
@@ -91,11 +90,6 @@ registry = load_builtin_scenarios()
 for name in sys.argv[1:]:
     registry.get(name).source_fingerprint()
 """
-
-
-def tail_quantile(n: int) -> float:
-    """The highest quantile up to 0.9 with at least ten of ``n`` samples beyond it."""
-    return max(0.5, min(0.9, 1.0 - 10.0 / n)) if n else 0.0
 
 
 def provenance(root: Path) -> Dict[str, Any]:
@@ -126,9 +120,10 @@ def provenance(root: Path) -> Dict[str, Any]:
     }
 
 
-def probe_setup(root: Path, scenarios: Sequence[str]) -> List[float]:
-    """Wall seconds of fresh interpreters readying the workload's first cell."""
+def probe_setup(root: Path, scenarios: Sequence[str], probe: SpeedProbe) -> List[float]:
+    """Scaled seconds of fresh interpreters readying the workload's first cell."""
     samples = []
+    probe.read()
     for _ in range(SETUP_PROBES):
         started = time.perf_counter()
         subprocess.run(
@@ -137,23 +132,36 @@ def probe_setup(root: Path, scenarios: Sequence[str]) -> List[float]:
             check=True,
             stdout=subprocess.DEVNULL,
         )
-        samples.append(time.perf_counter() - started)
+        elapsed = time.perf_counter() - started
+        samples.append(measures.scaled(elapsed, probe.read()))
     return samples
 
 
+def report_pass(index: int, result) -> None:
+    """Print a pass's errors and, on the spool, its health."""
+    health = result.spool
+    if health is not None:
+        flagged = health["idle_workers"] or health["reclaims"] or health["join_s"] > SLOW_JOIN_S
+        print(
+            f"pass {index}: campaign_s={result.cold_s:.3f} join_s={health['join_s']:.3f} "
+            f"idle_workers={health['idle_workers']} reclaims={health['reclaims']}"
+            + (" FLAGGED" if flagged else "")
+        )
+    for error in result.errors:
+        print(f"pass {index}: {error}")
+
+
 def end_to_end(workload, results, setup_samples) -> Dict[str, float]:
-    cell_s = sorted(s for r in results for s in r.cell_s)
-    quantile = tail_quantile(len(cell_s))
-    print(f"cell_ms.p90 is the p{quantile * 100:.0f} of {len(cell_s)} cells")
     if workload.backend == "spool":
-        setup_samples = [r.spool["spawn_to_first_claim_s"] for r in results]
+        setup_samples = [
+            measures.scaled(r.spool["spawn_to_first_claim_s"], r.probe_s) for r in results
+        ]
     return {
-        "cells_per_s": cells_per_s(results),
-        "cell_ms.p50": percentile(cell_s, 0.5) * 1000.0,
-        "cell_ms.p90": percentile(cell_s, quantile) * 1000.0,
+        "cells_per_s": measures.cells_per_s(results),
+        "cell_ms.p50": measures.cell_ms(results),
         "setup_s": median(setup_samples),
-        "campaign_s": lower_quartile([r.cold_s for r in results]),
-        "replay_s": lower_quartile([s for r in results for s in r.replay_s]),
+        "campaign_s": measures.campaign_s(results),
+        "replay_s": measures.replay_s(results),
     }
 
 
@@ -174,7 +182,7 @@ def main(argv=None) -> int:
         print(f"no src/repro under {root}: run from the repository root", file=sys.stderr)
         return 2
     sys.path.insert(0, str(root / "src"))
-    from workloads import WORKLOADS, Expectations, run_pass
+    from workloads import SPOOL_WORKERS, WORKLOADS, expectations, run_pass
 
     workload = WORKLOADS.get(args.workload)
     if workload is None:
@@ -185,41 +193,36 @@ def main(argv=None) -> int:
     work.mkdir(parents=True)
     try:
         print("provenance " + json.dumps(provenance(root), sort_keys=True), flush=True)
-        setup_samples = (
-            probe_setup(root, sorted({kind[0] for kind in workload.kinds}))
-            if workload.backend != "spool"
-            else []
-        )
-        expected_for = Expectations(workload, args.seed, work)
+        expected = expectations(workload)
         tracer = LayerTracer() if args.trace else None
-
         results, traced = [], []
-        passes = workload.passes(args.seed)
-        started = time.perf_counter()
-        for index, campaigns in enumerate(passes):
-            in_trace = tracer is not None and index % 2 == 1
-            result = run_pass(
-                workload,
-                campaigns,
-                expected_for.digests(campaigns),
-                work / f"pass-{index}",
-                tracer if in_trace else None,
+        # The probe keeps as many processes busy as the workload does.
+        processes = SPOOL_WORKERS if workload.backend == "spool" else 1
+        with SpeedProbe(processes) as probe:
+            setup_samples = (
+                probe_setup(root, sorted({kind[0] for kind in workload.kinds}), probe)
+                if workload.backend != "spool"
+                else []
             )
-            (traced if in_trace else results).append(result)
-            health = result.spool
-            if health is not None:
-                flagged = (
-                    health["idle_workers"] or health["reclaims"] or health["join_s"] > SLOW_JOIN_S
-                )
-                print(
-                    f"pass {index}: campaign_s={result.cold_s:.3f} join_s={health['join_s']:.3f} "
-                    f"idle_workers={health['idle_workers']} reclaims={health['reclaims']}"
-                    + (" FLAGGED" if flagged else "")
-                )
-            for error in result.errors:
-                print(f"pass {index}: {error}")
-            if time.perf_counter() - started >= args.seconds and (tracer is None or traced):
-                break
+            index = 0
+            probe.read()
+            started = time.perf_counter()
+            for cycle, campaigns in enumerate(workload.cycles(args.seed)):
+                in_trace = tracer is not None and cycle % 2 == 1
+                for campaign in campaigns:
+                    result = run_pass(
+                        workload,
+                        campaign,
+                        expected[campaign.key],
+                        work / f"pass-{index}",
+                        tracer if in_trace else None,
+                    )
+                    result.probe_s = probe.read()
+                    (traced if in_trace else results).append(result)
+                    report_pass(index, result)
+                    index += 1
+                if time.perf_counter() - started >= args.seconds and (tracer is None or traced):
+                    break
 
         every = results + traced
         attempted = sum(r.checked for r in every)
@@ -228,7 +231,9 @@ def main(argv=None) -> int:
             metrics = end_to_end(workload, results, setup_samples)
             units, accounted = END_TO_END, True
         else:
-            metrics, units, accounted = per_layer_metrics(tracer, traced, results)
+            metrics, units, accounted = per_layer_metrics(
+                tracer, traced, results, cycle_passes=len(expected)
+            )
         correct = failed == 0 and attempted > 0 and accounted
         print(
             json.dumps(

@@ -89,6 +89,17 @@ def test_timed_run_reports_every_end_to_end_metric():
     assert all(v["value"] > 0 for v in result["metrics"].values())
 
 
+def test_speed_probe_reads_on_every_process_and_stops_its_helpers():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from speed import PROBES_PER_READING, SpeedProbe
+
+    with SpeedProbe(processes=2) as probe:
+        assert probe.read() > 0
+        assert len(probe.readings[-1]) == 2 * PROBES_PER_READING
+        helpers = list(probe._helpers)
+    assert [helper.returncode for helper in helpers] == [0]
+
+
 @pytest.mark.parametrize("variable", ["REPRO_TELEMETRY", "REPRO_TRACE_DIR", "REPRO_TRACE_ID", "REPRO_FAULT_PLAN"])
 def test_refuses_to_run_with_program_instrumentation_on(variable):
     completed = run("kernel_cells", trace=0, env={**os.environ, variable: "1"})

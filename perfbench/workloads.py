@@ -1,24 +1,25 @@
 """The benchmark's workloads and the pass every one of them repeats.
 
-A *pass* is one cold campaign of the workload's cells through its backend —
+A workload is a fixed set of *campaigns*.  A *pass* is one of them run cold —
 fresh store, fresh content-addressed cache, and for the spool a fresh spool
-with two spawned workers — followed by a *replay* of the same campaigns into
-fresh stores against the now-warm cache.  Both are checked cell by cell:
+with two spawned workers — followed by *replays* of it into fresh stores
+against the now-warm cache.  A *cycle* runs every campaign of the set once,
+in an order drawn from ``--seed``; a run repeats cycles until its time is up,
+so every campaign is timed many times and read as the median of its samples
+(see ``measures.py``).
 
-* inline workloads against record digests pinned in ``digests.json``
-  (regenerate with ``python3 perfbench/pin.py`` when physics changes on
-  purpose);
-* campaign workloads against an inline serial store of the same campaigns,
-  built untimed during set-up.
+Every store line is checked against the digest of the same cell's line in
+an inline serial store, pinned in ``digests.json`` (regenerate with
+``python3 perfbench/pin.py`` when physics changes on purpose).
 
-Inputs come from ``--seed``: inline workloads walk a seeded permutation of a
-pinned seed pool; campaign workloads draw their seed range from it.
+Inputs come from ``--seed``, which orders the cycles.  Every seed runs the
+same pinned cells, so a run's work does not depend on which cells a seed
+drew.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import random
 import shutil
@@ -46,43 +47,39 @@ class Campaign:
     params: Mapping[str, Any]
     seeds: Tuple[int, ...]
 
+    @property
+    def key(self) -> str:
+        params = json.dumps(dict(self.params), sort_keys=True)
+        return f"{self.scenario}|{params}|{self.seeds[0]}+{len(self.seeds)}"
+
 
 @dataclass(frozen=True)
 class Workload:
     name: str
     backend: str  # "inline" | "spool" | "vector"
-    #: ``(scenario, params, cells per pass)``; inline workloads walk the
-    #: cells of each kind through a pool of ``pool`` pinned seeds.
+    #: ``(scenario, params, cells)`` on the seeds ``0 .. cells - 1``: inline
+    #: workloads run each cell as a campaign of its own, the others run one
+    #: campaign of all of them per kind.
     kinds: Tuple[Tuple[str, Mapping[str, Any], int], ...]
-    pool: int = 0
-    #: Warm-cache replays per pass: enough samples to make the short
-    #: ``replay_s`` steady, few enough to keep the cold pass the bulk.
+    #: Warm-cache replays per pass.
     replays: int = 1
 
-    @property
-    def pinned(self) -> bool:
-        return self.backend == "inline"
-
-    def passes(self, seed: int) -> Iterator[List[Campaign]]:
-        """The pass sequence for ``seed`` (endless)."""
-        rng = random.Random(seed)
-        if not self.pinned:
-            base = rng.randrange(1, 1_000_000)
-            campaigns = [
-                Campaign(name, params, tuple(range(base, base + cells)))
+    def campaigns(self) -> List[Campaign]:
+        """The workload's set of distinct campaigns."""
+        if self.backend == "inline":
+            return [
+                Campaign(name, params, (cell_seed,))
                 for name, params, cells in self.kinds
+                for cell_seed in range(cells)
             ]
-            return itertools.repeat(campaigns)
-        orders = [rng.sample(range(self.pool), self.pool) for _ in self.kinds]
-        return (
-            [
-                Campaign(
-                    name, params, tuple(order[(k * cells + j) % self.pool] for j in range(cells))
-                )
-                for (name, params, cells), order in zip(self.kinds, orders)
-            ]
-            for k in itertools.count()
-        )
+        return [Campaign(name, params, tuple(range(cells))) for name, params, cells in self.kinds]
+
+    def cycles(self, seed: int) -> Iterator[List[Campaign]]:
+        """Endless cycles, each every campaign once in a seeded order."""
+        campaigns = self.campaigns()
+        rng = random.Random(seed)
+        while True:
+            yield rng.sample(campaigns, len(campaigns))
 
 
 WORKLOADS: Dict[str, Workload] = {
@@ -90,43 +87,48 @@ WORKLOADS: Dict[str, Workload] = {
     for workload in (
         Workload(
             # The medium and MAC do most of the work: the three shared-spectrum
-            # scenarios the medium speed-up targets.
+            # scenarios the medium speed-up targets, at a fifth of their
+            # default durations so every cell is timed many times.
             name="spectrum_cells",
             backend="inline",
             kinds=(
-                ("urban_grid", {"streets": 3, "followers": 3, "duration": 30.0}, 1),
-                ("corridor", {"intersections": 3, "duration": 90.0}, 1),
-                ("mixed_airspace", {"ground_nodes": 8, "duration": 200.0}, 1),
+                (
+                    "urban_grid",
+                    {
+                        "streets": 3,
+                        "followers": 3,
+                        "duration": 6.0,
+                        "brake_start": 3.0,
+                        "brake_stagger": 1.2,
+                    },
+                    1,
+                ),
+                ("corridor", {"intersections": 3, "duration": 18.0}, 1),
+                ("mixed_airspace", {"ground_nodes": 8, "duration": 40.0}, 1),
             ),
-            # About one pool cycle per run: every seed sees nearly the same
-            # cells, in its own order.
-            pool=8,
-            replays=10,
+            replays=4,
         ),
         Workload(
             # The safety kernel, sensors and vehicles carry the cost and the
             # network does almost none, so a medium change must not move it.
             name="kernel_cells",
             backend="inline",
-            # Twice as many ~120 ms cells as ~10 ms avionics cells, so the
-            # cell median sits inside one mode instead of on the gap.
             kinds=(
-                ("demo/safety_kernel", {"duration": 200.0}, 4),
-                ("sensor_validity", {"fault_class": "sporadic_offset", "samples": 2000}, 4),
-                ("sensor_validity", {"fault_class": "delay", "samples": 2000}, 4),
-                ("avionics/in_trail", {}, 2),
-                ("avionics/crossing", {}, 2),
-                ("avionics/level_change", {}, 2),
+                ("demo/safety_kernel", {"duration": 200.0}, 1),
+                ("sensor_validity", {"fault_class": "sporadic_offset", "samples": 2000}, 1),
+                ("sensor_validity", {"fault_class": "delay", "samples": 2000}, 1),
+                ("avionics/in_trail", {}, 1),
+                ("avionics/crossing", {}, 1),
+                ("avionics/level_change", {}, 1),
             ),
-            pool=48,
-            replays=5,
+            replays=4,
         ),
         Workload(
             # Cheap cells on a 2-worker spool: spawn, claim, shard, ingest and
             # cache writes, then cache reads, dominate.
             name="spool_campaign",
             backend="spool",
-            kinds=(("tdma_convergence", {"rows": 6, "cols": 6}, 800),),
+            kinds=(("tdma_convergence", {"rows": 6, "cols": 6}, 200),),
             replays=3,
         ),
         Workload(
@@ -135,9 +137,10 @@ WORKLOADS: Dict[str, Workload] = {
             name="vector_batch",
             backend="vector",
             kinds=(
-                ("sensor_validity", {"fault_class": "stuck_at"}, 64),
+                ("sensor_validity", {"fault_class": "stuck_at", "samples": 2000}, 64),
                 ("tdma_convergence", {"rows": 12, "cols": 12, "slots": 60}, 64),
             ),
+            replays=2,
         ),
     )
 }
@@ -159,45 +162,32 @@ def load_pins() -> Dict[str, str]:
         return json.load(handle)
 
 
-def reference_digests(campaigns: Sequence[Campaign], workdir: Path) -> List[List[str]]:
-    """Line digests of an inline serial store of ``campaigns`` (untimed set-up)."""
-    expected = []
-    for index, campaign in enumerate(campaigns):
-        path = workdir / f"reference-{index}.jsonl"
-        ParallelCampaignRunner(store=ResultStore(path)).run(
-            campaign.scenario, params=dict(campaign.params), seeds=list(campaign.seeds)
-        )
-        expected.append([line_digest(line) for line in path.read_text("utf-8").splitlines()])
-    return expected
+def reference_digests(campaign: Campaign, path: Path) -> List[str]:
+    """Line digests of an inline serial store of ``campaign``."""
+    ParallelCampaignRunner(store=ResultStore(path)).run(
+        campaign.scenario, params=dict(campaign.params), seeds=list(campaign.seeds)
+    )
+    return [line_digest(line) for line in path.read_text("utf-8").splitlines()]
 
 
-class Expectations:
-    """What every store line of a pass must hash to."""
-
-    def __init__(self, workload: Workload, seed: int, workdir: Path):
-        if workload.pinned:
-            self._pins = load_pins()
-            self._fixed: Optional[List[List[str]]] = None
-        else:
-            self._fixed = reference_digests(next(workload.passes(seed)), workdir)
-
-    def digests(self, campaigns: Sequence[Campaign]) -> List[List[Optional[str]]]:
-        if self._fixed is not None:
-            return self._fixed
-        return [[self._pins.get(key) for key in run_keys(c)] for c in campaigns]
+def expectations(workload: Workload) -> Dict[str, List[Optional[str]]]:
+    """What every store line of each campaign must hash to, by campaign key."""
+    pins = load_pins()
+    return {c.key: [pins.get(key) for key in run_keys(c)] for c in workload.campaigns()}
 
 
 # ------------------------------------------------------------------------ pass
 @dataclass
 class PassResult:
+    key: str
     cells: int = 0
     cold_s: float = 0.0
     replay_s: List[float] = field(default_factory=list)
-    #: Per-cell wall seconds of the cold pass: each cell's ``RunRecord``
-    #: duration inline, a task's elapsed time over its cells on the spool,
-    #: the pass over its cells on the vector backend (whose per-record
-    #: durations mix two campaigns' amortised batch times).
-    cell_s: List[float] = field(default_factory=list)
+    #: Wall seconds per cell of the cold pass: each cell's ``RunRecord``
+    #: duration inline (by seed), a spool task's elapsed time over its cells
+    #: (by task), the pass over its cells on the vector backend (whose
+    #: per-record durations mix the batch with its scalar probe).
+    cell_s: Dict[str, float] = field(default_factory=dict)
     checked: int = 0
     failed: int = 0
     errors: List[str] = field(default_factory=list)
@@ -209,6 +199,8 @@ class PassResult:
     #: RunRecord seconds of cells the vector backend ran on the scalar kernel.
     scalar_s: float = 0.0
     spool: Optional[Dict[str, Any]] = None
+    #: Speed-probe seconds around the pass (``speed.SpeedProbe.read``).
+    probe_s: float = 0.0
 
 
 def _make_backend(workload: Workload, pass_dir: Path):
@@ -224,91 +216,82 @@ def _make_backend(workload: Workload, pass_dir: Path):
     return InProcessBackend()
 
 
-def _run_campaigns(
-    campaigns: Sequence[Campaign],
-    expected: Sequence[Sequence[Optional[str]]],
-    stores: Sequence[Path],
+def _run_campaign(
+    campaign: Campaign,
+    expected: Sequence[Optional[str]],
+    store: Path,
     cache: CacheIndex,
     backend: Any,
     result: PassResult,
-    on_result=None,
-) -> float:
-    """Run ``campaigns`` into ``stores``; returns the wall seconds it took."""
+) -> Tuple[float, Any]:
+    """Run ``campaign`` into ``store`` and check it; ``(wall seconds, outcome)``."""
+    outcome = None
     started = time.perf_counter()
-    for campaign, path in zip(campaigns, stores):
-        try:
-            outcome = ParallelCampaignRunner(
-                store=ResultStore(path), cache=cache, backend=backend
-            ).run(campaign.scenario, params=dict(campaign.params), seeds=list(campaign.seeds))
-        except Exception as exc:  # noqa: BLE001 — a failing campaign is a counted failure
-            result.errors.append(f"{campaign.scenario}: {type(exc).__name__}: {exc}")
-            continue
-        if on_result is not None:
-            on_result(outcome)
+    try:
+        outcome = ParallelCampaignRunner(
+            store=ResultStore(store), cache=cache, backend=backend
+        ).run(campaign.scenario, params=dict(campaign.params), seeds=list(campaign.seeds))
+    except Exception as exc:  # noqa: BLE001 — a failing campaign is a counted failure
+        result.errors.append(f"{campaign.scenario}: {type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - started
-    for digests, path in zip(expected, stores):
-        lines = path.read_text("utf-8").splitlines() if path.exists() else []
-        result.checked += len(digests)
-        result.failed += sum(
-            1
-            for index, digest in enumerate(digests)
-            if digest is None or index >= len(lines) or line_digest(lines[index]) != digest
-        )
-        result.failed += max(0, len(lines) - len(digests))
-    return elapsed
+    lines = store.read_text("utf-8").splitlines() if store.exists() else []
+    result.checked += len(expected)
+    result.failed += sum(
+        1
+        for index, digest in enumerate(expected)
+        if digest is None or index >= len(lines) or line_digest(lines[index]) != digest
+    )
+    result.failed += max(0, len(lines) - len(expected))
+    return elapsed, outcome
 
 
 def run_pass(
     workload: Workload,
-    campaigns: Sequence[Campaign],
-    expected: Sequence[Sequence[Optional[str]]],
+    campaign: Campaign,
+    expected: Sequence[Optional[str]],
     pass_dir: Path,
     tracer=None,
 ) -> PassResult:
-    """One cold campaign pass plus its warm-cache replays, all verified."""
+    """One cold campaign plus its warm-cache replays, all verified."""
     pass_dir.mkdir(parents=True)
-    result = PassResult(cells=sum(len(c.seeds) for c in campaigns))
+    result = PassResult(key=campaign.key, cells=len(campaign.seeds))
     cache = CacheIndex(pass_dir / "cache")
     backend = _make_backend(workload, pass_dir)
-    cold = [pass_dir / f"cold-{i}.jsonl" for i in range(len(campaigns))]
-
-    def collect(outcome) -> None:
-        if workload.backend == "vector":
-            for name, value in vars(backend.stats).items():
-                if isinstance(value, int):
-                    result.vector[name] = result.vector.get(name, 0) + value
-            result.scalar_s += sum(
-                r.duration for r in outcome.records if r.executed_by == "scalar"
-            )
-        elif workload.backend == "inline":
-            result.cell_s.extend(
-                r.duration for r in outcome.records if r.executed_by not in ("cache", "store")
-            )
+    cold = pass_dir / "cold.jsonl"
 
     if tracer is not None:
         tracer.begin()
     try:
-        result.cold_s = _run_campaigns(campaigns, expected, cold, cache, backend, result, collect)
+        result.cold_s, outcome = _run_campaign(campaign, expected, cold, cache, backend, result)
         cold_done = time.time()
         for replay in range(workload.replays):
-            stores = [pass_dir / f"replay-{replay}-{i}.jsonl" for i in range(len(campaigns))]
+            store = pass_dir / f"replay-{replay}.jsonl"
             result.replay_s.append(
-                _run_campaigns(campaigns, expected, stores, cache, backend, result)
+                _run_campaign(campaign, expected, store, cache, backend, result)[0]
             )
     finally:
         if tracer is not None:
             tracer.end()
     # The verification reads above ran inside the traced window; they are
     # the benchmark's own work and land in ``unattributed``.
-    result.store_bytes = sum(path.stat().st_size for path in cold if path.exists())
+    result.store_bytes = cold.stat().st_size if cold.exists() else 0
     result.cache_gets = cache.hits + cache.misses
     result.cache_hits = cache.hits
     result.cache_puts = cache.puts
+    records = outcome.records if outcome is not None else []
     if workload.backend == "spool":
         result.spool = spool_health(pass_dir / "spool", result.cold_s, cold_done)
         result.cell_s = result.spool.pop("cell_s")
     elif workload.backend == "vector":
-        result.cell_s = [result.cold_s / result.cells]
+        result.vector = {
+            name: value for name, value in vars(backend.stats).items() if isinstance(value, int)
+        }
+        result.scalar_s = sum(r.duration for r in records if r.executed_by == "scalar")
+        result.cell_s = {"batch": result.cold_s / result.cells}
+    else:
+        result.cell_s = {
+            str(r.seed): r.duration for r in records if r.executed_by not in ("cache", "store")
+        }
     shutil.rmtree(pass_dir, ignore_errors=True)
     return result
 
@@ -321,7 +304,7 @@ def spool_health(spool_root: Path, campaign_s: float, done_wall: float) -> Dict[
     claimed: Dict[str, int] = {}
     exits: Dict[str, Dict[str, Any]] = {}
     waits: List[float] = []
-    cell_s: List[float] = []
+    cell_s: Dict[str, float] = {}
     seen_tasks: set = set()
     reclaims = 0
     for event in events:
@@ -332,7 +315,7 @@ def spool_health(spool_root: Path, campaign_s: float, done_wall: float) -> Dict[
                 seen_tasks.add(event["task"])
                 waits.append(event["ts"] - start["ts"])
         elif kind == "task_completed" and event.get("cells"):
-            cell_s.extend([event["elapsed_s"] / event["cells"]] * event["cells"])
+            cell_s[event["task"]] = event["elapsed_s"] / event["cells"]
         elif kind == "task_reclaimed":
             reclaims += 1
         elif kind == "worker_exit":
