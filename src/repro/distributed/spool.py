@@ -6,7 +6,8 @@ lock-free work queue::
 
     spool/
       campaign.json        # campaign metadata written by the coordinator
-      complete.marker      # written when every cell has a merged result
+      complete.marker      # written when every cell has a merged result;
+                           # names the campaign_id it closes
       tasks/task-00000.json    # pending tasks (one JSON file per task)
       claimed/task-00000.json  # claimed tasks; mtime is the lease heartbeat
       results/task-00000.jsonl # result shards (records + sha256 trailer)
@@ -728,10 +729,22 @@ class Spool:
 
     # -------------------------------------------------------------- completion
     def mark_complete(self) -> None:
-        self._atomic_write(self.complete_marker, "complete\n")
+        """Close the campaign ``campaign.json`` describes: the marker names
+        its ``campaign_id`` (empty when the metadata carries none)."""
+        campaign_id = self.metadata().get("campaign_id") or ""
+        self._atomic_write(self.complete_marker, f"complete\n{campaign_id}\n")
 
     def is_complete(self) -> bool:
-        return self.complete_marker.exists()
+        """Whether the marker closes the campaign ``campaign.json`` describes.
+
+        A marker naming another campaign is a leftover and does not count.
+        """
+        try:
+            lines = self.complete_marker.read_text("utf-8").splitlines()
+        except OSError:
+            return False
+        closed = lines[1] if len(lines) > 1 else ""
+        return closed == (self.metadata().get("campaign_id") or "")
 
     def is_drained(self) -> bool:
         """No pending and no claimed tasks remain."""

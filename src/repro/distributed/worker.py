@@ -357,19 +357,13 @@ def run_worker(
     idle_since: Optional[float] = None
     was_idle = False
     warned_missing = False
-    # A completion marker already present at startup may be left over from a
-    # *previous* campaign on this spool (workers are routinely started before
-    # the coordinator, whose initialise() purges the marker).  Only treat the
-    # marker as authoritative once we have observed it absent — i.e. it was
-    # written during this worker's lifetime.
-    marker_observed_absent = not spool.is_complete()
     while True:
+        # The marker names the campaign it closes, so a worker that starts
+        # after the coordinator marked its campaign complete exits at once,
+        # and a leftover marker of an earlier campaign is ignored.
         if spool.is_complete():
-            if marker_observed_absent:
-                stats.exit_reason = "complete"
-                break
-        else:
-            marker_observed_absent = True
+            stats.exit_reason = "complete"
+            break
         if max_tasks is not None and stats.tasks_completed >= max_tasks:
             stats.exit_reason = "max_tasks"
             break

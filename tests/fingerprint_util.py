@@ -3,19 +3,24 @@
 The ``repro.scenario`` composition layer rebuilt every use case and the
 builtin experiment catalog; the refactor invariant is **byte-identical
 same-seed physics**.  This module computes stable SHA-256 fingerprints so
-``tests/test_scenario_fingerprints.py`` can pin the pre-refactor values and
-assert they never drift.  Coverage differs by workload kind:
+``tests/test_scenario_fingerprints.py`` can pin them and assert they never
+drift.  Coverage differs by workload kind:
 
 * the eleven use-case workloads (run via their ``*Scenario`` classes) hash
   metrics at full float precision **plus** the complete trace stream
-  (time / kind / source / fields) **plus** the simulator's processed-event
-  count — any RNG-draw-order or event-order drift shows up;
+  (time / kind / source / fields) — any RNG-draw-order or event-order drift
+  that reaches an observable shows up.  Their simulators' processed-event
+  counts are returned beside the digest, not hashed into it: the count
+  measures how the work is cut into events, which a scheduling change (say,
+  one delivery event per frame instead of one per receiver) may move on
+  purpose while every observable stays identical;
 * the nine registry workloads (run via ``execute_run``) hash the metrics
   dict only, since factories do not expose their internals — coarse drift
   shows up, but a draw-order change with identical summary metrics would
-  not.  Run ``python tests/fingerprint_util.py`` to
-print the current fingerprint table (used to refresh the pinned constants
-when a *deliberate* physics change is made).
+  not.
+
+Run ``python tests/fingerprint_util.py`` to print the current tables (used
+to refresh the pinned constants when a *deliberate* change is made).
 """
 
 from __future__ import annotations
@@ -24,7 +29,11 @@ import dataclasses
 import enum
 import hashlib
 import json
-from typing import Any, Dict
+from typing import Any, Dict, Optional, Tuple
+
+#: A workload's fingerprint: its physics digest and, for use-case runs, the
+#: simulator's processed-event count (``None`` for registry runs).
+Fingerprint = Tuple[str, Optional[int]]
 
 
 def canonical(obj: Any) -> Any:
@@ -57,12 +66,17 @@ def trace_rows(trace) -> list:
 
 
 def scenario_payload(scenario, results) -> Dict[str, Any]:
-    """The full physics fingerprint payload of a use-case scenario object."""
+    """The physics fingerprint payload of a use-case scenario object."""
     return {
         "metrics": canonical(results),
         "trace": canonical(trace_rows(scenario.trace)),
-        "events_processed": scenario.simulator.events_processed,
     }
+
+
+def scenario_fingerprint(scenario) -> Fingerprint:
+    """Run ``scenario``; its physics digest and processed-event count."""
+    results = scenario.run()
+    return digest(scenario_payload(scenario, results)), scenario.simulator.events_processed
 
 
 # --------------------------------------------------------------------------
@@ -70,7 +84,7 @@ def scenario_payload(scenario, results) -> Dict[str, Any]:
 # --------------------------------------------------------------------------
 
 
-def run_platoon(variant: str) -> str:
+def run_platoon(variant: str) -> Fingerprint:
     from repro.usecases.acc import ArchitectureVariant, PlatoonConfig, PlatoonScenario
 
     scenario = PlatoonScenario(
@@ -82,10 +96,10 @@ def run_platoon(variant: str) -> str:
             interference_bursts=((8.0, 3.0),),
         )
     )
-    return digest(scenario_payload(scenario, scenario.run()))
+    return scenario_fingerprint(scenario)
 
 
-def run_intersection(mode: str) -> str:
+def run_intersection(mode: str) -> Fingerprint:
     from repro.usecases.intersection import (
         IntersectionConfig,
         IntersectionMode,
@@ -101,19 +115,19 @@ def run_intersection(mode: str) -> str:
             light_failure_time=None if mode == "infrastructure" else 15.0,
         )
     )
-    return digest(scenario_payload(scenario, scenario.run()))
+    return scenario_fingerprint(scenario)
 
 
-def run_lane_change(coordinated: bool) -> str:
+def run_lane_change(coordinated: bool) -> Fingerprint:
     from repro.usecases.lane_change import LaneChangeConfig, LaneChangeScenario
 
     scenario = LaneChangeScenario(
         LaneChangeConfig(coordinated=coordinated, duration=30.0, seed=11)
     )
-    return digest(scenario_payload(scenario, scenario.run()))
+    return scenario_fingerprint(scenario)
 
 
-def run_avionics(use_case: str, collaborative: bool = True) -> str:
+def run_avionics(use_case: str, collaborative: bool = True) -> Fingerprint:
     from repro.usecases.avionics import AvionicsConfig, AvionicsScenario, AvionicsUseCase
 
     scenario = AvionicsScenario(
@@ -124,10 +138,10 @@ def run_avionics(use_case: str, collaborative: bool = True) -> str:
             seed=3,
         )
     )
-    return digest(scenario_payload(scenario, scenario.run()))
+    return scenario_fingerprint(scenario)
 
 
-def run_registry(name: str, seed: int, **params) -> str:
+def run_registry(name: str, seed: int, **params) -> Fingerprint:
     """Metrics-only fingerprint of one registry scenario run."""
     from repro.experiments.registry import get_scenario
     from repro.experiments.runner import execute_run
@@ -139,10 +153,10 @@ def run_registry(name: str, seed: int, **params) -> str:
     )
     if not record.ok:
         raise RuntimeError(f"{name} failed: {record.error}")
-    return digest(record.metrics)
+    return digest(record.metrics), None
 
 
-#: name -> zero-argument callable producing the fingerprint.
+#: name -> zero-argument callable producing the :data:`Fingerprint`.
 WORKLOADS = {
     "platoon/karyon": lambda: run_platoon("karyon"),
     "platoon/always_cooperative": lambda: run_platoon("always_cooperative"),
@@ -171,12 +185,19 @@ WORKLOADS = {
 }
 
 
-def compute_all() -> Dict[str, str]:
-    return {name: runner() for name, runner in WORKLOADS.items()}
+def compute_all() -> Dict[str, Dict[str, Any]]:
+    """Both pinned tables: ``PINNED`` digests and use-case ``EVENT_COUNTS``."""
+    digests: Dict[str, str] = {}
+    event_counts: Dict[str, int] = {}
+    for name, runner in WORKLOADS.items():
+        digests[name], events = runner()
+        if events is not None:
+            event_counts[name] = events
+    return {"PINNED": digests, "EVENT_COUNTS": event_counts}
 
 
 def main() -> None:
-    """Print the fingerprint table as JSON.
+    """Print the fingerprint tables as JSON.
 
     Every set-of-node-ids iteration that feeds RNG draws or message
     scheduling is sorted (PR 4), so fingerprints are reproducible across

@@ -228,24 +228,25 @@ class TestWorker:
         assert len(spool.pending_task_ids()) == 2
 
     def test_stale_completion_marker_does_not_kill_prestarted_worker(self, tmp_path):
-        """A marker left by a previous campaign must not make a freshly
-        started worker exit before the new campaign's tasks appear; a
-        marker written during the worker's lifetime must still end it."""
+        """A marker naming a previous campaign must not make a worker exit
+        while the current campaign's tasks are pending; the marker of the
+        current campaign must still end it."""
         spool = Spool(tmp_path / "spool")
-        spool.initialise()
+        spool.initialise(metadata={"campaign_id": "previous"})
         spool.mark_complete()  # previous campaign's leftover
+        spool.write_campaign_metadata({"campaign_id": "current"})
         _, cells = _demo_cells([1])
         (task,) = shard_cells(cells, "demo/random_walk", task_size=1)
         spool.publish_task(task)
+        assert not spool.is_complete()
         stats = run_worker(spool.root, idle_timeout=0.05, poll_interval=0.01)
         assert stats.tasks_completed == 1  # did not exit on the stale marker
+        assert stats.exit_reason == "idle_timeout"
 
-        # Once the marker has been observed absent, a fresh one ends the
-        # loop: a worker polling an empty spool stops as soon as the marker
-        # is written during its lifetime.
+        # A worker polling the drained spool stops as soon as the current
+        # campaign's marker is written.
         import threading
 
-        spool.complete_marker.unlink()
         finished = threading.Event()
         worker_thread = threading.Thread(
             target=lambda: (run_worker(spool.root, poll_interval=0.01), finished.set())
@@ -259,6 +260,30 @@ class TestWorker:
             spool.mark_complete()  # unstick the worker if the join timed out
             worker_thread.join(timeout=5.0)
         assert finished.is_set()
+
+    def test_worker_started_after_the_marker_exits_complete(self, tmp_path):
+        """Regression: a spawned worker that imports slower than its peer
+        finishes the campaign must exit on the marker, not idle until the
+        coordinator's 10 s join gives up and terminates it."""
+        backend = SpoolBackend(tmp_path / "spool", workers=0, timeout=60.0, poll_interval=0.01)
+        spool = Spool(tmp_path / "spool")
+        import threading
+
+        peer = threading.Thread(target=lambda: run_worker(spool.root, poll_interval=0.01))
+        peer.start()
+        try:
+            result = ParallelCampaignRunner(backend=backend).run(
+                "demo/random_walk", seeds=[1, 2]
+            )
+        finally:
+            peer.join(timeout=30.0)
+        assert result.failures == 0 and spool.is_complete()
+
+        started = time.monotonic()
+        late = run_worker(spool.root, poll_interval=0.01, idle_timeout=10.0)
+        assert late.exit_reason == "complete"
+        assert late.tasks_completed == 0
+        assert time.monotonic() - started < 5.0
 
     def test_worker_uses_shared_cache(self, tmp_path):
         cache = CacheIndex(tmp_path / "cache")

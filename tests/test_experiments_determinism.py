@@ -1,6 +1,6 @@
 """Determinism guarantees of the optimised fast path.
 
-The perf overhaul (tuple-heap kernel, columnar tracing, vectorised medium,
+The perf overhaul (tuple-heap kernel, columnar tracing, batched medium delivery,
 batched noise draws, batched seed dispatch) must not change a single
 observable: same-seed runs produce identical ``events_processed``, identical
 trace streams, and byte-identical stores whether a campaign runs serially,
@@ -137,17 +137,12 @@ class TestSensorNoiseBatching:
         assert observed == pytest.approx(expected_prefix, abs=0.0)
 
 
-class TestVectorisedMediumParity:
-    def _broadcast(self, monkeypatch, force_scalar):
-        from repro.network import medium as medium_module
+class TestManyReceiverDelivery:
+    def test_losses_drawn_in_attachment_order(self):
         from repro.network.frames import Frame
         from repro.network.medium import MediumConfig, WirelessMedium
         from repro.sim.kernel import Simulator
 
-        if force_scalar:
-            monkeypatch.setattr(medium_module, "_VECTOR_MIN_RECEIVERS", 10_000)
-        else:
-            monkeypatch.setattr(medium_module, "_VECTOR_MIN_RECEIVERS", 2)
         sim = Simulator()
         medium = WirelessMedium(
             sim,
@@ -155,9 +150,9 @@ class TestVectorisedMediumParity:
             rng=np.random.default_rng(7),
         )
         deliveries = []
-        # 24 receivers, a few of them out of range.
+        # 24 receivers; indices 11+ are beyond 100 m.
         for index in range(24):
-            distance = 10.0 * index  # indices 11+ are beyond 100 m
+            distance = 10.0 * index
             medium.attach(
                 f"rx{index}",
                 receive=lambda frame, t, i=index: deliveries.append((i, t)),
@@ -166,16 +161,18 @@ class TestVectorisedMediumParity:
         medium.attach("tx", receive=lambda frame, t: None, position_fn=lambda: (0.0, 0.0))
         medium.transmit(Frame(source="tx", size_bits=400))
         sim.run()
-        stats = medium.stats
-        return deliveries, (
-            stats.deliveries, stats.lost_random, stats.lost_out_of_range
-        )
 
-    def test_numpy_and_scalar_receiver_selection_agree(self, monkeypatch):
-        scalar = self._broadcast(monkeypatch, force_scalar=True)
-        vectorised = self._broadcast(monkeypatch, force_scalar=False)
-        assert scalar == vectorised
-        assert scalar[1][2] > 0  # some receivers really were out of range
+        # Reference: one loss draw per in-range receiver, in attachment order.
+        rng = np.random.default_rng(7)
+        survivors = [index for index in range(11) if not rng.random() < 0.2]
+        delivered_at = 400 / 6_000_000.0 + 1e-6
+        assert deliveries == [(index, delivered_at) for index in survivors]
+        stats = medium.stats
+        assert (stats.deliveries, stats.lost_random, stats.lost_out_of_range) == (
+            len(survivors),
+            11 - len(survivors),
+            13,
+        )
 
 
 class TestPerfBudgetStore:

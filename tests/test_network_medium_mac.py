@@ -187,6 +187,82 @@ class TestWirelessMedium:
         assert 20 < len(received) < 180
 
 
+class TestBatchedDelivery:
+    """One delivery event per frame must order exactly like one per receiver."""
+
+    def test_zero_delay_event_from_a_receiver_runs_after_every_receiver(self):
+        sim = Simulator()
+        medium = make_medium(sim)
+        order = []
+
+        def first_receiver(frame, time):
+            order.append("b")
+            sim.schedule(0.0, lambda: order.append("scheduled by b"))
+
+        medium.attach("a", lambda f, t: None)
+        medium.attach("b", first_receiver)
+        medium.attach("c", lambda f, t: order.append("c"))
+        medium.attach("d", lambda f, t: order.append("d"))
+        medium.transmit(Frame(source="a"))
+        sim.run_until(0.1)
+        assert order == ["b", "c", "d", "scheduled by b"]
+
+    def test_frames_completing_together_deliver_in_transmit_order(self):
+        sim = Simulator()
+        medium = make_medium(sim)
+        order = []
+        # Two senders 1 km apart, each heard only by its own two receivers;
+        # attachment order interleaves the receivers of the two frames.
+        medium.attach("far", lambda f, t: None, position_fn=lambda: (1000.0, 0.0))
+        medium.attach("near", lambda f, t: None, position_fn=lambda: (0.0, 0.0))
+        for name, x in (("far-1", 1010.0), ("near-1", 10.0), ("far-2", 1020.0), ("near-2", 20.0)):
+            medium.attach(name, lambda f, t, n=name: order.append(n), position_fn=lambda x=x: (x, 0.0))
+        medium.transmit(Frame(source="near", size_bits=800))
+        medium.transmit(Frame(source="far", size_bits=800))
+        sim.run_until(0.1)
+        assert order == ["near-1", "near-2", "far-1", "far-2"]
+        assert medium.stats.lost_collision == 0
+
+    def test_retuning_inside_a_callback_keeps_the_frames_recipients(self):
+        sim = Simulator()
+        medium = make_medium(sim)
+        received = []
+
+        def retuning_receiver(frame, time):
+            received.append(("b", frame.payload))
+            medium.set_listening_channel("c", 2)
+
+        medium.attach("a", lambda f, t: None)
+        medium.attach("b", retuning_receiver)
+        medium.attach("c", lambda f, t: received.append(("c", f.payload)))
+        medium.transmit(Frame(source="a", payload=1))
+        sim.run_until(0.1)
+        medium.transmit(Frame(source="a", payload=2))
+        sim.run_until(0.2)
+        # c was retuned after the recipients of frame 1 were decided.
+        assert received == [("b", 1), ("c", 1), ("b", 2)]
+
+    def test_other_channel_never_makes_a_channel_busy_across_prunes(self):
+        sim = Simulator()
+        medium = make_medium(sim)
+        medium.attach("a", lambda f, t: None, position_fn=lambda: (0.0, 0.0))
+        medium.attach("b", lambda f, t: None, position_fn=lambda: (10.0, 0.0))
+        medium.attach("c", lambda f, t: None, position_fn=lambda: (20.0, 0.0))
+        medium.transmit(Frame(source="a", size_bits=600_000, channel=1))  # 0.1 s on air
+        assert medium.is_busy("b", 1)
+        assert not medium.is_busy("b", 0)
+        # Enough short completions on channel 2 to retire finished frames.
+        for index in range(8):
+            sim.schedule(0.001 * index, lambda: medium.transmit(Frame(source="c", channel=2)))
+        sim.run_until(0.05)
+        assert medium._completions_since_prune == 0  # a prune ran
+        assert medium.is_busy("b", 1)
+        assert not medium.is_busy("b", 0)
+        sim.run_until(0.2)
+        assert not medium.is_busy("b", 1)
+        assert not medium.is_busy("b", 0)
+
+
 class TestCsmaMac:
     def _pair(self, sim, loss=0.0):
         medium = make_medium(sim, loss=loss)

@@ -496,8 +496,10 @@ class TestDistributedTracing:
 
         # Whole-line appends: every line of every per-process trace file and
         # of the shared ledger parses — two racing workers never tear a row.
+        # The coordinator plus every worker that claimed a task (a worker that
+        # starts after its peer drained the queue exits without a span).
         trace_files = sorted(spool_root.glob("trace-*.jsonl"))
-        assert len(trace_files) >= 3  # coordinator + both workers
+        assert len(trace_files) >= 2
         for path in trace_files:
             for line in path.read_text(encoding="utf-8").splitlines():
                 assert json.loads(line)["trace"] == trace_id
@@ -508,7 +510,7 @@ class TestDistributedTracing:
         per_pid = {}
         for span in spans:
             per_pid.setdefault(span["pid"], []).append(span["seq"])
-        assert len(per_pid) >= 3
+        assert len(per_pid) == len(trace_files)
         for seqs in per_pid.values():
             assert seqs == sorted(seqs)
         # Cross-process stitching: every worker task span parents to a
@@ -521,13 +523,21 @@ class TestDistributedTracing:
         assert len(cells) == 6
         assert all(s["parent"] in task_ids for s in cells)
 
-        # Ledger: exactly one row per cell, written by two distinct real
-        # worker processes, each with a measured queue wait.
+        # Ledger: exactly one row per cell, each with a measured queue wait,
+        # written by the spawned workers.  Nothing forces both to claim: a
+        # worker that starts after its peer drained the queue exits on the
+        # completion marker without a row.
         rows = read_ledger(spool_root / "ledger.jsonl")
         assert len(rows) == 6
         assert sorted(row["seed"] for row in rows) == [1, 2, 3, 4, 5, 6]
         assert {row["executed_by"] for row in rows} == {"spool"}
-        assert len({row["worker"] for row in rows}) == 2
+        started = {
+            e["source"]
+            for e in read_events(spool_root / "events.jsonl")
+            if e["kind"] == "worker_start"
+        }
+        assert len(started) == 2
+        assert {row["worker"] for row in rows} <= started
         assert all(row["queue_wait_s"] >= 0 for row in rows)
         assert all(row["trace"] == trace_id for row in rows)
 
