@@ -9,6 +9,22 @@ plus a data validity.
 :class:`AbstractReliableSensor` layers redundancy on top (component,
 analytical and temporal redundancy, section IV-B) and exposes a fused,
 higher-validity reading.
+
+Hot-path notes: :meth:`AbstractSensor.read` runs once per sample per sensor,
+and on the sensor-heavy workloads it is most of a cell's time.  Its cost is
+mostly building frozen dataclasses, so the clean path builds as few as it can
+while every reading stays equal, field by field, to the unoptimised one.
+
+* :meth:`PhysicalSensor.sample` builds exactly one reading and one attribute
+  set, with positional arguments, and skips the fault injector while no
+  fault is scheduled.
+* Measurement noise comes off a :class:`~repro.sim.rng.ChunkedNormals`
+  buffer of Python floats; whether an RNG-drawing fault forces one draw per
+  sample is asked only when the buffer refills, the only time it matters.
+* Detectors return a shared verdict when they suspect nothing, and the
+  fault-management unit computes the validity without building a
+  :class:`~repro.sensors.validity.ValidityAssessment`.  A fully trusted
+  reading is returned as is rather than copied with the same validity.
 """
 
 from __future__ import annotations
@@ -48,8 +64,9 @@ class PhysicalSensor:
     attached fault can consume the shared RNG; with an RNG-drawing fault
     scheduled, the sensor falls back to one draw per sample so fault and
     noise draws interleave exactly as they would unbatched.  Injecting an
-    RNG-drawing fault *after* sampling has started (no scenario in this repo
-    does) would shift the stream relative to a never-batched run.
+    RNG-drawing fault while pre-drawn noise is still buffered would shift
+    the stream relative to a never-batched run, so :meth:`inject` refuses
+    it; schedule such faults before sampling starts.
     """
 
     def __init__(
@@ -72,7 +89,9 @@ class PhysicalSensor:
         self.injector = FaultInjector(rng=self.rng)
         self.samples_taken = 0
         self._sequence = 0
-        self._noise = ChunkedNormals(self.rng, chunk=_NOISE_CHUNK)
+        self._noise = ChunkedNormals(
+            self.rng, chunk=_NOISE_CHUNK, unbatched=lambda: self.injector.may_draw_rng
+        )
 
     def sample(self, now: float) -> Optional[SensorReading]:
         """Take one sample at simulated time ``now``.
@@ -82,25 +101,33 @@ class PhysicalSensor:
         self.samples_taken += 1
         true_value = self.truth_fn(now)
         sigma = self.noise_sigma
-        if sigma > 0:
-            noise = sigma * self._noise.next(chunk=1 if self.injector.may_draw_rng else None)
-        else:
-            noise = 0.0
+        noise = sigma * self._noise.next() if sigma > 0 else 0.0
         self._sequence += 1
         reading = SensorReading(
-            quantity=self.quantity,
-            value=float(true_value + noise),
-            timestamp=now,
-            validity=1.0,
-            error_bound=self.error_bound,
-            attributes=ReadingAttributes(
-                position=self.position, source_id=self.name, sequence=self._sequence
-            ),
+            self.quantity,
+            float(true_value + noise),
+            now,
+            1.0,
+            self.error_bound,
+            ReadingAttributes(self.position, self.name, self._sequence),
         )
-        return self.injector.process(reading, now)
+        injector = self.injector
+        if not injector.activations:
+            return reading
+        return injector.process(reading, now)
 
     def inject(self, fault, start: float, end: float = float("inf")) -> None:
-        """Convenience wrapper over the attached fault injector."""
+        """Schedule ``fault`` on the attached fault injector.
+
+        Raises ``ValueError`` for a fault that draws from the RNG while
+        batch-drawn noise is still buffered: that noise was drawn before the
+        fault's first draw, where an unbatched run would draw it after.
+        """
+        if fault.draws_rng and self._noise.buffered:
+            raise ValueError(
+                f"{self.name}: cannot inject an RNG-drawing fault after sampling has "
+                f"started ({self._noise.buffered} pre-drawn noise values are buffered)"
+            )
         self.injector.add(fault, start, end)
 
 

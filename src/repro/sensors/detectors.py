@@ -7,6 +7,18 @@ estimate" (section IV-B).  Each detector here reports a
 :class:`DetectorVerdict` with a suspicion in ``[0, 1]`` and a ``dominant``
 flag; the fault-management unit (:mod:`repro.sensors.validity`) combines the
 verdicts into the data-validity attribute.
+
+Hot-path notes: every sample of every abstract sensor runs each detector of
+its stack once, so ``check`` is the innermost loop of the sensor layer.
+
+* A detector that suspects nothing returns one shared, immutable
+  ``DetectorVerdict(name, 0.0, dominant, "")`` built in its constructor; a
+  verdict is only allocated when the suspicion is positive.  The shared
+  verdict equals the one a fresh construction would give, field by field.
+* :class:`StuckAtDetector` returns as soon as the two newest values differ
+  (the common case for a noisy sensor) instead of copying its history.
+* The dominant detectors compare with ``not (low <= value <= high)`` and
+  ``not (age <= max_age)`` so a NaN value or timestamp fails closed.
 """
 
 from __future__ import annotations
@@ -48,10 +60,16 @@ class FailureDetector:
         self.name = name
         self.evaluations = 0
         self.detections = 0
+        self._clear_verdict = DetectorVerdict(name, 0.0, self.dominant, "")
 
     def check(self, reading: SensorReading, now: float) -> DetectorVerdict:
         """Evaluate one reading; must be overridden."""
         raise NotImplementedError
+
+    def _clear(self) -> DetectorVerdict:
+        """The verdict for a reading that raises no suspicion."""
+        self.evaluations += 1
+        return self._clear_verdict
 
     def _verdict(self, suspicion: float, reason: str = "") -> DetectorVerdict:
         self.evaluations += 1
@@ -81,9 +99,10 @@ class RangeDetector(FailureDetector):
         self.high = high
 
     def check(self, reading: SensorReading, now: float) -> DetectorVerdict:
-        if reading.value < self.low or reading.value > self.high:
-            return self._verdict(1.0, f"value {reading.value} outside [{self.low}, {self.high}]")
-        return self._verdict(0.0)
+        value = reading.value
+        if not self.low <= value <= self.high:
+            return self._verdict(1.0, f"value {value} outside [{self.low}, {self.high}]")
+        return self._clear()
 
 
 class RateLimitDetector(FailureDetector):
@@ -107,13 +126,13 @@ class RateLimitDetector(FailureDetector):
         last = self._last
         self._last = reading
         if last is None:
-            return self._verdict(0.0)
+            return self._clear()
         dt = reading.timestamp - last.timestamp
         if dt <= 0:
-            return self._verdict(0.0)
+            return self._clear()
         rate = abs(reading.value - last.value) / dt
         if rate <= self.max_rate:
-            return self._verdict(0.0)
+            return self._clear()
         excess = (rate - self.max_rate) / (self.max_rate * (self.hard_factor - 1.0))
         return self._verdict(min(1.0, excess), f"rate {rate:.2f} exceeds {self.max_rate:.2f}")
 
@@ -133,10 +152,12 @@ class TimeoutDetector(FailureDetector):
         self.max_age = max_age
 
     def check(self, reading: SensorReading, now: float) -> DetectorVerdict:
-        age = reading.age(now)
-        if age > self.max_age:
+        # Not ``reading.age(now)``: its clamp at zero would turn a NaN age
+        # into 0.0.  A negative age (a reading from the future) is fresh.
+        age = now - reading.timestamp
+        if not age <= self.max_age:
             return self._verdict(1.0, f"reading age {age:.3f}s exceeds {self.max_age:.3f}s")
-        return self._verdict(0.0)
+        return self._clear()
 
 
 class StuckAtDetector(FailureDetector):
@@ -165,18 +186,22 @@ class StuckAtDetector(FailureDetector):
         self._history: Deque[float] = deque(maxlen=window)
 
     def check(self, reading: SensorReading, now: float) -> DetectorVerdict:
-        self._history.append(reading.value)
-        if len(self._history) < self.min_run:
-            return self._verdict(0.0)
+        history = self._history
+        history.append(reading.value)
+        if len(history) < self.min_run:
+            return self._clear()
+        # The run of identical values ends at the newest pair when it differs.
+        if self.min_run > 1 and not abs(history[-1] - history[-2]) <= self.epsilon:
+            return self._clear()
         run = 1
-        values = list(self._history)
+        values = list(history)
         for previous, current in zip(reversed(values[:-1]), reversed(values[1:])):
             if abs(current - previous) <= self.epsilon:
                 run += 1
             else:
                 break
         if run < self.min_run:
-            return self._verdict(0.0)
+            return self._clear()
         suspicion = (run - self.min_run + 1) / (self.window - self.min_run + 1)
         return self._verdict(min(1.0, suspicion), f"value frozen for {run} samples")
 
@@ -212,7 +237,7 @@ class ModelResidualDetector(FailureDetector):
         expected = self.model(reading.timestamp)
         residual = abs(reading.value - expected)
         if residual <= self.tolerance:
-            return self._verdict(0.0)
+            return self._clear()
         excess = (residual - self.tolerance) / (self.tolerance * (self.hard_factor - 1.0))
         return self._verdict(
             min(1.0, excess), f"residual {residual:.3f} exceeds tolerance {self.tolerance:.3f}"
@@ -246,7 +271,7 @@ class CrossValidationDetector(FailureDetector):
     def check(self, reading: SensorReading, now: float) -> DetectorVerdict:
         peers: List[float] = [p.value for p in self.peer_supplier() if p.is_valid]
         if len(peers) < 2:
-            return self._verdict(0.0)
+            return self._clear()
         peers_sorted = sorted(peers)
         mid = len(peers_sorted) // 2
         if len(peers_sorted) % 2:
@@ -255,7 +280,7 @@ class CrossValidationDetector(FailureDetector):
             median = 0.5 * (peers_sorted[mid - 1] + peers_sorted[mid])
         deviation = abs(reading.value - median)
         if deviation <= self.tolerance:
-            return self._verdict(0.0)
+            return self._clear()
         excess = (deviation - self.tolerance) / (self.tolerance * (self.hard_factor - 1.0))
         return self._verdict(
             min(1.0, excess),

@@ -40,10 +40,9 @@ def naive_mean(readings: Sequence[SensorReading]) -> Optional[FusionResult]:
     """Baseline fusion: unweighted mean, ignoring validity (used as E2 baseline)."""
     if not readings:
         return None
-    values = [r.value for r in readings]
-    mean = sum(values) / len(values)
-    low = min(r.interval[0] for r in readings)
-    high = max(r.interval[1] for r in readings)
+    mean = sum([r.value for r in readings]) / len(readings)
+    low = min([r.value - r.error_bound for r in readings])
+    high = max([r.value + r.error_bound for r in readings])
     return FusionResult(value=mean, validity=1.0, interval=(low, high), contributors=len(readings))
 
 
@@ -63,8 +62,8 @@ def validity_weighted_mean(
         return None
     value = sum(r.value * r.validity for r in usable) / total_weight
     validity = min(1.0, total_weight / len(usable))
-    low = min(r.interval[0] for r in usable)
-    high = max(r.interval[1] for r in usable)
+    low = min([r.value - r.error_bound for r in usable])
+    high = max([r.value + r.error_bound for r in usable])
     return FusionResult(value=value, validity=validity, interval=(low, high), contributors=len(usable))
 
 

@@ -56,7 +56,9 @@ class SensorReading:
     def __post_init__(self) -> None:
         if not 0.0 <= self.validity <= 1.0:
             raise ValueError(f"validity must be in [0, 1], got {self.validity}")
-        if self.error_bound < 0.0:
+        # Written so that NaN fails: a NaN bound would poison every interval
+        # fused from this reading.
+        if not self.error_bound >= 0.0:
             raise ValueError(f"error_bound must be >= 0, got {self.error_bound}")
 
     @property
@@ -70,17 +72,26 @@ class SensorReading:
         return self.validity > 0.0
 
     def with_validity(self, validity: float) -> "SensorReading":
-        """Return a copy carrying a new validity estimate."""
+        """Return a copy carrying a new validity estimate.
+
+        A fully trusted reading asked to stay fully trusted is returned as
+        is: that is the clean per-sample path.  The shortcut is limited to an
+        exact float ``1.0`` on both sides, because a general ``==`` would
+        also equate ``-0.0`` with ``0.0`` (or ``1`` with ``1.0``) and hand
+        back a validity that serialises differently from the copy.
+        """
+        current = self.validity
+        if validity == 1.0 and current == 1.0 and type(current) is float:
+            return self
         # Direct construction: same semantics as dataclasses.replace (the
-        # validators in __post_init__ still run) at a fraction of the cost on
-        # the per-sample hot path.
+        # validators in __post_init__ still run) at a fraction of the cost.
         return SensorReading(
-            quantity=self.quantity,
-            value=self.value,
-            timestamp=self.timestamp,
-            validity=float(min(1.0, max(0.0, validity))),
-            error_bound=self.error_bound,
-            attributes=self.attributes,
+            self.quantity,
+            self.value,
+            self.timestamp,
+            float(min(1.0, max(0.0, validity))),
+            self.error_bound,
+            self.attributes,
         )
 
     def with_value(self, value: float) -> "SensorReading":

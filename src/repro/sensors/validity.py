@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.sensors.detectors import DetectorVerdict
 from repro.sensors.readings import SensorReading
@@ -56,19 +56,18 @@ class FaultManagementUnit:
         self.assessments = 0
         self.invalidations = 0
 
-    def combine(self, verdicts: Sequence[DetectorVerdict]) -> ValidityAssessment:
-        """Combine verdicts according to the policy."""
+    def _validity(self, verdicts: Iterable[DetectorVerdict]) -> Tuple[float, bool]:
+        """``(validity, dominant_triggered)`` under the policy, in one pass."""
         self.assessments += 1
-        verdict_list = list(verdicts)
-        for verdict in verdict_list:
-            if verdict.invalidates:
+        continuous = []
+        for verdict in verdicts:
+            if not verdict.dominant:
+                continuous.append(verdict.suspicion)
+            elif verdict.invalidates:
                 self.invalidations += 1
-                return ValidityAssessment(
-                    validity=0.0, verdicts=verdict_list, dominant_triggered=True
-                )
-        continuous = [v.suspicion for v in verdict_list if not v.dominant]
+                return 0.0, True
         if not continuous:
-            return ValidityAssessment(validity=1.0, verdicts=verdict_list)
+            return 1.0, False
         if self.policy is ValidityPolicy.PRODUCT:
             validity = 1.0
             for suspicion in continuous:
@@ -77,8 +76,13 @@ class FaultManagementUnit:
             validity = 1.0 - max(continuous)
         else:  # MEAN
             validity = 1.0 - sum(continuous) / len(continuous)
-        validity = max(self.floor, min(1.0, validity))
-        return ValidityAssessment(validity=validity, verdicts=verdict_list)
+        return max(self.floor, min(1.0, validity)), False
+
+    def combine(self, verdicts: Sequence[DetectorVerdict]) -> ValidityAssessment:
+        """Combine verdicts according to the policy."""
+        verdict_list = list(verdicts)
+        validity, dominant_triggered = self._validity(verdict_list)
+        return ValidityAssessment(validity, verdict_list, dominant_triggered)
 
     def assess(
         self,
@@ -86,5 +90,4 @@ class FaultManagementUnit:
         verdicts: Iterable[DetectorVerdict],
     ) -> SensorReading:
         """Return ``reading`` annotated with the combined validity."""
-        assessment = self.combine(list(verdicts))
-        return reading.with_validity(assessment.validity)
+        return reading.with_validity(self._validity(verdicts)[0])

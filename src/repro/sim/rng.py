@@ -9,7 +9,7 @@ for the paired comparisons in the E1–E9 experiments.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -24,27 +24,42 @@ class ChunkedNormals:
     uses for measurement noise, extracted here so the lockstep vector
     programs (:mod:`repro.vectorized`) can reproduce it verbatim.
 
-    ``next(chunk=1)`` degrades to one draw per call for consumers whose
-    RNG is shared with another draw site (e.g. an RNG-drawing fault) and
-    must interleave exactly as unbatched.
+    A consumer whose RNG is shared with another draw site (e.g. an
+    RNG-drawing fault) passes ``unbatched``, a predicate asked at each
+    refill: while it is true the buffer refills one value at a time, so the
+    draws interleave exactly as unbatched.
     """
 
-    def __init__(self, rng: np.random.Generator, chunk: int = 128):
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        chunk: int = 128,
+        unbatched: Optional[Callable[[], bool]] = None,
+    ):
         if int(chunk) < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk}")
         self.rng = rng
         self.chunk = int(chunk)
-        self._buffer = np.empty(0)
+        self._unbatched = unbatched
+        # Python floats (``tolist``): the same IEEE values as the array, and
+        # cheaper to index and to do scalar arithmetic with.
+        self._buffer: List[float] = []
         self._index = 0
 
-    def next(self, chunk: int | None = None) -> float:
-        """The next standard-normal value; refills by ``chunk`` (default
-        the instance chunk) when the buffer is exhausted."""
+    @property
+    def buffered(self) -> int:
+        """How many drawn values are still waiting to be handed out."""
+        return len(self._buffer) - self._index
+
+    def next(self) -> float:
+        """The next standard-normal value; refills by the instance chunk (or
+        by one while ``unbatched()`` holds) when the buffer is exhausted."""
         index = self._index
         buffer = self._buffer
-        if index >= buffer.shape[0]:
-            size = self.chunk if chunk is None else int(chunk)
-            buffer = self._buffer = self.rng.standard_normal(size)
+        if index >= len(buffer):
+            unbatched = self._unbatched
+            size = 1 if unbatched is not None and unbatched() else self.chunk
+            buffer = self._buffer = self.rng.standard_normal(size).tolist()
             index = 0
         self._index = index + 1
         return buffer[index]

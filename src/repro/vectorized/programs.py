@@ -250,8 +250,9 @@ class SensorValidityProgram(VectorProgram):
         window, min_run, epsilon = 10, 4, 1e-9
 
         # RangeDetector: dominant, fires (suspicion 1.0, invalidates) when
-        # the value leaves [low, high] — validity collapses to 0.0.
-        range_fired = (vals < low) | (vals > high)
+        # the value is not inside [low, high], NaN included — validity
+        # collapses to 0.0.
+        range_fired = ~((vals >= low) & (vals <= high))
 
         # RateLimitDetector: first sample scores 0; afterwards
         # rate = |dv| / dt, suspicion = min(1, (rate - max) / (max * (hard - 1))).
@@ -259,9 +260,11 @@ class SensorValidityProgram(VectorProgram):
         if samples > 1:
             dt = np.array([now[t] - now[t - 1] for t in range(1, samples)])
             rate = np.abs(vals[:, 1:] - vals[:, :-1]) / dt[None, :]
-            over = (dt[None, :] > 0) & (rate > max_rate)
+            # Negated compare and fmin: a NaN rate scores 1.0, as the
+            # scalar detector's `rate <= max_rate` test and min() give.
+            over = (dt[None, :] > 0) & ~(rate <= max_rate)
             excess = (rate - max_rate) / (max_rate * (hard_factor - 1.0))
-            s_rate[:, 1:] = np.where(over, np.minimum(1.0, excess), 0.0)
+            s_rate[:, 1:] = np.where(over, np.fmin(1.0, excess), 0.0)
 
         # StuckAtDetector: trailing run of |diff| <= epsilon pairs; suspicion
         # min(1, (run - min_run + 1) / (window - min_run + 1)) once the

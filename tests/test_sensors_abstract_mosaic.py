@@ -10,7 +10,12 @@ from repro.sensors.abstract_sensor import (
     PhysicalSensor,
 )
 from repro.sensors.detectors import RangeDetector, StuckAtDetector, TimeoutDetector
-from repro.sensors.faults import DelayFault, PermanentOffsetFault, StuckAtFault
+from repro.sensors.faults import (
+    DelayFault,
+    PermanentOffsetFault,
+    SporadicOffsetFault,
+    StuckAtFault,
+)
 from repro.sensors.mosaic import ApplicationModule, ElectronicDataSheet, MosaicNode
 from repro.sim.kernel import Simulator
 
@@ -48,11 +53,33 @@ class TestPhysicalSensor:
         second = sensor.sample(0.1)
         assert second.attributes.sequence == first.attributes.sequence + 1
 
+    def test_rng_drawing_fault_refused_once_noise_is_buffered(self):
+        sensor = make_physical(noise=1.0)
+        sensor.inject(StuckAtFault(), start=5.0)
+        sensor.sample(0.0)  # pre-draws a chunk of noise
+        with pytest.raises(ValueError, match="RNG-drawing"):
+            sensor.inject(SporadicOffsetFault(), start=1.0)
+        sensor.inject(PermanentOffsetFault(), start=1.0)  # RNG-silent: still fine
+
+    def test_rng_drawing_fault_accepted_before_sampling_or_without_noise(self):
+        sensor = make_physical(noise=1.0)
+        sensor.inject(SporadicOffsetFault(), start=1.0)
+        sensor.sample(0.0)  # one draw per sample now, nothing left buffered
+        sensor.inject(DelayFault(drop_probability=0.5), start=2.0)
+        noiseless = make_physical()
+        noiseless.sample(0.0)
+        noiseless.inject(SporadicOffsetFault(), start=1.0)
+
 
 class TestAbstractSensor:
     def test_healthy_reading_has_full_validity(self):
         sensor = AbstractSensor(make_physical(), detectors=[RangeDetector(0.0, 100.0)])
         assert sensor.read(0.0).validity == 1.0
+
+    def test_nan_value_reads_as_invalid(self):
+        physical = make_physical(truth=lambda t: float("nan"))
+        sensor = AbstractSensor(physical, detectors=[RangeDetector(0.0, 100.0)])
+        assert sensor.read(0.0).validity == 0.0
 
     def test_out_of_range_reading_invalidated(self):
         physical = make_physical()

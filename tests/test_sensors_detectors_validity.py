@@ -34,6 +34,10 @@ class TestRangeDetector:
         with pytest.raises(ValueError):
             RangeDetector(10.0, 0.0)
 
+    def test_nan_value_invalidates(self):
+        verdict = RangeDetector(0.0, 200.0).check(reading(float("nan")), now=0.0)
+        assert verdict.invalidates
+
 
 class TestRateLimitDetector:
     def test_slow_change_passes(self):
@@ -68,6 +72,15 @@ class TestTimeoutDetector:
     def test_stale_reading_invalidates(self):
         verdict = TimeoutDetector(max_age=0.5).check(reading(1.0, timestamp=1.0), now=2.0)
         assert verdict.invalidates
+
+    def test_nan_timestamp_or_clock_invalidates(self):
+        detector = TimeoutDetector(max_age=0.5)
+        assert detector.check(reading(1.0, timestamp=float("nan")), now=1.0).invalidates
+        assert detector.check(reading(1.0, timestamp=1.0), now=float("nan")).invalidates
+
+    def test_reading_from_the_future_is_fresh(self):
+        verdict = TimeoutDetector(max_age=0.5).check(reading(1.0, timestamp=3.0), now=1.0)
+        assert verdict.suspicion == 0.0
 
 
 class TestStuckAtDetector:

@@ -1,5 +1,7 @@
 """Tests for sensor readings, the five fault classes and the fault injector."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,10 +38,24 @@ class TestSensorReading:
     def test_negative_error_bound_rejected(self):
         with pytest.raises(ValueError):
             reading(error_bound=-1.0)
+        with pytest.raises(ValueError):
+            reading(error_bound=float("nan"))
 
     def test_with_validity_clamps_into_range(self):
         assert reading().with_validity(2.0).validity == 1.0
         assert reading().with_validity(-1.0).validity == 0.0
+
+    def test_with_validity_keeps_a_fully_trusted_reading(self):
+        r = reading()
+        assert r.with_validity(1.0) is r
+        assert r.with_validity(0.5) is not r
+
+    def test_with_validity_copies_when_only_equal(self):
+        # -0.0 == 0.0 and 1 == 1.0, but the copy's validity is a positive float.
+        r = reading(validity=-0.0).with_validity(0.0)
+        assert math.copysign(1.0, r.validity) == 1.0
+        r = reading(validity=1).with_validity(1.0)
+        assert type(r.validity) is float
 
     def test_age_and_freshness(self):
         r = reading(timestamp=5.0)

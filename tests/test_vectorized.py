@@ -8,6 +8,7 @@ provenance surfaces, CLI guards) hangs off that.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.experiments import ParallelCampaignRunner, ResultStore
@@ -17,6 +18,8 @@ from repro.observability.progress import read_progress
 from repro.observability.telemetry import telemetry_enabled
 from repro.resilience import FaultPlan, FaultRule, armed
 from repro.scenario.harness import ScenarioHarness
+from repro.sensors.readings import SensorReading
+from repro.sensors.validity import FaultManagementUnit
 from repro.vectorized import (
     PROGRAMS,
     LockstepBatch,
@@ -289,6 +292,21 @@ class TestEngineUnits:
         doc = stats.to_json_dict()
         assert doc["occupancy"] == 0.7
         assert doc["eviction_reasons"] == {"fault-plan": 2}
+
+    def test_sensor_program_validity_matches_scalar_on_nan(self):
+        # A NaN value fails closed in the vector math as in the scalar stack.
+        values = [50.0, float("nan"), 51.0, 250.0, 52.0, 52.5]
+        now = [0.05 * t for t in range(len(values))]
+        program = PROGRAMS["sensor_validity"]
+        vector = program._validity(np.array([values]), now)[0]
+        stack = program._rig().detectors()
+        fmu = FaultManagementUnit()
+        scalar = []
+        for value, t in zip(values, now):
+            raw = SensorReading("range", value, t)
+            scalar.append(fmu.assess(raw, [d.check(raw, t) for d in stack]).validity)
+        assert vector.tolist() == scalar
+        assert scalar[1] == 0.0 and scalar[2] == 0.0
 
 
 class TestCliAndProvenance:
