@@ -11,15 +11,18 @@ the scenario's *source* rather than its name:
 * renaming a scenario or moving a store keeps its cache hits.
 
 Entries are one JSON file each under a two-character fan-out
-(``objects/ab/abcdef….json``), written atomically (temp file + rename) so
-concurrent writers on a shared filesystem never corrupt an entry; both
-writers of a racing pair write identical bytes anyway, since runs are
-deterministic.  Only successful records are cached — failures always
-re-run.
+(``objects/ab/abcdef….json``), written atomically (temp file, fsync,
+rename) so concurrent writers on a shared filesystem never corrupt an
+entry; both writers of a racing pair write identical bytes anyway, since
+runs are deterministic.  :meth:`CacheIndex.put_many` publishes a whole
+batch behind one write barrier: every object is fsynced before any
+rename, and the renames are not fsynced, so a crash can lose an entry
+but never expose a torn one.  Only successful records are cached —
+failures always re-run.
 
-Effectiveness bookkeeping (first slice of ROADMAP item 5): every index
-counts its hits / misses / puts in-process and mirrors them into the
-global telemetry registry (``cache.hit`` / ``cache.miss`` / ``cache.put``
+Effectiveness bookkeeping: every index counts its hits / misses / puts
+in-process and mirrors them, one count per object, into the global
+telemetry registry (``cache.hit`` / ``cache.miss`` / ``cache.put``
 counters).  :meth:`CacheIndex.flush_stats` appends the session's counts to
 a ``stats.jsonl`` ledger inside the cache root, so ``cache stats`` can
 report lifetime effectiveness across campaigns and hosts, not just the
@@ -33,10 +36,10 @@ import logging
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.experiments.runner import RunRecord
-from repro.observability.progress import atomic_write_text
+from repro.observability.progress import atomic_write_texts
 from repro.observability.telemetry import TELEMETRY
 from repro.resilience.faults import inject
 
@@ -142,28 +145,55 @@ class CacheIndex:
 
     def put(self, key: Optional[str], record: RunRecord) -> bool:
         """Cache one successful record; failures and key-less runs are skipped."""
-        if key is None or not record.ok or self._degraded:
-            return False
-        path = self.path_for(key)
+        return self.put_many([(key, record)]) == 1
+
+    def put_many(self, pairs: Iterable[Tuple[Optional[str], RunRecord]]) -> int:
+        """Cache a batch of records behind one write barrier; returns how many.
+
+        Failed and key-less records are skipped.  The rest are written,
+        fsynced and renamed together (:func:`atomic_write_texts`), so a
+        campaign pays one round of journal commits rather than one per
+        cell.  The ``cache.put`` injection point fires once per object, in
+        order, before anything is written: an ``io_error`` there publishes
+        nothing from the batch and degrades the index, like any other
+        ``OSError`` on the way.  A bucket directory is created only when a
+        temp-file open finds it missing.
+        """
+        if self._degraded:
+            return 0
+        items: List[Tuple[Path, str]] = []
+        garble: List[Tuple[Path, int]] = []
         try:
-            rule = inject("cache.put", key=key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(path, json.dumps(record.to_json_dict(), sort_keys=True))
+            for key, record in pairs:
+                if key is None or not record.ok:
+                    continue
+                path = self.path_for(key)
+                rule = inject("cache.put", key=key)
+                items.append((path, json.dumps(record.to_json_dict(), sort_keys=True)))
+                if rule is not None and rule.kind == "corrupt":
+                    garble.append((path, int(rule.args.get("keep_bytes", 10))))
+            if not items:
+                return 0
+            try:
+                atomic_write_texts(items)
+            except FileNotFoundError:
+                for bucket in {path.parent for path, _ in items}:
+                    bucket.mkdir(parents=True, exist_ok=True)
+                atomic_write_texts(items)
         except OSError as exc:
             self._degrade(exc)
-            return False
-        if rule is not None and rule.kind == "corrupt":
+            return 0
+        for path, keep in garble:
             # Garble the just-written object in place (simulates a cache
             # host losing the tail of the write after the rename landed).
-            keep = int(rule.args.get("keep_bytes", 10))
             with path.open("r+", encoding="utf-8") as handle:
                 content = handle.read()
                 handle.seek(0)
                 handle.truncate()
                 handle.write(content[:keep])
-        self.puts += 1
-        TELEMETRY.count("cache.put")
-        return True
+        self.puts += len(items)
+        TELEMETRY.count("cache.put", len(items))
+        return len(items)
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None

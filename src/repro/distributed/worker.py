@@ -8,7 +8,8 @@ host or many — and coordinate purely through the spool's atomic renames:
 2. resolve the task's scenario against the registry;
 3. execute each cell (consulting the shared result cache when one is
    attached), refreshing the claim lease between cells;
-4. atomically write the result shard and drop the claim.
+4. publish the executed cells to the cache in one batch, atomically
+   write the result shard and drop the claim.
 
 A worker that finds nothing to claim reclaims expired leases (rescuing
 tasks from dead peers) and polls until the coordinator marks the campaign
@@ -151,6 +152,13 @@ def execute_task(
     retries under the quick spool-I/O policy; if it still fails the
     ``OSError`` propagates to the worker loop, which requeues the claim.
 
+    Cache: the task's executed cells are published with one
+    :meth:`CacheIndex.put_many` right before the shard write, not one put
+    per cell.  A worker that crashes (or times out) mid-task therefore
+    leaves no cache entries for that task's finished cells, and the
+    reclaimed task re-executes them.  Runs are deterministic, so the
+    merged store is byte-identical either way.
+
     Tracing: a task file published by a tracing coordinator carries the
     trace context (``task.trace``), which this worker *adopts* — it
     configures its own tracer into the spool directory and parents its
@@ -182,6 +190,8 @@ def execute_task(
     source_fingerprint = spec.source_fingerprint() if spec is not None else None
 
     results: List[Tuple[int, RunRecord]] = []
+    # Executed cells awaiting publication to the cache, in cell order.
+    fresh: List[Tuple[Optional[str], RunRecord]] = []
     task_span = TRACER.span(
         "task",
         cat="task",
@@ -233,8 +243,7 @@ def execute_task(
                             breaker=breaker,
                         )
                     if cache is not None:
-                        with TRACER.span("cache.put", cat="cache", seed=seed):
-                            cache.put(cache_key, record)
+                        fresh.append((cache_key, record))
                     if stats is not None:
                         stats.runs_executed += 1
             if stats is not None and not record.ok:
@@ -253,6 +262,9 @@ def execute_task(
             )
             results.append((index, record))
             spool.heartbeat(claimed)
+        if fresh:
+            with TRACER.span("cache.put", cat="cache", task=task.task_id, cells=len(fresh)):
+                cache.put_many(fresh)
         with TRACER.span("shard.write", cat="io", task=task.task_id):
             SPOOL_IO_RETRY_POLICY.call(
                 lambda: spool.write_result_shard(task.task_id, results),

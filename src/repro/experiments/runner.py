@@ -933,7 +933,8 @@ class ParallelCampaignRunner:
     ) -> None:
         if self.cache is None or not cache_keys:
             return
-        for run_spec in pending:
-            record = records[run_spec.index]
-            if record is not None and record.ok:
-                self.cache.put(cache_keys.get(run_spec.index), record)
+        self.cache.put_many(
+            (cache_keys.get(run_spec.index), records[run_spec.index])
+            for run_spec in pending
+            if records[run_spec.index] is not None
+        )

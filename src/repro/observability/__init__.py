@@ -45,6 +45,7 @@ from repro.observability.progress import (
     CampaignProgress,
     ProgressTracker,
     atomic_write_text,
+    atomic_write_texts,
     read_progress,
     write_progress,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "CampaignProgress",
     "ProgressTracker",
     "atomic_write_text",
+    "atomic_write_texts",
     "read_progress",
     "write_progress",
     "TelemetryRegistry",

@@ -9,9 +9,10 @@ the spool coordinator maintains ``progress.json`` inside the spool root.
 Either is what ``python -m repro.experiments status`` (and ROADMAP item
 1's control plane) polls.
 
-Writes are atomic tmp+rename (:func:`atomic_write_text` — the canonical
-home of the helper the spool layer re-exports), so a reader never sees a
-torn file; a reader that catches the sub-millisecond replace window
+Writes are atomic tmp+fsync+rename (:func:`atomic_write_text` and its
+batched form :func:`atomic_write_texts` — the canonical home of the
+helpers the spool layer and the result cache use), so a reader never sees
+a torn file; a reader that catches the sub-millisecond replace window
 simply retries on the next poll (:func:`read_progress` returns ``None``
 for missing or unparsable files rather than raising).
 
@@ -28,7 +29,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 PROGRESS_VERSION = 1
 
@@ -39,15 +40,59 @@ PROGRESS_VERSION = 1
 EWMA_ALPHA = 0.2
 
 
+def atomic_write_texts(items: Iterable[Tuple[Path, str]]) -> None:
+    """Atomically publish several files behind one write barrier.
+
+    Every ``(path, content)`` item is written to a temp file beside its
+    target; then every temp file is fsynced; then each is renamed into
+    place, in order.  Each object's bytes are therefore on disk before
+    its rename, so a reader never observes a torn file.  The renames
+    themselves (directory entries) are not fsynced: a crash can lose a
+    just-published file but never expose a partial one.  Fsyncs that
+    follow all the writes share journal commits, which is what makes a
+    batch cheaper than one barrier per file.
+
+    A path named twice is written once, with its last content.  When a
+    write, fsync or rename raises, every temp file not yet renamed is
+    removed before the error propagates; files renamed before the
+    failure stay published.  Missing parent directories are not created.
+    """
+    pending = {Path(path): content for path, content in items}
+    temps: List[Tuple[Path, Path]] = []
+    renamed = 0
+    try:
+        for path, content in pending.items():
+            temp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+            with temp.open("w", encoding="utf-8") as handle:
+                temps.append((temp, path))
+                handle.write(content)
+        # One descriptor at a time, so a batch never runs out of them; on
+        # POSIX an fsync through a read-only descriptor flushes the file.
+        for temp, _ in temps:
+            fd = os.open(temp, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        for temp, path in temps:
+            os.replace(temp, path)
+            renamed += 1
+    except BaseException:
+        for temp, _ in temps[renamed:]:
+            try:
+                temp.unlink()
+            except OSError:
+                pass
+        raise
+
+
 def atomic_write_text(path: Path, content: str) -> None:
-    """Write-then-rename (with fsync) so readers never observe a partial file."""
-    path = Path(path)
-    temp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    with temp.open("w", encoding="utf-8") as handle:
-        handle.write(content)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
+    """Atomically publish one file: :func:`atomic_write_texts` of one item.
+
+    The bytes are fsynced before the rename; the rename is not, so a
+    crash can lose the file's new version but never expose a torn one.
+    """
+    atomic_write_texts([(path, content)])
 
 
 @dataclass
