@@ -196,7 +196,9 @@ class CacheIndex:
         return len(items)
 
     def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
+        """Whether an object for ``key`` is on disk (a stat: not validated,
+        not counted as a hit or miss)."""
+        return not self._degraded and self.path_for(key).exists()
 
     # ------------------------------------------------------------ effectiveness
     def session_stats(self) -> Dict[str, int]:

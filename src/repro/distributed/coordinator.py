@@ -4,7 +4,7 @@
 :class:`~repro.experiments.runner.ParallelCampaignRunner` as an
 :class:`~repro.experiments.runner.ExecutionBackend`: it shards the pending
 ``(scenario, params, seed)`` cells into atomically-claimable task files on
-a shared-filesystem spool, optionally spawns local worker processes, and
+a shared-filesystem spool, optionally forks local worker processes, and
 merges the result shards back **in run-list order** — so a spool campaign's
 records, aggregates and persisted store are byte-identical to the same
 campaign run with ``jobs=1``.
@@ -26,12 +26,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
-import subprocess
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
+from multiprocessing.process import BaseProcess
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.distributed.scheduler import (
@@ -53,8 +53,9 @@ from repro.experiments.spec import RunSpec, ScenarioSpec, jsonable
 from repro.experiments.store import ResultStore
 from repro.observability.events import EventLog
 from repro.observability.progress import ProgressTracker
+from repro.observability.telemetry import reset_telemetry
 from repro.observability.trace import TRACER
-from repro.resilience.faults import GENERATION_ENV, inject
+from repro.resilience.faults import GENERATION_ENV, arm_from_environment, inject
 
 logger = logging.getLogger(__name__)
 
@@ -77,6 +78,27 @@ def _campaign_id(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: The spool needs POSIX anyway (SIGALRM cell deadlines).
+_FORK = multiprocessing.get_context("fork")
+
+
+def _forked_worker(argv: List[str], generation: int) -> None:
+    """Run the ``worker`` command from a new process's state: the fault plan
+    and telemetry re-read from the environment, no open coordinator span as
+    default parent (the tracer re-anchors on the new pid by itself), and the
+    respawn ``generation`` that generation-gated fault rules check."""
+    from repro.experiments.cli import main
+
+    # A fresh stream, as the exec'd worker's /dev/null was: another thread
+    # may hold the inherited stdout's lock, which would hang the exit flush.
+    sys.stdout = open(os.devnull, "w")
+    os.environ[GENERATION_ENV] = str(generation)
+    arm_from_environment()
+    reset_telemetry()
+    with TRACER.parent_scope(None):
+        sys.exit(main(argv))
+
+
 class SpoolDispatchError(RuntimeError):
     """The campaign cannot be dispatched onto a spool."""
 
@@ -84,7 +106,7 @@ class SpoolDispatchError(RuntimeError):
 class SpoolBackend(ExecutionBackend):
     """Execute a campaign through a shared-filesystem work queue.
 
-    ``workers`` > 0 spawns that many local worker subprocesses for the
+    ``workers`` > 0 forks that many local worker processes for the
     duration of the campaign; with ``workers=0`` the coordinator only
     publishes tasks and waits for externally-started workers to drain them.
     """
@@ -365,39 +387,19 @@ class SpoolBackend(ExecutionBackend):
         self.spool.write_campaign_metadata(metadata)
         return {"completed": len(done), "torn_shards": torn, "republished": republished}
 
-    def _spawn_worker(self, generation: int = 0) -> subprocess.Popen:
-        command = [
-            sys.executable,
-            "-m",
-            "repro.experiments",
-            "worker",
-            str(self.spool.root),
-            "--poll",
-            str(self.poll_interval),
-            "--quiet",
-        ]
+    def _spawn_worker(self, generation: int = 0) -> BaseProcess:
+        """Fork one local worker: it inherits the coordinator's imports,
+        registry and source fingerprints instead of paying for its own."""
+        argv = ["worker", str(self.spool.root), "--poll", str(self.poll_interval), "--quiet"]
         if self.worker_cache_root is not None:
-            command += ["--cache", str(self.worker_cache_root)]
+            argv += ["--cache", str(self.worker_cache_root)]
         if self.worker_retries is not None:
-            command += ["--retries", str(self.worker_retries)]
+            argv += ["--retries", str(self.worker_retries)]
         for module in self.scenario_modules:
-            command += ["--import", module]
-        # The parent may have repro importable via sys.path manipulation
-        # (pytest conftest) rather than PYTHONPATH; make sure the worker
-        # subprocess can import it either way.
-        import repro
-
-        package_root = str(Path(repro.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        if package_root not in (existing or "").split(os.pathsep):
-            env["PYTHONPATH"] = (
-                package_root + (os.pathsep + existing if existing else "")
-            )
-        # Respawned workers run at the next fault generation so that
-        # generation-gated chaos rules (max_generation: 0) spare them.
-        env[GENERATION_ENV] = str(generation)
-        return subprocess.Popen(command, stdout=subprocess.DEVNULL, env=env)
+            argv += ["--import", module]
+        process = _FORK.Process(target=_forked_worker, args=(argv, generation))
+        process.start()
+        return process
 
     def _collect(
         self,
@@ -657,18 +659,18 @@ class SpoolBackend(ExecutionBackend):
             # last worker died *after* writing the final shard.
             for slot in worker_slots:
                 process = slot["process"]
-                if slot["reported"] or process.poll() is None:
+                if slot["reported"] or process.exitcode is None:
                     continue
                 slot["reported"] = True
                 logger.warning(
                     "spawned spool worker (pid %d) exited early with return "
                     "code %s before campaign completion",
                     process.pid,
-                    process.returncode,
+                    process.exitcode,
                 )
                 if events is not None:
                     events.emit(
-                        "worker_dead", pid=process.pid, returncode=process.returncode
+                        "worker_dead", pid=process.pid, returncode=process.exitcode
                     )
                 if respawns_left > 0:
                     respawns_left -= 1
@@ -694,7 +696,7 @@ class SpoolBackend(ExecutionBackend):
                 absorb_quarantined()
                 if filled == expected:
                     break
-                codes = [slot["process"].returncode for slot in worker_slots]
+                codes = [slot["process"].exitcode for slot in worker_slots]
                 raise SpoolDispatchError(
                     f"all {len(worker_slots)} spawned spool worker(s) "
                     f"exited (return codes {codes}) with "
@@ -751,17 +753,15 @@ class SpoolBackend(ExecutionBackend):
                     "task_superseded", task=task_id, cells=len(shard_records)
                 )
 
-    def _join_workers(self, processes: Sequence[subprocess.Popen]) -> None:
+    def _join_workers(self, processes: Sequence[BaseProcess]) -> None:
         for process in processes:
-            try:
-                process.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
+            process.join(10.0)
+            if process.exitcode is None:
                 process.terminate()
-                try:
-                    process.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:
-                    process.kill()
-                    process.wait()
+                process.join(5.0)
+            if process.exitcode is None:
+                process.kill()
+                process.join()
 
 
 def merge_spool_results(

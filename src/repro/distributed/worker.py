@@ -351,6 +351,8 @@ def run_worker(
         else Spool(spool_root, lease_timeout=lease_timeout)
     )
     stats = WorkerStats(worker_id=worker_id or f"worker-{os.getpid()}")
+    # A ``sleep`` here stands for a worker that is slow to start up.
+    inject("worker.start", worker=stats.worker_id)
     health = WorkerHealth()
     # Seeded per worker id: each worker's idle polling is deterministic in
     # isolation but decorrelated from its peers', so N idle workers fan out
@@ -358,8 +360,9 @@ def run_worker(
     # same tick (thundering-herd reclaim).
     jitter = random.Random(stats.worker_id)
     if TRACER.enabled:
-        # Env-configured tracing (spawned workers): label this process's
-        # trace lane with the worker id instead of a bare pid.
+        # Tracing already on (env-configured, or inherited by a worker
+        # forked from a tracing coordinator): label this process's trace
+        # lane with the worker id instead of the coordinator's label.
         TRACER.source = stats.worker_id
     events = EventLog(spool.events_path, source=stats.worker_id)
     events.emit("worker_start", pid=os.getpid())

@@ -732,9 +732,9 @@ def _arm_fault_plan(path: str, export: bool) -> int:
     """Load and arm a fault plan; optionally export it to child processes.
 
     With ``export`` the resolved path also lands in ``REPRO_FAULT_PLAN`` so
-    spool workers spawned by the coordinator arm the same plan at import
-    (their injection generation comes from ``REPRO_FAULT_GENERATION``,
-    which the coordinator sets per spawn).
+    spool workers forked by the coordinator re-arm the same plan, with
+    fresh counters, when they start (their injection generation comes from
+    ``REPRO_FAULT_GENERATION``, which the coordinator sets per spawn).
     """
     from repro.resilience import PLAN_ENV, FaultPlan, arm
 

@@ -933,8 +933,12 @@ class ParallelCampaignRunner:
     ) -> None:
         if self.cache is None or not cache_keys:
             return
+        # Spool workers sharing this cache have already published the cells
+        # they ran; skipping what is on disk writes each executed cell once.
         self.cache.put_many(
-            (cache_keys.get(run_spec.index), records[run_spec.index])
+            (key, records[run_spec.index])
             for run_spec in pending
             if records[run_spec.index] is not None
+            and (key := cache_keys.get(run_spec.index)) is not None
+            and key not in self.cache
         )

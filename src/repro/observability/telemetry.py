@@ -210,9 +210,18 @@ class TelemetryRegistry:
 
 
 #: The process-global default registry every instrumented subsystem uses.
-TELEMETRY = TelemetryRegistry(
-    enabled=os.environ.get("REPRO_TELEMETRY", "") not in ("", "0")
-)
+TELEMETRY = TelemetryRegistry()
+
+
+def reset_telemetry() -> None:
+    """Return the default registry to a new process's state: empty, and
+    enabled only when ``REPRO_TELEMETRY`` says so.  Runs at import, and
+    again in each spool worker forked from a coordinator."""
+    TELEMETRY.reset()
+    TELEMETRY.enabled = os.environ.get("REPRO_TELEMETRY", "") not in ("", "0")
+
+
+reset_telemetry()
 
 
 def get_telemetry() -> TelemetryRegistry:

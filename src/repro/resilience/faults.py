@@ -14,6 +14,8 @@ Injection points currently threaded through the stack:
 point                    where
 ======================== ==========================================
 ``run.cell``             top of ``execute_run`` (per cell attempt)
+``worker.start``         worker loop entry, once, before the first
+                         claim (``sleep`` = a slow start-up)
 ``worker.cell``          worker loop, before each cell of a task
 ``spool.write_shard``    result-shard write
 ``spool.lease_heartbeat`` mtime lease renewal on a claimed task
@@ -49,8 +51,9 @@ Arming:
 * in-process: ``arm(plan)`` / ``disarm()`` or the :func:`armed`
   context manager;
 * across processes: point ``REPRO_FAULT_PLAN`` at a saved plan file —
-  worker subprocesses read it at import time, which is how a
-  coordinator-armed plan reaches its spawned workers.
+  a process reads it at import time and a forked spool worker when it
+  starts (:func:`arm_from_environment`), which is how a coordinator-armed
+  plan reaches its spawned workers.
 
 ``REPRO_FAULT_GENERATION`` (int, default 0) identifies respawn
 generations: a rule with ``max_generation: 0`` kills the first wave of
@@ -82,6 +85,7 @@ __all__ = [
     "GENERATION_ENV",
     "arm",
     "armed",
+    "arm_from_environment",
     "armed_plan",
     "current_generation",
     "disarm",
@@ -354,7 +358,11 @@ def inject(point: str, **ctx: Any) -> Optional[FaultRule]:
     return plan.fire(point, ctx)
 
 
-def _arm_from_environment() -> None:
+def arm_from_environment() -> None:
+    """Replace any armed plan with the one ``REPRO_FAULT_PLAN`` names, its
+    counters at zero.  Runs at import, and again in each spool worker forked
+    from a coordinator."""
+    disarm()
     path = os.environ.get(PLAN_ENV)
     if not path:
         return
@@ -370,4 +378,4 @@ def _arm_from_environment() -> None:
         logger.warning("ignoring unreadable fault plan %s: %s", path, exc)
 
 
-_arm_from_environment()
+arm_from_environment()

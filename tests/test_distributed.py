@@ -370,10 +370,12 @@ class TestSpoolBackend:
     def test_all_spawned_workers_dying_fails_fast(self, tmp_path, monkeypatch):
         """Workers crashing at startup must fail the campaign with a clear
         error instead of hanging the coordinator forever."""
-        import subprocess
+        import multiprocessing
 
         def dead_worker(self):
-            return subprocess.Popen([sys.executable, "-c", "import sys; sys.exit(3)"])
+            process = multiprocessing.get_context("fork").Process(target=sys.exit, args=(3,))
+            process.start()
+            return process
 
         monkeypatch.setattr(SpoolBackend, "_spawn_worker", dead_worker)
         backend = SpoolBackend(tmp_path / "spool", workers=2, poll_interval=0.01)

@@ -1,0 +1,168 @@
+"""Spool workers forked from the coordinator start from a new process's
+state: the coordinator's in-process fault plan, its rule counters, its
+open trace span and its telemetry never leak into a worker.  Also: a spool
+campaign with a result cache writes each executed cell to it once."""
+
+import json
+import os
+
+import pytest
+
+from repro.distributed import Spool, SpoolBackend
+from repro.experiments import ParallelCampaignRunner, ResultStore
+from repro.experiments.cli import main as cli_main
+from repro.observability.events import read_events
+from repro.observability.telemetry import reset_telemetry, telemetry_enabled
+from repro.observability.trace import disable_tracing, enable_tracing, read_trace_file
+from repro.resilience import PLAN_ENV, FaultPlan, FaultRule, InjectedFaultError, armed, inject
+
+SEEDS = [1, 2, 3, 4]
+
+
+def _serial_store(tmp_path, seeds=SEEDS):
+    path = tmp_path / "serial.jsonl"
+    ParallelCampaignRunner(jobs=1, store=ResultStore(path)).run("demo/random_walk", seeds=seeds)
+    return path
+
+
+def _spool_campaign(tmp_path, **backend_kwargs):
+    """A 2-worker spool campaign over SEEDS; returns (result, store path, spool)."""
+    options = {"workers": 2, "poll_interval": 0.01, "timeout": 120.0}
+    options.update(backend_kwargs)
+    backend = SpoolBackend(tmp_path / "spool", **options)
+    store = tmp_path / "spooled.jsonl"
+    result = ParallelCampaignRunner(store=ResultStore(store), backend=backend).run(
+        "demo/random_walk", seeds=SEEDS
+    )
+    return result, store, Spool(tmp_path / "spool")
+
+
+class TestForkedWorkerState:
+    def test_a_plan_armed_only_in_the_coordinator_never_fires_in_a_worker(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(PLAN_ENV, raising=False)
+        serial = _serial_store(tmp_path)
+        plan = FaultPlan([FaultRule(point="worker.cell", kind="crash", times=None)])
+        with armed(plan):
+            result, store, spool = _spool_campaign(tmp_path)
+        assert result.failures == 0
+        assert store.read_bytes() == serial.read_bytes()
+        assert read_events(spool.events_path, kinds={"worker_dead"}) == []
+        assert len(read_events(spool.events_path, kinds={"worker_exit"})) == 2
+        assert plan.fired_counts() == {}
+
+    def test_an_exported_rule_fires_in_each_worker_with_fresh_counters(
+        self, tmp_path, monkeypatch
+    ):
+        """``at: 1`` (fire once) on each worker's own first matching call,
+        even though the coordinator spent the rule before forking them."""
+        plan = FaultPlan(
+            [FaultRule(point="events.emit", kind="io_error", match={"kind": "worker_start"})]
+        )
+        monkeypatch.setenv(PLAN_ENV, str(plan.save(tmp_path / "plan.json")))
+        with armed(plan):
+            with pytest.raises(InjectedFaultError):
+                inject("events.emit", kind="worker_start")
+            assert inject("events.emit", kind="worker_start") is None  # spent here
+            result, _, spool = _spool_campaign(tmp_path)
+        assert result.failures == 0
+        # Each worker dropped its own worker_start line and nothing else.
+        assert read_events(spool.events_path, kinds={"worker_start"}) == []
+        exits = read_events(spool.events_path, kinds={"worker_exit"})
+        assert len(exits) == 2
+        heartbeats = spool.worker_heartbeats()
+        assert sorted(beat.get("events_dropped", 0) for beat in heartbeats.values()) == [1, 1]
+
+    def test_a_respawned_worker_runs_at_generation_one(self, tmp_path, monkeypatch):
+        plan = FaultPlan(
+            [
+                # Generation 0 dies before it claims anything ...
+                FaultRule(point="worker.start", kind="crash", max_generation=0),
+                # ... generation 1 survives and drops its worker_start line,
+                # which a generation-2 worker would not.
+                FaultRule(
+                    point="events.emit", kind="io_error",
+                    match={"kind": "worker_start"}, max_generation=1,
+                ),
+            ]
+        )
+        monkeypatch.setenv(PLAN_ENV, str(plan.save(tmp_path / "plan.json")))
+        serial = _serial_store(tmp_path)
+        result, store, spool = _spool_campaign(tmp_path, workers=1, max_respawns=1)
+        assert result.failures == 0
+        assert store.read_bytes() == serial.read_bytes()
+        dead = read_events(spool.events_path, kinds={"worker_dead"})
+        assert [event["returncode"] for event in dead] == [137]
+        respawns = read_events(spool.events_path, kinds={"worker_respawn"})
+        assert [event["generation"] for event in respawns] == [1]
+        assert read_events(spool.events_path, kinds={"worker_start"}) == []
+        exits = read_events(spool.events_path, kinds={"worker_exit"})
+        assert [event["source"] for event in exits] == [f"worker-{respawns[0]['pid']}"]
+
+    def test_workers_trace_into_their_own_files_without_coordinator_spans(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv(PLAN_ENV, raising=False)
+        spool_root = tmp_path / "spool"
+        enable_tracing(spool_root, source="coordinator")
+        try:
+            result, _, _ = _spool_campaign(tmp_path)
+        finally:
+            disable_tracing()
+        assert result.failures == 0
+        coordinator = read_trace_file(spool_root / f"trace-{os.getpid()}.jsonl")
+        campaign_spans = {span["span"] for span in coordinator if span["name"] == "campaign"}
+        assert campaign_spans
+        worker_files = [
+            path
+            for path in spool_root.glob("trace-*.jsonl")
+            if path.name != f"trace-{os.getpid()}.jsonl"
+        ]
+        assert worker_files
+        cells = 0
+        for path in worker_files:
+            pid = int(path.stem.split("-", 1)[1])
+            spans = read_trace_file(path)
+            assert spans
+            for span in spans:
+                # Re-anchored on the worker's own pid: its ids, its lane.
+                assert span["pid"] == pid
+                assert span["span"].startswith(f"{pid:x}-")
+                assert span.get("tid") != "coordinator"
+                assert span["name"] not in {"campaign", "publish", "ingest"}
+                assert span["parent"] not in campaign_spans
+                cells += span["name"] == "cell"
+        assert cells == len(SEEDS)
+
+
+    def test_telemetry_resets_to_a_new_process_state(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        with telemetry_enabled() as registry:
+            registry.count("cache.put", 3)
+            reset_telemetry()
+            assert registry.counters() == {}
+            assert registry.enabled is False
+
+
+class TestSpoolCacheWrites:
+    def test_each_executed_cell_is_written_to_the_cache_once(self, tmp_path, capsys):
+        serial = tmp_path / "serial.jsonl"
+        assert cli_main(
+            ["run", "demo/random_walk", "--seeds", "8", "--store", str(serial), "--strict"]
+        ) == 0
+        cache = tmp_path / "cache"
+        spooled = tmp_path / "spooled.jsonl"
+        assert cli_main(
+            [
+                "run", "demo/random_walk", "--seeds", "8", "--backend", "spool",
+                "--spool", str(tmp_path / "spool"), "--workers", "2",
+                "--timeout", "120", "--cache", str(cache), "--store", str(spooled),
+                "--strict",
+            ]
+        ) == 0
+        assert "8 executed" in capsys.readouterr().out
+        assert spooled.read_bytes() == serial.read_bytes()
+        lines = (cache / "stats.jsonl").read_text(encoding="utf-8").splitlines()
+        assert sum(json.loads(line)["puts"] for line in lines) == 8
+        assert len(list((cache / "objects").rglob("*.json"))) == 8

@@ -10,8 +10,8 @@ keeps append order under two racing workers, and the ``status`` / ``tail``
 
 import json
 import logging
+import multiprocessing
 import os
-import subprocess
 import sys
 import threading
 import time
@@ -438,7 +438,9 @@ class TestSpoolObservability:
 
     def test_coordinator_reports_dead_workers_as_they_die(self, tmp_path, caplog, monkeypatch):
         def dead_worker(self):
-            return subprocess.Popen([sys.executable, "-c", "import sys; sys.exit(3)"])
+            process = multiprocessing.get_context("fork").Process(target=sys.exit, args=(3,))
+            process.start()
+            return process
 
         monkeypatch.setattr(SpoolBackend, "_spawn_worker", dead_worker)
         backend = SpoolBackend(tmp_path / "spool", workers=2, poll_interval=0.01)

@@ -667,8 +667,9 @@ class TestChaosCampaigns:
             ]
         )
         plan_path = plan.save(tmp_path / "plan.json")
-        # Spawned workers arm the plan from the environment at import; this
-        # test process stays disarmed (faults was imported without it).
+        # Spawned workers re-arm the plan from the environment when they
+        # start; this test process stays disarmed (faults was imported
+        # without it).
         monkeypatch.setenv(PLAN_ENV, str(plan_path))
         backend = SpoolBackend(
             tmp_path / "spool",

@@ -294,13 +294,27 @@ class TestSpeculation:
         """Satellite: a worker stalled by an injected sleep holds its claim
         past the speculation threshold; the copy's records win, the late
         byte-identical twin is discarded at ingest with `task_superseded`,
-        and the merged store matches the serial run exactly."""
+        and the merged store matches the serial run exactly.
+
+        Start-up timing does not decide the outcome.  Every worker stalls
+        0.5 s at ``worker.start``, about the start-up cost of a fresh
+        interpreter, and the roles do not depend on which worker claims
+        first.  task-00001's cells sleep 0.1 s each, so its claim is always
+        observed and the speculation history (about 0.1 s per cell, a
+        0.6 s threshold) never hinges on poll timing.  Whichever worker
+        takes task-00002 stalls 3 s, far past the threshold, while its peer
+        is free to run the copy."""
         serial = _serial_store(tmp_path, range(1, 7))
         plan = FaultPlan(
             [
+                FaultRule(point="worker.start", kind="sleep", args={"seconds": 0.5}),
                 FaultRule(
                     point="worker.cell", kind="sleep",
                     match={"task": "task-00000"}, args={"seconds": 1.5},
+                ),
+                FaultRule(
+                    point="worker.cell", kind="sleep",
+                    match={"task": "task-00001"}, times=None, args={"seconds": 0.1},
                 ),
                 FaultRule(
                     point="worker.cell", kind="sleep",
@@ -309,7 +323,7 @@ class TestSpeculation:
             ]
         )
         plan_path = plan.save(tmp_path / "plan.json")
-        monkeypatch.setenv(PLAN_ENV, str(plan_path))  # workers arm at import
+        monkeypatch.setenv(PLAN_ENV, str(plan_path))  # workers arm it at start
         backend = SpoolBackend(
             tmp_path / "spool",
             workers=2,
