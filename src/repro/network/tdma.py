@@ -16,11 +16,33 @@ randomised self-stabilising allocation scheme the paper builds on [25].
 
 The E4 experiment measures the number of frames until convergence as a
 function of node count, slot count and churn.
+
+Hot-path notes: every ``tdma_convergence`` cell spends nearly all of its time
+in :meth:`TdmaNetwork.run_frame`, which is written so that its random draws
+come off the generator in one fixed order.
+
+* A re-draw takes ``candidates[int(rng.integers(len(candidates)))]``.  For a
+  list ``c`` that is the same number, and advances the generator by the same
+  amount, as ``rng.choice(c)`` (``choice`` draws its index with
+  ``integers``), at about a quarter of the cost.
+  ``tests/test_tdma_kernel.py`` checks the identity, so a numpy release that
+  breaks it fails a named test instead of drifting every fingerprint.
+  :func:`redraw_slot` holds the rule; the lockstep
+  :class:`~repro.vectorized.programs.TdmaConvergenceProgram` calls it too.
+* A frame snapshots every node's slot once.  Only colliders ever need the
+  slots their neighbours were heard on, so the busy set is built for them
+  alone, from the snapshot, at re-draw time.  No per-node or per-listener
+  state is rebuilt each frame.
+* With ``feedback_loss_probability > 0`` every collided pair ``(a, b)``
+  draws one ``random()`` for ``a`` and then one for ``b``.  Pairs are walked
+  slot by slot (slots in order of first use along the node order), then in
+  node order within a slot; changing that order changes every lossy-feedback
+  trajectory.  Re-draws then follow in sorted-id order, for every trajectory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -48,6 +70,16 @@ class TdmaConfig:
         return self.slots_per_frame * self.slot_duration
 
 
+def redraw_slot(rng: np.random.Generator, slots_per_frame: int, own: int,
+                busy: Set[int]) -> int:
+    """Draw a new slot uniformly from the slots heard free (not ``busy``,
+    not ``own``), or from every slot when none is free."""
+    candidates = [s for s in range(slots_per_frame) if s not in busy and s != own]
+    if not candidates:
+        candidates = list(range(slots_per_frame))
+    return candidates[int(rng.integers(len(candidates)))]
+
+
 class TdmaNode:
     """One node participating in the self-stabilising TDMA algorithm."""
 
@@ -57,30 +89,13 @@ class TdmaNode:
         self.config = config
         self.rng = rng
         self.slot = int(slot) if slot is not None else int(rng.integers(0, config.slots_per_frame))
-        #: Slots heard busy (by any neighbour) during the last frame.
-        self.busy_slots: Set[int] = set()
-        #: Collisions observed during the last frame (slots that were garbled).
-        self.observed_collisions: Set[int] = set()
         self.slot_changes = 0
 
-    def hears_free_slots(self) -> List[int]:
-        """Slots this node believes are free (not heard busy, not its own)."""
-        free = [
-            s
-            for s in range(self.config.slots_per_frame)
-            if s not in self.busy_slots and s != self.slot
-        ]
-        return free if free else list(range(self.config.slots_per_frame))
-
-    def react_to_collision(self) -> None:
-        """Re-draw the transmission slot after learning of a collision."""
-        candidates = self.hears_free_slots()
-        self.slot = int(self.rng.choice(candidates))
+    def react_to_collision(self, busy: Set[int]) -> None:
+        """Re-draw the transmission slot after learning of a collision;
+        ``busy`` holds the slots neighbours were heard on during the frame."""
+        self.slot = redraw_slot(self.rng, self.config.slots_per_frame, self.slot, busy)
         self.slot_changes += 1
-
-    def start_frame(self) -> None:
-        self.busy_slots = set()
-        self.observed_collisions = set()
 
 
 class TdmaNetwork:
@@ -174,54 +189,40 @@ class TdmaNetwork:
     def run_frame(self) -> int:
         """Simulate one TDMA frame; returns the number of collided slots heard.
 
-        Per slot: transmitters whose transmissions are garbled at some common
-        neighbour are in collision.  Each listener records busy/collided
-        slots; at frame end, transmitters informed of a collision in their
-        slot (feedback may be lost) re-draw a slot.
+        Per slot: interfering transmitters that share it are in collision.
+        At frame end, transmitters informed of a collision in their slot
+        (feedback may be lost) re-draw a slot from those their neighbours
+        were not heard on during the frame.
         """
         self.frames_elapsed += 1
-        for node in self.nodes.values():
-            node.start_frame()
-
+        slot_of = {node_id: node.slot for node_id, node in self.nodes.items()}
         slot_to_transmitters: Dict[int, List[str]] = {}
-        for node_id, node in self.nodes.items():
-            slot_to_transmitters.setdefault(node.slot, []).append(node_id)
+        for node_id, slot in slot_of.items():
+            slot_to_transmitters.setdefault(slot, []).append(node_id)
 
         colliders: Set[str] = set()
         total_collided_slots = 0
-        nodes = self.nodes
-        adjacency = self.adjacency
         interference = self._interference_sets()
-        for slot, transmitters in slot_to_transmitters.items():
-            # O(edges): walk each transmitter's neighbourhood instead of
-            # probing every listener against every transmitter.
-            heard_counts: Dict[str, int] = {}
-            for transmitter in transmitters:
-                for listener_id in adjacency.get(transmitter, ()):
-                    heard_counts[listener_id] = heard_counts.get(listener_id, 0) + 1
-            for listener_id, heard in heard_counts.items():
-                listener = nodes.get(listener_id)
-                if listener is None:
-                    continue
-                listener.busy_slots.add(slot)
-                if heard >= 2:
-                    listener.observed_collisions.add(slot)
+        for transmitters in slot_to_transmitters.values():
+            if len(transmitters) < 2:
+                continue
             # A transmitter learns of the collision from any neighbour that
             # observed it (collision report piggy-backed on the next frame;
             # modelled here as end-of-frame feedback).
-            if len(transmitters) >= 2:
-                for a_index, a in enumerate(transmitters):
-                    interferers = interference[a]
-                    for b in transmitters[a_index + 1:]:
-                        if b in interferers:
-                            total_collided_slots += 1
-                            for transmitter in (a, b):
-                                if self._feedback_delivered():
-                                    colliders.add(transmitter)
+            for a_index, a in enumerate(transmitters):
+                interferers = interference[a]
+                for b in transmitters[a_index + 1:]:
+                    if b in interferers:
+                        total_collided_slots += 1
+                        for transmitter in (a, b):
+                            if self._feedback_delivered():
+                                colliders.add(transmitter)
         # Sorted so the re-draw RNG order is independent of string-hash
         # randomisation: physics must not depend on PYTHONHASHSEED.
+        adjacency = self.adjacency
         for node_id in sorted(colliders):
-            self.nodes[node_id].react_to_collision()
+            busy = {slot_of[peer] for peer in adjacency.get(node_id, ()) if peer in slot_of}
+            self.nodes[node_id].react_to_collision(busy)
         self.collision_history.append(total_collided_slots)
         return total_collided_slots
 
@@ -236,8 +237,8 @@ class TdmaNetwork:
     # --------------------------------------------------------------- internals
     def _interference_sets(self) -> Dict[str, Set[str]]:
         """Per-node one-or-two-hop interference sets (cached until the
-        topology changes).  ``b in sets[a]`` is equivalent to
-        :meth:`_interferes` for the symmetric adjacency this class maintains.
+        topology changes): ``b in sets[a]`` when ``a`` and ``b`` are
+        neighbours or share a neighbour.
         """
         cache = self._interference_cache
         if cache is None:
@@ -251,14 +252,6 @@ class TdmaNetwork:
                 cache[node_id] = interferers
             self._interference_cache = cache
         return cache
-
-    def _interferes(self, a: str, b: str) -> bool:
-        """One- or two-hop proximity (shared neighbour) implies interference."""
-        neighbors_a = self.adjacency.get(a, set())
-        neighbors_b = self.adjacency.get(b, set())
-        if b in neighbors_a:
-            return True
-        return bool(neighbors_a & neighbors_b)
 
     def _feedback_delivered(self) -> bool:
         p = self.config.feedback_loss_probability

@@ -294,10 +294,10 @@ class TdmaConvergenceProgram(VectorProgram):
     """Lockstep replay of ``run_tdma_convergence`` (E4 grid, no churn).
 
     The slot matrix is held as ``(n_seeds, n_nodes)`` and convergence /
-    collider detection are vectorized per frame; collision *redraws* go
-    through each seed's own ``default_rng(seed)`` with exactly the candidate
-    lists and (string-sorted) node order the scalar network uses, so the RNG
-    streams stay bit-identical.  ``churn=True`` adds a data-dependent joiner
+    collider detection are vectorized per frame; collision *redraws* call
+    the scalar network's ``redraw_slot`` with each seed's own
+    ``default_rng(seed)``, in the (string-sorted) node order it uses, so the
+    RNG streams stay bit-identical.  ``churn=True`` adds a data-dependent joiner
     event — structurally divergent, not eligible.
     """
 
@@ -312,7 +312,7 @@ class TdmaConvergenceProgram(VectorProgram):
         return int(params["rows"]) >= 1 and int(params["cols"]) >= 1 and int(params["slots"]) >= 1
 
     def run(self, spec: Any, batch: LockstepBatch) -> Dict[int, Dict[str, Any]]:
-        from repro.network.tdma import grid_topology
+        from repro.network.tdma import grid_topology, redraw_slot
 
         p = batch.params
         rows, cols, slots = int(p["rows"]), int(p["cols"]), int(p["slots"])
@@ -386,19 +386,14 @@ class TdmaConvergenceProgram(VectorProgram):
             ).astype(bool)
             # Busy slots are what listeners heard *during* the frame — a
             # frame-start snapshot — while re-draws land in the live matrix.
-            snapshot = slot_matrix.copy()
             for row, k in enumerate(alive):
                 rng = rngs[seeds[k]]
-                flags = collided[row]
+                flags = collided[row].tolist()
+                snapshot = slot_matrix[k].tolist()
                 for j in redraw_order:
-                    if not flags[j]:
-                        continue
-                    own = int(snapshot[k, j])
-                    busy = {int(snapshot[k, jj]) for jj in neighbor_idx[j]}
-                    candidates = [s for s in range(slots) if s not in busy and s != own]
-                    if not candidates:
-                        candidates = list(range(slots))
-                    slot_matrix[k, j] = int(rng.choice(candidates))
+                    if flags[j]:
+                        busy = {snapshot[jj] for jj in neighbor_idx[j]}
+                        slot_matrix[k, j] = redraw_slot(rng, slots, snapshot[j], busy)
         for k in alive:
             row = slot_matrix[k]
             still = bool((row[esrc_arr] == row[edst_arr]).any()) if esrc_arr.size else False
