@@ -7,9 +7,9 @@ touches it — the coordinator, each spool worker — appends whole-line
 spans to its own ``trace-<pid>.jsonl``, stitched into one tree by
 explicit ids: the coordinator's ``publish`` span id rides inside the
 spool task file, the worker parents its ``task`` span to it, cells to
-the task, cache probes and shard writes to whatever ran them.  Alongside
-the spans, every settled cell appends one row to ``ledger.jsonl`` with
-its queue wait and run time.
+the task, cache probes and shard writes to whatever ran them.  The spans
+carry the per-cell facts too: each ``task`` span its queue wait, each
+``cell`` span its seed and run time, and the worker that ran it.
 
 This example runs a traced 2-worker spool campaign, then asks the three
 questions the ``trace`` CLI subcommand answers:
@@ -35,8 +35,6 @@ from repro.observability import (
     enable_tracing,
     export_chrome_trace,
     merge_trace_files,
-    read_ledger,
-    summarize_ledger,
     summarize_trace,
 )
 
@@ -86,14 +84,18 @@ def main() -> None:
     # Exact up to the 6-decimal rounding each reported entry carries.
     assert abs(path["covered_s"] + path["idle_s"] - path["wall_clock_s"]) < 1e-3
 
-    # Per-cell run ledger: the machine-readable feed for shard sizing.
-    rows = read_ledger(spool / "ledger.jsonl")
-    ledger = summarize_ledger(rows)
-    stats = ledger["per_scenario"][SCENARIO]
-    print(f"\nledger: {ledger['cells']} rows by {ledger['by_executed_by']}; "
-          f"mean run {stats['mean_run_s']:.4f}s, "
-          f"total queue wait {stats['queue_wait_s']:.3f}s")
-    assert ledger["cells"] == len(SEEDS)
+    # Per-cell facts, read from the same spans: one cell span per cell,
+    # the queue wait each task span measured, the worker lanes that ran.
+    cell_phase = next(row for row in summary["phases"] if row["cat"] == "cell")
+    queue_wait = sum(
+        span["args"].get("queue_wait_s", 0.0) for span in spans if span["name"] == "task"
+    )
+    workers = sorted({str(span["tid"]) for span in spans if span["name"] == "cell"})
+    print(f"\ncells: {summary['cells']} cell spans on {len(workers)} worker lane(s); "
+          f"mean run {cell_phase['total_s'] / cell_phase['count']:.4f}s, "
+          f"median {summary['median_cell_s']:.4f}s, "
+          f"total queue wait {queue_wait:.3f}s")
+    assert summary["cells"] == len(SEEDS)
 
     # Perfetto-loadable export: ph/ts/dur complete events on integer
     # thread lanes, with thread_name metadata naming each worker.

@@ -20,11 +20,10 @@ rename, and the renames are not fsynced, so a crash can lose an entry
 but never expose a torn one.  Only successful records are cached —
 failures always re-run.
 
-Effectiveness bookkeeping: every index counts its hits / misses / puts
-in-process and mirrors them, one count per object, into the global
-telemetry registry (``cache.hit`` / ``cache.miss`` / ``cache.put``
-counters).  :meth:`CacheIndex.flush_stats` appends the session's counts to
-a ``stats.jsonl`` ledger inside the cache root, so ``cache stats`` can
+Effectiveness bookkeeping: every index counts its hits / misses / puts /
+repairs in-process (:meth:`CacheIndex.session_stats`), and
+:meth:`CacheIndex.flush_stats` appends the session's counts to a
+``stats.jsonl`` ledger inside the cache root, so ``cache stats`` can
 report lifetime effectiveness across campaigns and hosts, not just the
 current process.
 """
@@ -40,7 +39,6 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.experiments.runner import RunRecord
 from repro.observability.progress import atomic_write_texts
-from repro.observability.telemetry import TELEMETRY
 from repro.resilience.faults import inject
 
 logger = logging.getLogger(__name__)
@@ -78,7 +76,6 @@ class CacheIndex:
         if self._degraded:
             return
         self._degraded = True
-        TELEMETRY.count("cache.degraded")
         logger.warning(
             "result cache %s is unreachable (%s); continuing uncached",
             self.root,
@@ -126,7 +123,6 @@ class CacheIndex:
             return None
         if corrupt:
             self.repairs += 1
-            TELEMETRY.count("cache.repair")
             logger.warning(
                 "corrupt cache object %s removed (repair-on-read); the cell re-executes",
                 path.name,
@@ -137,10 +133,8 @@ class CacheIndex:
                 pass
         if record is not None and record.ok:
             self.hits += 1
-            TELEMETRY.count("cache.hit")
             return record
         self.misses += 1
-        TELEMETRY.count("cache.miss")
         return None
 
     def put(self, key: Optional[str], record: RunRecord) -> bool:
@@ -192,7 +186,6 @@ class CacheIndex:
                 handle.truncate()
                 handle.write(content[:keep])
         self.puts += len(items)
-        TELEMETRY.count("cache.put", len(items))
         return len(items)
 
     def __contains__(self, key: str) -> bool:

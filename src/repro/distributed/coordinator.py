@@ -53,7 +53,6 @@ from repro.experiments.spec import RunSpec, ScenarioSpec, jsonable
 from repro.experiments.store import ResultStore
 from repro.observability.events import EventLog
 from repro.observability.progress import ProgressTracker
-from repro.observability.telemetry import reset_telemetry
 from repro.observability.trace import TRACER
 from repro.resilience.faults import GENERATION_ENV, arm_from_environment, inject
 
@@ -84,9 +83,9 @@ _FORK = multiprocessing.get_context("fork")
 
 def _forked_worker(argv: List[str], generation: int) -> None:
     """Run the ``worker`` command from a new process's state: the fault plan
-    and telemetry re-read from the environment, no open coordinator span as
-    default parent (the tracer re-anchors on the new pid by itself), and the
-    respawn ``generation`` that generation-gated fault rules check."""
+    re-read from the environment, no open coordinator span as default
+    parent (the tracer re-anchors on the new pid by itself), and the respawn
+    ``generation`` that generation-gated fault rules check."""
     from repro.experiments.cli import main
 
     # A fresh stream, as the exec'd worker's /dev/null was: another thread
@@ -94,7 +93,6 @@ def _forked_worker(argv: List[str], generation: int) -> None:
     sys.stdout = open(os.devnull, "w")
     os.environ[GENERATION_ENV] = str(generation)
     arm_from_environment()
-    reset_telemetry()
     with TRACER.parent_scope(None):
         sys.exit(main(argv))
 
@@ -320,7 +318,7 @@ class SpoolBackend(ExecutionBackend):
         parent — this is the cross-process stitch: whichever worker claims
         the task (spawned here or started by hand on another host) parents
         its task span to this publish span, and the publish timestamp lets
-        its ledger row charge the task's queue wait.
+        that task span charge the task's queue wait.
         """
         if not TRACER.enabled:
             self.spool.publish_task(task)

@@ -84,7 +84,7 @@ class SpoolTask:
     #: wall-clock}``.  This is how trace ids propagate to *external*
     #: workers with zero environment plumbing — any worker that claims the
     #: task adopts the trace and parents its spans to the publish span;
-    #: ``ts`` lets the worker's ledger row charge queue wait precisely.
+    #: ``ts`` lets the worker's task span charge queue wait precisely.
     #: ``None`` (tracing off) serializes to nothing, keeping task files
     #: byte-identical to PR 7's when tracing is disabled.
     trace: Optional[Dict[str, Any]] = None
@@ -195,11 +195,6 @@ class Spool:
         """Append-only reclaim/quarantine/reset ledger (``attempts.jsonl``)."""
         return self.root / "attempts.jsonl"
 
-    @property
-    def ledger_path(self) -> Path:
-        """Per-cell run ledger (``ledger.jsonl``), written when tracing is on."""
-        return self.root / "ledger.jsonl"
-
     def initialise(self, metadata: Optional[Dict[str, Any]] = None) -> None:
         """Create the spool directories and write the campaign metadata.
 
@@ -225,7 +220,6 @@ class Spool:
             self.events_path,
             self.progress_path,
             self.attempts_path,
-            self.ledger_path,
         ):
             if stale.exists():
                 stale.unlink()

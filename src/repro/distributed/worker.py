@@ -65,7 +65,6 @@ from repro.experiments.registry import (
 from repro.experiments.runner import RunRecord, execute_run_with_retry
 from repro.experiments.spec import RunSpec, content_cache_key
 from repro.observability.events import EventLog
-from repro.observability.ledger import RunLedger
 from repro.observability.trace import TRACER
 from repro.resilience.faults import inject
 from repro.resilience.retry import SPOOL_IO_RETRY_POLICY, CircuitBreaker, RetryPolicy
@@ -163,10 +162,9 @@ def execute_task(
     trace context (``task.trace``), which this worker *adopts* — it
     configures its own tracer into the spool directory and parents its
     task span to the coordinator's publish span — so external workers join
-    the trace with no environment plumbing.  Each traced task also appends
-    one run-ledger row per cell, charging the task's queue wait (claim
-    time minus publish time, the only place it can be measured) to its
-    cells.
+    the trace with no environment plumbing.  The task span carries the
+    task's queue wait (claim time minus publish time, the only place it
+    can be measured); its cells' spans parent to it.
     """
     task = claimed.task
     started = time.perf_counter()
@@ -174,8 +172,6 @@ def execute_task(
     worker_label = stats.worker_id if stats is not None else None
     if trace_info is not None and not TRACER.enabled:
         TRACER.configure(spool.root, trace_id=trace_info.get("id"), source=worker_label)
-    traced = trace_info is not None or TRACER.enabled
-    ledger = RunLedger(spool.ledger_path if traced else None, worker=worker_label)
     queue_wait: Optional[float] = None
     publish_ts = (trace_info or {}).get("ts")
     if isinstance(publish_ts, (int, float)):
@@ -192,7 +188,7 @@ def execute_task(
     results: List[Tuple[int, RunRecord]] = []
     # Executed cells awaiting publication to the cache, in cell order.
     fresh: List[Tuple[Optional[str], RunRecord]] = []
-    task_span = TRACER.span(
+    with TRACER.span(
         "task",
         cat="task",
         parent=publish_span if trace_info is not None else ...,
@@ -200,11 +196,9 @@ def execute_task(
         scenario=task.scenario,
         cells=len(task.cells),
         **({"queue_wait_s": round(queue_wait, 6)} if queue_wait is not None else {}),
-    )
-    with task_span:
+    ):
         for params, seed, index in task.cells:
             inject("worker.cell", task=task.task_id, index=index, scenario=task.scenario)
-            executed_by = "spool"
             if spec is None:
                 record = RunRecord(
                     scenario=task.scenario,
@@ -227,7 +221,6 @@ def execute_task(
                     record = None
                 if record is not None:
                     record = record.relabelled(spec.name, dict(params), seed)
-                    executed_by = "cache"
                     if stats is not None:
                         stats.cache_hits += 1
                     if events is not None:
@@ -248,18 +241,6 @@ def execute_task(
                         stats.runs_executed += 1
             if stats is not None and not record.ok:
                 stats.failures += 1
-            ledger.record(
-                scenario=task.scenario,
-                params=dict(params),
-                seed=seed,
-                status=record.status,
-                executed_by=executed_by,
-                run_s=record.duration,
-                queue_wait_s=queue_wait,
-                attempts=record.attempts,
-                trace=(trace_info or {}).get("id") or TRACER.trace_id,
-                span=getattr(task_span, "span_id", None),
-            )
             results.append((index, record))
             spool.heartbeat(claimed)
         if fresh:

@@ -201,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--profile", action="store_true",
         help="time each executed cell's build/sim/collect phases (inline "
-        "execution only; enables telemetry for the duration of the run)",
+        "execution only)",
     )
     run_parser.add_argument(
         "--trace", action="store_true",
-        help="record a distributed span trace and per-cell run ledger "
-        "(spool campaigns trace into the spool directory, others into "
-        "--trace-dir or <store>.trace/); explore with the `trace` subcommand",
+        help="record a distributed span trace (spool campaigns trace into "
+        "the spool directory, others into --trace-dir or <store>.trace/); "
+        "explore with the `trace` subcommand",
     )
     run_parser.add_argument(
         "--trace-dir", default=None, metavar="DIR",
@@ -637,13 +637,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cache=cache,
         retry_policy=retry_policy,
     )
-    if args.profile:
-        from repro.observability.telemetry import telemetry_enabled
-
-        with telemetry_enabled():
-            result = runner.run(spec, params=params, sweep=sweep, seeds=seeds)
-    else:
-        result = runner.run(spec, params=params, sweep=sweep, seeds=seeds)
+    result = runner.run(spec, params=params, sweep=sweep, seeds=seeds)
 
     cached_part = f", {result.cached} cached" if cache is not None else ""
     print(
@@ -707,8 +701,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(
                 format_table(
                     profile["timers"],
-                    title=f"{spec.name}: timer percentiles "
-                    "(reservoir-estimated p50/p95)",
+                    title=f"{spec.name}: per-cell phase percentiles",
                 )
             )
         if args.store:
@@ -719,7 +712,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print()
         print(
             f"trace {trace_id} recorded in {trace_dir} "
-            f"(trace-*.jsonl + ledger.jsonl); inspect with "
+            f"(trace-*.jsonl); inspect with "
             f"`trace summary {trace_dir}` / `trace export {trace_dir}`"
         )
     if args.store:
@@ -753,8 +746,10 @@ def _arm_fault_plan(path: str, export: bool) -> int:
 
 
 def _profile_document(result: Any) -> Dict[str, Any]:
-    """Per-cell phase timings, a per-phase summary, and the telemetry
-    registry's timer aggregates (with reservoir p50/p95), JSON-ready."""
+    """Per-cell phase timings, a per-phase summary, and per-phase
+    percentiles over this campaign's profiled cells, JSON-ready."""
+    import numpy as np
+
     cells: List[Dict[str, Any]] = []
     for record in result.records:
         if record.phases is None:
@@ -769,31 +764,31 @@ def _profile_document(result: Any) -> Dict[str, Any]:
             }
         )
     summary: List[Dict[str, Any]] = []
+    timers: List[Dict[str, Any]] = []
     for phase in PROFILE_PHASES:
         values = [cell["phases"].get(phase, 0.0) for cell in cells]
         if not values:
             continue
+        mean = sum(values) / len(values)
         summary.append(
             {
                 "phase": phase,
                 "total_s": round(sum(values), 4),
-                "mean_s": round(sum(values) / len(values), 4),
+                "mean_s": round(mean, 4),
                 "max_s": round(max(values), 4),
             }
         )
-    from repro.observability.telemetry import TELEMETRY
-
-    timers = [
-        {
-            "timer": name,
-            "count": stats["count"],
-            "mean_s": round(stats["mean_s"], 6),
-            "p50_s": round(stats["p50_s"], 6),
-            "p95_s": round(stats["p95_s"], 6),
-            "max_s": round(stats["max_s"], 6),
-        }
-        for name, stats in sorted(TELEMETRY.timers().items())
-    ]
+        p50, p95 = np.percentile(values, [50, 95])
+        timers.append(
+            {
+                "timer": phase,
+                "count": len(values),
+                "mean_s": round(mean, 6),
+                "p50_s": round(float(p50), 6),
+                "p95_s": round(float(p95), 6),
+                "max_s": round(max(values), 6),
+            }
+        )
     return {
         "scenario": result.scenario,
         "cells": cells,

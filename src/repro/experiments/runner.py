@@ -34,12 +34,11 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.evaluation.metrics import summarize
 from repro.observability.events import EventLog
-from repro.observability.ledger import RunLedger
 from repro.observability.progress import ProgressTracker
-from repro.observability.telemetry import TELEMETRY
 from repro.observability.trace import TRACER
 from repro.resilience.faults import inject
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, CircuitBreaker, RetryPolicy
+from repro.sim import kernel as sim_kernel
 from repro.experiments.registry import REGISTRY, ScenarioRegistry, load_builtin_scenarios
 from repro.experiments.spec import (
     ParameterGrid,
@@ -52,7 +51,7 @@ from repro.experiments.spec import (
 
 logger = logging.getLogger(__name__)
 
-#: Timer names that make up a run's phase breakdown under ``run --profile``.
+#: Phase names that make up a run's breakdown under ``run --profile``.
 PROFILE_PHASES = ("scenario.build", "scenario.sim", "run.collect")
 
 
@@ -160,17 +159,22 @@ def execute_run(
 ) -> RunRecord:
     """Execute one run, capturing any exception into a failed record.
 
-    With ``profile`` set (and telemetry enabled), the record's transient
-    ``phases`` dict carries this cell's build/sim/collect wall seconds,
-    computed as deltas of the global timer totals around the run.
+    With ``profile`` set, the record's transient ``phases`` dict carries
+    this cell's build/sim/collect wall seconds: ``run.collect`` is timed
+    here, build and sim by the simulator kernel into the per-cell
+    accumulator (:data:`repro.sim.kernel.PHASES`) installed for this run.
     """
     start = time.perf_counter()
-    before = TELEMETRY.timer_totals() if profile else None
+    phases: Optional[Dict[str, float]] = None
+    if profile:
+        phases = sim_kernel.PHASES = {}
     try:
         inject("run.cell", scenario=spec.name, seed=run_spec.seed)
         result = spec.build(run_spec.seed, run_spec.params)
-        with TELEMETRY.timer("run.collect"):
-            metrics = spec.extract_metrics(result)
+        collect_start = time.perf_counter()
+        metrics = spec.extract_metrics(result)
+        if phases is not None:
+            phases["run.collect"] = time.perf_counter() - collect_start
         record = RunRecord(
             scenario=spec.name,
             params=dict(run_spec.params),
@@ -189,12 +193,12 @@ def execute_run(
             error_class=type(exc).__name__,
             exception=exc,
         )
+    finally:
+        if phases is not None:
+            sim_kernel.PHASES = None
     record.duration = time.perf_counter() - start
-    if before is not None:
-        after = TELEMETRY.timer_totals()
-        record.phases = {
-            name: after.get(name, 0.0) - before.get(name, 0.0) for name in PROFILE_PHASES
-        }
+    if phases is not None:
+        record.phases = {name: phases.get(name, 0.0) for name in PROFILE_PHASES}
     return record
 
 
@@ -378,8 +382,9 @@ class ExecutionBackend:
 class InProcessBackend(ExecutionBackend):
     """Serial in-process execution; keeps raw factory results available.
 
-    The only backend that can profile: phase timers are process-global, so
-    a per-cell breakdown requires the cells to run here, one at a time.
+    The only backend that can profile: the phase accumulator is a
+    process-global slot, so a per-cell breakdown requires the cells to run
+    here, one at a time.
     """
 
     name = "inline"
@@ -771,7 +776,6 @@ class ParallelCampaignRunner:
                 backend_cells[label] = backend_cells.get(label, 0) + 1
         if tracker is not None:
             tracker.finish(backend_cells=backend_cells)
-        self._write_ledger(backend, run_specs, records)
         flush_stats = getattr(self.cache, "flush_stats", None)
         if flush_stats is not None:
             flush_stats()
@@ -835,39 +839,6 @@ class ParallelCampaignRunner:
         if store_path is None:
             return None
         return EventLog(Path(f"{store_path}.events.jsonl"), source=backend.name)
-
-    def _write_ledger(
-        self,
-        backend: ExecutionBackend,
-        run_specs: Sequence[RunSpec],
-        records: Sequence[Optional[RunRecord]],
-    ) -> None:
-        """Append this campaign's non-spool cells to the run ledger.
-
-        Active only while tracing is on (the ledger lives next to the trace
-        files).  Spool-executed cells are excluded: the worker that ran (or
-        cache-served) each one already appended its row — with the precise
-        queue wait only it can measure — so the campaign's ledger rows sum
-        to exactly one per cell across all execution paths.
-        """
-        if not TRACER.enabled or TRACER.directory is None:
-            return
-        ledger = RunLedger(TRACER.directory / "ledger.jsonl")
-        for run_spec in run_specs:
-            record = records[run_spec.index]
-            if record is None or record.executed_by == "spool":
-                continue
-            ledger.record(
-                scenario=record.scenario,
-                params=record.params,
-                seed=record.seed,
-                status=record.status,
-                executed_by=record.executed_by or backend.name,
-                run_s=record.duration,
-                attempts=record.attempts,
-                key=run_spec.key,
-                trace=TRACER.trace_id,
-            )
 
     def _backend_for(self, pending: Sequence[RunSpec]) -> ExecutionBackend:
         if self.backend is not None:

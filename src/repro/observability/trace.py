@@ -21,10 +21,10 @@ loses at most its open spans, never tears a line another process wrote.
 **Off by default, free when off.**  The process-global :data:`TRACER` is
 disabled unless explicitly configured (``run --trace`` / ``REPRO_TRACE_DIR``);
 while disabled, :meth:`Tracer.span` returns a shared no-op span after one
-attribute check — the same discipline as the telemetry registry, so the
-perf-budget gate runs against un-instrumented-equivalent code.  Tracing
-never draws seeded randomness and never contributes to result bytes: the
-fingerprint suite re-runs all 20 pinned workloads with tracing enabled.
+attribute check, so the perf-budget gate runs against
+un-instrumented-equivalent code.  Tracing never draws seeded randomness
+and never contributes to result bytes: the fingerprint suite re-runs all
+20 pinned workloads with tracing enabled.
 
 Timestamps: each process anchors ``time.time()`` against
 ``time.perf_counter()`` once at configure time and derives every span's

@@ -38,7 +38,6 @@ from repro.experiments.runner import (
 from repro.experiments.spec import jsonable
 from repro.observability.events import EventLog
 from repro.observability.progress import ProgressTracker
-from repro.observability.telemetry import TELEMETRY
 from repro.observability.trace import TRACER
 from repro.resilience.faults import InjectedFaultError, inject
 from repro.resilience.retry import CircuitBreaker, RetryPolicy
@@ -106,8 +105,6 @@ class VectorBatchBackend(ExecutionBackend):
             records[run_spec.index] = record
             if progress is not None:
                 progress.record_record(ok=record.ok)
-        if self.stats.total_cells:
-            TELEMETRY.gauge("vector.occupancy", self.stats.occupancy)
 
     # ------------------------------------------------------------------- steps
     def _plan(self, pending: Sequence[Any]) -> List[List[Any]]:
@@ -165,7 +162,6 @@ class VectorBatchBackend(ExecutionBackend):
                     rule = True
                 if rule is not None:
                     self.stats.record_eviction("fault-plan")
-                    TELEMETRY.count("vector.evict")
                     evict_event(run_spec.seed, "preflight")
                     evicted_indices.append(run_spec.index)
                 else:
@@ -205,7 +201,6 @@ class VectorBatchBackend(ExecutionBackend):
             for run_spec in batch_cells:
                 if run_spec.seed in evicted_seeds:
                     self.stats.record_eviction(evicted_seeds[run_spec.seed] or "mid-batch")
-                    TELEMETRY.count("vector.evict")
                     evict_event(run_spec.seed, "midflight")
                     evicted_indices.append(run_spec.index)
                 else:
@@ -261,15 +256,11 @@ class VectorBatchBackend(ExecutionBackend):
 
             # Verified: the batch's records are trusted as-is.
             self.stats.batches += 1
-            TELEMETRY.count("vector.batch")
             probe_record.executed_by = "scalar"
             records[probe_spec.index] = probe_record
             self.stats.probe_cells += 1
             if progress is not None:
                 progress.record_record(ok=probe_record.ok)
-            # Amortise the batch's wall time over its fast cells; transient
-            # provenance only (the run ledger reads it), never serialised.
-            per_cell = elapsed / max(1, len(survivors) - 1)
             leftover: List[int] = []
             for run_spec in survivors[1:]:
                 record = self._vector_record(spec, run_spec, outputs.get(run_spec.seed))
@@ -277,12 +268,10 @@ class VectorBatchBackend(ExecutionBackend):
                     # The program silently dropped a seed it did not evict;
                     # treat it like an eviction rather than trusting a hole.
                     self.stats.record_eviction("missing-output")
-                    TELEMETRY.count("vector.evict")
                     evict_event(run_spec.seed, "missing-output")
                     leftover.append(run_spec.index)
                     continue
                 record.executed_by = "vector"
-                record.duration = per_cell
                 records[run_spec.index] = record
                 self.stats.fast_cells += 1
                 if progress is not None:

@@ -1,6 +1,6 @@
 """Spool workers forked from the coordinator start from a new process's
-state: the coordinator's in-process fault plan, its rule counters, its
-open trace span and its telemetry never leak into a worker.  Also: a spool
+state: the coordinator's in-process fault plan, its rule counters and its
+open trace span never leak into a worker.  Also: a spool
 campaign with a result cache writes each executed cell to it once."""
 
 import json
@@ -12,7 +12,6 @@ from repro.distributed import Spool, SpoolBackend
 from repro.experiments import ParallelCampaignRunner, ResultStore
 from repro.experiments.cli import main as cli_main
 from repro.observability.events import read_events
-from repro.observability.telemetry import reset_telemetry, telemetry_enabled
 from repro.observability.trace import disable_tracing, enable_tracing, read_trace_file
 from repro.resilience import PLAN_ENV, FaultPlan, FaultRule, InjectedFaultError, armed, inject
 
@@ -134,15 +133,6 @@ class TestForkedWorkerState:
                 assert span["parent"] not in campaign_spans
                 cells += span["name"] == "cell"
         assert cells == len(SEEDS)
-
-
-    def test_telemetry_resets_to_a_new_process_state(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        with telemetry_enabled() as registry:
-            registry.count("cache.put", 3)
-            reset_telemetry()
-            assert registry.counters() == {}
-            assert registry.enabled is False
 
 
 class TestSpoolCacheWrites:

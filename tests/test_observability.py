@@ -1,7 +1,8 @@
-"""Tests for ``repro.observability``: telemetry, progress files, event logs.
+"""Tests for ``repro.observability``: progress files, event logs, profiling.
 
-Covers the subsystem's acceptance criteria: telemetry is a no-op while
-disabled and physics-blind while enabled (the byte-identity half lives in
+Covers the subsystem's acceptance criteria: recording is off and free by
+default, the ``run --profile`` phase accumulator is per cell and
+physics-blind while live (the byte-identity half lives in
 ``test_scenario_fingerprints``), progress.json round-trips its schema and
 is kept current by the runner and the spool coordinator, the event log
 keeps append order under two racing workers, and the ``status`` / ``tail``
@@ -28,15 +29,15 @@ from repro.observability import (
     CampaignProgress,
     EventLog,
     ProgressTracker,
-    TelemetryRegistry,
     follow_events,
-    get_telemetry,
     read_events,
     read_progress,
-    telemetry_enabled,
     write_progress,
 )
-from repro.sim.kernel import Simulator
+from repro.experiments.runner import execute_run
+from repro.observability.trace import TRACER
+from repro.sim import kernel as sim_kernel
+from repro.sim.kernel import SimulationError, Simulator
 
 
 def _demo_cells(seeds):
@@ -46,130 +47,72 @@ def _demo_cells(seeds):
 
 
 # --------------------------------------------------------------------------
-# Telemetry registry
+# Per-cell phase accumulator (run --profile) and free-when-off
 # --------------------------------------------------------------------------
-
-
-class TestTelemetry:
-    def test_disabled_registry_records_nothing(self):
-        registry = TelemetryRegistry(enabled=False)
-        registry.count("c")
-        registry.gauge("g", 1.0)
-        with registry.timer("t"):
-            pass
-        assert registry.counters() == {}
-        assert registry.gauges() == {}
-        assert registry.timers() == {}
-
-    def test_disabled_timer_is_the_shared_null_span(self):
-        registry = TelemetryRegistry(enabled=False)
-        assert registry.timer("a") is registry.timer("b")
-
-    def test_counters_gauges_and_spans(self):
-        registry = TelemetryRegistry(enabled=True)
-        registry.count("cells")
-        registry.count("cells", 4)
-        registry.gauge("pending", 7)
-        for _ in range(3):
-            with registry.timer("phase"):
-                pass
-        assert registry.counters() == {"cells": 5}
-        assert registry.gauges() == {"pending": 7.0}
-        span = registry.timers()["phase"]
-        assert span["count"] == 3
-        assert span["min_s"] <= span["mean_s"] <= span["max_s"]
-        assert span["total_s"] == pytest.approx(span["mean_s"] * 3)
-        assert registry.timer_totals() == {"phase": span["total_s"]}
-
-    def test_span_aggregate_tracks_min_and_max(self):
-        registry = TelemetryRegistry(enabled=True)
-        registry.record_span("t", 0.5)
-        registry.record_span("t", 0.1)
-        registry.record_span("t", 0.3)
-        span = registry.timers()["t"]
-        assert span == {
-            "count": 3,
-            "total_s": pytest.approx(0.9),
-            "min_s": 0.1,
-            "max_s": 0.5,
-            "mean_s": pytest.approx(0.3),
-            # Exact sample below RESERVOIR_SIZE spans: p50 is the middle
-            # value, p95 interpolates between the top two.
-            "p50_s": pytest.approx(0.3),
-            "p95_s": pytest.approx(0.48),
-        }
-
-    def test_percentiles_estimated_from_a_bounded_reservoir(self):
-        from repro.observability.telemetry import RESERVOIR_SIZE
-
-        registry = TelemetryRegistry(enabled=True)
-        for i in range(1000):
-            registry.record_span("t", (i % 100) / 100.0)
-        span = registry.timers()["t"]
-        assert span["count"] == 1000
-        # A uniform 0..0.99 stream: the reservoir estimate lands near the
-        # true quantiles while memory stays bounded at RESERVOIR_SIZE.
-        assert 0.3 < span["p50_s"] < 0.7
-        assert span["p95_s"] > 0.8
-        assert len(registry._reservoirs["t"]) == RESERVOIR_SIZE
-
-    def test_thread_safety_of_counters_and_spans(self):
-        registry = TelemetryRegistry(enabled=True)
-
-        def hammer():
-            for _ in range(1000):
-                registry.count("n")
-                registry.record_span("t", 0.001)
-
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert registry.counters()["n"] == 4000
-        assert registry.timers()["t"]["count"] == 4000
-
-    def test_context_manager_restores_previous_state(self):
-        registry = get_telemetry()
-        assert registry.enabled is False  # suite-wide default
-        with telemetry_enabled() as inner:
-            assert inner is registry and registry.enabled
-            with telemetry_enabled(False):
-                assert not registry.enabled
-            assert registry.enabled
-        assert registry.enabled is False
-
-    def test_reset_and_snapshot(self):
-        registry = TelemetryRegistry(enabled=True)
-        registry.count("c")
-        registry.record_span("t", 0.2)
-        snapshot = registry.snapshot()
-        assert snapshot["enabled"] and snapshot["counters"] == {"c": 1}
-        assert snapshot["timers"]["t"]["count"] == 1
-        registry.reset()
-        assert registry.snapshot()["counters"] == {}
-        assert registry.snapshot()["timers"] == {}
 
 
 class TestKernelInstrumentation:
     def test_run_until_records_build_and_sim_spans(self):
-        with telemetry_enabled() as registry:
-            registry.reset()
+        phases = sim_kernel.PHASES = {}
+        try:
             sim = Simulator()
             sim.schedule(1.0, lambda: None)
             sim.run_until(2.0)
+            build = phases["scenario.build"]
             sim.run_until(4.0)
-            spans = registry.timers()
-        assert spans["scenario.build"]["count"] == 1  # once per simulator
-        assert spans["scenario.sim"]["count"] == 2  # once per run_until
+        finally:
+            sim_kernel.PHASES = None
+        assert set(phases) == {"scenario.build", "scenario.sim"}
+        assert phases["scenario.build"] == build  # once per simulator
+        assert phases["scenario.sim"] > 0.0  # summed over both run_until calls
 
     def test_run_until_records_nothing_while_disabled(self):
-        registry = get_telemetry()
-        registry.reset()
+        assert sim_kernel.PHASES is None
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run_until(2.0)
-        assert registry.timers() == {}
+        assert sim_kernel.PHASES is None
+        assert not sim._build_span_recorded
+
+    def test_run_until_charges_sim_time_even_when_it_raises(self):
+        phases = sim_kernel.PHASES = {}
+        try:
+            sim = Simulator()
+            sim.run_until(5.0)
+            sim_s = phases["scenario.sim"]
+            with pytest.raises(SimulationError):
+                sim.run_until(1.0)
+        finally:
+            sim_kernel.PHASES = None
+        assert phases["scenario.sim"] > sim_s
+
+    def test_recording_is_off_and_free_by_default(self):
+        """What the perf gates time is the un-instrumented-equivalent path:
+        tracing off with one shared no-op span, no phase accumulator, and
+        an unprofiled run carrying no phases."""
+        assert not TRACER.enabled, "tracing is enabled (REPRO_TRACE_DIR?)"
+        assert TRACER.span("cell", cat="cell") is TRACER.span("task", cat="task")
+        assert sim_kernel.PHASES is None
+        spec = load_builtin_scenarios().get("demo/safety_kernel")
+        record = execute_run(spec, spec.runs(seeds=[1])[0])
+        assert record.ok and record.phases is None
+        assert sim_kernel.PHASES is None
+
+    def test_profiled_run_times_its_own_phases_and_uninstalls(self):
+        spec = load_builtin_scenarios().get("demo/safety_kernel")
+        record = execute_run(spec, spec.runs(seeds=[1])[0], profile=True)
+        assert record.ok
+        assert set(record.phases) == {"scenario.build", "scenario.sim", "run.collect"}
+        assert all(value > 0.0 for value in record.phases.values())
+        assert sim_kernel.PHASES is None
+
+    def test_failed_profiled_run_keeps_its_phases_and_uninstalls(self):
+        spec = load_builtin_scenarios().get("demo/random_walk")
+        run_spec = spec.runs(params={"steps": -5}, seeds=[1])[0]
+        record = execute_run(spec, run_spec, profile=True)
+        assert not record.ok
+        assert record.phases == {"scenario.build": 0.0, "scenario.sim": 0.0, "run.collect": 0.0}
+        assert sim_kernel.PHASES is None
 
 
 # --------------------------------------------------------------------------
@@ -469,14 +412,13 @@ class TestSpoolObservability:
 
 
 # --------------------------------------------------------------------------
-# Distributed tracing and the run ledger (multi-process half; the
-# single-process API surface lives in test_trace.py)
+# Distributed tracing (multi-process half; the single-process API surface
+# lives in test_trace.py)
 # --------------------------------------------------------------------------
 
 
 class TestDistributedTracing:
-    def test_two_real_workers_trace_and_ledger_concurrently(self, tmp_path):
-        from repro.observability.ledger import read_ledger
+    def test_two_real_workers_trace_concurrently(self, tmp_path):
         from repro.observability.trace import (
             disable_tracing,
             enable_tracing,
@@ -496,10 +438,10 @@ class TestDistributedTracing:
             disable_tracing()
         assert result.failures == 0
 
-        # Whole-line appends: every line of every per-process trace file and
-        # of the shared ledger parses — two racing workers never tear a row.
-        # The coordinator plus every worker that claimed a task (a worker that
-        # starts after its peer drained the queue exits without a span).
+        # Whole-line appends: every line of every per-process trace file
+        # parses — two racing workers never tear a span.  The coordinator
+        # plus every worker that claimed a task (a worker that starts after
+        # its peer drained the queue exits without a span).
         trace_files = sorted(spool_root.glob("trace-*.jsonl"))
         assert len(trace_files) >= 2
         for path in trace_files:
@@ -522,30 +464,31 @@ class TestDistributedTracing:
         assert tasks and all(s["parent"] in publishes for s in tasks)
         task_ids = {s["span"] for s in tasks}
         cells = [s for s in spans if s["name"] == "cell"]
-        assert len(cells) == 6
         assert all(s["parent"] in task_ids for s in cells)
 
-        # Ledger: exactly one row per cell, each with a measured queue wait,
-        # written by the spawned workers.  Nothing forces both to claim: a
-        # worker that starts after its peer drained the queue exits on the
-        # completion marker without a row.
-        rows = read_ledger(spool_root / "ledger.jsonl")
-        assert len(rows) == 6
-        assert sorted(row["seed"] for row in rows) == [1, 2, 3, 4, 5, 6]
-        assert {row["executed_by"] for row in rows} == {"spool"}
+        # Exactly one cell span per cell, each under a task span carrying a
+        # measured queue wait, run by the spawned workers.  Nothing forces
+        # both to claim: a worker that starts after its peer drained the
+        # queue exits on the completion marker without a span.
+        assert len(cells) == 6
+        assert sorted(s["args"]["seed"] for s in cells) == [1, 2, 3, 4, 5, 6]
+        assert all(s["args"]["queue_wait_s"] >= 0 for s in tasks)
+        assert all(s["args"]["scenario"] == "demo/random_walk" for s in tasks)
+        assert sum(s["args"]["cells"] for s in tasks) == 6
         started = {
             e["source"]
             for e in read_events(spool_root / "events.jsonl")
             if e["kind"] == "worker_start"
         }
         assert len(started) == 2
-        assert {row["worker"] for row in rows} <= started
-        assert all(row["queue_wait_s"] >= 0 for row in rows)
-        assert all(row["trace"] == trace_id for row in rows)
+        assert {s["tid"] for s in cells} <= started
 
-    def test_vector_campaign_progress_and_ledger_agree(self, tmp_path):
-        from repro.observability.ledger import read_ledger, summarize_ledger
-        from repro.observability.trace import disable_tracing, enable_tracing
+    def test_vector_campaign_progress_and_trace_agree(self, tmp_path):
+        from repro.observability.trace import (
+            disable_tracing,
+            enable_tracing,
+            merge_trace_files,
+        )
         from repro.vectorized import VectorBatchBackend
 
         store = ResultStore(tmp_path / "results.jsonl")
@@ -567,16 +510,15 @@ class TestDistributedTracing:
         assert progress.throughput_ewma_rps is not None
         assert progress.eta_smoothed_s is None
 
-        # The ledger's per-path counts are the progress sidecar's
-        # backend_cells, row for row.
-        rows = read_ledger(trace_dir / "ledger.jsonl")
-        assert len(rows) == 8
-        summary = summarize_ledger(rows)
-        assert summary["by_executed_by"] == progress.backend_cells
-        assert summary["by_executed_by"] == {"scalar": 1, "vector": 7}
-        # Fast-path rows carry the batch's amortised duration.
-        vector_rows = [row for row in rows if row["executed_by"] == "vector"]
-        assert len({row["run_s"] for row in vector_rows}) == 1
+        # The progress sidecar's per-path counts are the campaign's, and
+        # the trace accounts for them: one scalar probe cell span, and a
+        # verified batch span holding the fast-path cells.
+        assert progress.backend_cells == result.backend_cells == {"scalar": 1, "vector": 7}
+        spans = merge_trace_files(trace_dir)
+        assert [s["args"]["seed"] for s in spans if s["name"] == "cell"] == [1]
+        batches = [s for s in spans if s["cat"] == "batch"]
+        assert [s["args"]["outcome"] for s in batches] == ["verified"]
+        assert batches[0]["args"]["fast_cells"] == progress.backend_cells["vector"]
 
 
 # --------------------------------------------------------------------------
@@ -604,15 +546,6 @@ class TestCacheCounters:
         lifetime = CacheIndex(tmp_path / "cache").lifetime_stats()
         assert lifetime == {"hits": 1, "misses": 1, "puts": 1, "repairs": 0}
         assert CacheIndex(tmp_path / "cache").stats()["lifetime"] == lifetime
-
-    def test_telemetry_counters_mirror_cache_traffic(self, tmp_path):
-        with telemetry_enabled() as registry:
-            registry.reset()
-            cache = CacheIndex(tmp_path / "cache")
-            ParallelCampaignRunner(cache=cache).run("demo/random_walk", seeds=[1])
-            counters = registry.counters()
-        assert counters["cache.miss"] == 1
-        assert counters["cache.put"] == 1
 
 
 # --------------------------------------------------------------------------
@@ -707,10 +640,53 @@ class TestProfileCli:
             "run.collect",
         }
 
-    def test_profile_leaves_global_telemetry_disabled(self, tmp_path):
-        assert get_telemetry().enabled is False
+    def test_profile_leaves_no_phase_accumulator_installed(self, tmp_path):
+        assert sim_kernel.PHASES is None
         assert cli_main(["run", "demo/random_walk", "--seeds", "1", "--profile"]) == 0
-        assert get_telemetry().enabled is False
+        assert sim_kernel.PHASES is None
+
+    def test_profile_timers_count_only_this_campaigns_cells(self, tmp_path, capsys):
+        # Two profiled campaigns in one process: each sidecar's percentile
+        # rows cover its own two cells, never the earlier campaign's too.
+        for name in ("first", "second"):
+            store = str(tmp_path / f"{name}.jsonl")
+            assert cli_main(
+                ["run", "demo/safety_kernel", "--seeds", "2", "--store", store, "--profile"]
+            ) == 0
+            sidecar = json.loads((tmp_path / f"{name}.jsonl.profile.json").read_text())
+            timers = {row["timer"]: row for row in sidecar["timers"]}
+            assert set(timers) == {"scenario.build", "scenario.sim", "run.collect"}
+            for row in timers.values():
+                assert row["count"] == 2
+                assert 0.0 < row["p50_s"] <= row["p95_s"] <= row["max_s"]
+
+    def test_profile_percentiles_are_exact_over_the_cells(self):
+        from types import SimpleNamespace
+
+        from repro.experiments.cli import _profile_document
+
+        records = [
+            SimpleNamespace(
+                params={},
+                seed=seed,
+                status="ok",
+                duration=float(seed),
+                phases={"scenario.build": 0.0, "scenario.sim": float(seed), "run.collect": 0.0},
+            )
+            for seed in (1, 2, 3, 4, 5)
+        ]
+        records.append(SimpleNamespace(phases=None))  # a reused cell: not profiled
+        document = _profile_document(SimpleNamespace(scenario="s", records=records))
+        assert len(document["cells"]) == 5
+        sim = next(row for row in document["timers"] if row["timer"] == "scenario.sim")
+        assert sim == {
+            "timer": "scenario.sim",
+            "count": 5,
+            "mean_s": 3.0,
+            "p50_s": 3.0,
+            "p95_s": 4.8,  # interpolated between the two largest cells
+            "max_s": 5.0,
+        }
 
     def test_report_surfaces_profile_sidecar(self, tmp_path, capsys):
         store = str(tmp_path / "results.jsonl")

@@ -95,33 +95,34 @@ def _assert_matches_pins(observed, context):
     assert counts == EVENT_COUNTS, f"processed-event counts moved {context}"
 
 
-def test_same_seed_physics_is_byte_identical_with_telemetry_enabled():
-    """All 20 pinned fingerprints and the event counts, computed WITH
-    telemetry recording.
+def test_same_seed_physics_is_byte_identical_with_profiling_enabled():
+    """All 20 pinned fingerprints and the event counts, computed WITH the
+    ``run --profile`` phase accumulator recording.
 
-    This is the observability subsystem's hard rule: telemetry never draws
+    This is the observability subsystem's hard rule: profiling never draws
     randomness, never reorders simulator events, and never contributes to
     result bytes — so the fingerprints must match the pins exactly as they
-    do with telemetry off (the suite's every other test runs with the
-    default disabled registry and covers that side).
+    do with profiling off (the suite's every other test runs without an
+    accumulator and covers that side).
     """
-    from repro.observability.telemetry import telemetry_enabled
+    from repro.sim import kernel as sim_kernel
 
-    with telemetry_enabled() as registry:
-        registry.reset()
+    phases = sim_kernel.PHASES = {}
+    try:
         observed = {name: WORKLOADS[name]() for name in PINNED}
-        spans = registry.timers()
-    _assert_matches_pins(observed, "from the pinned wiring")
-    # Prove telemetry was actually live during the workloads, so the
+    finally:
+        sim_kernel.PHASES = None
+    _assert_matches_pins(observed, "with profiling enabled")
+    # Prove the accumulator was actually live during the workloads, so the
     # byte-identity above tested the instrumented path, not a no-op.
-    assert spans.get("scenario.sim", {}).get("count", 0) > 0
-    assert spans.get("scenario.build", {}).get("count", 0) > 0
+    assert phases.get("scenario.sim", 0.0) > 0.0
+    assert phases.get("scenario.build", 0.0) > 0.0
 
 
 def test_same_seed_physics_is_byte_identical_with_tracing_enabled(tmp_path):
     """All 20 pinned fingerprints, computed WITH span tracing recording.
 
-    Tracing shares telemetry's hard rule: it never draws seeded randomness
+    Tracing shares profiling's hard rule: it never draws seeded randomness
     and never contributes to result bytes.  Running every pinned workload
     under an enabled tracer (inside a live span, so the current-parent
     thread-local is populated too) must reproduce the exact same hashes.

@@ -1,4 +1,4 @@
-"""Tests for ``repro.observability.trace`` and ``.ledger``.
+"""Tests for ``repro.observability.trace``.
 
 Covers the tracing subsystem's acceptance criteria: the tracer is a
 shared-no-op while disabled and never fails a campaign while enabled,
@@ -6,8 +6,8 @@ spans nest exactly within a process and stitch across processes via
 explicit parent ids, the k-way merge preserves per-process file order,
 the Chrome export is Perfetto-loadable (ph/ts/dur/pid/tid with metadata
 lanes), the summary ranks cells and flags stragglers, the critical path
-partitions campaign wall-clock exactly into chain + idle gaps, and the
-run ledger appends whole rows from every backend.  The end-to-end
+partitions campaign wall-clock exactly into chain + idle gaps, and
+``run --trace`` records one cell span per cell.  The end-to-end
 multi-process half (two real spool workers appending concurrently) lives
 in ``test_observability.py``.
 """
@@ -18,12 +18,6 @@ import pytest
 
 from repro.experiments import ParallelCampaignRunner
 from repro.experiments.cli import main as cli_main
-from repro.observability.ledger import (
-    RunLedger,
-    params_hash,
-    read_ledger,
-    summarize_ledger,
-)
 from repro.observability.trace import (
     TRACE_DIR_ENV,
     TRACE_ID_ENV,
@@ -312,49 +306,33 @@ class TestCriticalPath:
 
 
 # --------------------------------------------------------------------------
-# Run ledger
+# Per-cell facts on spans
 # --------------------------------------------------------------------------
 
 
-class TestLedger:
-    def test_disabled_ledger_swallows_rows(self):
-        ledger = RunLedger(None)
-        ledger.record("s", {"a": 1}, 1, "ok", "inline", 0.1)
-        assert not ledger.enabled and ledger.rows == 0
-
-    def test_record_read_summarize_round_trip(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        ledger = RunLedger(path, worker="w1")
-        ledger.record("s", {"a": 1}, 1, "ok", "spool", 0.5, queue_wait_s=0.2)
-        ledger.record("s", {"a": 1}, 2, "failed", "cache", 0.0, attempts=3)
-        rows = read_ledger(path)
-        assert [row["seed"] for row in rows] == [1, 2]
-        assert rows[0]["worker"] == "w1"
-        assert rows[0]["queue_wait_s"] == pytest.approx(0.2)
-        assert rows[1]["attempts"] == 3
-        summary = summarize_ledger(rows)
-        assert summary["cells"] == 2
-        assert summary["by_executed_by"] == {"cache": 1, "spool": 1}
-        assert summary["per_scenario"]["s"]["failed"] == 1
-
-    def test_params_hash_is_stable_and_order_blind(self):
-        assert params_hash({"a": 1, "b": 2}) == params_hash({"b": 2, "a": 1})
-        assert params_hash('{"a":1}') == params_hash('{"a":1}')
-        assert params_hash({"a": 1}) != params_hash({"a": 2})
-
-    def test_runner_writes_one_row_per_cell_when_traced(self, traced, tmp_path):
+class TestCellSpans:
+    def test_runner_writes_one_cell_span_per_cell_when_traced(self, traced):
         directory, trace_id = traced
-        result = ParallelCampaignRunner().run("demo/random_walk", seeds=[1, 2])
-        assert result.run_count == 2
-        rows = read_ledger(directory / "ledger.jsonl")
-        assert len(rows) == 2
-        assert all(row["trace"] == trace_id for row in rows)
-        assert all(row["executed_by"] == "inline" for row in rows)
+        ParallelCampaignRunner().run("demo/random_walk", seeds=[1, 2])
+        cells = [s for s in merge_trace_files(directory) if s["name"] == "cell"]
+        assert sorted(s["args"]["seed"] for s in cells) == [1, 2]
+        assert all(s["args"]["scenario"] == "demo/random_walk" for s in cells)
+        assert all(s["trace"] == trace_id for s in cells)
 
-    def test_untraced_runner_writes_no_ledger(self, tmp_path, monkeypatch):
+    def test_failed_cell_span_carries_attempts_and_status(self, traced):
+        directory, _ = traced
+        result = ParallelCampaignRunner().run(
+            "demo/random_walk", params={"steps": -5}, seeds=[1]
+        )
+        assert result.failures == 1
+        (cell,) = [s for s in merge_trace_files(directory) if s["name"] == "cell"]
+        assert cell["args"]["attempts"] == 1
+        assert cell["args"]["status"] == "failed"
+
+    def test_untraced_runner_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         ParallelCampaignRunner().run("demo/random_walk", seeds=[1])
-        assert not (tmp_path / "ledger.jsonl").exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------
@@ -372,14 +350,15 @@ class TestTraceCli:
         disable_tracing()
         assert code == 0
         out = capsys.readouterr().out
-        assert "trace" in out and "ledger.jsonl" in out
+        assert "trace" in out and "trace-*.jsonl" in out
         return store
 
     def test_run_trace_then_export_summary_critical_path(self, tmp_path, capsys):
         store = self._run_traced(tmp_path, capsys)
         trace_dir = tmp_path / "results.jsonl.trace"
         assert list(trace_dir.glob("trace-*.jsonl"))
-        assert len(read_ledger(trace_dir / "ledger.jsonl")) == 3
+        cells = [s for s in merge_trace_files(trace_dir) if s["name"] == "cell"]
+        assert sorted(s["args"]["seed"] for s in cells) == [1, 2, 3]
 
         assert cli_main(["trace", "export", str(store)]) == 0
         capsys.readouterr()

@@ -15,7 +15,6 @@ from repro.experiments import ParallelCampaignRunner, ResultStore
 from repro.experiments.cli import main as cli_main
 from repro.experiments.registry import load_builtin_scenarios
 from repro.observability.progress import read_progress
-from repro.observability.telemetry import telemetry_enabled
 from repro.resilience import FaultPlan, FaultRule, armed
 from repro.scenario.harness import ScenarioHarness
 from repro.sensors.readings import SensorReading
@@ -382,16 +381,15 @@ class TestCliAndProvenance:
         profile = json.loads(sidecar.read_text(encoding="utf-8"))
         assert profile["vector"]["batches"] == 1
         assert profile["vector"]["fast_cells"] == 5
+        # Only the scalar probe ran the kernel, so only it carries phases.
+        assert len(profile["cells"]) == 1
+        assert {row["count"] for row in profile["timers"]} == {1}
 
-    def test_vector_telemetry_counters(self):
-        with telemetry_enabled() as registry:
-            registry.reset()
-            backend = VectorBatchBackend()
-            ParallelCampaignRunner(registry=REGISTRY, backend=backend).run(
-                "demo/random_walk", seeds=list(range(8))
-            )
-            counters = registry.counters()
-            gauges = registry.gauges()
-        assert counters.get("vector.batch") == 1
-        assert "vector.evict" not in counters
-        assert 0.0 < gauges["vector.occupancy"] < 1.0
+    def test_vector_stats_counters(self):
+        backend = VectorBatchBackend()
+        ParallelCampaignRunner(registry=REGISTRY, backend=backend).run(
+            "demo/random_walk", seeds=list(range(8))
+        )
+        assert backend.stats.batches == 1
+        assert backend.stats.evicted_cells == 0
+        assert 0.0 < backend.stats.occupancy < 1.0
