@@ -594,8 +594,12 @@ class Spool:
 
         Distinct from the task-lease mtime heartbeat: this one is for
         observers (``status``, the coordinator's progress file) and carries
-        task counts and runtimes.  Never creates the spool, so a worker
-        pointed at an uninitialised directory stays invisible.
+        task counts and runtimes.  It is advisory, so it is renamed into
+        place without an fsync: :meth:`worker_heartbeats` skips a missing or
+        unparsable file and the worker's next stamp replaces it.  Returns
+        ``False`` when nothing was published (no spool, or an I/O error).
+        Never creates the spool, so a worker pointed at an uninitialised
+        directory stays invisible.
         """
         if not self.workers_dir.is_dir():
             return False
@@ -613,7 +617,7 @@ class Spool:
                 with path.open("w", encoding="utf-8") as handle:
                     handle.write(content[:keep])
                 return True
-            self._atomic_write(path, content)
+            self._atomic_write(path, content, durable=False)
         except OSError:
             return False
         return True

@@ -106,6 +106,32 @@ def engine_fingerprint() -> str:
     return _engine_fingerprint
 
 
+#: ``id(factory) -> (factory, source)``.  Holding the factory keeps its id
+#: from being reused by a later object while the entry lives.
+_factory_sources: Dict[int, Tuple[Callable[..., Any], Optional[str]]] = {}
+
+
+def factory_source(factory: Callable[..., Any]) -> Optional[str]:
+    """The factory's source as this process first read it, or ``None`` when
+    it is unavailable (REPL / exec'd factories).
+
+    Memoised by the factory object's identity, not its value: two factories
+    that compile alike but read differently keep their own sources, and a
+    reloaded module's new factory reads afresh.  Editing a loaded module's
+    file on disk does not change what the running factory computes, so it
+    does not change the source returned for it either.
+    """
+    entry = _factory_sources.get(id(factory))
+    if entry is None:
+        try:
+            source: Optional[str] = inspect.getsource(factory)
+        except (OSError, TypeError):
+            source = None
+        # setdefault: of two threads reading at once, the first one stored wins.
+        entry = _factory_sources.setdefault(id(factory), (factory, source))
+    return entry[1]
+
+
 @dataclass(frozen=True)
 class Parameter:
     """One typed scenario parameter with its default value."""
@@ -321,10 +347,15 @@ class ScenarioSpec:
         :func:`engine_fingerprint` additionally invalidates *every* entry
         when the simulation engine the factories call into changes — stale
         physics must never be served from cache.
+
+        Like :func:`engine_fingerprint` it is a per-process snapshot of the
+        code that runs: the factory's source is read once per process
+        (:func:`factory_source`), so rewriting its file on disk without
+        reloading it leaves the cache keys of the still-running code as
+        they were.
         """
-        try:
-            source = inspect.getsource(self.factory)
-        except (OSError, TypeError):
+        source = factory_source(self.factory)
+        if source is None:
             return None
         blob = engine_fingerprint() + "|" + source
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -9,15 +9,20 @@ the spool coordinator maintains ``progress.json`` inside the spool root.
 Either is what ``python -m repro.experiments status`` (and ROADMAP item
 1's control plane) polls.
 
-Writes are atomic tmp+fsync+rename (:func:`atomic_write_text` and its
-batched form :func:`atomic_write_texts` — the canonical home of the
-helpers the spool layer and the result cache use), so a reader never sees
-a torn file; a reader that catches the sub-millisecond replace window
-simply retries on the next poll (:func:`read_progress` returns ``None``
-for missing or unparsable files rather than raising).
+This module is also the canonical home of the atomic publication helpers
+(:func:`atomic_write_text` and its batched form :func:`atomic_write_texts`)
+that the spool layer, the result cache and the CLI use.  Every publication
+writes a temp file and renames it into place, so a reader never sees a torn
+file.  *Durable* files are also fsynced before their rename: cache objects,
+spool task files, result shards, ``campaign.json``, the completion marker
+and the ``--profile`` sidecar.  *Advisory* files are renamed without an
+fsync: ``progress.json`` and the spool's worker heartbeats.  They never
+feed back into scheduling or results, a crash that loses one only loses a
+view the next snapshot (or ``events.jsonl``) rebuilds, and their readers
+(:func:`read_progress`, ``Spool.worker_heartbeats``) treat a missing or
+unparsable file as absent — so they are not worth a disk barrier each.
 
-Progress is *advisory*: it never feeds back into scheduling or results,
-and the tracker throttles rewrites so per-cell bookkeeping stays cheap
+The tracker also throttles rewrites so per-cell bookkeeping stays cheap
 even for thousand-cell campaigns.
 """
 
@@ -40,7 +45,7 @@ PROGRESS_VERSION = 1
 EWMA_ALPHA = 0.2
 
 
-def atomic_write_texts(items: Iterable[Tuple[Path, str]]) -> None:
+def atomic_write_texts(items: Iterable[Tuple[Path, str]], durable: bool = True) -> None:
     """Atomically publish several files behind one write barrier.
 
     Every ``(path, content)`` item is written to a temp file beside its
@@ -51,6 +56,10 @@ def atomic_write_texts(items: Iterable[Tuple[Path, str]]) -> None:
     just-published file but never expose a partial one.  Fsyncs that
     follow all the writes share journal commits, which is what makes a
     batch cheaper than one barrier per file.
+
+    ``durable=False`` skips the fsyncs, for advisory files: a live reader
+    still never sees a torn file, but after a crash a just-renamed file
+    may be lost or empty.
 
     A path named twice is written once, with its last content.  When a
     write, fsync or rename raises, every temp file not yet renamed is
@@ -68,12 +77,13 @@ def atomic_write_texts(items: Iterable[Tuple[Path, str]]) -> None:
                 handle.write(content)
         # One descriptor at a time, so a batch never runs out of them; on
         # POSIX an fsync through a read-only descriptor flushes the file.
-        for temp, _ in temps:
-            fd = os.open(temp, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+        if durable:
+            for temp, _ in temps:
+                fd = os.open(temp, os.O_RDONLY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
         for temp, path in temps:
             os.replace(temp, path)
             renamed += 1
@@ -86,13 +96,14 @@ def atomic_write_texts(items: Iterable[Tuple[Path, str]]) -> None:
         raise
 
 
-def atomic_write_text(path: Path, content: str) -> None:
+def atomic_write_text(path: Path, content: str, durable: bool = True) -> None:
     """Atomically publish one file: :func:`atomic_write_texts` of one item.
 
-    The bytes are fsynced before the rename; the rename is not, so a
-    crash can lose the file's new version but never expose a torn one.
+    When ``durable`` the bytes are fsynced before the rename; the rename
+    is not, so a crash can lose the file's new version but never expose a
+    torn one.
     """
-    atomic_write_texts([(path, content)])
+    atomic_write_texts([(path, content)], durable)
 
 
 @dataclass
@@ -191,9 +202,11 @@ class CampaignProgress:
 
 
 def write_progress(path: Union[str, os.PathLike], progress: CampaignProgress) -> None:
-    """Atomically publish one progress snapshot."""
+    """Atomically publish one progress snapshot (advisory: rename, no fsync)."""
     atomic_write_text(
-        Path(path), json.dumps(progress.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        Path(path),
+        json.dumps(progress.to_json_dict(), indent=2, sort_keys=True) + "\n",
+        durable=False,
     )
 
 
@@ -219,7 +232,7 @@ class ProgressTracker:
     coordinator's ingest loop may record completions concurrently.  Calls
     between :meth:`begin` and :meth:`finish` rewrite the file at most once
     per ``min_interval`` seconds (forced on begin/finish), so per-cell
-    accounting costs a lock and an integer bump, not an fsync.
+    accounting costs a lock and an integer bump, not a file write.
     """
 
     def __init__(

@@ -29,12 +29,12 @@ returned mapping; evicted seeds finish on the scalar kernel.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import logging
 from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro.experiments.spec import factory_source
 from repro.vectorized.engine import LockstepBatch
 
 logger = logging.getLogger(__name__)
@@ -53,11 +53,11 @@ def factory_source_hash(spec: Any) -> Optional[str]:
 
     Unlike ``ScenarioSpec.source_fingerprint`` this deliberately does *not*
     fold in the engine fingerprint: the pin must only move when the factory
-    itself is edited, not on unrelated engine changes.
+    itself is edited, not on unrelated engine changes.  The source is the
+    one this process first read (:func:`repro.experiments.spec.factory_source`).
     """
-    try:
-        source = inspect.getsource(spec.factory)
-    except (OSError, TypeError):
+    source = factory_source(spec.factory)
+    if source is None:
         return None
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 

@@ -1,8 +1,12 @@
-"""Batched cache publication: ``CacheIndex.put_many`` and ``atomic_write_texts``.
+"""Atomic publication: ``CacheIndex.put_many``, ``atomic_write_texts`` and
+which files pay a write barrier.
 
 ``put_many`` must write the same bytes the one-object-per-barrier ``put``
 wrote, honour ``cache.put`` fault rules per object, fsync every object
 before renaming any, and leave no temp file behind when a step fails.
+Durable spool files (task files, result shards, ``campaign.json``, the
+completion marker) are fsynced before their rename too; the advisory
+snapshots (``progress.json``, worker heartbeats) are renamed without one.
 """
 
 import json
@@ -11,9 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.distributed import CacheIndex
+from repro.distributed import CacheIndex, Spool, SpoolTask
 from repro.experiments import RunRecord
-from repro.observability import atomic_write_texts
+from repro.observability import (
+    CampaignProgress,
+    ProgressTracker,
+    atomic_write_texts,
+    read_progress,
+    write_progress,
+)
 from repro.resilience import FaultPlan, FaultRule, armed
 
 
@@ -41,6 +51,38 @@ def _reference_put(root: Path, key: str, record: RunRecord) -> None:
 
 def _leftover_temps(root: Path):
     return sorted(root.rglob(".*.tmp"))
+
+
+def _record_barriers(monkeypatch):
+    """Record every ``os.fsync`` (by path) and ``os.replace`` (by source)."""
+    calls = []
+    fd_paths = {}
+    real_open, real_fsync, real_replace = os.open, os.fsync, os.replace
+
+    def recording_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        fd_paths[fd] = Path(path)
+        return fd
+
+    def recording_fsync(fd):
+        calls.append(("fsync", fd_paths.get(fd)))
+        real_fsync(fd)
+
+    def recording_replace(src, dst, *args, **kwargs):
+        calls.append(("replace", Path(src)))
+        real_replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    return calls
+
+
+def _failing_replace(monkeypatch):
+    def failing_replace(src, dst, *args, **kwargs):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
 
 
 class TestPutMany:
@@ -98,26 +140,7 @@ class TestPutMany:
         assert not (tmp_path / "cache" / "objects" / key_c[:2]).exists()
 
     def test_every_object_is_fsynced_before_any_rename(self, tmp_path, monkeypatch):
-        calls = []
-        fd_paths = {}
-        real_open, real_fsync, real_replace = os.open, os.fsync, os.replace
-
-        def recording_open(path, flags, *args, **kwargs):
-            fd = real_open(path, flags, *args, **kwargs)
-            fd_paths[fd] = Path(path)
-            return fd
-
-        def recording_fsync(fd):
-            calls.append(("fsync", fd_paths.get(fd)))
-            real_fsync(fd)
-
-        def recording_replace(src, dst, *args, **kwargs):
-            calls.append(("replace", Path(src)))
-            real_replace(src, dst, *args, **kwargs)
-
-        monkeypatch.setattr(os, "open", recording_open)
-        monkeypatch.setattr(os, "fsync", recording_fsync)
-        monkeypatch.setattr(os, "replace", recording_replace)
+        calls = _record_barriers(monkeypatch)
         cache = CacheIndex(tmp_path / "cache")
         pairs = _records(8)
         assert cache.put_many(pairs) == 8
@@ -187,3 +210,85 @@ class TestAtomicWriteTexts:
             atomic_write_texts(items)
         assert not (tmp_path / "a.json").exists()
         assert _leftover_temps(tmp_path) == []
+
+
+@pytest.fixture
+def spool(tmp_path):
+    spool = Spool(tmp_path / "spool")
+    spool.initialise(metadata={"campaign_id": "c1"})
+    return spool
+
+
+_DURABLE_WRITES = {
+    "publish_task": lambda spool: spool.publish_task(
+        SpoolTask(task_id="task-00000", scenario="s", cells=(({}, 1, 0),))
+    ),
+    "write_result_shard": lambda spool: spool.write_result_shard(
+        "task-00000", [(0, RunRecord(scenario="s", params={}, seed=1, metrics={"m": 1.0}))]
+    ),
+    "write_campaign_metadata": lambda spool: spool.write_campaign_metadata(
+        {"campaign_id": "c2"}
+    ),
+    "mark_complete": lambda spool: spool.mark_complete(),
+}
+
+
+class TestDurableWrites:
+    @pytest.mark.parametrize("name", sorted(_DURABLE_WRITES))
+    def test_temp_file_is_fsynced_before_its_rename(self, spool, monkeypatch, name):
+        calls = _record_barriers(monkeypatch)
+        _DURABLE_WRITES[name](spool)
+        monkeypatch.undo()
+        assert [kind for kind, _ in calls] == ["fsync", "replace"]
+        (_, fsynced), (_, renamed) = calls
+        assert fsynced == renamed
+        assert renamed.name.startswith(".") and renamed.suffix == ".tmp"
+        assert _leftover_temps(spool.root) == []
+
+
+class TestAdvisoryWrites:
+    def test_progress_is_renamed_without_fsync(self, tmp_path, monkeypatch):
+        path = tmp_path / "progress.json"
+        calls = _record_barriers(monkeypatch)
+        write_progress(path, CampaignProgress(scenario="s", total=3, done=3, complete=True))
+        monkeypatch.undo()
+        assert [kind for kind, _ in calls] == ["replace"]
+        progress = read_progress(path)
+        assert progress.complete and progress.done == progress.total == 3
+        assert _leftover_temps(tmp_path) == []
+
+    def test_worker_heartbeat_is_renamed_without_fsync(self, spool, monkeypatch):
+        calls = _record_barriers(monkeypatch)
+        assert spool.write_worker_heartbeat("w1", {"tasks_completed": 2})
+        monkeypatch.undo()
+        assert [kind for kind, _ in calls] == ["replace"]
+        assert spool.worker_heartbeats()["w1"]["tasks_completed"] == 2
+        assert _leftover_temps(spool.root) == []
+
+    def test_failed_progress_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "progress.json"
+        _failing_replace(monkeypatch)
+        with pytest.raises(OSError):
+            write_progress(path, CampaignProgress(scenario="s", total=1))
+        monkeypatch.undo()
+        assert not path.exists()
+        assert _leftover_temps(tmp_path) == []
+
+    def test_tracker_swallows_a_failed_rename(self, tmp_path, monkeypatch):
+        path = tmp_path / "progress.json"
+        tracker = ProgressTracker(path, scenario="s")
+        _failing_replace(monkeypatch)
+        tracker.begin(2)
+        tracker.record_record(ok=True)
+        tracker.finish()
+        monkeypatch.undo()
+        assert not path.exists()
+        assert _leftover_temps(tmp_path) == []
+        assert tracker.snapshot().done == 1
+
+    def test_failed_heartbeat_rename_returns_false(self, spool, monkeypatch):
+        _failing_replace(monkeypatch)
+        assert spool.write_worker_heartbeat("w1", {"tasks_completed": 0}) is False
+        monkeypatch.undo()
+        assert spool.worker_heartbeats() == {}
+        assert _leftover_temps(spool.root) == []

@@ -7,6 +7,7 @@ surviving unrelated scenario source edits.
 """
 
 import importlib.util
+import inspect
 import json
 import linecache
 import os
@@ -25,6 +26,7 @@ from repro.distributed import (
     run_worker,
 )
 from repro.distributed.spool import shard_cells
+from repro.distributed.worker import execute_task
 from repro.experiments import (
     ParallelCampaignRunner,
     ResultStore,
@@ -35,7 +37,8 @@ from repro.experiments import (
 )
 from repro.experiments.cli import main as cli_main
 from repro.experiments.registry import load_builtin_scenarios
-from repro.experiments.spec import parameters_from_signature
+from repro.experiments.spec import factory_source, parameters_from_signature
+from repro.vectorized import factory_source_hash
 
 
 def _demo_cells(seeds):
@@ -550,6 +553,31 @@ class TestCacheIndex:
         # The cache-hit store is byte-identical to the executed one.
         assert (tmp_path / "a1.jsonl").read_bytes() == (tmp_path / "a2.jsonl").read_bytes()
 
+    def test_on_disk_edit_without_reload_keeps_the_running_fingerprint(self, tmp_path):
+        """The fingerprint describes the code that runs: rewriting a loaded
+        module's file without reloading it leaves the fingerprint alone
+        (the old factory still computes the old physics); reloading the
+        module, which makes a new factory, moves it."""
+        module_path = tmp_path / "cache_probe_module.py"
+        module_path.write_text(_MODULE_TEMPLATE.format(a_expr="seed * scale", b_expr="seed"))
+        spec = _registry_for(_load_module(module_path)).get("probe/a")
+        before = spec.source_fingerprint()
+        assert before is not None
+
+        module_path.write_text(
+            _MODULE_TEMPLATE.format(a_expr="seed + scale + 0.0", b_expr="seed")
+        )
+        # A later mtime whatever the filesystem clock's granularity, so a
+        # source reader that checks the file on disk does see the edit.
+        stat = module_path.stat()
+        os.utime(module_path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        assert spec.build(2, {"scale": 3.0}) == {"value": 6.0}
+        assert spec.source_fingerprint() == before
+
+        reloaded = _registry_for(_load_module(module_path)).get("probe/a")
+        assert reloaded.build(2, {"scale": 3.0}) == {"value": 5.0}
+        assert reloaded.source_fingerprint() != before
+
     def test_campaign_populates_and_consumes_cache_across_stores(self, tmp_path):
         cache = CacheIndex(tmp_path / "cache")
         first = ParallelCampaignRunner(
@@ -562,6 +590,73 @@ class TestCacheIndex:
         assert second.executed == 0 and second.cached == 4
         assert second.aggregates == first.aggregates
         assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "two.jsonl").read_bytes()
+
+
+class TestFactorySource:
+    """Each factory's source is read once per process, keyed by identity."""
+
+    @staticmethod
+    def _count_source_reads(monkeypatch):
+        reads = []
+        real_getsource = inspect.getsource
+
+        def counting_getsource(obj):
+            reads.append(obj)
+            return real_getsource(obj)
+
+        monkeypatch.setattr(inspect, "getsource", counting_getsource)
+        return reads
+
+    def test_each_factory_is_read_once(self, tmp_path, monkeypatch):
+        module_path = tmp_path / "source_read_module.py"
+        module_path.write_text(
+            _MODULE_TEMPLATE.format(a_expr="seed * scale", b_expr="seed + scale")
+        )
+        registry = _registry_for(_load_module(module_path, name="source_read_module"))
+        spec = registry.get("probe/a")
+        reads = self._count_source_reads(monkeypatch)
+
+        fingerprint = spec.source_fingerprint()
+        assert fingerprint is not None
+        assert spec.source_fingerprint() == fingerprint
+        assert factory_source_hash(spec) is not None
+        assert factory_source_hash(spec) == factory_source_hash(spec)
+        spool = Spool(tmp_path / "spool")
+        spool.initialise()
+        cells = [(rs.params, rs.seed, rs.index) for rs in spec.runs(seeds=[1, 2])]
+        for task in shard_cells(cells, "probe/a", task_size=1):
+            spool.publish_task(task)
+        for _ in range(2):
+            results = execute_task(spool.claim_next(), spool, registry)
+            assert all(record.ok for _, record in results)
+        assert spool.is_drained()
+        assert reads == [spec.factory]
+
+        # A different factory object reads its own source, even one that
+        # reads the same: reloading the module makes new factories.
+        other = registry.get("probe/b")
+        assert other.source_fingerprint() not in (None, fingerprint)
+        reloaded = _registry_for(_load_module(module_path, name="source_read_module"))
+        again = reloaded.get("probe/a")
+        assert again.factory is not spec.factory
+        assert again.source_fingerprint() == fingerprint
+        assert reads == [spec.factory, other.factory, again.factory]
+
+    def test_unavailable_source_is_none_and_does_not_raise(self, monkeypatch):
+        namespace = {}
+        exec("def factory(seed, scale=1.0):\n    return {'value': seed}\n", namespace)
+        factory = namespace["factory"]
+        spec = ScenarioSpec(
+            name="probe/exec",
+            factory=factory,
+            parameters=parameters_from_signature(factory),
+            metric_fields=("value",),
+        )
+        reads = self._count_source_reads(monkeypatch)
+        assert factory_source(factory) is None
+        assert spec.source_fingerprint() is None
+        assert factory_source_hash(spec) is None
+        assert reads == [factory]
 
 
 # --------------------------------------------------------------------------
