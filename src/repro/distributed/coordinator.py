@@ -23,6 +23,7 @@ reports reclaimed leases and early worker deaths *as they happen* via
 
 from __future__ import annotations
 
+import dis
 import hashlib
 import json
 import logging
@@ -32,6 +33,7 @@ import sys
 import time
 from dataclasses import replace
 from multiprocessing.process import BaseProcess
+from types import CodeType
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.distributed.scheduler import (
@@ -48,6 +50,7 @@ from repro.distributed.spool import (
     TornShardError,
     shard_cells,
 )
+from repro.distributed.worker import CampaignPipes, run_worker
 from repro.experiments.runner import ExecutionBackend, RunRecord
 from repro.experiments.spec import RunSpec, ScenarioSpec, jsonable
 from repro.experiments.store import ResultStore
@@ -55,6 +58,7 @@ from repro.observability.events import EventLog
 from repro.observability.progress import ProgressTracker
 from repro.observability.trace import TRACER
 from repro.resilience.faults import GENERATION_ENV, arm_from_environment, inject
+from repro.resilience.retry import RetryPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -81,20 +85,48 @@ def _campaign_id(
 _FORK = multiprocessing.get_context("fork")
 
 
-def _forked_worker(argv: List[str], generation: int) -> None:
-    """Run the ``worker`` command from a new process's state: the fault plan
+def _forked_worker(options: Dict[str, Any], pipes: CampaignPipes, generation: int) -> None:
+    """Run :func:`run_worker` from a new process's state: the fault plan
     re-read from the environment, no open coordinator span as default
     parent (the tracer re-anchors on the new pid by itself), and the respawn
     ``generation`` that generation-gated fault rules check."""
-    from repro.experiments.cli import main
-
+    pipes.enter_worker()
     # A fresh stream, as the exec'd worker's /dev/null was: another thread
     # may hold the inherited stdout's lock, which would hang the exit flush.
     sys.stdout = open(os.devnull, "w")
     os.environ[GENERATION_ENV] = str(generation)
     arm_from_environment()
+    # What the CLI's ``worker`` command configures, without importing it.
+    logging.basicConfig(
+        level=logging.WARNING,
+        format="%(asctime)s %(levelname)s %(name)s: %(message)s",
+        stream=sys.stderr,
+        force=True,
+    )
     with TRACER.parent_scope(None):
-        sys.exit(main(argv))
+        run_worker(pipes=pipes, **options)
+
+
+def _preimport_factory(factory: Any) -> None:
+    """Import what ``factory``'s body imports (absolute imports only), and
+    ``numpy.random``, which numpy loads lazily, so that every forked worker
+    inherits them instead of importing them on its first task."""
+    code = getattr(factory, "__code__", None)
+    codes = [code] if code is not None else []
+    while codes:
+        code = codes.pop()
+        codes.extend(const for const in code.co_consts if isinstance(const, CodeType))
+        instructions = list(dis.get_instructions(code))
+        for i, instruction in enumerate(instructions):
+            if instruction.opname != "IMPORT_NAME" or i < 2:
+                continue
+            level, fromlist = instructions[i - 2].argval, instructions[i - 1].argval
+            if level == 0:
+                try:
+                    __import__(instruction.argval, fromlist=fromlist or ())
+                except Exception:  # noqa: BLE001 — the cell reports it, as before
+                    pass
+    import numpy.random  # noqa: F401
 
 
 class SpoolDispatchError(RuntimeError):
@@ -107,6 +139,12 @@ class SpoolBackend(ExecutionBackend):
     ``workers`` > 0 forks that many local worker processes for the
     duration of the campaign; with ``workers=0`` the coordinator only
     publishes tasks and waits for externally-started workers to drain them.
+
+    ``poll_interval`` is how often the coordinator and hand-started
+    workers poll the spool.  Forked workers and the coordinator that forked
+    them wake on :class:`~repro.distributed.worker.CampaignPipes` events
+    (a shard landed, a worker exited, the campaign closed), so for them it
+    is only the longest either side waits.
     """
 
     name = "spool"
@@ -133,6 +171,8 @@ class SpoolBackend(ExecutionBackend):
             raise ValueError(f"workers must be >= 0, got {workers}")
         if max_respawns < 0:
             raise ValueError(f"max_respawns must be >= 0, got {max_respawns}")
+        if worker_retries is not None and worker_retries < 1:
+            raise ValueError(f"worker_retries must be >= 1, got {worker_retries}")
         if cell_timeout is not None and cell_timeout <= 0:
             raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
         self.spool = Spool(
@@ -164,8 +204,10 @@ class SpoolBackend(ExecutionBackend):
         #: generation (``REPRO_FAULT_GENERATION``), so generation-gated
         #: crash rules kill the first wave but let replacements run clean.
         self.max_respawns = int(max_respawns)
-        #: ``--retries`` forwarded to spawned workers (None = their default).
+        #: Attempts per cell in spawned workers (None = their default).
         self.worker_retries = worker_retries
+        #: Open only while :meth:`execute` runs with forked workers.
+        self._pipes: Optional[CampaignPipes] = None
 
     # ----------------------------------------------------------------- backend
     def execute(
@@ -184,6 +226,8 @@ class SpoolBackend(ExecutionBackend):
                 "importable with the worker's --import flag — to use the "
                 "spool backend"
             )
+        if self.workers:
+            _preimport_factory(spec.factory)
         cells = [(run_spec.params, run_spec.seed, run_spec.index) for run_spec in pending]
         campaign_id = _campaign_id(payload, cells, self.task_size)
         scheduler = ElasticScheduler(
@@ -266,13 +310,15 @@ class SpoolBackend(ExecutionBackend):
                 workers=self.workers,
             )
         task_by_id = {task.task_id: task for task in tasks} if tasks else {}
-        worker_slots: List[Dict[str, Any]] = [
-            {"process": self._spawn_worker(), "generation": 0, "reported": False}
-            for _ in range(self.workers)
-        ]
+        worker_slots: List[Dict[str, Any]] = []
+        self._pipes = CampaignPipes() if self.workers else None
         ok = False
         ingested: Set[str] = set()
         try:
+            for _ in range(self.workers):
+                worker_slots.append(
+                    {"process": self._spawn_worker(), "generation": 0, "reported": False}
+                )
             ingested = self._collect(
                 pending,
                 records,
@@ -286,8 +332,13 @@ class SpoolBackend(ExecutionBackend):
         finally:
             # Let workers observe completion (or failure) and exit cleanly.
             self.spool.mark_complete()
+            if self._pipes is not None:
+                self._pipes.close_campaign()
             events.emit("campaign_complete", ok=ok)
             self._join_workers([slot["process"] for slot in worker_slots])
+            if self._pipes is not None:
+                self._pipes.close()
+                self._pipes = None
             if ok and scheduler is not None:
                 # A speculative race (or split re-run) can resolve with the
                 # losing worker still mid-task; its byte-identical shard
@@ -388,14 +439,17 @@ class SpoolBackend(ExecutionBackend):
     def _spawn_worker(self, generation: int = 0) -> BaseProcess:
         """Fork one local worker: it inherits the coordinator's imports,
         registry and source fingerprints instead of paying for its own."""
-        argv = ["worker", str(self.spool.root), "--poll", str(self.poll_interval), "--quiet"]
-        if self.worker_cache_root is not None:
-            argv += ["--cache", str(self.worker_cache_root)]
+        options: Dict[str, Any] = {
+            "spool_root": self.spool.root,
+            "cache": self.worker_cache_root,
+            "poll_interval": self.poll_interval,
+            "scenario_modules": self.scenario_modules,
+        }
         if self.worker_retries is not None:
-            argv += ["--retries", str(self.worker_retries)]
-        for module in self.scenario_modules:
-            argv += ["--import", module]
-        process = _FORK.Process(target=_forked_worker, args=(argv, generation))
+            options["retry_policy"] = RetryPolicy(max_attempts=self.worker_retries)
+        process = _FORK.Process(
+            target=_forked_worker, args=(options, self._pipes, generation)
+        )
         process.start()
         return process
 
@@ -715,7 +769,13 @@ class SpoolBackend(ExecutionBackend):
                     f"{len(missing)} unfinished cell(s) (first missing run-list "
                     f"indices: {missing[:5]})"
                 )
-            time.sleep(self.poll_interval)
+            if self._pipes is None:
+                time.sleep(self.poll_interval)
+            else:
+                self._pipes.wait_landed(
+                    self.poll_interval,
+                    [slot["process"].sentinel for slot in worker_slots if not slot["reported"]],
+                )
         return ingested
 
     def _discard_late_shards(

@@ -12,9 +12,11 @@ host or many — and coordinate purely through the spool's atomic renames:
    write the result shard and drop the claim.
 
 A worker that finds nothing to claim reclaims expired leases (rescuing
-tasks from dead peers) and polls until the coordinator marks the campaign
-complete, its idle timeout expires, or its task budget is spent.  Idle
-polling is jittered with a seed derived from the worker id, so N idle
+tasks from dead peers) and waits until the coordinator marks the campaign
+complete, its idle timeout expires, or its task budget is spent.  A
+hand-started worker polls for the marker; a forked one waits on the
+coordinator's pipe (:class:`CampaignPipes`), whose EOF wakes it at once.
+Idle waits are jittered with a seed derived from the worker id, so N idle
 workers spread their lease-rescue sweeps instead of racing the same
 expired lease in the same tick (the first rename still wins either way).
 
@@ -50,6 +52,7 @@ import json
 import logging
 import os
 import random
+import select
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -117,6 +120,76 @@ class WorkerStats:
         if health is not None:
             payload.update(health.heartbeat_fields())
         return payload
+
+
+def _readable(fds: Sequence[int], timeout: float) -> List[int]:
+    """Those of ``fds`` that turn readable (or hit EOF) within ``timeout`` s."""
+    poller = select.poll()  # unlike select(), no FD_SETSIZE ceiling
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    return [fd for fd, _ in poller.poll(timeout * 1000.0)]
+
+
+class CampaignPipes:
+    """The two pipes a coordinator opens before forking its local workers.
+
+    * *campaign closed* — every fork drops its copy of the write end first
+      thing, so the coordinator holds the only one; closing it right after
+      the completion marker is written gives every worker waiting on the
+      read end EOF at once.
+    * *shard landed* — a worker writes one byte (without blocking; a full
+      pipe already holds a wake-up) after each task attempt ends, and the
+      coordinator waits on the read end instead of sleeping.
+
+    Hand-started workers have no pipes and poll the spool instead.
+    """
+
+    def __init__(self) -> None:
+        self.closed_r, self.closed_w = os.pipe()
+        self.landed_r, self.landed_w = os.pipe()
+        os.set_blocking(self.landed_w, False)
+        self._open = {self.closed_r, self.closed_w, self.landed_r, self.landed_w}
+        self._campaign_closed = False
+
+    def _close(self, fd: int) -> None:
+        if fd in self._open:
+            self._open.discard(fd)
+            os.close(fd)
+
+    # ------------------------------------------------------------ worker side
+    def enter_worker(self) -> None:
+        """In a forked worker: drop the coordinator's ends."""
+        self._close(self.closed_w)
+        self._close(self.landed_r)
+
+    def wait_idle(self, timeout: float) -> None:
+        """Wait up to ``timeout`` for the campaign to close.  After EOF it
+        is a plain sleep: a coordinator that died without writing the
+        marker leaves the worker polling, as a hand-started one would."""
+        if self._campaign_closed:
+            time.sleep(timeout)
+        elif _readable([self.closed_r], timeout):
+            self._campaign_closed = True
+
+    def note_landed(self) -> None:
+        try:
+            os.write(self.landed_w, b"\0")
+        except OSError:  # full (a wake-up is pending) or coordinator gone
+            pass
+
+    # ------------------------------------------------------- coordinator side
+    def close_campaign(self) -> None:
+        """Wake every idle fork: the completion marker is written."""
+        self._close(self.closed_w)
+
+    def wait_landed(self, timeout: float, sentinels: Sequence[int]) -> None:
+        """Wait up to ``timeout`` for a shard to land or a sentinel to fire."""
+        if self.landed_r in _readable([self.landed_r, *sentinels], timeout):
+            os.read(self.landed_r, 65536)
+
+    def close(self) -> None:
+        for fd in list(self._open):
+            self._close(fd)
 
 
 def _import_scenario_modules(modules: Sequence[str]) -> None:
@@ -309,6 +382,7 @@ def run_worker(
     retry_policy: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
     split_min_cells: Optional[int] = None,
+    pipes: Optional[CampaignPipes] = None,
 ) -> WorkerStats:
     """The worker main loop; returns once there is nothing left to do.
 
@@ -319,7 +393,8 @@ def run_worker(
     coordinator published in ``campaign.json`` unless ``lease_timeout``
     explicitly overrides it; the same holds for ``cell_timeout`` and
     ``split_min_cells``, which default to the campaign's published
-    elastic policy (see :meth:`Spool.elastic_policy`).
+    elastic policy (see :meth:`Spool.elastic_policy`).  ``pipes`` is set
+    only in a worker the coordinator forked (see :class:`CampaignPipes`).
     """
     _import_scenario_modules(scenario_modules)
     if registry is None:
@@ -350,6 +425,7 @@ def run_worker(
     spool.write_worker_heartbeat(stats.worker_id, stats.heartbeat_payload("starting"))
     breaker = CircuitBreaker()
     announced_quarantine: set = set(spool.quarantined_task_ids())
+    idle_wait = pipes.wait_idle if pipes is not None else time.sleep
     idle_since: Optional[float] = None
     was_idle = False
     warned_missing = False
@@ -436,7 +512,7 @@ def run_worker(
                         "idle", events_dropped=events.dropped, health=health
                     ),
                 )
-            time.sleep(poll_interval * (0.75 + 0.5 * jitter.random()))
+            idle_wait(poll_interval * (0.75 + 0.5 * jitter.random()))
             continue
         idle_since = None
         was_idle = False
@@ -502,6 +578,8 @@ def run_worker(
             time.sleep(poll_interval)
         else:
             health.record_success()
+        if pipes is not None:
+            pipes.note_landed()
         spool.write_worker_heartbeat(
             stats.worker_id,
             stats.heartbeat_payload(

@@ -724,6 +724,20 @@ class TestDistributedCli:
         assert rc == 2
         assert "--workers must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ({"workers": -1}, "workers must be >= 0"),
+            ({"max_respawns": -1}, "max_respawns must be >= 0"),
+            ({"worker_retries": 0}, "worker_retries must be >= 1"),
+        ],
+    )
+    def test_bad_backend_options_are_rejected_at_construction(self, tmp_path, option, message):
+        """Rejected before any worker is forked, not as dead workers."""
+        options = {"workers": 2, "max_respawns": 2, **option}
+        with pytest.raises(ValueError, match=message):
+            SpoolBackend(tmp_path / "spool", **options)
+
     def test_jobs_rejected_with_spool_backend(self, tmp_path, capsys):
         rc = cli_main(
             [

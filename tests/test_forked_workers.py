@@ -1,15 +1,22 @@
 """Spool workers forked from the coordinator start from a new process's
 state: the coordinator's in-process fault plan, its rule counters and its
-open trace span never leak into a worker.  Also: a spool
-campaign with a result cache writes each executed cell to it once."""
+open trace span never leak into a worker.  They start warm — the scenario
+factory's imports are done once, in the coordinator, before the fork — and
+both sides wake on pipe events rather than on the poll interval.  Also: a
+spool campaign with a result cache writes each executed cell to it once."""
 
 import json
+import multiprocessing
 import os
+import sys
+import time
 
 import pytest
 
-from repro.distributed import Spool, SpoolBackend
+from repro.distributed import Spool, SpoolBackend, SpoolDispatchError
 from repro.experiments import ParallelCampaignRunner, ResultStore
+from repro.experiments.registry import REGISTRY
+from repro.experiments.spec import ScenarioSpec, parameters_from_signature
 from repro.experiments.cli import main as cli_main
 from repro.observability.events import read_events
 from repro.observability.trace import disable_tracing, enable_tracing, read_trace_file
@@ -133,6 +140,83 @@ class TestForkedWorkerState:
                 assert span["parent"] not in campaign_spans
                 cells += span["name"] == "cell"
         assert cells == len(SEEDS)
+
+
+PROBE_MODULE = "forked_worker_import_probe"
+
+
+def _probe_factory(seed):
+    import forked_worker_import_probe  # noqa: F401 — records the importing pid
+
+    return {"value": float(seed)}
+
+
+class TestWarmStartAndWakeUp:
+    def test_waking_does_not_depend_on_the_poll_interval(self, tmp_path):
+        serial = _serial_store(tmp_path)
+        started = time.perf_counter()
+        result, store, _ = _spool_campaign(tmp_path, poll_interval=3.0)
+        elapsed = time.perf_counter() - started
+        assert result.failures == 0
+        assert store.read_bytes() == serial.read_bytes()
+        assert elapsed < 1.5
+
+    def test_all_spawned_workers_dying_fails_fast(self, tmp_path, monkeypatch):
+        """The coordinator waits on the dead workers' sentinels, not on a
+        3 s poll interval."""
+
+        def dead_worker(self):
+            process = multiprocessing.get_context("fork").Process(target=sys.exit, args=(3,))
+            process.start()
+            return process
+
+        monkeypatch.setattr(SpoolBackend, "_spawn_worker", dead_worker)
+        backend = SpoolBackend(tmp_path / "spool", workers=2, poll_interval=3.0)
+        started = time.perf_counter()
+        with pytest.raises(SpoolDispatchError, match=r"exited \(return codes \[3, 3\]\)"):
+            ParallelCampaignRunner(backend=backend).run("demo/random_walk", seeds=[1, 2])
+        assert time.perf_counter() - started < 1.5
+
+    def test_the_factory_imports_its_modules_in_the_coordinator_only(
+        self, tmp_path, monkeypatch
+    ):
+        probe = tmp_path / f"{PROBE_MODULE}.py"
+        probe.write_text(
+            "import os\n"
+            "with open(__file__ + '.pids', 'a') as handle:\n"
+            "    handle.write(f'{os.getpid()}\\n')\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, PROBE_MODULE, raising=False)
+        spec = ScenarioSpec(
+            name="probe/import_pid",
+            factory=_probe_factory,
+            parameters=parameters_from_signature(_probe_factory),
+            metric_fields=("value",),
+        )
+        monkeypatch.setitem(REGISTRY._specs, spec.name, spec)
+        try:
+            backend = SpoolBackend(
+                tmp_path / "spool", workers=2, poll_interval=0.01, timeout=120.0
+            )
+            result = ParallelCampaignRunner(backend=backend).run(spec.name, seeds=SEEDS)
+        finally:
+            sys.modules.pop(PROBE_MODULE, None)
+        assert result.failures == 0
+        pids = (tmp_path / f"{PROBE_MODULE}.py.pids").read_text().split()
+        assert pids == [str(os.getpid())]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_back_to_back_campaigns_leak_no_descriptors(self, tmp_path):
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        for campaign in ("first", "second"):
+            (tmp_path / campaign).mkdir()
+            result, _, _ = _spool_campaign(tmp_path / campaign)
+            assert result.failures == 0
+        assert open_fds() == before
 
 
 class TestSpoolCacheWrites:
