@@ -5,10 +5,20 @@ performs carrier sensing with random backoff and transmits frames from a
 FIFO queue.  It has no notion of deadlines, inaccessibility or channel
 diversity — those are exactly the features the Mediator and Channel Control
 layers add on top.
+
+Backoff slots come off the MAC's own generator through
+:class:`~repro.sim.rng.ChunkedIntegers`, which reads the same numbers as one
+scalar ``integers`` draw per backoff but fetches them in chunks — so the MAC
+must own its generator (the scenario harness hands every node a private
+``mac:<node_id>`` stream).  A retry is the bound :meth:`CsmaMacNode._retry`,
+not a closure: a node runs one attempt chain at a time (``_busy``), so the
+next attempt number lives on the node.  The sender is released by the
+medium's own completion event for the frame (``transmit(on_end=...)``).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Tuple
@@ -18,6 +28,7 @@ import numpy as np
 from repro.network.frames import Frame
 from repro.network.medium import WirelessMedium
 from repro.sim.kernel import Simulator
+from repro.sim.rng import ChunkedIntegers
 
 
 @dataclass
@@ -31,8 +42,10 @@ class CsmaConfig:
     queue_capacity: int = 64
 
     def __post_init__(self) -> None:
-        if self.slot_time <= 0:
-            raise ValueError("slot_time must be positive")
+        if not (self.slot_time > 0 and math.isfinite(self.slot_time)):
+            raise ValueError(f"slot_time must be positive and finite, got {self.slot_time}")
+        if self.min_backoff_slots < 0:
+            raise ValueError(f"min_backoff_slots must be >= 0, got {self.min_backoff_slots}")
         if self.max_backoff_slots < self.min_backoff_slots:
             raise ValueError("max_backoff_slots < min_backoff_slots")
         if self.max_attempts < 1:
@@ -73,6 +86,8 @@ class CsmaMacNode:
         self.stats = MacStats()
         self._queue: Deque[Frame] = deque()
         self._busy = False
+        self._slots = ChunkedIntegers(self.rng)
+        self._next_attempt = 1
         self._receive_listeners: List[Callable[[Frame, float], None]] = []
         medium.attach(
             node_id,
@@ -113,11 +128,14 @@ class CsmaMacNode:
         for listener in self._receive_listeners:
             listener(frame, time)
 
-    def _try_transmit(self, attempt: int = 1) -> None:
+    def _try_transmit(self) -> None:
         if self._busy or not self._queue:
             return
         self._busy = True
-        self._attempt(attempt)
+        self._attempt(1)
+
+    def _retry(self) -> None:
+        self._attempt(self._next_attempt)
 
     def _attempt(self, attempt: int) -> None:
         if not self._queue:
@@ -132,23 +150,19 @@ class CsmaMacNode:
             return
         if self.medium.is_busy(self.node_id, self.channel):
             self.stats.backoffs += 1
-            slots = int(
-                self.rng.integers(
-                    config.min_backoff_slots,
-                    min(config.max_backoff_slots, 2 ** attempt) + 1,
-                )
-            )
-            self.simulator.schedule_fast(
-                slots * config.slot_time, lambda: self._attempt(attempt + 1)
-            )
+            low = config.min_backoff_slots
+            # The window never closes below its floor, so a draw is always
+            # possible; with the default floor of 1 the top is at least 2.
+            top = max(low, min(config.max_backoff_slots, 2 ** attempt))
+            slots = low + self._slots.below(top - low + 1)
+            self._next_attempt = attempt + 1
+            self.simulator.schedule_fast(slots * config.slot_time, self._retry)
             return
         frame = self._queue.popleft()
         frame.channel = self.channel
-        end = self.medium.transmit(frame, channel=self.channel)
-        self.stats.transmitted += 1
         # Half-duplex: next frame only after this transmission ends.
-        delay = max(0.0, end - self.simulator.now)
-        self.simulator.schedule_fast(delay, self._transmission_done)
+        self.medium.transmit(frame, channel=self.channel, on_end=self._transmission_done)
+        self.stats.transmitted += 1
 
     def _transmission_done(self) -> None:
         self._busy = False

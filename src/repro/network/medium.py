@@ -21,6 +21,10 @@ through (with ``Simulator.step`` and ``TraceRecorder.record``).
   order.  That is order-equivalent to one event per receiver (see
   :meth:`WirelessMedium._complete`); only ``Simulator.events_processed``
   counts fewer events.
+* The same completion event also releases the sender: a MAC passes
+  ``on_end`` to :meth:`WirelessMedium.transmit` and :meth:`_complete` calls
+  it last, so a frame costs one event at its end, not two (see
+  :meth:`WirelessMedium._complete` for why that is order-equivalent).
 * The receiver loop evaluates 2-D distances inline, with the sender's and
   the overlapping senders' coordinates hoisted out of the loop, using the
   same ``math.sqrt(dx ** 2 + dy ** 2)`` expression as :meth:`_distance`.
@@ -64,10 +68,20 @@ class MediumConfig:
     channels: int = 3
 
     def __post_init__(self) -> None:
-        if self.bitrate_bps <= 0:
-            raise ValueError("bitrate must be positive")
-        if self.communication_range <= 0:
-            raise ValueError("communication range must be positive")
+        # Written as ``not x > 0`` so NaN fails too.
+        if not self.bitrate_bps > 0:
+            raise ValueError(f"bitrate must be positive, got {self.bitrate_bps}")
+        # An infinite range is allowed: every node then hears every other.
+        if not self.communication_range > 0:
+            raise ValueError(
+                f"communication range must be positive, got {self.communication_range}"
+            )
+        # Delivery is scheduled at ``end + propagation_delay`` unchecked, so
+        # a negative or NaN delay would move the clock backwards.
+        if not 0.0 <= self.propagation_delay < math.inf:
+            raise ValueError(
+                f"propagation delay must be finite and >= 0, got {self.propagation_delay}"
+            )
         if not 0.0 <= self.base_loss_probability < 1.0:
             raise ValueError("base loss probability must be in [0, 1)")
         if self.channels < 1:
@@ -109,6 +123,7 @@ class _Transmission:
     start: float
     end: float
     sender_position: Tuple[float, ...]
+    on_end: Optional[Callable[[], None]] = None
 
 
 @dataclass
@@ -275,14 +290,21 @@ class WirelessMedium:
         return worst
 
     # ---------------------------------------------------------------- transmit
-    def transmit(self, frame: Frame, channel: Optional[int] = None) -> float:
+    def transmit(
+        self,
+        frame: Frame,
+        channel: Optional[int] = None,
+        on_end: Optional[Callable[[], None]] = None,
+    ) -> float:
         """Start transmitting ``frame`` now; returns the transmission end time.
 
         Delivery outcomes (per receiver) are decided at the end of the air
         time: out-of-range receivers never hear the frame; collisions destroy
         the frame at receivers that hear overlapping transmissions; otherwise
         the frame is lost with the interference/base loss probability and
-        delivered after the propagation delay.
+        delivered after the propagation delay.  ``on_end``, if given, is
+        called once the frame has left the air, at the end time (it is how a
+        half-duplex MAC learns it may send again).
         """
         channel = frame.channel if channel is None else channel
         self._check_channel(channel)
@@ -301,6 +323,7 @@ class WirelessMedium:
             start=now,
             end=end,
             sender_position=tuple(sender_attachment.position_fn()),
+            on_end=on_end,
         )
         self._on_air[channel].append(tx)
         self.stats.frames_sent += 1
@@ -321,6 +344,13 @@ class WirelessMedium:
         (which would have cut in between two receivers), and none calls
         ``Simulator.stop()`` from a receive path (which would have stopped
         the run between two receivers).
+
+        The sender's ``on_end`` is called last, after the delivery is
+        scheduled and the lists are pruned.  That is order-equivalent to a
+        separate release event at ``end`` pushed right after this one: it
+        would take the same time and priority and the next ``seq``, so
+        nothing could run between the two, and whatever the release
+        schedules gets a ``seq`` after the delivery's either way.
         """
         now = self.simulator.now
         tx_start = tx.start
@@ -418,6 +448,8 @@ class WirelessMedium:
         self._completions_since_prune += 1
         if self._completions_since_prune >= _PRUNE_INTERVAL:
             self._prune(now)
+        if tx.on_end is not None:
+            tx.on_end()
 
     def _prune(self, now: float) -> None:
         cutoff = now - self._max_air_time

@@ -118,7 +118,9 @@ class PeriodicTask:
         self.invocations = 0
         self.last_fire_time: Optional[float] = None
         self.max_observed_interval = 0.0
-        self._timer: Optional[Timer] = None
+        #: The pending re-arm; kept as the bare event (no :class:`Timer`
+        #: handle per fire), cancelled through the simulator on :meth:`stop`.
+        self._event: Optional[_Event] = None
 
     def start(self, initial_delay: float = 0.0) -> None:
         if self.running:
@@ -128,9 +130,9 @@ class PeriodicTask:
 
     def stop(self) -> None:
         self.running = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        if self._event is not None:
+            self.simulator._cancel(self._event)
+            self._event = None
 
     def _schedule(self, delay: float) -> None:
         jitter = self.jitter_fn() if self.jitter_fn else 0.0
@@ -147,7 +149,7 @@ class PeriodicTask:
         )
         simulator._seq += 1
         simulator._pending += 1
-        self._timer = Timer(event, simulator)
+        self._event = event
 
     def _fire(self) -> None:
         if not self.running:

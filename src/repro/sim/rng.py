@@ -81,6 +81,60 @@ class ChunkedNormals:
         return np.concatenate(chunks)[:count]
 
 
+# Words fetched per refill of a ChunkedIntegers; carried over untuned.
+_WORD_CHUNK = 64
+
+
+class ChunkedIntegers:
+    """Bounded integer draws read off prefetched 32-bit words, scalar-identical.
+
+    ``below(n)`` returns exactly what ``rng.integers(low, low + n) - low``
+    would, for ``1 <= n <= 2**32``: it is numpy's
+    ``buffered_bounded_lemire_uint32`` rejection loop run on raw words that
+    come off the generator ``_WORD_CHUNK`` at a time.  A ``uint32`` array draw
+    yields the same words as the scalar path reads one by one (including
+    PCG64's buffered upper half-word), so the stream is unchanged.  ``n == 1``
+    consumes nothing, as in numpy; a power-of-two ``n`` never rejects, so it
+    costs one word, one multiply and one shift.
+
+    As with :class:`ChunkedNormals`, the owner must be the generator's only
+    consumer: the words drawn ahead are gone from the stream whether or not
+    they are used.  :class:`~repro.network.mac_csma.CsmaMacNode` draws its
+    backoff slots this way from the MAC's private generator.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        # Python ints (``tolist``): exact, and cheap to multiply and shift.
+        self._words: List[int] = []
+        self._index = 0
+
+    def _word(self) -> int:
+        index = self._index
+        words = self._words
+        if index >= len(words):
+            words = self._words = self.rng.integers(
+                0, 2**32, size=_WORD_CHUNK, dtype=np.uint32
+            ).tolist()
+            index = 0
+        self._index = index + 1
+        return words[index]
+
+    def below(self, n: int) -> int:
+        """A uniform integer in ``[0, n)``, off the same words as numpy's."""
+        if n == 1:
+            return 0
+        if not 1 < n <= 2**32:
+            raise ValueError(f"n must be in [1, 2**32], got {n}")
+        product = self._word() * n
+        if product & 0xFFFFFFFF < n:
+            # Low halves below 2**32 mod n would bias the result: redraw.
+            threshold = (2**32 - n) % n
+            while product & 0xFFFFFFFF < threshold:
+                product = self._word() * n
+        return product >> 32
+
+
 class RandomStreams:
     """Factory of independent, reproducible ``numpy`` generators."""
 

@@ -20,16 +20,20 @@ drift.  Coverage differs by workload kind:
   not.
 
 Run ``python tests/fingerprint_util.py`` to print the current tables (used
-to refresh the pinned constants when a *deliberate* change is made).
+to refresh the pinned constants when a *deliberate* change is made), or
+``python tests/fingerprint_util.py --diff`` to print only the pinned entries
+that moved, as old → new, and exit 1 if any did.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import argparse
 import hashlib
 import json
-from typing import Any, Dict, Optional, Tuple
+import sys
+from typing import Any, Dict, List, Optional, Tuple
 
 #: A workload's fingerprint: its physics digest and, for use-case runs, the
 #: simulator's processed-event count (``None`` for registry runs).
@@ -196,16 +200,51 @@ def compute_all() -> Dict[str, Dict[str, Any]]:
     return {"PINNED": digests, "EVENT_COUNTS": event_counts}
 
 
-def main() -> None:
-    """Print the fingerprint tables as JSON.
+def moved_entries(
+    current: Dict[str, Dict[str, Any]], pinned: Dict[str, Dict[str, Any]]
+) -> List[str]:
+    """One ``table name: old → new`` line per entry of ``current`` that
+    differs from ``pinned``; counts also carry their delta."""
+    lines = []
+    for table in ("PINNED", "EVENT_COUNTS"):
+        old_table, new_table = pinned[table], current[table]
+        for name in sorted(set(old_table) | set(new_table)):
+            old, new = old_table.get(name), new_table.get(name)
+            if old == new:
+                continue
+            line = f"{table} {name}: {old} → {new}"
+            if isinstance(old, int) and isinstance(new, int):
+                line += f" ({new - old:+d})"
+            lines.append(line)
+    return lines
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Print the fingerprint tables as JSON, or with ``--diff`` only the
+    pinned entries that moved (exit status 1 if any did).
 
     Every set-of-node-ids iteration that feeds RNG draws or message
     scheduling is sorted (PR 4), so fingerprints are reproducible across
     interpreters regardless of ``PYTHONHASHSEED`` — no fixed hash seed is
     needed to refresh or compare them.
     """
-    print(json.dumps(compute_all(), indent=2))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--diff",
+        action="store_true",
+        help="print only the PINNED and EVENT_COUNTS entries that moved",
+    )
+    args = parser.parse_args(argv)
+    current = compute_all()
+    if not args.diff:
+        print(json.dumps(current, indent=2))
+        return 0
+    from test_scenario_fingerprints import EVENT_COUNTS, PINNED
+
+    lines = moved_entries(current, {"PINNED": PINNED, "EVENT_COUNTS": EVENT_COUNTS})
+    print("\n".join(lines) if lines else "no pinned entry moved")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

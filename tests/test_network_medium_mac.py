@@ -1,5 +1,7 @@
 """Tests for the wireless medium, frames, clocks and the CSMA MAC."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,45 @@ class TestWirelessMedium:
         assert 20 < len(received) < 180
 
 
+class TestConfigValidation:
+    """Configs that would schedule into the past, or poison the event heap
+    with NaN times, are rejected when they are built."""
+
+    @pytest.mark.parametrize("delay", [-1e-3, math.nan, math.inf])
+    def test_medium_rejects_bad_propagation_delay(self, delay):
+        with pytest.raises(ValueError, match="propagation delay"):
+            MediumConfig(propagation_delay=delay)
+
+    @pytest.mark.parametrize("comm_range", [0.0, -5.0, math.nan])
+    def test_medium_rejects_bad_communication_range(self, comm_range):
+        with pytest.raises(ValueError, match="communication range"):
+            MediumConfig(communication_range=comm_range)
+
+    def test_medium_accepts_an_infinite_range(self):
+        sim = Simulator()
+        medium = make_medium(sim, comm_range=math.inf)
+        received = []
+        medium.attach("a", lambda f, t: None)
+        medium.attach("b", lambda f, t: received.append(f), position_fn=lambda: (1e12, 0.0))
+        medium.transmit(Frame(source="a"))
+        sim.run_until(0.1)
+        assert len(received) == 1
+
+    @pytest.mark.parametrize("bitrate", [0.0, math.nan])
+    def test_medium_rejects_bad_bitrate(self, bitrate):
+        with pytest.raises(ValueError, match="bitrate"):
+            MediumConfig(bitrate_bps=bitrate)
+
+    @pytest.mark.parametrize("slot_time", [0.0, -1e-6, math.nan, math.inf])
+    def test_csma_rejects_bad_slot_time(self, slot_time):
+        with pytest.raises(ValueError, match="slot_time"):
+            CsmaConfig(slot_time=slot_time)
+
+    def test_csma_rejects_negative_min_backoff_slots(self):
+        with pytest.raises(ValueError, match="min_backoff_slots"):
+            CsmaConfig(min_backoff_slots=-3)
+
+
 class TestBatchedDelivery:
     """One delivery event per frame must order exactly like one per receiver."""
 
@@ -263,6 +304,49 @@ class TestBatchedDelivery:
         assert not medium.is_busy("b", 0)
 
 
+class _RecordedSlots:
+    """Wraps a MAC's slot source and records the backoff slots it yields."""
+
+    def __init__(self, node):
+        self.inner = node._slots
+        self.low = node.config.min_backoff_slots
+        self.slots = []
+
+    def below(self, n):
+        value = self.inner.below(n)
+        self.slots.append(self.low + value)
+        return value
+
+
+class _ScalarBackoffCsma(CsmaMacNode):
+    """Reference MAC: one scalar ``integers`` call and one closure per backoff."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.slots = []
+
+    def _attempt(self, attempt):
+        config = self.config
+        if (
+            self._queue
+            and attempt <= config.max_attempts
+            and self.medium.is_busy(self.node_id, self.channel)
+        ):
+            self.stats.backoffs += 1
+            slots = int(
+                self.rng.integers(
+                    config.min_backoff_slots,
+                    min(config.max_backoff_slots, 2 ** attempt) + 1,
+                )
+            )
+            self.slots.append(slots)
+            self.simulator.schedule_fast(
+                slots * config.slot_time, lambda: self._attempt(attempt + 1)
+            )
+            return
+        super()._attempt(attempt)
+
+
 class TestCsmaMac:
     def _pair(self, sim, loss=0.0):
         medium = make_medium(sim, loss=loss)
@@ -320,3 +404,86 @@ class TestCsmaMac:
             a.send(Frame(source="a", payload=i))
         sim.run_until(1.0)
         assert received == list(range(20))
+
+    def test_backoff_slots_match_scalar_integers_draws(self):
+        def contend(mac_class):
+            sim = Simulator()
+            medium = make_medium(sim)
+            nodes = [
+                mac_class(name, sim, medium, rng=np.random.default_rng(seed),
+                          config=CsmaConfig(max_attempts=30))
+                for seed, name in enumerate("abc", start=11)
+            ]
+            if mac_class is CsmaMacNode:
+                for node in nodes:
+                    node._slots = _RecordedSlots(node)
+            received = []
+            nodes[2].on_receive(lambda f, t: received.append((f.payload, t)))
+            for index in range(12):
+                for node in nodes[:2]:
+                    sim.schedule(
+                        0.0004 * index,
+                        lambda node=node, index=index: node.send(
+                            Frame(source=node.node_id, payload=(node.node_id, index),
+                                  size_bits=1200)
+                        ),
+                    )
+            sim.run_until(1.0)
+            slots = [
+                node._slots.slots if mac_class is CsmaMacNode else node.slots
+                for node in nodes
+            ]
+            return slots, received
+
+        slots, received = contend(CsmaMacNode)
+        reference_slots, reference_received = contend(_ScalarBackoffCsma)
+        assert slots == reference_slots
+        assert len(slots[0]) > 5 and len(slots[1]) > 5
+        assert received == reference_received
+
+    def test_lone_broadcast_costs_one_completion_and_one_delivery_event(self):
+        sim = Simulator()
+        _, a, b = self._pair(sim)
+        received = []
+        b.on_receive(lambda f, t: received.append(t))
+        a.send(Frame(source="a"))
+        sim.run_until(0.1)
+        assert len(received) == 1
+        assert sim.events_processed == 2
+
+    def test_next_queued_frame_starts_at_the_previous_frames_end(self):
+        sim = Simulator()
+        medium, a, _ = self._pair(sim)
+        starts, ends = [], []
+        transmit = medium.transmit
+
+        def recording_transmit(frame, **kwargs):
+            starts.append(sim.now)
+            ends.append(transmit(frame, **kwargs))
+            return ends[-1]
+
+        medium.transmit = recording_transmit
+        sim.run_until(0.5)  # later than the air time, as in any real run
+        for payload in range(3):
+            a.send(Frame(source="a", payload=payload, size_bits=1234))
+        sim.run_until(1.0)
+        assert len(starts) == 3
+        assert starts[1:] == ends[:-1]
+
+    def test_contention_window_below_min_backoff_slots_draws_the_floor(self):
+        # The window top min(max_backoff_slots, 2 ** attempt) starts at 2,
+        # below a floor of 4: the draw used to be integers(4, 3) and raise.
+        sim = Simulator()
+        medium = make_medium(sim)
+        config = CsmaConfig(min_backoff_slots=4, max_attempts=30)
+        a = CsmaMacNode("a", sim, medium, config=config, rng=np.random.default_rng(1))
+        b = CsmaMacNode("b", sim, medium, config=config, rng=np.random.default_rng(2))
+        a._slots = _RecordedSlots(a)
+        b.send(Frame(source="b", size_bits=60000))
+        sim.run_until(0.001)
+        assert a.send(Frame(source="a", size_bits=800))
+        sim.run_until(0.2)
+        assert a.stats.backoffs > 0
+        assert a.stats.transmitted == 1
+        assert a._slots.slots[:2] == [4, 4]
+        assert all(slots >= 4 for slots in a._slots.slots)

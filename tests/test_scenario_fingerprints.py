@@ -11,8 +11,11 @@ The use cases' processed-event counts are pinned on their own, in
 what it computes: a scheduling change may move it on purpose — the medium's
 one delivery event per frame (instead of one per receiver) lowered the
 counts of the eight use cases that attach a medium while every digest stayed
-byte-identical.  Keeping the count out of the digest lets such a refresh
-show as exactly the counts it moves.
+byte-identical, and so did releasing the CSMA sender inside its frame's
+completion event (each count dropped by exactly the frame completions its
+run processed).  Keeping the count out of the digest lets such a refresh
+show as exactly the counts it moves; ``fingerprint_util.py --diff`` prints
+them.
 
 Since PR 4 every set-of-node-ids iteration that feeds RNG draws or message
 scheduling (TDMA collision re-draws, pulse-sync neighbour exchanges,
@@ -60,14 +63,14 @@ PINNED = {
 
 #: ``Simulator.events_processed`` of each use-case workload.
 EVENT_COUNTS = {
-    "platoon/karyon": 18682,
-    "platoon/always_cooperative": 18082,
-    "platoon/never_cooperative": 18082,
-    "intersection/infrastructure": 46099,
-    "intersection/vtl_fallback": 45575,
-    "intersection/uncoordinated": 45286,
-    "lane_change/coordinated": 25058,
-    "lane_change/uncoordinated": 24857,
+    "platoon/karyon": 16282,
+    "platoon/always_cooperative": 15682,
+    "platoon/never_cooperative": 15682,
+    "intersection/infrastructure": 40940,
+    "intersection/vtl_fallback": 40542,
+    "intersection/uncoordinated": 40309,
+    "lane_change/coordinated": 22612,
+    "lane_change/uncoordinated": 22457,
     "avionics/in_trail": 804,
     "avionics/crossing": 804,
     "avionics/level_change": 620,

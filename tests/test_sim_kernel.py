@@ -123,6 +123,35 @@ def test_periodic_task_stop_halts_execution():
     assert times == [0.0, 1.0, 2.0]
 
 
+def test_periodic_task_stopped_in_its_own_callback_leaves_nothing_pending():
+    sim = Simulator()
+    times = []
+
+    def tick():
+        times.append(sim.now)
+        if len(times) == 3:
+            task.stop()
+
+    task = sim.periodic(1.0, tick)
+    sim.run_until(10.0)
+    assert times == [0.0, 1.0, 2.0]
+    assert sim.pending_events() == 0
+    task.stop()  # stopping twice is a no-op
+    assert sim.pending_events() == 0
+    assert not task.running
+
+
+def test_periodic_task_stopped_between_fires_cancels_its_rearm():
+    sim = Simulator()
+    task = sim.periodic(1.0, lambda: None)
+    sim.run_until(2.5)
+    assert sim.pending_events() == 1
+    task.stop()
+    task.stop()
+    assert sim.pending_events() == 0
+    assert sim.peek() is None
+
+
 def test_periodic_task_tracks_max_interval_with_jitter():
     sim = Simulator()
     jitters = iter([0.0, 0.3, 0.0, 0.0, 0.0, 0.0])

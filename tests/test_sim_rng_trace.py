@@ -1,6 +1,9 @@
 """Tests for the named random streams and the trace recorder."""
 
-from repro.sim.rng import RandomStreams
+import numpy as np
+import pytest
+
+from repro.sim.rng import ChunkedIntegers, RandomStreams
 from repro.sim.trace import TraceRecorder
 
 
@@ -32,6 +35,30 @@ class TestRandomStreams:
         again = RandomStreams(7).spawn("veh1")
         assert child_a.master_seed == again.master_seed
         assert child_a.master_seed != child_b.master_seed
+
+
+class TestChunkedIntegers:
+    @pytest.mark.parametrize("n", [1, 2, 3, 32, 33, 1000, 2**31 + 5])
+    def test_below_matches_scalar_integers_across_refills(self, n):
+        chunked, scalar = np.random.default_rng(7), np.random.default_rng(7)
+        draws = ChunkedIntegers(chunked)
+        for _ in range(300):  # at least four refills unless n == 1
+            assert 10 + draws.below(n) == int(scalar.integers(10, 10 + n))
+        if n == 1:  # a one-value range reads no word, as in numpy
+            assert chunked.random() == scalar.random()
+
+    def test_generator_stays_in_step_after_a_refill(self):
+        chunked, scalar = np.random.default_rng(3), np.random.default_rng(3)
+        draws = ChunkedIntegers(chunked)
+        for _ in range(64):  # one word each: exactly one refill read
+            assert draws.below(64) == int(scalar.integers(0, 64))
+        assert chunked.random(3).tolist() == scalar.random(3).tolist()
+        assert chunked.integers(0, 1000, 4).tolist() == scalar.integers(0, 1000, 4).tolist()
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+    def test_out_of_range_bound_is_rejected(self, n):
+        with pytest.raises(ValueError):
+            ChunkedIntegers(np.random.default_rng(0)).below(n)
 
 
 class TestTraceRecorder:
