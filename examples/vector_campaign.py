@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Lockstep vectorized campaign: same bytes as the scalar kernel, much faster.
+"""Lockstep vectorized campaign: same bytes as the scalar kernel.
 
 Runs the E2 sensor-validity sweep (stuck-at fault, 3 ranging replicas) over
-32 seeds twice — once on the serial in-process kernel, once through
-:class:`~repro.vectorized.VectorBatchBackend`, which plans the whole seed
-batch as one numpy struct-of-arrays program — and asserts the two JSONL
-stores are **byte-identical**.  The vector path is an optimisation, never a
+32 seeds twice — once on the serial in-process kernel, one seed per call of
+the block sweep, once through :class:`~repro.vectorized.VectorBatchBackend`,
+which runs the same block sweep over the whole seed batch — and asserts
+the two JSONL stores are **byte-identical**.  The vector path is an optimisation, never a
 different simulation: every batch pays one scalar probe cell whose
 serialized record must match the vector record byte-for-byte.
 

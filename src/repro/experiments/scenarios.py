@@ -278,58 +278,17 @@ def run_sensor_validity(
     fault_start: float = 5.0,
     true_value: float = 50.0,
 ) -> Dict[str, Any]:
-    """Inject one fault class into one of three redundant ranging replicas."""
-    from repro.scenario import SensorRig
-    from repro.sensors.detectors import RangeDetector, RateLimitDetector, StuckAtDetector
-    from repro.sensors.faults import FaultClass, make_fault
-    from repro.sensors.fusion import naive_mean, validity_weighted_mean
+    """Inject one fault class into one of three redundant ranging replicas.
 
-    rig = SensorRig(
-        name="ranging",
-        quantity="range",
-        noise_sigma=0.3,
-        detectors=lambda: [
-            RangeDetector(low=0.0, high=200.0),
-            RateLimitDetector(max_rate=30.0),
-            StuckAtDetector(window=10, min_run=4),
-        ],
-    )
-    truth = lambda t: true_value + 5.0 * np.sin(0.5 * t)
-    replicas = [
-        rig.build(truth, rng=np.random.default_rng(seed + i), name=f"s{i}") for i in range(3)
-    ]
-    replicas[0].physical.inject(
-        make_fault(FaultClass(fault_class), magnitude=magnitude), start=fault_start
-    )
-    errors: Dict[str, list] = {"faulty_sensor": [], "naive_mean": [], "validity_weighted": []}
-    detected = 0
-    fault_samples = 0
-    for step in range(samples):
-        now = step * period
-        truth = true_value + 5.0 * np.sin(0.5 * now)
-        readings = [r for r in (rep.read(now) for rep in replicas) if r is not None]
-        if not readings:
-            continue
-        faulty = next((r for r in readings if r.attributes.source_id == "s0"), None)
-        if now >= fault_start:
-            fault_samples += 1
-            if faulty is not None and faulty.validity < 0.99:
-                detected += 1
-        if faulty is not None:
-            errors["faulty_sensor"].append(abs(faulty.value - truth))
-        naive = naive_mean(readings)
-        weighted = validity_weighted_mean(readings, min_validity=0.05)
-        if naive is not None:
-            errors["naive_mean"].append(abs(naive.value - truth))
-        if weighted is not None:
-            errors["validity_weighted"].append(abs(weighted.value - truth))
-    return {
-        "fault_class": fault_class,
-        "detection_coverage": detected / fault_samples if fault_samples else 0.0,
-        "faulty_sensor_mae": float(np.mean(errors["faulty_sensor"])),
-        "naive_mean_mae": float(np.mean(errors["naive_mean"])),
-        "validity_weighted_mae": float(np.mean(errors["validity_weighted"])),
-    }
+    RNG-silent fault classes run as one block sweep, the others sample by
+    sample; both live in :mod:`repro.scenario.sensor_sweep`.
+    """
+    from repro.scenario import sensor_sweep
+
+    params = (fault_class, magnitude, samples, period, fault_start, true_value)
+    if sensor_sweep.sweep_supported(fault_class):
+        return sensor_sweep.sensor_validity_sweep([seed], *params)[0]
+    return sensor_sweep.sensor_validity_loop(seed, *params)
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from repro.network.mac_csma import CsmaConfig, CsmaMacNode
 from repro.network.medium import MediumConfig, WirelessMedium
 from repro.network.r2t_mac import R2TConfig, R2TMacNode
 from repro.sensors.abstract_sensor import AbstractSensor, PhysicalSensor
-from repro.sensors.detectors import RangeDetector, RateLimitDetector, StuckAtDetector
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecorder
@@ -36,13 +35,6 @@ from repro.vehicles.aircraft import AirspaceWorld
 from repro.vehicles.world import HighwayWorld
 
 PositionFn = Callable[[], Tuple[float, ...]]
-
-#: Detector types whose per-sample math the lockstep vector engine
-#: (:mod:`repro.vectorized`) reproduces bit-exactly.  A rig whose stack
-#: strays outside this set disqualifies its scenario group from the fast
-#: path — see :meth:`SensorRig.lockstep_safe`.
-LOCKSTEP_SAFE_DETECTORS: Tuple[type, ...] = (RangeDetector, RateLimitDetector, StuckAtDetector)
-
 
 @dataclass(frozen=True)
 class RadioPreset:
@@ -184,20 +176,6 @@ class SensorRig:
             rng=rng,
         )
         return AbstractSensor(physical, detectors=list(self.detectors()))
-
-    def lockstep_safe(self) -> bool:
-        """Whether a fresh detector stack is eligible for lockstep batching.
-
-        The vector engine models exactly the detectors in
-        :data:`LOCKSTEP_SAFE_DETECTORS` (instances of them, not subclasses —
-        a subclass may override the math); any other detector, or a
-        detector factory that fails, keeps the rig on the scalar kernel.
-        """
-        try:
-            stack = list(self.detectors())
-        except Exception:  # noqa: BLE001 — an unbuildable stack is simply not eligible
-            return False
-        return all(type(detector) in LOCKSTEP_SAFE_DETECTORS for detector in stack)
 
 
 class MetricProbe:

@@ -25,6 +25,12 @@ while every reading stays equal, field by field, to the unoptimised one.
   fault-management unit computes the validity without building a
   :class:`~repro.sensors.validity.ValidityAssessment`.  A fully trusted
   reading is returned as is rather than copied with the same validity.
+
+Block form: in an open-loop sweep, where no reading feeds back into what
+is sampled next, :meth:`PhysicalSensor.sample_block` and
+:meth:`AbstractSensor.assess_block` take a whole run of samples as arrays,
+bit for bit what :meth:`AbstractSensor.read` gives where
+:attr:`AbstractSensor.has_block_form` holds.
 """
 
 from __future__ import annotations
@@ -116,6 +122,24 @@ class PhysicalSensor:
             return reading
         return injector.process(reading, now)
 
+    def sample_block(self, now: np.ndarray, truth: np.ndarray) -> np.ndarray:
+        """Block form of :meth:`sample`: the values sampled at the instants
+        ``now``, given ``truth_fn`` at each (``truth``, which sensors sharing
+        a truth compute once).  Needs :attr:`AbstractSensor.has_block_form`.
+
+        The noise stream advances as the per-sample calls would, but the
+        injector and the faults keep their state: the faults must be fresh,
+        and no :meth:`sample` may follow."""
+        count = len(now)
+        self.samples_taken += count
+        self._sequence += count
+        noise = self.noise_sigma * self._noise.predraw(count) if self.noise_sigma > 0 else 0.0
+        values = truth + noise
+        for activation in self.injector.activations:
+            active = (activation.start <= now) & (now < activation.end)
+            values = activation.fault.apply_block(values, active)
+        return values
+
     def inject(self, fault, start: float, end: float = float("inf")) -> None:
         """Schedule ``fault`` on the attached fault injector.
 
@@ -181,6 +205,21 @@ class AbstractSensor:
             detector.reset()
         self.last_reading = None
         self.last_verdicts = []
+
+    @property
+    def has_block_form(self) -> bool:
+        """Whether sampling and assessing in blocks equals :meth:`read`."""
+        return (
+            not self.physical.injector.may_draw_rng
+            and self.fault_management.has_block_form
+            and all(detector.has_block_form for detector in self.detectors)
+        )
+
+    def assess_block(self, values: np.ndarray, now: np.ndarray) -> np.ndarray:
+        """Block form of the validity :meth:`read` gives ``values`` sampled at
+        ``now``, from fresh detectors; leading axes are independent rows."""
+        verdicts = [(d.dominant, d.suspicions(values, now)) for d in self.detectors]
+        return self.fault_management.block_validity(verdicts, np.shape(values))
 
 
 @dataclass

@@ -19,6 +19,13 @@ its stack once, so ``check`` is the innermost loop of the sensor layer.
   (the common case for a noisy sensor) instead of copying its history.
 * The dominant detectors compare with ``not (low <= value <= high)`` and
   ``not (age <= max_age)`` so a NaN value or timestamp fails closed.
+
+Block forms: :class:`RangeDetector`, :class:`RateLimitDetector` and
+:class:`StuckAtDetector` also map a value array and its timestamps to a
+suspicion array in one pure call (:meth:`FailureDetector.suspicions`) that
+equals ``check`` run sample by sample from a fresh detector, bit for bit.
+An open-loop sweep, whose samples never depend on a verdict, uses it
+(:mod:`repro.scenario.sensor_sweep`).
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, List, Optional
+
+import numpy as np
 
 from repro.sensors.readings import SensorReading
 
@@ -85,6 +94,25 @@ class FailureDetector:
     def reset(self) -> None:
         """Clear detector history (sensor restart)."""
 
+    def suspicions(self, values: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Block form of :meth:`check`: the suspicion of each sample of
+        ``values`` (samples on the last axis, leading axes independent rows)
+        taken at ``times``.  Needs :attr:`has_block_form`."""
+        raise NotImplementedError(f"{type(self).__name__} has no block form")
+
+    @property
+    def has_block_form(self) -> bool:
+        """Whether the class whose :meth:`check` is in force also defines
+        :meth:`suspicions`: overriding ``check`` alone loses the block form."""
+        owner = next(klass for klass in type(self).__mro__ if "check" in vars(klass))
+        return "suspicions" in vars(owner)
+
+
+def _capped(suspicion: np.ndarray) -> np.ndarray:
+    """``_verdict(min(1.0, s)).suspicion`` per element: NaN gives 1.0."""
+    capped = np.where(suspicion < 1.0, suspicion, 1.0)
+    return np.where(capped > 0.0, capped, 0.0)
+
 
 class RangeDetector(FailureDetector):
     """Dominant detector: the value must lie within a physical range."""
@@ -103,6 +131,9 @@ class RangeDetector(FailureDetector):
         if not self.low <= value <= self.high:
             return self._verdict(1.0, f"value {value} outside [{self.low}, {self.high}]")
         return self._clear()
+
+    def suspicions(self, values: np.ndarray, times: np.ndarray) -> np.ndarray:
+        return np.where((self.low <= values) & (values <= self.high), 0.0, 1.0)
 
 
 class RateLimitDetector(FailureDetector):
@@ -138,6 +169,17 @@ class RateLimitDetector(FailureDetector):
 
     def reset(self) -> None:
         self._last = None
+
+    def suspicions(self, values: np.ndarray, times: np.ndarray) -> np.ndarray:
+        out = np.zeros(np.shape(values))
+        with np.errstate(all="ignore"):
+            dt = np.diff(times)
+            rate = np.abs(np.diff(values)) / dt
+            excess = (rate - self.max_rate) / (self.max_rate * (self.hard_factor - 1.0))
+        # Negated tests, as in check(): a NaN step or rate raises suspicion.
+        fires = ~(dt <= 0) & ~(rate <= self.max_rate)
+        out[..., 1:] = np.where(fires, _capped(excess), 0.0)
+        return out
 
 
 class TimeoutDetector(FailureDetector):
@@ -207,6 +249,23 @@ class StuckAtDetector(FailureDetector):
 
     def reset(self) -> None:
         self._history.clear()
+
+    def suspicions(self, values: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Sample ``t``'s run is ``min(t - last_break + 1, window)``, with
+        ``last_break`` a running maximum of the indices whose step exceeds
+        ``epsilon`` (index 0 counts as one): no per-sample loop."""
+        window, min_run = self.window, self.min_run
+        if min_run > window:  # the history never holds min_run values
+            return np.zeros(np.shape(values))
+        index = np.arange(np.shape(values)[-1])
+        breaks = np.ones(np.shape(values), dtype=bool)
+        with np.errstate(invalid="ignore"):
+            breaks[..., 1:] = ~(np.abs(np.diff(values)) <= self.epsilon)
+        last_break = np.maximum.accumulate(np.where(breaks, index, 0), axis=-1)
+        run = np.minimum(index - last_break + 1, window)
+        fires = (np.minimum(index + 1, window) >= min_run) & (run >= min_run)
+        suspicion = (run - min_run + 1) / (window - min_run + 1)
+        return np.where(fires, _capped(suspicion), 0.0)
 
 
 class ModelResidualDetector(FailureDetector):

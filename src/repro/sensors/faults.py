@@ -7,6 +7,10 @@ faults, stochastic offset faults and stuck-at faults."
 
 Each fault class transforms a correct reading into a faulty one; the fault
 injector (:mod:`repro.sensors.injector`) decides *when* a fault is active.
+
+Block forms: the RNG-silent faults (stuck-at, permanent offset, delay
+without drops) also corrupt a whole value array at once
+(:meth:`SensorFault.apply_block`).
 """
 
 from __future__ import annotations
@@ -65,6 +69,12 @@ class SensorFault:
     def reset(self) -> None:
         """Clear per-activation state (called when the fault deactivates)."""
 
+    def apply_block(self, values: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """Block form of :meth:`apply` from a fresh fault: ``values`` (samples
+        on the last axis) as delivered while ``active`` says the activation
+        window is open.  Only for a fault that does not draw from the RNG."""
+        raise NotImplementedError(f"{type(self).__name__} has no block form")
+
 
 @dataclass
 class DelayFault(SensorFault):
@@ -93,6 +103,9 @@ class DelayFault(SensorFault):
         # downstream pipeline sees does not change: the reading simply becomes
         # stale, which is exactly how a delay fault manifests.
         return reading
+
+    def apply_block(self, values: np.ndarray, active: np.ndarray) -> np.ndarray:
+        return values
 
 
 @dataclass
@@ -131,6 +144,9 @@ class PermanentOffsetFault(SensorFault):
         self, reading: SensorReading, rng: np.random.Generator
     ) -> Optional[SensorReading]:
         return reading.with_value(reading.value + self.offset)
+
+    def apply_block(self, values: np.ndarray, active: np.ndarray) -> np.ndarray:
+        return np.where(active, values + self.offset, values)
 
 
 @dataclass
@@ -173,6 +189,17 @@ class StuckAtFault(SensorFault):
 
     def reset(self) -> None:
         self._frozen = None
+
+    def apply_block(self, values: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """Each activation run (the injector resets the fault between runs)
+        freezes at its first value: a running maximum of the run starts."""
+        if self.stuck_value is not None:
+            return np.where(active, float(self.stuck_value), values)
+        index = np.arange(active.shape[-1])
+        starts = active.copy()
+        starts[1:] &= ~active[:-1]
+        first = np.maximum.accumulate(np.where(starts, index, 0))
+        return np.where(active, values[..., first], values)
 
 
 def make_fault(fault_class: FaultClass, magnitude: float = 1.0) -> SensorFault:

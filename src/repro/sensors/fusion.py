@@ -11,6 +11,10 @@ Three redundancy/fusion flavours named by the paper (section IV-B):
 * **Temporal redundancy** — "a series of samples and some comparison or
   averaging"; :class:`TemporalFuser` implements a validity-aware moving
   estimate.
+
+Block forms: :func:`naive_mean_block` and :func:`validity_weighted_mean_block`
+fuse whole per-replica arrays; their sums run left to right from 0, as
+``sum`` does, so each value is bitwise the per-sample one.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.sensors.readings import SensorReading
 
@@ -65,6 +71,39 @@ def validity_weighted_mean(
     low = min([r.value - r.error_bound for r in usable])
     high = max([r.value + r.error_bound for r in usable])
     return FusionResult(value=value, validity=validity, interval=(low, high), contributors=len(usable))
+
+
+def naive_mean_block(values: Sequence[np.ndarray]) -> np.ndarray:
+    """Block form of ``naive_mean(readings).value``: one value array per
+    replica, every replica present at every sample."""
+    total = 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for row in values:
+            total = total + row
+    return total / len(values)
+
+
+def validity_weighted_mean_block(
+    values: Sequence[np.ndarray],
+    validities: Sequence[np.ndarray],
+    min_validity: float = 0.0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Block form of ``validity_weighted_mean(readings, min_validity).value``:
+    ``(value, defined)``, ``defined`` false where that returns ``None``.  An
+    excluded replica adds +0.0, which leaves a sum started from 0 as it was.
+    """
+    total_weight = 0.0
+    weighted = 0.0
+    usable = False
+    with np.errstate(invalid="ignore", over="ignore"):
+        for value, validity in zip(values, validities):
+            use = validity > min_validity
+            usable = usable | use
+            total_weight = total_weight + np.where(use, validity, 0.0)
+            weighted = weighted + np.where(use, value * validity, 0.0)
+    defined = usable & ~(total_weight <= 0)
+    mean = np.divide(weighted, total_weight, out=np.zeros(np.shape(defined)), where=defined)
+    return mean, defined
 
 
 def marzullo_fuse(

@@ -5,6 +5,9 @@ that combines the individual fault estimations and calculates a general
 validity value between 0 and 100%."  Dominant detections force validity to
 zero; otherwise the continuous detectors' suspicions are combined according
 to a :class:`ValidityPolicy`.
+
+Block form: :meth:`FaultManagementUnit.block_validity` combines whole
+suspicion arrays under the ``PRODUCT`` policy.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.sensors.detectors import DetectorVerdict
 from repro.sensors.readings import SensorReading
@@ -91,3 +96,25 @@ class FaultManagementUnit:
     ) -> SensorReading:
         """Return ``reading`` annotated with the combined validity."""
         return reading.with_validity(self._validity(verdicts)[0])
+
+    @property
+    def has_block_form(self) -> bool:
+        """Whether :meth:`block_validity` covers this unit's policy."""
+        return self.policy is ValidityPolicy.PRODUCT
+
+    def block_validity(
+        self, verdicts: Sequence[Tuple[bool, np.ndarray]], shape: Tuple[int, ...]
+    ) -> np.ndarray:
+        """Block form of the validity :meth:`assess` gives, from one
+        ``(dominant, suspicions)`` pair per detector in stack order; needs
+        :attr:`has_block_form`.  The counters do not move."""
+        validity = np.ones(shape)
+        invalid = np.zeros(shape, dtype=bool)
+        for dominant, suspicion in verdicts:
+            if dominant:
+                invalid |= suspicion >= 1.0
+            else:
+                validity = validity * (1.0 - suspicion)
+        validity = np.where(validity < 1.0, validity, 1.0)
+        validity = np.where(validity > self.floor, validity, self.floor)
+        return np.where(invalid, 0.0, validity)

@@ -21,8 +21,8 @@ class ChunkedNormals:
     successive scalar draws, so refilling an internal buffer in chunks
     yields the same per-sample values as never batching — this is the
     refill schedule :class:`~repro.sensors.abstract_sensor.PhysicalSensor`
-    uses for measurement noise, extracted here so the lockstep vector
-    programs (:mod:`repro.vectorized`) can reproduce it verbatim.
+    uses for measurement noise, per sample (:meth:`next`) or as a whole
+    row (:meth:`predraw`).
 
     A consumer whose RNG is shared with another draw site (e.g. an
     RNG-drawing fault) passes ``unbatched``, a predicate asked at each
@@ -65,20 +65,23 @@ class ChunkedNormals:
         return buffer[index]
 
     def predraw(self, count: int) -> np.ndarray:
-        """The next ``count`` values as one array, drawn chunk-by-chunk.
-
-        Bitwise identical to calling :meth:`next` ``count`` times from a
-        fresh instance — the batch form the vector programs use to build a
-        whole noise row in one go.
-        """
-        chunks = []
-        drawn = 0
-        while drawn < count:
-            chunks.append(self.rng.standard_normal(self.chunk))
-            drawn += self.chunk
-        if not chunks:
-            return np.empty(0)
-        return np.concatenate(chunks)[:count]
+        """The next ``count`` values as one array: bitwise what ``count``
+        :meth:`next` calls return, leaving the instance where they would
+        (the last chunk's tail stays buffered).  Refuses while
+        ``unbatched()`` holds."""
+        if self._unbatched is not None and self._unbatched():
+            raise ValueError("predraw needs chunked refills, but unbatched() holds")
+        held = self._buffer[self._index : self._index + count]
+        self._index += len(held)
+        missing = count - len(held)
+        if missing <= 0:
+            return np.array(held, dtype=float)
+        # standard_normal(k * chunk) is the same stream as k chunk refills.
+        chunks = -(-missing // self.chunk)
+        drawn = self.rng.standard_normal(chunks * self.chunk)
+        self._buffer = drawn[missing:].tolist()
+        self._index = 0
+        return np.concatenate((np.array(held, dtype=float), drawn[:missing]))
 
 
 # Words fetched per refill of a ChunkedIntegers; carried over untuned.

@@ -7,7 +7,8 @@ struct-of-arrays program, byte-identical per seed to the scalar kernel:
   lockstep work, with mid-flight seed eviction) and :class:`VectorStats`
   (occupancy accounting);
 * :mod:`repro.vectorized.programs` — the bit-exact per-scenario programs
-  and their registry, each pinned to its scalar factory's source hash;
+  and their registry: E2 calls its factory's own block sweep, the others
+  re-implement their factories and pin the factory's source hash;
 * :mod:`repro.vectorized.backend` — :class:`VectorBatchBackend` on the
   :class:`~repro.experiments.runner.ExecutionBackend` seam: batch
   planning, pre-/mid-flight eviction, per-batch scalar probe, whole-group

@@ -1,10 +1,10 @@
 """``VectorBatchBackend`` — lockstep multi-seed execution on the backend seam.
 
 The batch planner groups a campaign's pending cells by their fully-coerced
-parameter point (the scenario is fixed per campaign, and the program pins
-the scenario *source*, so a group is homogeneous by construction), asks the
-program registry whether the group qualifies for the fast path, and runs
-qualifying groups as one :class:`~repro.vectorized.engine.LockstepBatch`.
+parameter point (the scenario is fixed per campaign, so a group is
+homogeneous by construction), asks the program registry whether the group
+qualifies for the fast path, and runs qualifying groups as one
+:class:`~repro.vectorized.engine.LockstepBatch`.
 
 Correctness never depends on the fast path:
 

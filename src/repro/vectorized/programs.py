@@ -1,4 +1,4 @@
-"""Lockstep vector programs: bit-exact multi-seed re-implementations.
+"""Lockstep vector programs: multi-seed forms of scalar factories.
 
 A :class:`VectorProgram` advances a whole seed batch of one scenario as a
 ``(n_seeds, ...)`` struct-of-arrays numpy program.  The contract is strict:
@@ -9,12 +9,21 @@ the exact same JSON encoder as the scalar kernel and the stores are compared
 byte-for-byte (probe cell at runtime, full campaigns in the tests and the
 ``vector-smoke`` CI job).
 
+There are two kinds of program:
+
+* E2 (``sensor_validity``) calls the block sweep its factory calls
+  (:mod:`repro.scenario.sensor_sweep`) with the whole batch: one
+  implementation, nothing copied, nothing pinned;
+* E4 (``tdma_convergence``) and ``demo/random_walk`` re-implement their
+  factories in numpy, and each pins its factory's source.
+
 Safety rails, in order:
 
-1. every program pins the sha256 of its scalar factory's source
-   (:func:`factory_source_hash`); if the scenario is edited the program
-   refuses to run (warn once, whole group falls back to the scalar kernel)
-   until the pin is deliberately refreshed alongside the vector math;
+1. a re-implementing program pins the sha256 of its scalar factory's
+   source (:func:`factory_source_hash`); if the scenario is edited the
+   program refuses to run (warn once, whole group falls back to the scalar
+   kernel) until the pin is deliberately refreshed alongside the vector
+   math;
 2. ``supports_params`` gates the parameter space to the cases the lockstep
    math actually covers (e.g. RNG-drawing fault classes disqualify a
    sensor-sweep group because their draws interleave with noise draws);
@@ -67,15 +76,16 @@ class VectorProgram:
 
     #: Registry name of the scenario this program replays.
     scenario: str = ""
-    #: Pinned sha256 of ``inspect.getsource(spec.factory)``.
-    source_sha256: str = ""
+    #: Pinned sha256 of ``inspect.getsource(spec.factory)``; ``None`` for a
+    #: program that runs the code its factory runs, which has nothing to pin.
+    source_sha256: Optional[str] = None
 
     def __init__(self) -> None:
         self._source_warned = False
 
     def supports(self, spec: Any, params: Mapping[str, Any]) -> bool:
         """Whether this program can run *spec* at *params* bit-exactly."""
-        digest = factory_source_hash(spec)
+        digest = factory_source_hash(spec) if self.source_sha256 is not None else None
         if digest != self.source_sha256:
             if not self._source_warned:
                 self._source_warned = True
@@ -107,182 +117,27 @@ class VectorProgram:
 
 
 class SensorValidityProgram(VectorProgram):
-    """Lockstep replay of ``run_sensor_validity`` (E2 sensor sweeps).
+    """E2 seed batches: the factory's own block sweep, over the whole batch.
 
-    Eligible fault classes are the RNG-silent ones (``stuck_at``,
-    ``permanent_offset``, ``delay`` with no drop): their injectors never draw
-    from the sensor RNG, so the scalar kernel pre-draws noise in 128-sample
-    chunks and the whole noise matrix can be reproduced up front.
-    ``sporadic_offset``/``stochastic_offset`` draw from the same stream as
-    the noise, interleaved per sample — structurally divergent, whole group
-    falls back.
+    :func:`repro.scenario.sensor_sweep.sensor_validity_sweep` is the code the
+    ``sensor_validity`` factory runs for one seed, so there is no mirror and
+    no source pin.  Its eligibility predicate is the factory's: the fault
+    classes that draw from the noise stream (``sporadic_offset``,
+    ``stochastic_offset``) fall back whole.
     """
 
     scenario = "sensor_validity"
-    source_sha256 = "4c3beb18b8863fa0bca88b37fc217e583f638c3778eee6a3aafc80a84a5bc78b"
-
-    #: Fault classes whose injectors are RNG-silent (``draws_rng`` False).
-    RNG_SILENT_FAULTS = ("stuck_at", "permanent_offset", "delay")
-
-    def _rig(self) -> Any:
-        # Mirror of the scalar factory's rig; lockstep_safe() below is the
-        # genuine capability gate — if this stack ever gains a detector the
-        # vector math does not model, the program refuses the group.
-        from repro.scenario import SensorRig
-        from repro.sensors.detectors import RangeDetector, RateLimitDetector, StuckAtDetector
-
-        return SensorRig(
-            name="ranging",
-            quantity="range",
-            noise_sigma=0.3,
-            detectors=lambda: [
-                RangeDetector(low=0.0, high=200.0),
-                RateLimitDetector(max_rate=30.0),
-                StuckAtDetector(window=10, min_run=4),
-            ],
-        )
 
     def supports_params(self, params: Mapping[str, Any]) -> bool:
-        if str(params["fault_class"]) not in self.RNG_SILENT_FAULTS:
-            return False
-        if int(params["samples"]) < 1 or float(params["period"]) <= 0.0:
-            return False
-        return self._rig().lockstep_safe()
+        from repro.scenario.sensor_sweep import sweep_supported
+
+        return sweep_supported(str(params["fault_class"]))
 
     def run(self, spec: Any, batch: LockstepBatch) -> Dict[int, Dict[str, Any]]:
-        from repro.sensors.abstract_sensor import _NOISE_CHUNK
-        from repro.sim.rng import ChunkedNormals
+        from repro.scenario.sensor_sweep import sensor_validity_sweep
 
-        p = batch.params
-        fault_class = str(p["fault_class"])
-        magnitude = float(p["magnitude"])
-        samples = int(p["samples"])
-        period = float(p["period"])
-        fault_start = float(p["fault_start"])
-        true_value = float(p["true_value"])
         seeds = batch.active_seeds()
-        n = len(seeds)
-
-        # Timestamps and truth exactly as the scalar loop computes them:
-        # python-float `step * period`, *scalar* np.sin per step (an array
-        # np.sin may use a SIMD transcendental with different ULPs).
-        now = [step * period for step in range(samples)]
-        truth = np.empty(samples)
-        for step in range(samples):
-            truth[step] = true_value + 5.0 * np.sin(0.5 * now[step])
-
-        sigma = 0.3  # rig noise_sigma
-        # Replica i of seed s draws from default_rng(s + i) in 128-sample
-        # chunks (the injector is RNG-silent for every eligible fault class),
-        # so the full noise matrix is exactly the pre-drawn chunk stream.
-        values: List[np.ndarray] = []
-        for i in range(3):
-            noise = np.empty((n, samples))
-            for k, seed in enumerate(seeds):
-                rng = np.random.default_rng(seed + i)
-                noise[k] = ChunkedNormals(rng, chunk=_NOISE_CHUNK).predraw(samples)
-            # value = float(truth_t + sigma * noise_t): multiply first, then add.
-            values.append(truth[None, :] + sigma * noise)
-
-        # Fault activation mirrors FaultActivation.is_active: start <= now.
-        active = np.array([fault_start <= t for t in now], dtype=bool)
-        v0 = values[0]
-        if fault_class == "stuck_at":
-            idx = np.flatnonzero(active)
-            if idx.size:
-                first = int(idx[0])
-                v0 = v0.copy()
-                frozen = v0[:, first].copy()
-                v0[:, first:] = frozen[:, None]
-        elif fault_class == "permanent_offset":
-            offset = 5.0 * magnitude
-            v0 = np.where(active[None, :], v0 + offset, v0)
-        # "delay" leaves the value stream untouched (drop_probability == 0).
-        values[0] = v0
-
-        validities = [self._validity(vals, now) for vals in values]
-
-        v1, v2 = values[1], values[2]
-        val0, val1, val2 = validities
-        # naive_mean: sum(values) / len(values), left-associated.
-        naive = ((v0 + v1) + v2) / 3
-        err_faulty = np.abs(v0 - truth[None, :])
-        err_naive = np.abs(naive - truth[None, :])
-
-        # validity_weighted_mean(min_validity=0.05): usable replicas only.
-        # Inserting 0.0 for masked-out terms keeps the left-associated sums
-        # bitwise identical (x + 0.0 == x for the finite values here).
-        m0, m1, m2 = (val0 > 0.05), (val1 > 0.05), (val2 > 0.05)
-        total_w = (np.where(m0, val0, 0.0) + np.where(m1, val1, 0.0)) + np.where(m2, val2, 0.0)
-        numer = (
-            np.where(m0, v0 * val0, 0.0) + np.where(m1, v1 * val1, 0.0)
-        ) + np.where(m2, v2 * val2, 0.0)
-        weighted_ok = (m0 | m1 | m2) & (total_w > 0.0)
-        weighted = np.divide(numer, total_w, out=np.zeros_like(numer), where=weighted_ok)
-        err_weighted = np.abs(weighted - truth[None, :])
-
-        fault_samples = int(active.sum())
-        detected = (val0[:, active] < 0.99).sum(axis=1) if fault_samples else np.zeros(n)
-
-        results: Dict[int, Dict[str, Any]] = {}
-        for k, seed in enumerate(seeds):
-            coverage = (int(detected[k]) / fault_samples) if fault_samples else 0.0
-            ok_row = weighted_ok[k]
-            results[seed] = {
-                "fault_class": fault_class,
-                "detection_coverage": coverage,
-                "faulty_sensor_mae": float(np.mean(err_faulty[k])),
-                "naive_mean_mae": float(np.mean(err_naive[k])),
-                "validity_weighted_mae": float(np.mean(err_weighted[k][ok_row])),
-            }
-        return results
-
-    @staticmethod
-    def _validity(vals: np.ndarray, now: List[float]) -> np.ndarray:
-        """Per-sample validity for one replica's value matrix ``(n, samples)``.
-
-        Reproduces RangeDetector + RateLimitDetector + StuckAtDetector under
-        the PRODUCT fault-management policy exactly.
-        """
-        n, samples = vals.shape
-        low, high = 0.0, 200.0
-        max_rate, hard_factor = 30.0, 4.0
-        window, min_run, epsilon = 10, 4, 1e-9
-
-        # RangeDetector: dominant, fires (suspicion 1.0, invalidates) when
-        # the value is not inside [low, high], NaN included — validity
-        # collapses to 0.0.
-        range_fired = ~((vals >= low) & (vals <= high))
-
-        # RateLimitDetector: first sample scores 0; afterwards
-        # rate = |dv| / dt, suspicion = min(1, (rate - max) / (max * (hard - 1))).
-        s_rate = np.zeros((n, samples))
-        if samples > 1:
-            dt = np.array([now[t] - now[t - 1] for t in range(1, samples)])
-            rate = np.abs(vals[:, 1:] - vals[:, :-1]) / dt[None, :]
-            # Negated compare and fmin: a NaN rate scores 1.0, as the
-            # scalar detector's `rate <= max_rate` test and min() give.
-            over = (dt[None, :] > 0) & ~(rate <= max_rate)
-            excess = (rate - max_rate) / (max_rate * (hard_factor - 1.0))
-            s_rate[:, 1:] = np.where(over, np.fmin(1.0, excess), 0.0)
-
-        # StuckAtDetector: trailing run of |diff| <= epsilon pairs; suspicion
-        # min(1, (run - min_run + 1) / (window - min_run + 1)) once the
-        # window holds >= min_run samples and the run reaches min_run.
-        s_stuck = np.zeros((n, samples))
-        run = np.ones(n, dtype=np.int64)
-        for t in range(1, samples):
-            equal = np.abs(vals[:, t] - vals[:, t - 1]) <= epsilon
-            run = np.where(equal, np.minimum(run + 1, window), 1)
-            if t + 1 >= min_run:
-                suspicion = np.minimum(1.0, (run - min_run + 1) / (window - min_run + 1))
-                s_stuck[:, t] = np.where(run >= min_run, suspicion, 0.0)
-
-        # PRODUCT policy: validity = clamp((1 - s_rate) * (1 - s_stuck));
-        # a dominant (range) detection short-circuits to 0.0.
-        validity = (1.0 - s_rate) * (1.0 - s_stuck)
-        validity = np.maximum(0.0, np.minimum(1.0, validity))
-        return np.where(range_fired, 0.0, validity)
+        return dict(zip(seeds, sensor_validity_sweep(seeds, **batch.params)))
 
 
 # --------------------------------------------------------------------------
