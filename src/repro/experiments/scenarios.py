@@ -278,17 +278,12 @@ def run_sensor_validity(
     fault_start: float = 5.0,
     true_value: float = 50.0,
 ) -> Dict[str, Any]:
-    """Inject one fault class into one of three redundant ranging replicas.
-
-    RNG-silent fault classes run as one block sweep, the others sample by
-    sample; both live in :mod:`repro.scenario.sensor_sweep`.
-    """
-    from repro.scenario import sensor_sweep
+    """Inject one fault class into one of three redundant ranging replicas,
+    as a one-seed block sweep (:mod:`repro.scenario.sensor_sweep`)."""
+    from repro.scenario.sensor_sweep import sensor_validity_sweep
 
     params = (fault_class, magnitude, samples, period, fault_start, true_value)
-    if sensor_sweep.sweep_supported(fault_class):
-        return sensor_sweep.sensor_validity_sweep([seed], *params)[0]
-    return sensor_sweep.sensor_validity_loop(seed, *params)
+    return sensor_validity_sweep([seed], *params)[0]
 
 
 # --------------------------------------------------------------------------

@@ -75,24 +75,6 @@ class ScenarioHarness:
         self.kernels: Dict[str, SafetyKernel] = {}
         self.probes: Dict[str, MetricProbe] = {}
 
-    @property
-    def lockstep_eligible(self) -> bool:
-        """Whether this harness's event structure is seed-independent.
-
-        The lockstep vector engine (:mod:`repro.vectorized`) can only batch
-        scenarios whose event schedule is identical across seeds.  A radio
-        medium (carrier sensing, backoff, collision-triggered resends), a
-        stepping world or any node/kernel wiring makes the schedule
-        data-dependent, so building one disqualifies the harness.
-        """
-        return (
-            self.radio is None
-            and self.medium is None
-            and self.world is None
-            and not self.nodes
-            and not self.kernels
-        )
-
     # ------------------------------------------------------------------- nodes
     def add_node(self, spec: NodeSpec) -> NodeHandle:
         """Build transport (+ broker, announcements, subscriptions) for one node."""

@@ -1,11 +1,12 @@
 """E2: one fault class in one of three redundant ranging replicas.
 
 The paper's MOSAIC claim (section IV-B): failure detectors plus
-validity-weighted fusion beat naive averaging when a sensor fails.  For
-the faults that never draw from the RNG, :func:`sensor_validity_sweep`
-samples and assesses whole ``(seeds, samples)`` blocks (one seed from the
-factory, a seed batch from the vector backend); :func:`sensor_validity_loop`
-reads sample by sample for the others.  Both give the same bytes.
+validity-weighted fusion beat naive averaging when a sensor fails.
+:func:`sensor_validity_sweep` samples and assesses whole
+``(seeds, samples)`` blocks, one seed from the factory, a seed batch from
+the vector backend.  Every fault class :func:`make_fault` builds has a
+block form, since none can drop a sample; the RNG-drawing ones (sporadic
+and stochastic offsets) make the faulty replica sample per instant.
 
 This module, unlike the scenario catalog, is in the engine fingerprint, so
 an edit here re-keys every cached E2 cell.
@@ -61,14 +62,6 @@ def _replicas(
     return replicas
 
 
-def sweep_supported(fault_class: str) -> bool:
-    """Whether :func:`sensor_validity_sweep` covers ``fault_class``: whether
-    a replica carrying it has block forms."""
-    sensor = RIG.build(_truth(0.0), rng=np.random.default_rng(0))
-    sensor.physical.inject(make_fault(FaultClass(fault_class)), start=0.0)
-    return sensor.has_block_form
-
-
 def sensor_validity_sweep(
     seeds: Iterable[int],
     fault_class: str = "stuck_at",
@@ -78,8 +71,9 @@ def sensor_validity_sweep(
     fault_start: float = 5.0,
     true_value: float = 50.0,
 ) -> List[Dict[str, Any]]:
-    """Per seed, the bytes :func:`sensor_validity_loop` gives, sampled and
-    assessed in ``(seeds, samples)`` blocks.  Needs :func:`sweep_supported`."""
+    """E2 results per seed: each replica sampled and assessed as one
+    ``(seeds, samples)`` block, bit for bit what reading sample by sample
+    gives.  An unknown ``fault_class`` raises ``ValueError``."""
     now, truth = _instants(samples, period, true_value)
     columns = [_replicas(seed, fault_class, magnitude, fault_start, true_value) for seed in seeds]
     if not columns:
@@ -92,26 +86,6 @@ def sensor_validity_sweep(
         # Every replica i has the same detector stack, so one assesses all.
         validity.append(sensors[0].assess_block(block, now))
     return _results(fault_class, fault_start, now, truth, values, validity)
-
-
-def sensor_validity_loop(
-    seed: int,
-    fault_class: str = "stuck_at",
-    magnitude: float = 3.0,
-    samples: int = 400,
-    period: float = 0.05,
-    fault_start: float = 5.0,
-    true_value: float = 50.0,
-) -> Dict[str, Any]:
-    """E2 results for one seed, each replica read sample by sample."""
-    now, truth = _instants(samples, period, true_value)
-    replicas = _replicas(seed, fault_class, magnitude, fault_start, true_value)
-    # Replicas share no state, so reading one after another equals reading
-    # them in turn at each instant.  E2's faults never drop a sample.
-    rows = [[replica.read(t) for t in now.tolist()] for replica in replicas]
-    values = [np.array([[reading.value for reading in row]]) for row in rows]
-    validity = [np.array([[reading.validity for reading in row]]) for row in rows]
-    return _results(fault_class, fault_start, now, truth, values, validity)[0]
 
 
 def _instants(samples: int, period: float, true_value: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -131,6 +105,9 @@ def _results(fault_class, fault_start, now, truth, values, validity) -> List[Dic
     """Coverage and fusion errors per row of the replicas' ``(rows, samples)``
     value and validity arrays; replica 0 is the faulty one."""
     weighted, defined = validity_weighted_mean_block(values, validity, MIN_VALIDITY)
+    if not defined.any(axis=-1).all():
+        # The weighted error would be the mean of nothing: NaN, not a measurement.
+        raise ValueError(f"no instant has a replica with validity > {MIN_VALIDITY}")
     err_faulty = np.abs(values[0] - truth)
     err_naive = np.abs(naive_mean_block(values) - truth)
     err_weighted = np.abs(weighted - truth)

@@ -30,7 +30,9 @@ Block form: in an open-loop sweep, where no reading feeds back into what
 is sampled next, :meth:`PhysicalSensor.sample_block` and
 :meth:`AbstractSensor.assess_block` take a whole run of samples as arrays,
 bit for bit what :meth:`AbstractSensor.read` gives where
-:attr:`AbstractSensor.has_block_form` holds.
+:attr:`AbstractSensor.has_block_form` holds: with any fault that cannot
+drop a sample.  An RNG-drawing fault makes the sensor sample per instant
+into the block; the assessment stays one block call.
 """
 
 from __future__ import annotations
@@ -104,8 +106,11 @@ class PhysicalSensor:
 
         Returns ``None`` if an active fault drops the sample (omission).
         """
+        return self._sample(now, self.truth_fn(now))
+
+    def _sample(self, now: float, true_value: float) -> Optional[SensorReading]:
+        """:meth:`sample` given ``truth_fn(now)``."""
         self.samples_taken += 1
-        true_value = self.truth_fn(now)
         sigma = self.noise_sigma
         noise = sigma * self._noise.next() if sigma > 0 else 0.0
         self._sequence += 1
@@ -127,9 +132,17 @@ class PhysicalSensor:
         ``now``, given ``truth_fn`` at each (``truth``, which sensors sharing
         a truth compute once).  Needs :attr:`AbstractSensor.has_block_form`.
 
-        The noise stream advances as the per-sample calls would, but the
-        injector and the faults keep their state: the faults must be fresh,
-        and no :meth:`sample` may follow."""
+        With an RNG-drawing fault scheduled, the sensor samples per instant,
+        so noise and fault draws interleave as in :meth:`sample`, and raises
+        ``ValueError`` if a sample is dropped.  Otherwise the noise stream
+        advances as the per-sample calls would, but the injector and the
+        faults keep their state: the faults must be fresh, and no
+        :meth:`sample` may follow."""
+        if self.injector.may_draw_rng:
+            readings = [self._sample(*instant) for instant in zip(now.tolist(), truth.tolist())]
+            if any(reading is None for reading in readings):
+                raise ValueError(f"{self.name}: a fault dropped a sample; no block form")
+            return np.array([reading.value for reading in readings])
         count = len(now)
         self.samples_taken += count
         self._sequence += count
@@ -208,9 +221,11 @@ class AbstractSensor:
 
     @property
     def has_block_form(self) -> bool:
-        """Whether sampling and assessing in blocks equals :meth:`read`."""
+        """Whether sampling and assessing in blocks equals :meth:`read`: no
+        fault may drop a sample, and every detector and the policy have
+        block forms."""
         return (
-            not self.physical.injector.may_draw_rng
+            not any(a.fault.may_drop for a in self.physical.injector.activations)
             and self.fault_management.has_block_form
             and all(detector.has_block_form for detector in self.detectors)
         )

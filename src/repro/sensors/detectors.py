@@ -30,6 +30,7 @@ An open-loop sweep, whose samples never depend on a verdict, uses it
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Iterable, List, Optional
@@ -108,6 +109,13 @@ class FailureDetector:
         return "suspicions" in vars(owner)
 
 
+def _hard_factor(hard_factor: float) -> float:
+    """``hard_factor`` if finite and > 1: the excess divides by ``hard_factor - 1``."""
+    if not 1.0 < hard_factor < math.inf:
+        raise ValueError(f"hard_factor must be finite and > 1, got {hard_factor}")
+    return hard_factor
+
+
 def _capped(suspicion: np.ndarray) -> np.ndarray:
     """``_verdict(min(1.0, s)).suspicion`` per element: NaN gives 1.0."""
     capped = np.where(suspicion < 1.0, suspicion, 1.0)
@@ -150,7 +158,7 @@ class RateLimitDetector(FailureDetector):
         if max_rate <= 0:
             raise ValueError("max_rate must be positive")
         self.max_rate = max_rate
-        self.hard_factor = hard_factor
+        self.hard_factor = _hard_factor(hard_factor)
         self._last: Optional[SensorReading] = None
 
     def check(self, reading: SensorReading, now: float) -> DetectorVerdict:
@@ -290,7 +298,7 @@ class ModelResidualDetector(FailureDetector):
             raise ValueError("tolerance must be positive")
         self.model = model
         self.tolerance = tolerance
-        self.hard_factor = hard_factor
+        self.hard_factor = _hard_factor(hard_factor)
 
     def check(self, reading: SensorReading, now: float) -> DetectorVerdict:
         expected = self.model(reading.timestamp)
@@ -325,7 +333,7 @@ class CrossValidationDetector(FailureDetector):
             raise ValueError("tolerance must be positive")
         self.peer_supplier = peer_supplier
         self.tolerance = tolerance
-        self.hard_factor = hard_factor
+        self.hard_factor = _hard_factor(hard_factor)
 
     def check(self, reading: SensorReading, now: float) -> DetectorVerdict:
         peers: List[float] = [p.value for p in self.peer_supplier() if p.is_valid]

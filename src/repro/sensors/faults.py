@@ -8,9 +8,11 @@ faults, stochastic offset faults and stuck-at faults."
 Each fault class transforms a correct reading into a faulty one; the fault
 injector (:mod:`repro.sensors.injector`) decides *when* a fault is active.
 
-Block forms: the RNG-silent faults (stuck-at, permanent offset, delay
-without drops) also corrupt a whole value array at once
-(:meth:`SensorFault.apply_block`).
+Block forms: every fault that cannot drop a sample (all but a delay
+fault with a drop probability) leaves a physical sensor a block form
+(:attr:`SensorFault.may_drop`).  The RNG-silent ones (stuck-at, permanent
+offset, delay without drops) also corrupt a whole value array at once
+(:meth:`SensorFault.apply_block`); the others are applied per instant.
 """
 
 from __future__ import annotations
@@ -53,7 +55,15 @@ class SensorFault:
         which lets the physical sensor keep pre-drawing its measurement noise
         in batches: interleaved fault draws are the only thing that would
         perturb the noise stream.  Subclasses that draw must return ``True``.
+        A drawing fault still has a block form unless it :attr:`may_drop`:
+        the sensor then samples per instant into the block.
         """
+        return True
+
+    @property
+    def may_drop(self) -> bool:
+        """Whether :meth:`apply` may return ``None``; a sensor carrying such a
+        fault has no block form.  Subclasses that never drop return ``False``."""
         return True
 
     def apply(
@@ -94,6 +104,10 @@ class DelayFault(SensorFault):
     def draws_rng(self) -> bool:
         return self.drop_probability > 0
 
+    @property
+    def may_drop(self) -> bool:
+        return self.drop_probability > 0
+
     def apply(
         self, reading: SensorReading, rng: np.random.Generator
     ) -> Optional[SensorReading]:
@@ -114,6 +128,7 @@ class SporadicOffsetFault(SensorFault):
 
     offset: float = 10.0
     probability: float = 0.2
+    may_drop = False
 
     def fault_class(self) -> FaultClass:
         return FaultClass.SPORADIC_OFFSET
@@ -132,6 +147,7 @@ class PermanentOffsetFault(SensorFault):
     """A constant bias added to every reading while the fault is active."""
 
     offset: float = 5.0
+    may_drop = False
 
     def fault_class(self) -> FaultClass:
         return FaultClass.PERMANENT_OFFSET
@@ -154,6 +170,7 @@ class StochasticOffsetFault(SensorFault):
     """Increased measurement noise: zero-mean Gaussian with ``sigma``."""
 
     sigma: float = 3.0
+    may_drop = False
 
     def fault_class(self) -> FaultClass:
         return FaultClass.STOCHASTIC_OFFSET
@@ -170,6 +187,7 @@ class StuckAtFault(SensorFault):
 
     stuck_value: Optional[float] = None
     _frozen: Optional[float] = None
+    may_drop = False
 
     def fault_class(self) -> FaultClass:
         return FaultClass.STUCK_AT

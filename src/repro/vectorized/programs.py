@@ -25,8 +25,7 @@ Safety rails, in order:
    kernel) until the pin is deliberately refreshed alongside the vector
    math;
 2. ``supports_params`` gates the parameter space to the cases the lockstep
-   math actually covers (e.g. RNG-drawing fault classes disqualify a
-   sensor-sweep group because their draws interleave with noise draws);
+   math actually covers (e.g. E4's ``churn`` adds a data-dependent joiner);
 3. the backend still runs one scalar *probe* cell per batch and compares
    record bytes before trusting the remaining fast-path cells.
 
@@ -121,17 +120,16 @@ class SensorValidityProgram(VectorProgram):
 
     :func:`repro.scenario.sensor_sweep.sensor_validity_sweep` is the code the
     ``sensor_validity`` factory runs for one seed, so there is no mirror and
-    no source pin.  Its eligibility predicate is the factory's: the fault
-    classes that draw from the noise stream (``sporadic_offset``,
-    ``stochastic_offset``) fall back whole.
+    no source pin.  Every fault class has a block form, since none can drop
+    a sample; an unknown one falls back whole to fail as the factory does.
     """
 
     scenario = "sensor_validity"
 
     def supports_params(self, params: Mapping[str, Any]) -> bool:
-        from repro.scenario.sensor_sweep import sweep_supported
+        from repro.sensors.faults import FaultClass
 
-        return sweep_supported(str(params["fault_class"]))
+        return str(params["fault_class"]) in {fc.value for fc in FaultClass}
 
     def run(self, spec: Any, batch: LockstepBatch) -> Dict[int, Dict[str, Any]]:
         from repro.scenario.sensor_sweep import sensor_validity_sweep

@@ -1,9 +1,10 @@
-"""The E2 sensor sweep: the block sweep, the per-sample loop and the factory.
+"""The E2 sensor sweep: the block sweep, the factory and the vector backend.
 
-``sensor_validity_sweep`` must give, for every seed, the bytes the
-per-sample loop gives; the factory must pick the right one; an empty sweep
-must fail instead of storing ``NaN`` as a measurement; and the paper's E2
-claim must hold on every seed, not only on the mean.
+``sensor_validity_sweep`` must give, for every seed and every fault class,
+the bytes reading each replica sample by sample gives; the factory and the
+vector program must always take it; a sweep that samples nothing, or fuses
+nothing, must fail instead of storing ``NaN`` as a measurement; and the
+paper's E2 claim must hold on every seed, not only on the mean.
 """
 
 import json
@@ -17,18 +18,14 @@ from repro.experiments import ParallelCampaignRunner, ParameterGrid, ResultStore
 from repro.experiments.registry import load_builtin_scenarios
 from repro.experiments.spec import _ENGINE_EXCLUDED
 from repro.scenario import SensorRig
-from repro.scenario.sensor_sweep import (
-    sensor_validity_loop,
-    sensor_validity_sweep,
-    sweep_supported,
-)
+from repro.scenario.sensor_sweep import sensor_validity_sweep
 from repro.sensors.detectors import RangeDetector, RateLimitDetector, StuckAtDetector
 from repro.sensors.faults import FaultClass, make_fault
 from repro.sensors.fusion import naive_mean, validity_weighted_mean
-from repro.vectorized import VectorBatchBackend
+from repro.vectorized import PROGRAMS, VectorBatchBackend
 
 REGISTRY = load_builtin_scenarios()
-RNG_SILENT = ("stuck_at", "permanent_offset", "delay")
+FAULT_CLASSES = [fc.value for fc in FaultClass]
 VARIANTS = {
     "defaults": {},
     "samples=2000": {"samples": 2000},
@@ -46,16 +43,30 @@ def as_bytes(result):
     return json.dumps(result, sort_keys=True)
 
 
+def per_sample_reference(seed, fault_class="stuck_at", magnitude=3.0, samples=400,
+                         period=0.05, fault_start=5.0, true_value=50.0):
+    """E2 for one seed with each replica read sample by sample, then scored
+    by the sweep's ``_results``."""
+    now, truth = sweep_module._instants(samples, period, true_value)
+    replicas = sweep_module._replicas(seed, fault_class, magnitude, fault_start, true_value)
+    # Replicas share no state, so reading one after another equals reading
+    # them in turn at each instant.  E2's faults never drop a sample.
+    rows = [[replica.read(t) for t in now.tolist()] for replica in replicas]
+    values = [np.array([[reading.value for reading in row]]) for row in rows]
+    validity = [np.array([[reading.validity for reading in row]]) for row in rows]
+    return sweep_module._results(fault_class, fault_start, now, truth, values, validity)[0]
+
+
 class TestSweepEqualsLoop:
     @pytest.mark.parametrize("variant", list(VARIANTS), ids=list(VARIANTS))
-    @pytest.mark.parametrize("fault_class", RNG_SILENT)
+    @pytest.mark.parametrize("fault_class", FAULT_CLASSES)
     def test_sweep_equals_per_sample_loop(self, fault_class, variant):
         params = dict(VARIANTS[variant], fault_class=fault_class)
         seeds = range(24)
         swept = sensor_validity_sweep(seeds, **params)
         assert len(swept) == 24
         for seed, result in zip(seeds, swept):
-            assert as_bytes(result) == as_bytes(sensor_validity_loop(seed, **params)), seed
+            assert as_bytes(result) == as_bytes(per_sample_reference(seed, **params)), seed
 
     def test_sweep_module_is_in_the_engine_fingerprint(self):
         # An edit to the sweep must re-key cached E2 cells; the scenario
@@ -138,26 +149,31 @@ class TestFactoryEqualsPerInstantFusion:
 
 
 class TestFactoryDispatch:
-    def test_predicate_covers_exactly_the_rng_silent_classes(self):
-        for fault_class in FaultClass:
-            assert sweep_supported(fault_class.value) == (fault_class.value in RNG_SILENT)
-        with pytest.raises(ValueError):
-            sweep_supported("no_such_fault")
-
-    @pytest.mark.parametrize("fault_class", [fc.value for fc in FaultClass])
-    def test_factory_runs_the_sweep_only_where_supported(self, fault_class, monkeypatch):
+    @pytest.mark.parametrize("fault_class", FAULT_CLASSES)
+    def test_factory_always_runs_the_sweep(self, fault_class, monkeypatch):
         spec = REGISTRY.get("sensor_validity")
-        want = sensor_validity_loop(3, fault_class=fault_class, samples=150)
+        want = per_sample_reference(3, fault_class=fault_class, samples=150)
+        calls = []
+        sweep = sweep_module.sensor_validity_sweep
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("wrong path")
+        def recording(seeds, *args, **kwargs):
+            calls.append(list(seeds))
+            return sweep(seeds, *args, **kwargs)
 
-        if fault_class in RNG_SILENT:
-            monkeypatch.setattr(sweep_module, "sensor_validity_loop", refuse)
-        else:
-            monkeypatch.setattr(sweep_module, "sensor_validity_sweep", refuse)
+        monkeypatch.setattr(sweep_module, "sensor_validity_sweep", recording)
         got = spec.factory(3, fault_class=fault_class, samples=150)
+        assert calls == [[3]]
         assert as_bytes(got) == as_bytes(want)
+
+    def test_every_fault_class_has_a_block_form(self):
+        program = PROGRAMS["sensor_validity"]
+        for fault_class in FAULT_CLASSES:
+            replicas = sweep_module._replicas(0, fault_class, 3.0, 0.0, 50.0)
+            assert all(replica.has_block_form for replica in replicas), fault_class
+            assert program.supports_params({"fault_class": fault_class})
+        assert not program.supports_params({"fault_class": "no_such_fault"})
+        with pytest.raises(ValueError):
+            sensor_validity_sweep([0], fault_class="no_such_fault")
 
 
 class TestEmptySweepFails:
@@ -178,7 +194,7 @@ class TestEmptySweepFails:
         with pytest.raises(ValueError, match="samples|period"):
             sensor_validity_sweep([0], fault_class=fault_class, **params)
         with pytest.raises(ValueError, match="samples|period"):
-            sensor_validity_loop(0, fault_class=fault_class, **params)
+            per_sample_reference(0, fault_class=fault_class, **params)
 
     def test_empty_cell_is_a_failed_record_not_nan(self, tmp_path):
         # Used to store "faulty_sensor_mae": NaN with "status": "ok".
@@ -201,6 +217,31 @@ class TestEmptySweepFails:
             stores[name] = path.read_bytes()
         assert stores["vector"] == stores["inline"]
         assert all(json.loads(line)["status"] == "failed" for line in stores["inline"].splitlines())
+
+
+class TestUndefinedFusionFails:
+    """With every reading outside ``RangeDetector``'s [0, 200], no instant
+    has a replica above ``MIN_VALIDITY``: the weighted error is undefined."""
+
+    @pytest.mark.parametrize("fault_class", ["stuck_at", "sporadic_offset"])
+    def test_sweep_with_nothing_fused_raises(self, fault_class):
+        with pytest.raises(ValueError, match="validity"):
+            sensor_validity_sweep(range(3), fault_class=fault_class, true_value=-100.0)
+
+    def test_inline_and_vector_store_the_same_failed_records(self, tmp_path):
+        # Used to store "validity_weighted_mae": NaN with "status": "ok".
+        stores = {}
+        for name, backend in (("inline", None), ("vector", VectorBatchBackend())):
+            path = tmp_path / f"{name}.jsonl"
+            ParallelCampaignRunner(
+                jobs=1, registry=REGISTRY, store=ResultStore(path), backend=backend
+            ).run("sensor_validity", params={"true_value": -100.0}, seeds=range(4))
+            stores[name] = path.read_bytes()
+        assert stores["vector"] == stores["inline"]
+        assert b"NaN" not in stores["inline"]
+        records = [json.loads(line) for line in stores["inline"].splitlines()]
+        assert len(records) == 4
+        assert all(r["status"] == "failed" and r["error_class"] == "ValueError" for r in records)
 
 
 class TestPaperClaimPerSeed:

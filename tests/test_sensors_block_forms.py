@@ -24,6 +24,7 @@ from repro.sensors.detectors import (
 from repro.sensors.faults import (
     DelayFault,
     PermanentOffsetFault,
+    SensorFault,
     SporadicOffsetFault,
     StochasticOffsetFault,
     StuckAtFault,
@@ -200,19 +201,32 @@ class TestBlockFormEligibility:
         assert not sensor(TimeoutDetector(max_age=1.0)).has_block_form
         assert not sensor(policy=ValidityPolicy.MEAN).has_block_form
 
-    def test_rng_drawing_faults_keep_the_per_sample_path(self):
+    def test_only_dropping_faults_lose_the_block_form(self):
         def sensor(fault):
             built = RIG.build(lambda t: 1.0, rng=np.random.default_rng(0))
             built.physical.inject(fault, start=0.0)
             return built
 
-        for fault in (StuckAtFault(), PermanentOffsetFault(), DelayFault()):
+        for fault in (
+            StuckAtFault(),
+            PermanentOffsetFault(),
+            DelayFault(),
+            SporadicOffsetFault(),
+            StochasticOffsetFault(),
+        ):
+            assert not fault.may_drop
             assert sensor(fault).has_block_form
-        for fault in (DelayFault(drop_probability=0.1), SporadicOffsetFault(), StochasticOffsetFault()):
-            drawing = sensor(fault)
-            assert not drawing.has_block_form
-            with pytest.raises(ValueError, match="unbatched"):
-                drawing.physical.sample_block(np.zeros(3), np.zeros(3))
+        dropping = DelayFault(drop_probability=0.1)
+        assert dropping.may_drop
+        assert not sensor(dropping).has_block_form
+        assert SensorFault().may_drop  # unknown subclasses keep the per-sample path
+        # A dropped sample has no place in a block: sample_block raises.
+        always = sensor(DelayFault(drop_probability=1.0))
+        with pytest.raises(ValueError, match="dropped"):
+            always.physical.sample_block(np.zeros(3), np.zeros(3))
+        # The per-instant branch never pre-draws noise.
+        with pytest.raises(ValueError, match="unbatched"):
+            always.physical._noise.predraw(3)
 
 
 faults_st = st.lists(
@@ -230,6 +244,58 @@ faults_st = st.lists(
 )
 
 
+drawing_faults_st = st.lists(
+    st.tuples(
+        st.one_of(
+            st.builds(
+                SporadicOffsetFault,
+                offset=st.sampled_from((10.0, -0.5)),
+                probability=st.sampled_from((0.2, 1.0)),
+            ),
+            st.builds(StochasticOffsetFault, sigma=st.sampled_from((3.0, 0.1))),
+        ),
+        st.sampled_from((0.0, 0.1, 1.0, 2.0)),
+        st.sampled_from((0.45, 3.0, 5.0, float("inf"))),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+@st.composite
+def stacked_faults(draw):
+    """Drawing and RNG-silent fault windows, in any injection order."""
+    return draw(st.permutations(draw(drawing_faults_st) + draw(faults_st)))
+
+
+def assert_block_equals_read(faults, sigma, seed, steps, chunk):
+    """``sample_block`` plus ``assess_block`` equals ``read`` per sample."""
+
+    def build():
+        physical = PhysicalSensor(
+            "s", "range", lambda t: 10.0 + np.sin(t), noise_sigma=sigma,
+            rng=np.random.default_rng(seed),
+        )
+        physical._noise.chunk = chunk
+        for fault, start, end in faults:
+            # A fresh fault per sensor: faults keep per-activation state.
+            physical.inject(type(fault)(**vars(fault)), start, max(start, end))
+        return AbstractSensor(physical, detectors=RIG.detectors())
+
+    now = [float(t) for t in np.cumsum(steps)]
+    scalar_sensor, block_sensor = build(), build()
+    assert block_sensor.has_block_form
+    readings = [scalar_sensor.read(t) for t in now]
+    values = block_sensor.physical.sample_block(
+        np.array(now), np.array([10.0 + np.sin(t) for t in now])
+    )
+    validity = block_sensor.assess_block(values, np.array(now))
+    assert_bitwise(values, [r.value for r in readings])
+    assert_bitwise(validity, [r.validity for r in readings])
+    # The noise stream is left where the per-sample calls leave it.
+    assert block_sensor.physical._noise.next() == scalar_sensor.physical._noise.next()
+
+
 class TestPhysicalSensorBlock:
     @given(
         faults=faults_st,
@@ -240,28 +306,24 @@ class TestPhysicalSensorBlock:
     )
     @settings(max_examples=150, deadline=None)
     def test_sample_block_equals_sample(self, faults, sigma, seed, steps, chunk):
-        def build():
-            physical = PhysicalSensor(
-                "s", "range", lambda t: 10.0 + np.sin(t), noise_sigma=sigma,
-                rng=np.random.default_rng(seed),
-            )
-            physical._noise.chunk = chunk
-            for fault, start, end in faults:
-                # A fresh fault per sensor: faults keep per-activation state.
-                physical.inject(type(fault)(**vars(fault)), start, max(start, end))
-            return AbstractSensor(physical, detectors=RIG.detectors())
+        assert_block_equals_read(faults, sigma, seed, steps, chunk)
 
-        now = [float(t) for t in np.cumsum(steps)]
-        scalar_sensor, block_sensor = build(), build()
-        readings = [scalar_sensor.read(t) for t in now]
-        values = block_sensor.physical.sample_block(
-            np.array(now), np.array([10.0 + np.sin(t) for t in now])
-        )
-        validity = block_sensor.assess_block(values, np.array(now))
-        assert_bitwise(values, [r.value for r in readings])
-        assert_bitwise(validity, [r.validity for r in readings])
-        # The noise stream is left where the per-sample calls leave it.
-        assert block_sensor.physical._noise.next() == scalar_sensor.physical._noise.next()
+    @given(
+        faults=stacked_faults(),
+        sigma=st.sampled_from((0.0, 0.3)),
+        seed=st.integers(0, 1000),
+        steps=st.lists(st.sampled_from((0.05, 0.25, 0.0, -0.1)), min_size=1, max_size=40),
+        chunk=st.sampled_from((1, 7, 128)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_drawing_faults_sample_per_instant_into_the_block(
+        self, faults, sigma, seed, steps, chunk
+    ):
+        assert_block_equals_read(faults, sigma, seed, steps, chunk)
+
+    def test_sporadic_window_overlapping_a_stuck_at_window(self):
+        faults = [(SporadicOffsetFault(probability=0.5), 1.0, 3.0), (StuckAtFault(), 2.0, 5.0)]
+        assert_block_equals_read(faults, 0.3, 7, [0.1] * 60, 128)
 
     def test_predraw_continues_the_stream_next_would_give(self):
         reference = ChunkedNormals(np.random.default_rng(3), chunk=7)

@@ -19,6 +19,10 @@ def reading(value, timestamp=0.0):
     return SensorReading(quantity="q", value=value, timestamp=timestamp)
 
 
+#: ``hard_factor`` values an excess cannot be divided by ``hard_factor - 1`` for.
+BAD_HARD_FACTORS = (1.0, 0.5, -2.0, float("inf"), float("nan"))
+
+
 class TestRangeDetector:
     def test_inside_range_passes(self):
         verdict = RangeDetector(0.0, 100.0).check(reading(50.0), now=0.0)
@@ -63,6 +67,13 @@ class TestRateLimitDetector:
         detector.reset()
         assert detector.check(reading(100.0, timestamp=0.1), now=0.1).suspicion == 0.0
 
+    @pytest.mark.parametrize("hard_factor", BAD_HARD_FACTORS)
+    def test_hard_factor_must_be_finite_and_above_one(self, hard_factor):
+        # hard_factor=1.0 used to raise ZeroDivisionError in check and give
+        # inf/NaN suspicions in the block form.
+        with pytest.raises(ValueError, match="hard_factor"):
+            RateLimitDetector(max_rate=1.0, hard_factor=hard_factor)
+
 
 class TestTimeoutDetector:
     def test_fresh_reading_passes(self):
@@ -106,6 +117,11 @@ class TestModelResidualDetector:
         detector = ModelResidualDetector(model=lambda t: 10.0, tolerance=1.0)
         assert detector.check(reading(20.0), now=0.0).suspicion > 0.5
 
+    @pytest.mark.parametrize("hard_factor", BAD_HARD_FACTORS)
+    def test_hard_factor_must_be_finite_and_above_one(self, hard_factor):
+        with pytest.raises(ValueError, match="hard_factor"):
+            ModelResidualDetector(model=lambda t: 10.0, tolerance=1.0, hard_factor=hard_factor)
+
 
 class TestCrossValidationDetector:
     def test_agreement_with_peers_passes(self):
@@ -121,6 +137,11 @@ class TestCrossValidationDetector:
     def test_too_few_peers_is_inconclusive(self):
         detector = CrossValidationDetector(lambda: [reading(10.0)], tolerance=1.0)
         assert detector.check(reading(100.0), now=0.0).suspicion == 0.0
+
+    @pytest.mark.parametrize("hard_factor", BAD_HARD_FACTORS)
+    def test_hard_factor_must_be_finite_and_above_one(self, hard_factor):
+        with pytest.raises(ValueError, match="hard_factor"):
+            CrossValidationDetector(lambda: [], tolerance=1.0, hard_factor=hard_factor)
 
 
 class TestFaultManagementUnit:

@@ -15,7 +15,6 @@ from repro.experiments.cli import main as cli_main
 from repro.experiments.registry import load_builtin_scenarios
 from repro.observability.progress import read_progress
 from repro.resilience import FaultPlan, FaultRule, armed
-from repro.scenario.harness import ScenarioHarness
 from repro.vectorized import (
     PROGRAMS,
     LockstepBatch,
@@ -52,11 +51,22 @@ class TestByteIdentity:
             ("sensor_validity", {"fault_class": "stuck_at"}, 16),
             ("sensor_validity", {"fault_class": "permanent_offset", "samples": 250}, 8),
             ("sensor_validity", {"fault_class": "delay", "samples": 150}, 8),
+            ("sensor_validity", {"fault_class": "sporadic_offset", "samples": 150}, 8),
+            ("sensor_validity", {"fault_class": "stochastic_offset", "samples": 150}, 8),
             ("tdma_convergence", None, 12),
             ("tdma_convergence", {"rows": 5, "cols": 5, "slots": 30}, 8),
             ("demo/random_walk", None, 16),
         ],
-        ids=["e2-stuck", "e2-offset", "e2-delay", "e4-default", "e4-5x5", "walk"],
+        ids=[
+            "e2-stuck",
+            "e2-offset",
+            "e2-delay",
+            "e2-sporadic",
+            "e2-stochastic",
+            "e4-default",
+            "e4-5x5",
+            "walk",
+        ],
     )
     def test_vector_store_matches_inline(self, tmp_path, scenario, params, n_seeds):
         inline, vector, backend = run_pair(tmp_path, scenario, range(n_seeds), params)
@@ -86,11 +96,12 @@ class TestByteIdentity:
 
 
 class TestFallbacks:
-    def test_rng_drawing_fault_class_falls_back_whole(self, tmp_path):
+    def test_unknown_fault_class_falls_back_whole(self, tmp_path):
         inline, vector, backend = run_pair(
-            tmp_path, "sensor_validity", range(6), {"fault_class": "sporadic_offset"}
+            tmp_path, "sensor_validity", range(6), {"fault_class": "no_such_fault"}
         )
         assert vector == inline
+        assert all(json.loads(line)["error_class"] == "ValueError" for line in inline.splitlines())
         assert backend.stats.batches == 0
         assert backend.stats.ineligible_groups == 1
         assert backend.stats.fallback_cells == 6
@@ -226,14 +237,6 @@ class TestEligibilityGates:
         assert program_for(spec, params) is not None
         monkeypatch.setattr(PROGRAMS["demo/random_walk"], "source_sha256", "0" * 64)
         assert program_for(spec, params) is None
-
-    def test_harness_lockstep_eligibility(self):
-        harness = ScenarioHarness(seed=0)
-        assert harness.lockstep_eligible
-        from repro.scenario import RadioPreset
-
-        with_radio = ScenarioHarness(seed=0, radio=RadioPreset())
-        assert not with_radio.lockstep_eligible
 
 
 class TestEngineUnits:
