@@ -11,7 +11,7 @@ campaign and proves the crash-consistency guarantees on the spot:
    ``os._exit`` on its third cell.  The coordinator detects torn shards
    via their sha256 trailers, reclaims expired leases, respawns
    replacement workers at the next fault generation, and repairs corrupt
-   cache objects on read.  The merged store is still byte-identical to
+   cache entries on read.  The merged store is still byte-identical to
    the serial one and the quarantine stays empty.
 
 Fault plans are plain JSON, so the same chaos run works from the CLI:

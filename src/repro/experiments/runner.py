@@ -905,7 +905,7 @@ class ParallelCampaignRunner:
         if self.cache is None or not cache_keys:
             return
         # Spool workers sharing this cache have already published the cells
-        # they ran; skipping what is on disk writes each executed cell once.
+        # they ran; skipping what is published writes each executed cell once.
         self.cache.put_many(
             (key, records[run_spec.index])
             for run_spec in pending

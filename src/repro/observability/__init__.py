@@ -32,7 +32,6 @@ from repro.observability.progress import (
     CampaignProgress,
     ProgressTracker,
     atomic_write_text,
-    atomic_write_texts,
     read_progress,
     write_progress,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "CampaignProgress",
     "ProgressTracker",
     "atomic_write_text",
-    "atomic_write_texts",
     "read_progress",
     "write_progress",
 ]

@@ -9,18 +9,18 @@ the spool coordinator maintains ``progress.json`` inside the spool root.
 Either is what ``python -m repro.experiments status`` (and ROADMAP item
 1's control plane) polls.
 
-This module is also the canonical home of the atomic publication helpers
-(:func:`atomic_write_text` and its batched form :func:`atomic_write_texts`)
-that the spool layer, the result cache and the CLI use.  Every publication
-writes a temp file and renames it into place, so a reader never sees a torn
-file.  *Durable* files are also fsynced before their rename: cache objects,
-spool task files, result shards, ``campaign.json``, the completion marker
-and the ``--profile`` sidecar.  *Advisory* files are renamed without an
-fsync: ``progress.json`` and the spool's worker heartbeats.  They never
-feed back into scheduling or results, a crash that loses one only loses a
-view the next snapshot (or ``events.jsonl``) rebuilds, and their readers
-(:func:`read_progress`, ``Spool.worker_heartbeats``) treat a missing or
-unparsable file as absent — so they are not worth a disk barrier each.
+This module is also the canonical home of the atomic publication helper
+(:func:`atomic_write_text`) that the spool layer, the result cache and the
+CLI use.  Every publication writes a temp file and renames it into place,
+so a reader never sees a torn file.  *Durable* files are also fsynced
+before their rename: cache segments, spool task files, result shards,
+``campaign.json``, the completion marker and the ``--profile`` sidecar.
+*Advisory* files are renamed without an fsync: ``progress.json`` and the
+spool's worker heartbeats.  They never feed back into scheduling or
+results, a crash that loses one only loses a view the next snapshot (or
+``events.jsonl``) rebuilds, and their readers (:func:`read_progress`,
+``Spool.worker_heartbeats``) treat a missing or unparsable file as absent
+— so they are not worth a disk barrier each.
 
 The tracker also throttles rewrites so per-cell bookkeeping stays cheap
 even for thousand-cell campaigns.
@@ -34,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 PROGRESS_VERSION = 1
 
@@ -45,65 +45,40 @@ PROGRESS_VERSION = 1
 EWMA_ALPHA = 0.2
 
 
-def atomic_write_texts(items: Iterable[Tuple[Path, str]], durable: bool = True) -> None:
-    """Atomically publish several files behind one write barrier.
-
-    Every ``(path, content)`` item is written to a temp file beside its
-    target; then every temp file is fsynced; then each is renamed into
-    place, in order.  Each object's bytes are therefore on disk before
-    its rename, so a reader never observes a torn file.  The renames
-    themselves (directory entries) are not fsynced: a crash can lose a
-    just-published file but never expose a partial one.  Fsyncs that
-    follow all the writes share journal commits, which is what makes a
-    batch cheaper than one barrier per file.
-
-    ``durable=False`` skips the fsyncs, for advisory files: a live reader
-    still never sees a torn file, but after a crash a just-renamed file
-    may be lost or empty.
-
-    A path named twice is written once, with its last content.  When a
-    write, fsync or rename raises, every temp file not yet renamed is
-    removed before the error propagates; files renamed before the
-    failure stay published.  Missing parent directories are not created.
-    """
-    pending = {Path(path): content for path, content in items}
-    temps: List[Tuple[Path, Path]] = []
-    renamed = 0
-    try:
-        for path, content in pending.items():
-            temp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-            with temp.open("w", encoding="utf-8") as handle:
-                temps.append((temp, path))
-                handle.write(content)
-        # One descriptor at a time, so a batch never runs out of them; on
-        # POSIX an fsync through a read-only descriptor flushes the file.
-        if durable:
-            for temp, _ in temps:
-                fd = os.open(temp, os.O_RDONLY)
-                try:
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
-        for temp, path in temps:
-            os.replace(temp, path)
-            renamed += 1
-    except BaseException:
-        for temp, _ in temps[renamed:]:
-            try:
-                temp.unlink()
-            except OSError:
-                pass
-        raise
-
-
 def atomic_write_text(path: Path, content: str, durable: bool = True) -> None:
-    """Atomically publish one file: :func:`atomic_write_texts` of one item.
+    """Atomically publish one file: write a temp file beside ``path``,
+    fsync it, then rename it into place.
 
-    When ``durable`` the bytes are fsynced before the rename; the rename
-    is not, so a crash can lose the file's new version but never expose a
-    torn one.
+    The bytes are therefore on disk before the rename, so a reader never
+    observes a torn file.  The rename itself (the directory entry) is not
+    fsynced: a crash can lose the file's new version but never expose a
+    partial one.  ``durable=False`` skips the fsync, for advisory files: a
+    live reader still never sees a torn file, but after a crash a
+    just-renamed file may be lost or empty.
+
+    When the write, fsync or rename raises, the temp file is removed
+    before the error propagates.  A missing parent directory is not
+    created.
     """
-    atomic_write_texts([(path, content)], durable)
+    path = Path(path)
+    temp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    try:
+        with temp.open("w", encoding="utf-8") as handle:
+            handle.write(content)
+        if durable:
+            # On POSIX an fsync through a read-only descriptor flushes the file.
+            fd = os.open(temp, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            temp.unlink()
+        except OSError:
+            pass
+        raise
 
 
 @dataclass

@@ -18,6 +18,7 @@ offset, delay without drops) also corrupt a whole value array at once
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -223,8 +224,12 @@ class StuckAtFault(SensorFault):
 def make_fault(fault_class: FaultClass, magnitude: float = 1.0) -> SensorFault:
     """Factory used by fault-injection campaigns.
 
-    ``magnitude`` scales the fault severity relative to the class's default.
+    ``magnitude`` scales the fault severity relative to the class's default;
+    a non-finite one would turn every error metric into ``NaN`` or
+    ``Infinity``, so it raises ``ValueError``.
     """
+    if not math.isfinite(magnitude):
+        raise ValueError(f"fault magnitude must be finite, got {magnitude}")
     if fault_class is FaultClass.DELAY:
         return DelayFault(delay=0.2 * magnitude)
     if fault_class is FaultClass.SPORADIC_OFFSET:

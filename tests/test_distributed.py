@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from cache_util import garble_entry
 from repro.distributed import (
     CacheIndex,
     Spool,
@@ -479,15 +480,19 @@ class TestCacheIndex:
         assert cache.get(None) is None
         assert len(cache) == 1
         assert cache.stats()["entries"] == 1
+        assert CacheIndex(tmp_path / "cache").get(key_ok) == ok  # a fresh reader too
         assert cache.clear() == 1
         assert cache.get(key_ok) is None
+        assert CacheIndex(tmp_path / "cache").get(key_ok) is None
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = CacheIndex(tmp_path / "cache")
         key = "c" * 64
         cache.put(key, RunRecord(scenario="s", params={}, seed=1, metrics={"m": 1.0}))
-        cache.path_for(key).write_text("{not json")
-        assert cache.get(key) is None
+        garble_entry(tmp_path / "cache", key, b"{not json")
+        reader = CacheIndex(tmp_path / "cache")
+        assert reader.get(key) is None
+        assert reader.misses == 1 and reader.hits == 0
 
     def test_cache_key_depends_on_source_params_and_seed(self):
         spec = load_builtin_scenarios().get("demo/random_walk")

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.distributed import Spool, SpoolBackend, SpoolDispatchError
+from repro.distributed import CacheIndex, Spool, SpoolBackend, SpoolDispatchError
 from repro.experiments import ParallelCampaignRunner, ResultStore
 from repro.experiments.registry import REGISTRY
 from repro.experiments.spec import ScenarioSpec, parameters_from_signature
@@ -239,4 +239,4 @@ class TestSpoolCacheWrites:
         assert spooled.read_bytes() == serial.read_bytes()
         lines = (cache / "stats.jsonl").read_text(encoding="utf-8").splitlines()
         assert sum(json.loads(line)["puts"] for line in lines) == 8
-        assert len(list((cache / "objects").rglob("*.json"))) == 8
+        assert len(CacheIndex(cache)) == 8

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from cache_util import garble_entry
 from repro.distributed import (
     CacheIndex,
     Spool,
@@ -570,13 +571,15 @@ class TestCacheResilience:
         key = "a" * 64
         record = RunRecord(scenario="s", params={}, seed=1, metrics={"m": 1.0})
         cache.put(key, record)
-        cache.path_for(key).write_text("{torn")
-        assert cache.get(key) is None
-        assert cache.repairs == 1
-        assert not cache.path_for(key).exists()  # removed so a re-put heals
-        assert cache.put(key, record)
-        assert cache.get(key) == record
-        assert cache.session_stats()["repairs"] == 1
+        garble_entry(tmp_path / "cache", key)
+        reader = CacheIndex(tmp_path / "cache")
+        assert reader.get(key) is None
+        assert reader.repairs == 1
+        assert key not in CacheIndex(tmp_path / "cache")  # dropped so a re-put heals
+        assert reader.put(key, record)
+        assert reader.get(key) == record
+        assert CacheIndex(tmp_path / "cache").get(key) == record
+        assert reader.session_stats()["repairs"] == 1
 
     def test_injected_corrupt_put_is_repaired_by_next_reader(self, tmp_path):
         cache = CacheIndex(tmp_path / "cache")
@@ -588,7 +591,9 @@ class TestCacheResilience:
         reader = CacheIndex(tmp_path / "cache")
         assert reader.get(key) is None
         assert reader.repairs == 1
-        assert not reader.path_for(key).exists()
+        fresh = CacheIndex(tmp_path / "cache")
+        assert key not in fresh
+        assert fresh.get(key) is None and fresh.repairs == 0
 
     def test_unreachable_cache_degrades_with_one_warning(self, tmp_path, caplog):
         cache = CacheIndex(tmp_path / "cache")
@@ -622,9 +627,10 @@ class TestCacheResilience:
         cache = CacheIndex(tmp_path / "cache")
         key = "d" * 64
         cache.put(key, RunRecord(scenario="s", params={}, seed=1, metrics={"m": 1.0}))
-        cache.path_for(key).write_text("{torn")
-        cache.get(key)
-        assert cache.flush_stats()
+        garble_entry(tmp_path / "cache", key)
+        reader = CacheIndex(tmp_path / "cache")
+        reader.get(key)
+        assert reader.flush_stats()
         assert CacheIndex(tmp_path / "cache").lifetime_stats()["repairs"] == 1
 
 

@@ -244,6 +244,38 @@ class TestUndefinedFusionFails:
         assert all(r["status"] == "failed" and r["error_class"] == "ValueError" for r in records)
 
 
+class TestNonFiniteMagnitudeFails:
+    """A non-finite fault magnitude used to store ``NaN`` or ``Infinity``
+    errors with ``status: ok``."""
+
+    @pytest.mark.parametrize("magnitude", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fault_class", FAULT_CLASSES)
+    def test_make_fault_raises(self, fault_class, magnitude):
+        with pytest.raises(ValueError, match="finite"):
+            make_fault(FaultClass(fault_class), magnitude=magnitude)
+
+    @pytest.mark.parametrize("magnitude", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_inline_and_vector_store_the_same_failed_records(self, tmp_path, magnitude):
+        stores = {}
+        for name, backend in (("inline", None), ("vector", VectorBatchBackend())):
+            path = tmp_path / f"{name}.jsonl"
+            ParallelCampaignRunner(
+                jobs=1, registry=REGISTRY, store=ResultStore(path), backend=backend
+            ).run(
+                "sensor_validity",
+                params={"fault_class": "permanent_offset", "magnitude": magnitude},
+                seeds=range(3),
+            )
+            stores[name] = path.read_bytes()
+        assert stores["vector"] == stores["inline"]
+        records = [json.loads(line) for line in stores["inline"].splitlines()]
+        assert len(records) == 3
+        assert all(
+            r["status"] == "failed" and r["error_class"] == "ValueError" and r["metrics"] == {}
+            for r in records
+        )
+
+
 class TestPaperClaimPerSeed:
     """E2 (section IV-B): detectors plus validity-weighted fusion beat naive
     averaging under sensor faults, asserted on every seed."""
