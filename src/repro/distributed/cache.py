@@ -116,6 +116,11 @@ class CacheIndex:
         )
 
     @property
+    def location(self) -> str:
+        """The absolute root: the same for every index on one cache."""
+        return str(self.root.resolve())
+
+    @property
     def keys_dir(self) -> Path:
         return self.root / "keys"
 

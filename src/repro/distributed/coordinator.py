@@ -218,6 +218,7 @@ class SpoolBackend(ExecutionBackend):
         payload: Optional[object] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
+        checked_cache: Optional[Any] = None,
     ) -> None:
         if not isinstance(payload, str):
             raise SpoolDispatchError(
@@ -253,6 +254,11 @@ class SpoolBackend(ExecutionBackend):
             metadata["split_min_cells"] = self.split_min_cells
         if TRACER.enabled:
             metadata["trace_id"] = TRACER.trace_id
+        checked = getattr(checked_cache, "location", None)
+        if checked is not None:
+            # Every cell published here already missed in this cache, so
+            # workers that share it only publish to it (execute_task).
+            metadata["checked_cache"] = checked
         if self.adaptive:
             # Adaptive campaigns never resume: the task set depends on the
             # probe wave's measured runtimes, so an interrupted one's ids

@@ -230,6 +230,9 @@ def execute_task(
     leaves no cache entries for that task's finished cells, and the
     reclaimed task re-executes them.  Runs are deterministic, so the
     merged store is byte-identical either way.
+    When ``campaign.json`` names this very cache as ``checked_cache``, the
+    coordinator has already looked the cells up there and missed, so the
+    worker skips the lookups and only publishes.
 
     Tracing: a task file published by a tracing coordinator carries the
     trace context (``task.trace``), which this worker *adopts* — it
@@ -257,6 +260,10 @@ def execute_task(
     except UnknownScenarioError as exc:
         resolve_error = f"worker could not resolve scenario: {exc.args[0]}"
     source_fingerprint = spec.source_fingerprint() if spec is not None else None
+    # The coordinator names the cache it looked every published cell up in;
+    # this worker's lookups there would only miss a second time.  A worker
+    # whose coordinator has no cache, or another one, still looks up.
+    lookup = cache is not None and spool.metadata().get("checked_cache") != cache.location
 
     results: List[Tuple[int, RunRecord]] = []
     # Executed cells awaiting publication to the cache, in cell order.
@@ -287,7 +294,7 @@ def execute_task(
                     if cache is not None and source_fingerprint is not None
                     else None
                 )
-                if cache is not None:
+                if lookup:
                     with TRACER.span("cache.get", cat="cache", seed=seed):
                         record = cache.get(cache_key)
                 else:
@@ -299,7 +306,7 @@ def execute_task(
                     if events is not None:
                         events.emit("cache_hit", task=task.task_id, index=index)
                 else:
-                    if events is not None and cache is not None and cache_key is not None:
+                    if events is not None and lookup and cache_key is not None:
                         events.emit("cache_miss", task=task.task_id, index=index)
                     with cell_deadline(cell_timeout, task=task.task_id, index=index):
                         record = execute_run_with_retry(

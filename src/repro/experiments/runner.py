@@ -355,6 +355,10 @@ class ExecutionBackend:
     :class:`~repro.observability.events.EventLog` for backends with
     taxonomy events to report (the vector backend's batch/evict activity);
     like ``progress`` it is advisory and safely ignorable.
+    ``checked_cache`` is the runner's result cache when it has already
+    looked every pending cell up there and missed: a backend whose workers
+    consult a cache of their own skips that one, so each miss is counted
+    once.
     """
 
     name = "backend"
@@ -367,6 +371,7 @@ class ExecutionBackend:
         payload: Optional[Any] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
+        checked_cache: Optional[Any] = None,
     ) -> None:
         raise NotImplementedError
 
@@ -405,6 +410,7 @@ class InProcessBackend(ExecutionBackend):
         payload: Optional[Any] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
+        checked_cache: Optional[Any] = None,
     ) -> None:
         breaker = CircuitBreaker()
         for run_spec in pending:
@@ -452,6 +458,7 @@ class MultiprocessingBackend(ExecutionBackend):
         payload: Optional[Any] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
+        checked_cache: Optional[Any] = None,
     ) -> None:
         payload = spec if payload is None else payload
         chunk = self.batch_size if self.batch_size is not None else 1
@@ -760,6 +767,7 @@ class ParallelCampaignRunner:
                 payload=self._payload_for(spec),
                 progress=tracker,
                 events=self._event_log(backend),
+                checked_cache=self.cache if cache_keys else None,
             )
             # Backends that distinguish execution paths (vector/scalar) label
             # records themselves; everything else is attributed to the backend.

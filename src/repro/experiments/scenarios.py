@@ -394,11 +394,11 @@ def run_tdma_convergence(
     churn: bool = False,
 ) -> Dict[str, Any]:
     """TDMA slot self-assignment on a rows x cols grid, optionally with churn."""
-    from repro.network.tdma import TdmaConfig, TdmaNetwork, grid_topology
+    from repro.network.tdma import TdmaConfig, TdmaNetwork
 
-    network = TdmaNetwork(TdmaConfig(slots_per_frame=slots), rng=np.random.default_rng(seed))
-    for node, peers in grid_topology(rows, cols).items():
-        network.add_node(node, neighbors=peers)
+    network = TdmaNetwork.grid(
+        rows, cols, TdmaConfig(slots_per_frame=slots), rng=np.random.default_rng(seed)
+    )
     frames = network.run_until_converged(max_frames=3000)
     converged = frames is not None
     if churn and converged:

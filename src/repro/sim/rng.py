@@ -103,7 +103,8 @@ class ChunkedIntegers:
     As with :class:`ChunkedNormals`, the owner must be the generator's only
     consumer: the words drawn ahead are gone from the stream whether or not
     they are used.  :class:`~repro.network.mac_csma.CsmaMacNode` draws its
-    backoff slots this way from the MAC's private generator.
+    backoff slots this way from the MAC's private generator, and
+    :class:`~repro.network.tdma.TdmaNetwork` its TDMA slots.
     """
 
     def __init__(self, rng: np.random.Generator):

@@ -1,14 +1,14 @@
 """Lockstep vectorized multi-seed execution (``--backend vector``).
 
-Executes a whole seed batch of a homogeneous scenario as one numpy
-struct-of-arrays program, byte-identical per seed to the scalar kernel:
+Executes a whole seed batch of a homogeneous scenario as one program call,
+byte-identical per seed to the scalar kernel:
 
 * :mod:`repro.vectorized.engine` — :class:`LockstepBatch` (the unit of
   lockstep work, with mid-flight seed eviction) and :class:`VectorStats`
   (occupancy accounting);
 * :mod:`repro.vectorized.programs` — the bit-exact per-scenario programs
-  and their registry: E2 calls its factory's own block sweep, the others
-  re-implement their factories and pin the factory's source hash;
+  and their registry: E2 calls its factory's own block sweep, E4 its
+  factory's TDMA kernel;
 * :mod:`repro.vectorized.backend` — :class:`VectorBatchBackend` on the
   :class:`~repro.experiments.runner.ExecutionBackend` seam: batch
   planning, pre-/mid-flight eviction, per-batch scalar probe, whole-group
@@ -20,7 +20,6 @@ from repro.vectorized.engine import LockstepBatch, VectorStats
 from repro.vectorized.programs import (
     PROGRAMS,
     VectorProgram,
-    factory_source_hash,
     program_for,
     register_program,
 )
@@ -33,5 +32,4 @@ __all__ = [
     "PROGRAMS",
     "program_for",
     "register_program",
-    "factory_source_hash",
 ]

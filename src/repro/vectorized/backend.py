@@ -8,8 +8,8 @@ qualifies for the fast path, and runs qualifying groups as one
 
 Correctness never depends on the fast path:
 
-* ineligible groups (no program, unsupported params, edited factory source,
-  groups too small to batch) fall back whole to the scalar kernel;
+* ineligible groups (no program, unsupported params, groups too small to
+  batch) fall back whole to the scalar kernel;
 * seeds evicted pre-flight (``vector.evict`` fault point) or mid-flight
   (:meth:`LockstepBatch.evict`) finish on the scalar kernel;
 * every verified batch pays for one scalar **probe**: its first surviving
@@ -73,6 +73,7 @@ class VectorBatchBackend(ExecutionBackend):
         payload: Optional[Any] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
+        checked_cache: Optional[Any] = None,
     ) -> None:
         self.stats = VectorStats()
         breaker = CircuitBreaker()

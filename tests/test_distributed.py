@@ -39,7 +39,6 @@ from repro.experiments import (
 from repro.experiments.cli import main as cli_main
 from repro.experiments.registry import load_builtin_scenarios
 from repro.experiments.spec import factory_source, parameters_from_signature
-from repro.vectorized import factory_source_hash
 
 
 def _demo_cells(seeds):
@@ -298,6 +297,25 @@ class TestWorker:
         second = run_worker(spool_b.root, cache=cache, idle_timeout=0.01, poll_interval=0.01)
         assert second.runs_executed == 0 and second.cache_hits == 2
         assert merge_spool_results(spool_a) == merge_spool_results(spool_b)
+
+    def test_worker_skips_lookups_only_in_the_cache_the_coordinator_checked(self, tmp_path):
+        cache = CacheIndex(tmp_path / "cache")
+        warm = self._published_spool(tmp_path / "warm", [1, 2])
+        run_worker(warm.root, cache=cache, idle_timeout=0.01, poll_interval=0.01)
+        # A coordinator that looked cells up in another cache (or in none)
+        # leaves the lookups to the worker: its cache hits.
+        other = self._published_spool(tmp_path / "other", [1, 2])
+        other.write_campaign_metadata({"checked_cache": str(tmp_path / "elsewhere")})
+        hits = run_worker(other.root, cache=cache, idle_timeout=0.01, poll_interval=0.01)
+        assert hits.cache_hits == 2 and hits.runs_executed == 0
+        # One that missed in this cache already owns those misses: the
+        # worker runs the cells and publishes them without a lookup.
+        checked = self._published_spool(tmp_path / "checked", [3, 4])
+        checked.write_campaign_metadata({"checked_cache": cache.location})
+        fresh = CacheIndex(tmp_path / "cache")
+        ran = run_worker(checked.root, cache=fresh, idle_timeout=0.01, poll_interval=0.01)
+        assert ran.runs_executed == 2 and ran.cache_hits == 0
+        assert (fresh.hits, fresh.misses, fresh.puts) == (0, 0, 2)
 
 
 # --------------------------------------------------------------------------
@@ -624,8 +642,6 @@ class TestFactorySource:
         fingerprint = spec.source_fingerprint()
         assert fingerprint is not None
         assert spec.source_fingerprint() == fingerprint
-        assert factory_source_hash(spec) is not None
-        assert factory_source_hash(spec) == factory_source_hash(spec)
         spool = Spool(tmp_path / "spool")
         spool.initialise()
         cells = [(rs.params, rs.seed, rs.index) for rs in spec.runs(seeds=[1, 2])]
@@ -660,7 +676,6 @@ class TestFactorySource:
         reads = self._count_source_reads(monkeypatch)
         assert factory_source(factory) is None
         assert spec.source_fingerprint() is None
-        assert factory_source_hash(spec) is None
         assert reads == [factory]
 
 
@@ -701,6 +716,25 @@ class TestDistributedCli:
         assert "4 cached record(s)" in capsys.readouterr().out
         assert cli_main(["cache", "clear", cache]) == 0
         assert "removed 4" in capsys.readouterr().out
+
+    def test_spool_campaign_counts_each_cache_miss_once(self, tmp_path, capsys):
+        """The coordinator looks every cell up before publishing it; its
+        spawned workers share the cache and do not miss a second time."""
+        cache = str(tmp_path / "cache")
+        rc = cli_main(
+            [
+                "run", "demo/safety_kernel", "--seeds", "8", "--workers", "2",
+                "--spool", str(tmp_path / "spool"), "--cache", cache,
+                "--store", str(tmp_path / "cold.jsonl"),
+            ]
+        )
+        assert rc == 0
+        warm = ["run", "demo/safety_kernel", "--seeds", "8", "--cache", cache]
+        assert cli_main(warm + ["--store", str(tmp_path / "warm.jsonl")]) == 0
+        assert "8 cached" in capsys.readouterr().out
+        assert cli_main(["cache", "stats", cache]) == 0
+        assert "lifetime: 8 hit(s), 8 miss(es), 8 put(s)" in capsys.readouterr().out
+        assert (tmp_path / "cold.jsonl").read_bytes() == (tmp_path / "warm.jsonl").read_bytes()
 
     def test_spool_backend_requires_spool_dir(self, capsys):
         assert cli_main(["run", "demo/random_walk", "--backend", "spool"]) == 2

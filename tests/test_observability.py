@@ -496,7 +496,7 @@ class TestDistributedTracing:
         enable_tracing(trace_dir, source="runner")
         try:
             result = ParallelCampaignRunner(backend=VectorBatchBackend(), store=store).run(
-                "demo/random_walk", seeds=list(range(1, 9))
+                "tdma_convergence", seeds=list(range(1, 9))
             )
         finally:
             disable_tracing()

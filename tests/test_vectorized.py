@@ -20,7 +20,6 @@ from repro.vectorized import (
     LockstepBatch,
     VectorBatchBackend,
     VectorStats,
-    factory_source_hash,
     program_for,
 )
 
@@ -55,7 +54,7 @@ class TestByteIdentity:
             ("sensor_validity", {"fault_class": "stochastic_offset", "samples": 150}, 8),
             ("tdma_convergence", None, 12),
             ("tdma_convergence", {"rows": 5, "cols": 5, "slots": 30}, 8),
-            ("demo/random_walk", None, 16),
+            ("tdma_convergence", {"rows": 4, "cols": 4}, 16),
         ],
         ids=[
             "e2-stuck",
@@ -65,7 +64,7 @@ class TestByteIdentity:
             "e2-stochastic",
             "e4-default",
             "e4-5x5",
-            "walk",
+            "e4-4x4",
         ],
     )
     def test_vector_store_matches_inline(self, tmp_path, scenario, params, n_seeds):
@@ -123,7 +122,7 @@ class TestFallbacks:
 
     def test_single_seed_group_is_not_batched(self, tmp_path):
         inline, vector, backend = run_pair(
-            tmp_path, "demo/random_walk", [7]
+            tmp_path, "tdma_convergence", [7]
         )
         assert vector == inline
         assert backend.stats.batches == 0
@@ -140,7 +139,7 @@ class TestFallbacks:
             "repro.vectorized.backend.program_for",
             lambda spec, params: ExplodingProgram() if real(spec, params) else None,
         )
-        inline, vector, backend = run_pair(tmp_path, "demo/random_walk", range(6))
+        inline, vector, backend = run_pair(tmp_path, "tdma_convergence", range(6))
         assert vector == inline
         assert backend.stats.program_errors == 1
         assert backend.stats.batches == 0
@@ -150,14 +149,14 @@ class TestFallbacks:
 class TestEviction:
     @pytest.mark.parametrize("kind", ["stall", "io_error"])
     def test_fault_plan_evicts_seed_to_scalar(self, tmp_path, kind):
-        inline = run_store(tmp_path, "inline.jsonl", "demo/random_walk", range(8))
+        inline = run_store(tmp_path, "inline.jsonl", "tdma_convergence", range(8))
         backend = VectorBatchBackend()
         plan = FaultPlan(
             [FaultRule(point="vector.evict", kind=kind, match={"seed": 5})]
         )
         with armed(plan):
             vector = run_store(
-                tmp_path, "vector.jsonl", "demo/random_walk", range(8), backend=backend
+                tmp_path, "vector.jsonl", "tdma_convergence", range(8), backend=backend
             )
         assert vector.read_bytes() == inline.read_bytes()
         assert backend.stats.evicted_cells == 1
@@ -181,7 +180,7 @@ class TestEviction:
                 EvictingProgram(real(spec, params)) if real(spec, params) else None
             ),
         )
-        inline, vector, backend = run_pair(tmp_path, "demo/random_walk", range(8))
+        inline, vector, backend = run_pair(tmp_path, "tdma_convergence", range(8))
         assert vector == inline
         assert backend.stats.evicted_cells == 1
         assert backend.stats.eviction_reasons == {"test-divergence": 1}
@@ -198,7 +197,7 @@ class TestEviction:
                 outputs = self.inner.run(spec, batch)
                 probe_seed = batch.active_seeds()[0]
                 outputs[probe_seed] = dict(outputs[probe_seed])
-                outputs[probe_seed]["final_position"] = 1e9
+                outputs[probe_seed]["frames_to_converge"] = 10**9
                 return outputs
 
         monkeypatch.setattr(
@@ -207,39 +206,20 @@ class TestEviction:
                 LyingProgram(real(spec, params)) if real(spec, params) else None
             ),
         )
-        inline, vector, backend = run_pair(tmp_path, "demo/random_walk", range(6))
+        inline, vector, backend = run_pair(tmp_path, "tdma_convergence", range(6))
         assert vector == inline
         assert backend.stats.probe_mismatches == 1
         assert backend.stats.batches == 0
         assert backend.stats.fast_cells == 0
 
 
-class TestEligibilityGates:
-    def test_program_hashes_pin_current_factory_sources(self):
-        """Every re-implementing program's hash must match its live factory source.
-
-        If this fails, a scalar factory was edited without re-verifying the
-        lockstep program: update the program's math *and* its pinned hash.
-        The E2 program runs the factory's own block sweep, so it pins nothing.
-        """
-        assert PROGRAMS["sensor_validity"].source_sha256 is None
-        pinned = {name for name, program in PROGRAMS.items() if program.source_sha256}
-        assert pinned == {"tdma_convergence", "demo/random_walk"}
-        for name, program in PROGRAMS.items():
-            spec = REGISTRY.get(name)
-            assert spec is not None, f"program registered for unknown scenario {name!r}"
-            if name in pinned:
-                assert factory_source_hash(spec) == program.source_sha256, name
-
-    def test_source_hash_mismatch_disables_program(self, monkeypatch):
-        spec = REGISTRY.get("demo/random_walk")
-        params = spec.coerce_params({})
-        assert program_for(spec, params) is not None
-        monkeypatch.setattr(PROGRAMS["demo/random_walk"], "source_sha256", "0" * 64)
-        assert program_for(spec, params) is None
-
-
 class TestEngineUnits:
+    def test_every_program_runs_a_registered_scenario(self):
+        assert sorted(PROGRAMS) == ["sensor_validity", "tdma_convergence"]
+        for name, program in PROGRAMS.items():
+            assert program.scenario == name
+            assert name in REGISTRY, f"program registered for unknown scenario {name!r}"
+
     def test_lockstep_batch_eviction_bookkeeping(self):
         batch = LockstepBatch("s", {}, [3, 1, 2])
         assert len(batch) == 3
@@ -270,7 +250,7 @@ class TestEngineUnits:
 
 class TestCliAndProvenance:
     def test_vector_rejects_parallel_and_batch_flags(self, capsys):
-        args = ["run", "demo/random_walk", "--seeds", "4", "--backend", "vector"]
+        args = ["run", "tdma_convergence", "--seeds", "4", "--backend", "vector"]
         assert cli_main(args + ["--jobs", "2"]) == 2
         assert "--jobs/--batch-size" in capsys.readouterr().err
         assert cli_main(args + ["--batch-size", "2"]) == 2
@@ -281,7 +261,7 @@ class TestCliAndProvenance:
         rc = cli_main(
             [
                 "run",
-                "demo/random_walk",
+                "tdma_convergence",
                 "--seeds",
                 "8",
                 "--backend",
@@ -299,7 +279,7 @@ class TestCliAndProvenance:
         inline = tmp_path / "inline.jsonl"
         assert (
             cli_main(
-                ["run", "demo/random_walk", "--seeds", "8", "--store", str(inline)]
+                ["run", "tdma_convergence", "--seeds", "8", "--store", str(inline)]
             )
             == 0
         )
@@ -325,7 +305,7 @@ class TestCliAndProvenance:
         rc = cli_main(
             [
                 "run",
-                "demo/random_walk",
+                "tdma_convergence",
                 "--seeds",
                 "6",
                 "--backend",
@@ -348,7 +328,7 @@ class TestCliAndProvenance:
     def test_vector_stats_counters(self):
         backend = VectorBatchBackend()
         ParallelCampaignRunner(registry=REGISTRY, backend=backend).run(
-            "demo/random_walk", seeds=list(range(8))
+            "tdma_convergence", seeds=list(range(8))
         )
         assert backend.stats.batches == 1
         assert backend.stats.evicted_cells == 0
