@@ -81,33 +81,33 @@ def test_perf_budget(key, calibration):
 
 
 def test_skewed_spool_elastic_wall_clock():
-    """Elastic spool scheduling must stay within 1.2x of perfect packing.
+    """Plain pull spool scheduling must stay within 1.2x of perfect packing.
 
     A seeded-skew campaign (12 short-stall cells, 4 long-stall cells —
     sleep-bound, so workers overlap even on one core) runs on a 2-worker
     spool; the measured wall clock is compared against the ideal of the
     summed per-task busy time split evenly across the workers.  The
-    measurement also verifies the elastic store stays byte-identical to
+    measurement also verifies the spool store stays byte-identical to
     the ``jobs=1`` serial run.  Unlike the cell budgets above, the gate is
     a *ratio* of two times measured in the same run, so it needs no
     machine-speed calibration.
     """
     from repro.experiments.perf import measure_skewed_spool
 
-    elastic_wall_s, ideal_s = measure_skewed_spool()
+    spool_wall_s, ideal_s = measure_skewed_spool()
     if UPDATE:
         data = load_bench(BENCH_PATH)
         entry = data["workloads"].setdefault("skewed_spool", {})
         entry["baseline_s"] = round(ideal_s, 5)
-        entry["current_s"] = round(elastic_wall_s, 5)
-        entry["speedup"] = round(ideal_s / elastic_wall_s, 2)
+        entry["current_s"] = round(spool_wall_s, 5)
+        entry["speedup"] = round(ideal_s / spool_wall_s, 2)
         save_bench(BENCH_PATH, data)
         return
-    assert elastic_wall_s <= 1.2 * ideal_s, (
-        f"skewed spool campaign took {elastic_wall_s:.2f}s against an ideal "
-        f"packing of {ideal_s:.2f}s ({elastic_wall_s / ideal_s:.2f}x > 1.2x); "
-        "elastic scheduling (adaptive shards / stealing / speculation) has "
-        "regressed"
+    assert spool_wall_s <= 1.2 * ideal_s, (
+        f"skewed spool campaign took {spool_wall_s:.2f}s against an ideal "
+        f"packing of {ideal_s:.2f}s ({spool_wall_s / ideal_s:.2f}x > 1.2x); "
+        "plain pull scheduling (one cell per task, idle workers claim the "
+        "next) has regressed"
     )
 
 

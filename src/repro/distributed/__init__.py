@@ -16,22 +16,14 @@ machines using nothing but a shared filesystem (NFS mount, bind mount,
 * :mod:`repro.distributed.cache` — :class:`CacheIndex`, the
   content-addressed result cache shared across campaigns and hosts, keyed
   by ``sha256(scenario source + canonical params + seed)``;
-* :mod:`repro.distributed.scheduler` — the elastic policies layered on
-  the spool: adaptive shard sizing, straggler speculation, work-stealing
-  splits, per-cell wall-clock deadlines (:class:`CellTimeout`), worker
-  health scoring, and the offline :func:`fsck_spool` audit/repair.
+* :mod:`repro.distributed.scheduler` — the failure bounds of the pull
+  queue: per-cell wall-clock deadlines (:class:`CellTimeout`) and the
+  offline :func:`fsck_spool` audit/repair.
 """
 
 from repro.distributed.cache import CacheIndex
 from repro.distributed.coordinator import SpoolBackend, SpoolDispatchError, merge_spool_results
-from repro.distributed.scheduler import (
-    CellTimeout,
-    ElapsedStats,
-    ElasticScheduler,
-    WorkerHealth,
-    cell_deadline,
-    fsck_spool,
-)
+from repro.distributed.scheduler import CellTimeout, cell_deadline, fsck_spool
 from repro.distributed.spool import (
     DEFAULT_MAX_TASK_ATTEMPTS,
     ClaimedTask,
@@ -46,14 +38,11 @@ __all__ = [
     "CellTimeout",
     "ClaimedTask",
     "DEFAULT_MAX_TASK_ATTEMPTS",
-    "ElapsedStats",
-    "ElasticScheduler",
     "Spool",
     "SpoolBackend",
     "SpoolDispatchError",
     "SpoolTask",
     "TornShardError",
-    "WorkerHealth",
     "WorkerStats",
     "cell_deadline",
     "fsck_spool",

@@ -19,6 +19,14 @@ current (cells pending/running/done/failed plus each worker's latest
 heartbeat), appends campaign lifecycle events to the shared event log, and
 reports reclaimed leases and early worker deaths *as they happen* via
 ``logging`` — not only in the terminal failure message.
+
+Scheduling is a plain pull queue: the coordinator publishes fixed-size
+tasks (``task_size`` cells each) once, and idle workers claim the next
+pending one.  Recovery never changes that shape: an expired lease is
+requeued, a torn shard's task is republished, a poison task is
+quarantined and its cells recorded as failures, and cells that every
+other path lost are republished as recovery tasks
+(:func:`republish_missing`) once the queue drains.
 """
 
 from __future__ import annotations
@@ -34,14 +42,8 @@ import time
 from dataclasses import replace
 from multiprocessing.process import BaseProcess
 from types import CodeType
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.distributed.scheduler import (
-    DEFAULT_ADAPTIVE_TARGET_S,
-    DEFAULT_SPECULATION_K,
-    DEFAULT_SPLIT_MIN_CELLS,
-    ElasticScheduler,
-)
 from repro.distributed.spool import (
     DEFAULT_LEASE_TIMEOUT,
     DEFAULT_MAX_TASK_ATTEMPTS,
@@ -62,11 +64,14 @@ from repro.resilience.retry import RetryPolicy
 
 logger = logging.getLogger(__name__)
 
+#: Cells per recovery task republished by :func:`republish_missing`.
+RECOVERY_TASK_CELLS = 32
+
 
 def _campaign_id(
     payload: str,
     cells: Sequence[Tuple[Dict[str, Any], int, int]],
-    task_size: Union[int, str],
+    task_size: int,
 ) -> str:
     """Content id of a campaign's exact work list (scenario + cells + sharding).
 
@@ -129,6 +134,35 @@ def _preimport_factory(factory: Any) -> None:
     import numpy.random  # noqa: F401
 
 
+def republish_missing(
+    publish: Callable[[SpoolTask], None],
+    scenario: str,
+    missing_cells: Sequence[Tuple[Dict[str, Any], int, int]],
+    first: int = 0,
+) -> List[SpoolTask]:
+    """Re-publish cells no pending/claimed/quarantined task covers.
+
+    The recovery path of last resort: whenever the queue drains with
+    run-list indices still unfilled (say, a task file removed by hand
+    while the campaign ran), the missing cells come back as fresh tasks
+    of up to :data:`RECOVERY_TASK_CELLS` cells.  Ids use a ``task-r``
+    prefix, numbered from ``first``, that sorts after every numeric id,
+    so recovery work queues behind real work.  Returns the published
+    tasks.
+    """
+    tasks = [
+        SpoolTask(
+            task_id=f"task-r{first + number:05d}",
+            scenario=scenario,
+            cells=tuple(missing_cells[start : start + RECOVERY_TASK_CELLS]),
+        )
+        for number, start in enumerate(range(0, len(missing_cells), RECOVERY_TASK_CELLS))
+    ]
+    for task in tasks:
+        publish(task)
+    return tasks
+
+
 class SpoolDispatchError(RuntimeError):
     """The campaign cannot be dispatched onto a spool."""
 
@@ -154,7 +188,7 @@ class SpoolBackend(ExecutionBackend):
         spool_root: Union[str, os.PathLike],
         workers: int = 0,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        task_size: Union[int, str] = 1,
+        task_size: int = 1,
         poll_interval: float = 0.05,
         timeout: Optional[float] = None,
         worker_cache_root: Optional[Union[str, os.PathLike]] = None,
@@ -163,9 +197,6 @@ class SpoolBackend(ExecutionBackend):
         max_respawns: int = 0,
         worker_retries: Optional[int] = None,
         cell_timeout: Optional[float] = None,
-        split_min_cells: int = DEFAULT_SPLIT_MIN_CELLS,
-        speculation_k: float = DEFAULT_SPECULATION_K,
-        adaptive_target_s: float = DEFAULT_ADAPTIVE_TARGET_S,
     ):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
@@ -179,22 +210,8 @@ class SpoolBackend(ExecutionBackend):
             spool_root, lease_timeout=lease_timeout, max_task_attempts=max_task_attempts
         )
         self.workers = int(workers)
-        #: ``"adaptive"`` (or ``"auto"``) sizes shards from a probe wave's
-        #: observed cell runtimes instead of a fixed cell count.
-        if isinstance(task_size, str):
-            if task_size not in ("adaptive", "auto"):
-                raise ValueError(
-                    f"task_size must be an int, 'adaptive' or 'auto', got {task_size!r}"
-                )
-            self.adaptive = True
-            self.task_size: Union[int, str] = "adaptive"
-        else:
-            self.adaptive = False
-            self.task_size = int(task_size)
+        self.task_size = int(task_size)
         self.cell_timeout = cell_timeout
-        self.split_min_cells = int(split_min_cells)
-        self.speculation_k = float(speculation_k)
-        self.adaptive_target_s = float(adaptive_target_s)
         self.poll_interval = float(poll_interval)
         self.timeout = timeout
         self.worker_cache_root = worker_cache_root
@@ -231,27 +248,16 @@ class SpoolBackend(ExecutionBackend):
             _preimport_factory(spec.factory)
         cells = [(run_spec.params, run_spec.seed, run_spec.index) for run_spec in pending]
         campaign_id = _campaign_id(payload, cells, self.task_size)
-        scheduler = ElasticScheduler(
-            self.spool,
-            payload,
-            publish=self._publish,
-            make_task=lambda task_id, task_cells: SpoolTask(
-                task_id=task_id, scenario=payload, cells=tuple(task_cells)
-            ),
-            speculation_k=self.speculation_k,
-            speculation_min_age_s=max(0.5, 4.0 * self.poll_interval),
-            adaptive_target_s=self.adaptive_target_s,
-        )
+        tasks = shard_cells(cells, payload, self.task_size)
         metadata = {
             "scenario": spec.name,
             "cells": len(cells),
             "task_size": self.task_size,
             "campaign_id": campaign_id,
+            "tasks": len(tasks),
         }
         if self.cell_timeout is not None:
             metadata["cell_timeout"] = self.cell_timeout
-        if self.split_min_cells >= 2:
-            metadata["split_min_cells"] = self.split_min_cells
         if TRACER.enabled:
             metadata["trace_id"] = TRACER.trace_id
         checked = getattr(checked_cache, "location", None)
@@ -259,36 +265,17 @@ class SpoolBackend(ExecutionBackend):
             # Every cell published here already missed in this cache, so
             # workers that share it only publish to it (execute_task).
             metadata["checked_cache"] = checked
-        if self.adaptive:
-            # Adaptive campaigns never resume: the task set depends on the
-            # probe wave's measured runtimes, so an interrupted one's ids
-            # would not line up.  Purge and republish — completed cells are
-            # still cheap to recover via the content-addressed cache.
-            tasks = None
-            recovery = None
+        recovery = self._try_resume(campaign_id, tasks, metadata)
+        if recovery is None:
             self.spool.initialise(metadata=metadata)
-            probes = scheduler.plan_probes(cells)
-            for task in probes:
-                self._publish(task)
-            published_tasks = len(probes)
-        else:
-            tasks = shard_cells(cells, payload, self.task_size)
             for task in tasks:
-                scheduler.register_published(task.task_id, cells=len(task.cells))
-            metadata["tasks"] = len(tasks)
-            recovery = self._try_resume(campaign_id, tasks, metadata)
-            if recovery is None:
-                self.spool.initialise(metadata=metadata)
-                for task in tasks:
-                    self._publish(task)
-            published_tasks = len(tasks)
+                self._publish(task)
 
         # The coordinator's own progress file lives inside the spool, where
         # `status <spool>` (and workers on other hosts) can see it; the
         # runner's tracker — when a store is attached — is fed the same
         # per-cell completions via ``progress``.
         events = EventLog(self.spool.events_path, source="coordinator")
-        scheduler.events = events
         tracker = ProgressTracker(
             self.spool.progress_path, scenario=spec.name, backend=self.name
         )
@@ -312,10 +299,10 @@ class SpoolBackend(ExecutionBackend):
                 "campaign_start",
                 scenario=spec.name,
                 cells=len(cells),
-                tasks=published_tasks,
+                tasks=len(tasks),
                 workers=self.workers,
             )
-        task_by_id = {task.task_id: task for task in tasks} if tasks else {}
+        task_by_id = {task.task_id: task for task in tasks}
         worker_slots: List[Dict[str, Any]] = []
         self._pipes = CampaignPipes() if self.workers else None
         ok = False
@@ -328,11 +315,11 @@ class SpoolBackend(ExecutionBackend):
             ingested = self._collect(
                 pending,
                 records,
+                task_by_id,
+                payload,
                 worker_slots,
                 events=events,
                 trackers=trackers,
-                scheduler=scheduler,
-                task_by_id=task_by_id,
             )
             ok = True
         finally:
@@ -345,16 +332,13 @@ class SpoolBackend(ExecutionBackend):
             if self._pipes is not None:
                 self._pipes.close()
                 self._pipes = None
-            if ok and scheduler is not None:
-                # A speculative race (or split re-run) can resolve with the
-                # losing worker still mid-task; its byte-identical shard
-                # lands during the drain, after every cell is filled.  It
-                # is never merged — record the discard so the race stays
-                # visible in the event log and the scheduler counters.
-                self._discard_late_shards(pending, ingested, scheduler, events)
-                counters = {k: v for k, v in scheduler.counters.items() if v}
-                if counters:
-                    tracker.set_scheduler(counters)
+            if ok:
+                # A worker whose lease was reclaimed (its task quarantined
+                # and recorded as failed, or re-run by a recovery task) can
+                # still be mid-task; its shard lands during the drain, after
+                # every cell is filled.  It is never merged — record the
+                # discard so it stays visible in the event log.
+                self._discard_late_shards(pending, ingested, events)
             tracker.finish(complete=ok)
 
     def finalize(self, spec: ScenarioSpec) -> None:
@@ -463,11 +447,11 @@ class SpoolBackend(ExecutionBackend):
         self,
         pending: Sequence[RunSpec],
         records: List[Optional[RunRecord]],
+        task_by_id: Dict[str, SpoolTask],
+        scenario: str,
         worker_slots: Optional[List[Dict[str, Any]]] = None,
         events: Optional[EventLog] = None,
         trackers: Sequence[ProgressTracker] = (),
-        scheduler: Optional[ElasticScheduler] = None,
-        task_by_id: Optional[Dict[str, SpoolTask]] = None,
     ) -> Set[str]:
         expected: Set[int] = {run_spec.index for run_spec in pending}
         # Accept a shard record only when it is for this campaign's cell:
@@ -481,8 +465,9 @@ class SpoolBackend(ExecutionBackend):
         }
         filled: Set[int] = set()
         #: Indices filled with *synthesised* quarantine failures: a real
-        #: shard arriving later (speculative copy, split half) still heals
-        #: them, keeping the merged store as close to serial as possible.
+        #: shard arriving later (the reclaimed worker's own, a recovery
+        #: task's) still heals them, keeping the merged store as close to
+        #: serial as possible.
         synthesized: Set[int] = set()
         ingested: Set[str] = set()
         #: mtime at which an unmatched (stale) shard was last parsed, so the
@@ -520,16 +505,17 @@ class SpoolBackend(ExecutionBackend):
                     stale_shard_mtime.pop(task_id, None)
                     if events is not None:
                         events.emit("shard_torn", task=task_id)
-                    task = (task_by_id or {}).get(task_id)
+                    task = task_by_id.get(task_id)
                     if task is not None and not (
                         (self.spool.tasks_dir / f"{task_id}.json").exists()
                         or (self.spool.claimed_dir / f"{task_id}.json").exists()
                         or (self.spool.quarantine_dir / f"{task_id}.json").exists()
                     ):
                         self._publish(task)
-                    # Elastic task ids (splits, speculative copies, adaptive
-                    # shards) have no entry in task_by_id; their cells come
-                    # back through the drain-time republish_missing catch-all.
+                    # A shard under an id this coordinator did not publish
+                    # (another coordinator's recovery task) has no entry in
+                    # task_by_id; its cells come back through the
+                    # drain-time republish_missing catch-all.
                     continue
                 except FileNotFoundError:
                     continue
@@ -542,8 +528,8 @@ class SpoolBackend(ExecutionBackend):
                     else:
                         matched = False
                 if matched and not fresh:
-                    # Every cell already landed via an earlier shard — the
-                    # loser of a speculative race or a re-run split half.
+                    # Every cell already landed via an earlier shard under
+                    # another id (a recovery task raced the original).
                     # First shard wins; this byte-identical twin is dropped.
                     ingested.add(task_id)
                     stale_shard_mtime.pop(task_id, None)
@@ -553,8 +539,6 @@ class SpoolBackend(ExecutionBackend):
                         task_id,
                         len(shard_records),
                     )
-                    if scheduler is not None:
-                        scheduler.note_superseded(task_id)
                     if events is not None:
                         events.emit(
                             "task_superseded", task=task_id, cells=len(shard_records)
@@ -572,8 +556,6 @@ class SpoolBackend(ExecutionBackend):
                 if matched:
                     ingested.add(task_id)
                     stale_shard_mtime.pop(task_id, None)
-                    if scheduler is not None:
-                        scheduler.note_ingested(task_id, len(shard_records))
                 else:
                     # A stale shard (previous campaign's straggler) occupies
                     # this task id; re-read only once its mtime changes —
@@ -589,12 +571,12 @@ class SpoolBackend(ExecutionBackend):
                 if task_id in handled_quarantine:
                     continue
                 handled_quarantine.add(task_id)
-                task = (task_by_id or {}).get(task_id)
+                task = task_by_id.get(task_id)
                 if task is None:
-                    # Elastic ids (splits, speculation, adaptive shards) are
-                    # not in task_by_id; read the quarantined task file
-                    # itself — key verification below rejects leftovers from
-                    # another campaign cell by cell.
+                    # Ids this coordinator did not publish are not in
+                    # task_by_id; read the quarantined task file itself —
+                    # key verification below rejects leftovers from another
+                    # campaign cell by cell.
                     try:
                         task = self.spool.read_quarantined_task(task_id)
                     except (OSError, ValueError, KeyError, TypeError):
@@ -646,33 +628,26 @@ class SpoolBackend(ExecutionBackend):
             """Fold claimed-cell counts and worker heartbeats into progress."""
             if not trackers:
                 return
-            cells_map = scheduler.cells_by_task if scheduler is not None else {}
             running = sum(
-                cells_map.get(task_id, 1)
+                len(task_by_id[task_id].cells) if task_id in task_by_id else 1
                 for task_id in self.spool.claimed_task_ids()
             )
             heartbeats = self.spool.worker_heartbeats()
-            counters = (
-                {key: value for key, value in scheduler.counters.items() if value}
-                if scheduler is not None
-                else {}
-            )
             for tracker in trackers:
                 tracker.set_running(running)
                 tracker.set_workers(heartbeats)
-                if counters:
-                    tracker.set_scheduler(counters)
+
+        recovery_tasks = 0
 
         def republish_drained_missing() -> None:
             """Recovery of last resort: the queue drained but cells are missing.
 
-            Covers elastic failure shapes the per-task republish cannot (a
-            split half's torn shard — the parent task file is consumed — or
-            a speculative copy lost with its original).  Only fires when
-            nothing is pending, claimed, held back in the backlog, or
-            sitting as an un-ingested non-stale shard.
+            Covers what the per-task republish cannot: cells whose task file
+            is gone from every spool directory.  Only fires when nothing is
+            pending, claimed, or sitting as an un-ingested non-stale shard.
             """
-            if scheduler is None or filled == expected or scheduler.has_backlog:
+            nonlocal recovery_tasks
+            if filled == expected:
                 return
             if self.spool.pending_task_ids() or self.spool.claimed_task_ids():
                 return
@@ -683,14 +658,17 @@ class SpoolBackend(ExecutionBackend):
                 (spec_by_index[index].params, spec_by_index[index].seed, index)
                 for index in sorted(expected - filled)
             ]
-            republished = scheduler.republish_missing(missing)
-            if republished:
-                logger.warning(
-                    "queue drained with %d cell(s) unfilled; republished them "
-                    "as %d recovery task(s)",
-                    len(missing),
-                    republished,
-                )
+            republished = republish_missing(
+                self._publish, scenario, missing, first=recovery_tasks
+            )
+            recovery_tasks += len(republished)
+            task_by_id.update((task.task_id, task) for task in republished)
+            logger.warning(
+                "queue drained with %d cell(s) unfilled; republished them "
+                "as %d recovery task(s)",
+                len(missing),
+                len(republished),
+            )
 
         # NOTE: respawns append to the caller's list so execute()'s finally
         # block joins replacements too, not just the first wave.
@@ -699,10 +677,6 @@ class SpoolBackend(ExecutionBackend):
         started = time.time()
         while filled != expected:
             inject("coordinator.poll")
-            if scheduler is not None:
-                scheduler.observe(
-                    self.spool.pending_task_ids(), self.spool.claimed_task_ids()
-                )
             ingest_new_shards()
             absorb_quarantined()
             update_liveness()
@@ -788,10 +762,9 @@ class SpoolBackend(ExecutionBackend):
         self,
         pending: Sequence[RunSpec],
         ingested: Set[str],
-        scheduler: ElasticScheduler,
         events: Optional[EventLog],
     ) -> None:
-        """Account for straggler shards that landed after completion."""
+        """Account for late shards that landed after completion."""
         key_by_index = {run_spec.index: run_spec.key for run_spec in pending}
         for task_id in self.spool.completed_task_ids():
             if task_id in ingested:
@@ -811,7 +784,6 @@ class SpoolBackend(ExecutionBackend):
                 task_id,
                 len(shard_records),
             )
-            scheduler.note_superseded(task_id)
             if events is not None:
                 events.emit(
                     "task_superseded", task=task_id, cells=len(shard_records)

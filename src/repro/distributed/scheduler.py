@@ -1,90 +1,39 @@
-"""Elastic scheduling policies for spool campaigns.
+"""Failure bounds for spool campaigns: cell deadlines and spool fsck.
 
-PR 7 made the spool survive *fail-stop* faults (crashes, torn writes,
-poison tasks).  This module addresses the gray failures that dominate real
-fleets — stragglers, skewed cell runtimes, runaway cells — the
-tail-at-scale problem MapReduce answers with speculative execution.  It
-collects the policy pieces the coordinator and workers compose:
+The spool is a plain pull queue: workers claim pending tasks in id order,
+and a stalled or dead worker is bounded by its claim lease (any process
+may reclaim an expired lease).  This module holds the two pieces that
+turn the remaining failure shapes into typed records instead of hangs:
 
-* :class:`ElapsedStats` — per-parameter-signature runtime estimates from
-  observed task durations, driving **adaptive shard sizing** (large shards
-  for cheap cells, single-cell shards for slow ones, a first-wave probe
-  when no history exists);
-* :class:`ElasticScheduler` — the coordinator-side policy loop: publishes
-  the adaptive backlog once probes settle, **speculatively re-publishes**
-  straggler tasks near campaign end (straggler = claim age >
-  k·median task time; the content-addressed cache dedups the loser), and
-  republishes cells that fell through every other recovery path;
 * :func:`cell_deadline` — the worker-side watchdog enforcing per-cell
   wall-clock deadlines (``--cell-timeout``): the runaway cell is killed
   with :class:`CellTimeout` and the task fed to the quarantine ledger;
-* :class:`WorkerHealth` — rolling success/timeout/crash scoring that
-  benches sick workers (surfaced via heartbeats in ``status``);
 * :func:`fsck_spool` — offline audit/repair of a spool directory using
   the same recovery paths the coordinator applies online.
 
-Every policy here only decides *where and when* cells execute, never what
-they compute — a campaign's merged store stays byte-identical to the
-``jobs=1`` run because merging is by run-list index with key verification,
-and duplicated executions of a deterministic cell produce identical
-records.
+Neither decides what a cell computes, so a campaign's merged store stays
+byte-identical to the ``jobs=1`` run.
 
-Fault points: ``scheduler.speculate`` fires before each speculative
-re-publish (a ``stall`` directive suppresses it) and ``worker.deadline``
-fires when a cell deadline is armed (a ``stall`` directive disables the
-watchdog for that cell), so chaos plans can exercise both sides.
+Fault point: ``worker.deadline`` fires when a cell deadline is armed (a
+``stall`` directive disables the watchdog for that cell).
 """
 
 from __future__ import annotations
 
 import json
 import signal
-import statistics
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.resilience.faults import inject
 
 __all__ = [
     "CellTimeout",
-    "DEFAULT_SPLIT_MIN_CELLS",
-    "ElapsedStats",
-    "ElasticScheduler",
-    "WorkerHealth",
     "cell_deadline",
     "fsck_spool",
-    "param_signature",
 ]
-
-#: A pending task with at least this many cells may be split in two by an
-#: idle worker (work stealing); published in ``campaign.json`` so every
-#: worker applies the same policy.
-DEFAULT_SPLIT_MIN_CELLS = 4
-
-#: A claimed task is a straggler once its claim age exceeds this multiple
-#: of the median observed task duration.
-DEFAULT_SPECULATION_K = 3.0
-
-#: Cells of adaptive shards target roughly this much wall-clock per task.
-DEFAULT_ADAPTIVE_TARGET_S = 2.0
-
-#: Upper bound on adaptive shard size (cheap cells still get bounded
-#: shards so late-campaign stealing/speculation has units to work with).
-DEFAULT_MAX_SHARD_CELLS = 32
 
 
 class CellTimeout(BaseException):
@@ -147,360 +96,6 @@ def cell_deadline(
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def param_signature(params: Dict[str, Any]) -> str:
-    """Canonical signature of a cell's parameters (seed excluded).
-
-    Cells sharing a signature are assumed to cost about the same — the
-    grain at which adaptive sharding estimates runtimes, so a sweep mixing
-    cheap and expensive parameter points gets small shards where cells are
-    slow and large shards where they are cheap.
-    """
-    try:
-        return json.dumps(params, sort_keys=True, default=str)
-    except (TypeError, ValueError):
-        return repr(sorted(params.items(), key=lambda item: item[0]))
-
-
-class ElapsedStats:
-    """Observed task durations, aggregated per parameter signature."""
-
-    def __init__(self) -> None:
-        self._by_signature: Dict[str, List[float]] = {}
-        self._all: List[float] = []
-
-    def add(self, signature: Optional[str], cells: int, elapsed_s: float) -> None:
-        """Fold one completed task's duration in (normalised per cell)."""
-        if elapsed_s < 0 or cells < 1:
-            return
-        per_cell = elapsed_s / cells
-        self._all.append(per_cell)
-        if signature is not None:
-            self._by_signature.setdefault(signature, []).append(per_cell)
-
-    def __len__(self) -> int:
-        return len(self._all)
-
-    def median_cell_s(self, signature: Optional[str] = None) -> Optional[float]:
-        samples = self._by_signature.get(signature) if signature is not None else self._all
-        if signature is not None and not samples:
-            samples = self._all  # unprobed signature: fall back to the global view
-        if not samples:
-            return None
-        return statistics.median(samples)
-
-    def shard_size(
-        self,
-        signature: Optional[str],
-        target_task_s: float = DEFAULT_ADAPTIVE_TARGET_S,
-        max_cells: int = DEFAULT_MAX_SHARD_CELLS,
-    ) -> int:
-        """Cells per shard so one task costs about ``target_task_s``."""
-        estimate = self.median_cell_s(signature)
-        if estimate is None or estimate <= 0:
-            return 1
-        return max(1, min(int(max_cells), int(target_task_s / estimate)))
-
-
-class WorkerHealth:
-    """Rolling success/timeout/crash score for one worker.
-
-    Each task outcome lands in a bounded window; the score is the fraction
-    of good outcomes (1.0 with no history — a fresh worker is presumed
-    healthy).  A worker whose score drops below ``bench_below`` with
-    enough evidence is *benched*: it keeps working but sleeps a penalty
-    before each claim, so healthier peers win the races for new tasks and
-    a sick host degrades into a straggler-of-last-resort instead of
-    grinding every task it touches into the quarantine ledger.
-    """
-
-    def __init__(self, window: int = 20, bench_below: float = 0.5, min_events: int = 4):
-        self.window = int(window)
-        self.bench_below = float(bench_below)
-        self.min_events = int(min_events)
-        self._outcomes: Deque[bool] = deque(maxlen=self.window)
-        self.timeouts = 0
-        self.io_failures = 0
-
-    def record_success(self) -> None:
-        self._outcomes.append(True)
-
-    def record_timeout(self) -> None:
-        self.timeouts += 1
-        self._outcomes.append(False)
-
-    def record_io_failure(self) -> None:
-        self.io_failures += 1
-        self._outcomes.append(False)
-
-    def score(self) -> float:
-        if not self._outcomes:
-            return 1.0
-        return sum(1 for ok in self._outcomes if ok) / len(self._outcomes)
-
-    def benched(self) -> bool:
-        return len(self._outcomes) >= self.min_events and self.score() < self.bench_below
-
-    def heartbeat_fields(self) -> Dict[str, Any]:
-        # Timeout/failure *counts* live in the worker's stats payload; this
-        # contributes only the derived score and bench verdict.
-        return {"health": round(self.score(), 3), "benched": self.benched()}
-
-
-class ElasticScheduler:
-    """Coordinator-side elastic policy: adaptive backlog + speculation.
-
-    The coordinator calls :meth:`observe` once per poll with what it can
-    see (pending/claimed/ingested task ids); the scheduler publishes the
-    adaptive backlog when probe estimates arrive, re-publishes stragglers,
-    and — as the recovery path of last resort — republishes cells whose
-    every covering task vanished (e.g. a split half whose shard tore).
-
-    ``publish`` is the coordinator's publish callable (so speculative and
-    backlog tasks carry trace context exactly like first-wave tasks); the
-    scheduler itself never touches result shards.
-    """
-
-    def __init__(
-        self,
-        spool: Any,
-        scenario: str,
-        publish: Callable[[Any], None],
-        make_task: Callable[[str, Sequence[Tuple[Dict[str, Any], int, int]]], Any],
-        events: Optional[Any] = None,
-        speculation_k: float = DEFAULT_SPECULATION_K,
-        speculation_min_age_s: float = 0.5,
-        adaptive_target_s: float = DEFAULT_ADAPTIVE_TARGET_S,
-        max_shard_cells: int = DEFAULT_MAX_SHARD_CELLS,
-    ):
-        self.spool = spool
-        self.scenario = scenario
-        self.publish = publish
-        self.make_task = make_task
-        self.events = events
-        self.speculation_k = float(speculation_k)
-        self.speculation_min_age_s = float(speculation_min_age_s)
-        self.adaptive_target_s = float(adaptive_target_s)
-        self.max_shard_cells = int(max_shard_cells)
-        self.stats = ElapsedStats()
-        #: Cells per published task id (shared with the coordinator's
-        #: running-cell accounting; split halves workers publish on their
-        #: own are not in here and count as one cell).
-        self.cells_by_task: Dict[str, int] = {}
-        self.counters: Dict[str, int] = {
-            "speculated": 0,
-            "superseded": 0,
-            "splits_observed": 0,
-            "backlog_published": 0,
-            "republished_missing": 0,
-        }
-        #: Cells not yet published (adaptive mode holds most of the
-        #: campaign back until the probe wave yields runtime estimates).
-        self._backlog: List[Tuple[Dict[str, Any], int, int]] = []
-        self._probe_ids: Set[str] = set()
-        self._signature_by_task: Dict[str, str] = {}
-        self._task_seq = 0
-        self._claim_first_seen: Dict[str, float] = {}
-        self._speculated: Set[str] = set()
-        self._spec_sources: Dict[str, str] = {}  # speculative id -> original id
-
-    # ------------------------------------------------------------ publication
-    def next_task_id(self) -> str:
-        task_id = f"task-{self._task_seq:05d}"
-        self._task_seq += 1
-        return task_id
-
-    def register_published(
-        self, task_id: str, cells: int = 1, signature: Optional[str] = None
-    ) -> None:
-        """Note a task the coordinator published outside this scheduler."""
-        tail = task_id.rsplit("-", 1)[-1]
-        if tail.isdigit():
-            self._task_seq = max(self._task_seq, int(tail) + 1)
-        self.cells_by_task[task_id] = cells
-        if signature is not None:
-            self._signature_by_task[task_id] = signature
-
-    def _publish_task(self, task: Any) -> None:
-        self.cells_by_task[task.task_id] = len(task.cells)
-        self.publish(task)
-
-    def plan_probes(
-        self, cells: Sequence[Tuple[Dict[str, Any], int, int]]
-    ) -> List[Any]:
-        """Split ``cells`` into a probe wave + held-back backlog.
-
-        One single-cell probe per parameter signature (in run-list order)
-        measures each signature's cost; everything else waits in the
-        backlog until :meth:`observe` sees every probe settle.
-        """
-        probes: List[Any] = []
-        seen: Set[str] = set()
-        for cell in cells:
-            signature = param_signature(cell[0])
-            if signature not in seen:
-                seen.add(signature)
-                task_id = self.next_task_id()
-                self._probe_ids.add(task_id)
-                self._signature_by_task[task_id] = signature
-                self.cells_by_task[task_id] = 1
-                probes.append(self.make_task(task_id, (cell,)))
-            else:
-                self._backlog.append(cell)
-        return probes
-
-    def _publish_backlog(self) -> None:
-        if not self._backlog:
-            return
-        # Group the backlog by signature (first-appearance order) so each
-        # group gets the shard size its measured cell cost calls for.
-        groups: Dict[str, List[Tuple[Dict[str, Any], int, int]]] = {}
-        for cell in self._backlog:
-            groups.setdefault(param_signature(cell[0]), []).append(cell)
-        self._backlog = []
-        published = 0
-        for signature, group in groups.items():
-            size = self.stats.shard_size(
-                signature, self.adaptive_target_s, self.max_shard_cells
-            )
-            for start in range(0, len(group), size):
-                task_id = self.next_task_id()
-                self._signature_by_task[task_id] = signature
-                self._publish_task(self.make_task(task_id, group[start : start + size]))
-                published += 1
-        self.counters["backlog_published"] += published
-
-    @property
-    def has_backlog(self) -> bool:
-        return bool(self._backlog)
-
-    # ------------------------------------------------------------- observation
-    def observe(
-        self,
-        pending_ids: Sequence[str],
-        claimed_ids: Sequence[str],
-        now: Optional[float] = None,
-    ) -> None:
-        """One poll's worth of policy: track claims, publish, speculate."""
-        now = time.monotonic() if now is None else now
-        live = set(claimed_ids)
-        for task_id in claimed_ids:
-            self._claim_first_seen.setdefault(task_id, now)
-        # A claim that disappeared without a shard was reclaimed or
-        # requeued; forget its start so a later re-claim re-times it.
-        for task_id in list(self._claim_first_seen):
-            if task_id not in live and not (
-                self.spool.results_dir / f"{task_id}.jsonl"
-            ).exists():
-                del self._claim_first_seen[task_id]
-        if self._backlog and not (self._probe_ids - self._settled_probe_ids()):
-            self._publish_backlog()
-        if not pending_ids and not self._backlog:
-            self._maybe_speculate(claimed_ids, now)
-
-    def _settled_probe_ids(self) -> Set[str]:
-        settled: Set[str] = set()
-        for task_id in self._probe_ids:
-            if (self.spool.results_dir / f"{task_id}.jsonl").exists() or (
-                self.spool.quarantine_dir / f"{task_id}.json"
-            ).exists():
-                settled.add(task_id)
-        return settled
-
-    def note_ingested(self, task_id: str, cells: int, now: Optional[float] = None) -> None:
-        """Fold an ingested shard's observed duration into the estimates."""
-        now = time.monotonic() if now is None else now
-        started = self._claim_first_seen.pop(task_id, None)
-        if started is not None:
-            self.stats.add(
-                self._signature_by_task.get(task_id), cells, max(0.0, now - started)
-            )
-        if _is_split_id(task_id):
-            self.counters["splits_observed"] += 1
-
-    def note_superseded(self, task_id: str) -> None:
-        self.counters["superseded"] += 1
-        self._claim_first_seen.pop(task_id, None)
-
-    # ------------------------------------------------------------- speculation
-    def _maybe_speculate(self, claimed_ids: Sequence[str], now: float) -> None:
-        median = self.stats.median_cell_s()
-        if median is None:
-            return  # no history yet: cannot tell a straggler from a long task
-        for task_id in claimed_ids:
-            if task_id in self._speculated or task_id in self._spec_sources:
-                continue
-            started = self._claim_first_seen.get(task_id)
-            if started is None:
-                continue
-            task = self._read_claimed_task(task_id)
-            if task is None:
-                continue
-            threshold = max(
-                self.speculation_k * median * len(task.cells),
-                self.speculation_min_age_s,
-            )
-            if now - started <= threshold:
-                continue
-            rule = inject("scheduler.speculate", task=task_id)
-            if rule is not None and rule.kind == "stall":
-                continue  # injected policy failure: speculation suppressed
-            copy_id = f"{task_id}~1"
-            self._speculated.add(task_id)
-            self._spec_sources[copy_id] = task_id
-            self._publish_task(self.make_task(copy_id, task.cells))
-            self.counters["speculated"] += 1
-            if self.events is not None:
-                self.events.emit(
-                    "task_speculated",
-                    task=task_id,
-                    copy=copy_id,
-                    claim_age_s=round(now - started, 3),
-                )
-
-    def _read_claimed_task(self, task_id: str) -> Optional[Any]:
-        path = self.spool.claimed_dir / f"{task_id}.json"
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None  # settled or reclaimed mid-read; skip this round
-        from repro.distributed.spool import SpoolTask
-
-        try:
-            return SpoolTask.from_json_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    # ----------------------------------------------------- recovery of last resort
-    def republish_missing(
-        self, missing_cells: Sequence[Tuple[Dict[str, Any], int, int]]
-    ) -> int:
-        """Re-publish cells no pending/claimed/quarantined task covers.
-
-        This is the catch-all behind every elastic mechanism: a split
-        half's shard that tore (its parent task is consumed), a
-        speculative copy lost with its original — whenever the queue
-        drains with run-list indices still unfilled, the missing cells
-        come back as fresh tasks.  Ids use a ``task-r`` prefix that sorts
-        after every numeric id, so recovery work queues behind real work.
-        """
-        if not missing_cells:
-            return 0
-        published = 0
-        for start in range(0, len(missing_cells), self.max_shard_cells):
-            task_id = f"task-r{self.counters['republished_missing'] + published:05d}"
-            self._publish_task(
-                self.make_task(task_id, missing_cells[start : start + self.max_shard_cells])
-            )
-            published += 1
-        self.counters["republished_missing"] += published
-        return published
-
-
-def _is_split_id(task_id: str) -> bool:
-    return task_id.rsplit("-", 1)[-1] in ("a", "b")
 
 
 # ---------------------------------------------------------------------------

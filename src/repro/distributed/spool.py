@@ -439,72 +439,17 @@ class Spool:
             self._append_attempt(task_id, ledger_event, **extra)
         return outcome
 
-    # ---------------------------------------------------------- work stealing
-    def split_pending(self, task_id: str) -> Optional[Tuple[str, str]]:
-        """Split one oversized pending task into two pending halves.
+    def campaign_cell_timeout(self) -> Optional[float]:
+        """The per-cell deadline the coordinator published, if any.
 
-        The work-stealing primitive: an idle worker finding a lone pending
-        task with many cells halves it so a peer can share the load.  The
-        split is claim-shaped — atomically claim the task, publish the two
-        halves (``<id>-a``/``<id>-b``, which sort between ``<id>`` and its
-        successor so claim order still maps deterministically onto the run
-        list), then drop the parent claim.  Crash safety: dying before the
-        halves are published leaves a normal expired claim (the parent is
-        reclaimed whole); dying after leaves the parent claim to expire
-        and requeue *alongside* the halves — cells then execute twice,
-        which is harmless because every cell is deterministic and merging
-        is by run-list index.  Returns the half ids, or ``None`` when the
-        claim race was lost or the task is too small to split.
+        It comes from ``campaign.json`` (seconds; 0 or absent means no
+        deadline) so every worker, spawned or started by hand on another
+        host, applies the same one.
         """
-        claimed = self.claim(task_id)
-        if claimed is None:
-            return None
-        cells = claimed.task.cells
-        if len(cells) < 2:
-            # Re-queue rather than execute: the caller asked for a split,
-            # not a claim, and a 1-cell task cannot be halved.
-            try:
-                os.rename(claimed.claimed_path, self.tasks_dir / f"{task_id}.json")
-            except OSError:
-                pass
-            return None
-        middle = (len(cells) + 1) // 2
-        halves = (
-            SpoolTask(
-                task_id=f"{task_id}-a",
-                scenario=claimed.task.scenario,
-                cells=cells[:middle],
-                trace=claimed.task.trace,
-            ),
-            SpoolTask(
-                task_id=f"{task_id}-b",
-                scenario=claimed.task.scenario,
-                cells=cells[middle:],
-                trace=claimed.task.trace,
-            ),
-        )
-        for half in halves:
-            self.publish_task(half)
-        self.release(claimed)
-        return halves[0].task_id, halves[1].task_id
-
-    def elastic_policy(self) -> Dict[str, Any]:
-        """The coordinator-published elastic knobs workers must share.
-
-        ``cell_timeout`` (seconds, 0/absent = no deadline) and
-        ``split_min_cells`` (0/absent = work stealing off) come from
-        ``campaign.json`` so every worker — spawned or started by hand on
-        another host — applies the same policy.
-        """
-        metadata = self.metadata()
-        policy: Dict[str, Any] = {"cell_timeout": None, "split_min_cells": 0}
-        timeout = metadata.get("cell_timeout")
+        timeout = self.metadata().get("cell_timeout")
         if isinstance(timeout, (int, float)) and timeout > 0:
-            policy["cell_timeout"] = float(timeout)
-        split = metadata.get("split_min_cells")
-        if isinstance(split, int) and split >= 2:
-            policy["split_min_cells"] = split
-        return policy
+            return float(timeout)
+        return None
 
     # -------------------------------------------------------------- quarantine
     def quarantined_task_ids(self) -> List[str]:

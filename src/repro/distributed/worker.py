@@ -20,21 +20,12 @@ Idle waits are jittered with a seed derived from the worker id, so N idle
 workers spread their lease-rescue sweeps instead of racing the same
 expired lease in the same tick (the first rename still wins either way).
 
-Elastic behaviour (adopted from the coordinator's ``campaign.json``, so
-every worker — spawned or hand-started on another host — applies the same
-policy):
-
-* **work stealing** — a worker finding exactly one oversized pending task
-  (``split_min_cells`` or more cells) splits it in two via the spool's
-  atomic rename before claiming, so an idle peer can share the load;
-* **cell deadlines** — with ``cell_timeout`` set, a ``SIGALRM`` watchdog
-  kills any cell that exceeds its wall-clock budget; the task is requeued
-  with a ``timeout`` ledger event (feeding the quarantine threshold) and
-  no shard is written, so results stay byte-identical to ``jobs=1``;
-* **health scoring** — task outcomes feed a rolling success/timeout/crash
-  score stamped into the heartbeat; a worker whose score collapses is
-  *benched* (it sleeps a penalty before each claim so healthier peers win
-  the claim races) rather than grinding tasks into quarantine.
+Cell deadlines: with a ``cell_timeout`` (the worker's own, or the one the
+coordinator published in ``campaign.json``, so spawned and hand-started
+workers apply the same), a ``SIGALRM`` watchdog kills any cell that
+exceeds its wall-clock budget; the task is requeued with a ``timeout``
+ledger event (feeding the quarantine threshold) and no shard is written,
+so results stay byte-identical to ``jobs=1``.
 
 Observability: each worker appends to the spool's shared event log (task
 claimed/completed, cache hit/miss, reclaims it performs, its own
@@ -48,7 +39,6 @@ keeps polling.
 from __future__ import annotations
 
 import importlib
-import json
 import logging
 import os
 import random
@@ -58,7 +48,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.distributed.cache import CacheIndex
-from repro.distributed.scheduler import CellTimeout, WorkerHealth, cell_deadline
+from repro.distributed.scheduler import CellTimeout, cell_deadline
 from repro.distributed.spool import ClaimedTask, Spool
 from repro.experiments.registry import (
     ScenarioRegistry,
@@ -86,8 +76,6 @@ class WorkerStats:
     failures: int = 0
     #: Cells killed by the ``--cell-timeout`` watchdog.
     timeouts: int = 0
-    #: Oversized pending tasks this worker split in two (work stealing).
-    shards_split: int = 0
     #: Wall seconds spent executing tasks (excludes idle polling).
     busy_s: float = 0.0
     #: Why the main loop returned: "complete" | "max_tasks" | "idle_timeout".
@@ -98,7 +86,6 @@ class WorkerStats:
         state: str,
         current_task: Optional[str] = None,
         events_dropped: int = 0,
-        health: Optional[WorkerHealth] = None,
     ) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "state": state,
@@ -115,10 +102,6 @@ class WorkerStats:
             payload["events_dropped"] = events_dropped
         if self.timeouts:
             payload["timeouts"] = self.timeouts
-        if self.shards_split:
-            payload["shards_split"] = self.shards_split
-        if health is not None:
-            payload.update(health.heartbeat_fields())
         return payload
 
 
@@ -347,34 +330,6 @@ def execute_task(
     return results
 
 
-def _maybe_split_lone_task(
-    spool: Spool, split_min: int
-) -> Optional[Tuple[str, Tuple[str, str]]]:
-    """Work stealing: halve the queue's lone pending task when oversized.
-
-    Only fires when exactly one task is pending — with more, every idle
-    worker can claim its own.  The peek at the task file races claiming
-    peers; any miss (file gone, half-written, too small, claim lost) just
-    means no split this round.
-    """
-    pending = spool.pending_task_ids()
-    if len(pending) != 1:
-        return None
-    task_id = pending[0]
-    try:
-        with (spool.tasks_dir / f"{task_id}.json").open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        cells = payload.get("cells") or []
-    except (OSError, ValueError, AttributeError):
-        return None  # claimed from under us mid-peek
-    if len(cells) < split_min:
-        return None
-    halves = spool.split_pending(task_id)
-    if halves is None:
-        return None
-    return task_id, halves
-
-
 def run_worker(
     spool_root: Union[str, os.PathLike],
     *,
@@ -388,7 +343,6 @@ def run_worker(
     worker_id: Optional[str] = None,
     retry_policy: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
-    split_min_cells: Optional[int] = None,
     pipes: Optional[CampaignPipes] = None,
 ) -> WorkerStats:
     """The worker main loop; returns once there is nothing left to do.
@@ -398,10 +352,9 @@ def run_worker(
     ``idle_timeout`` seconds (``None`` waits for the completion marker
     indefinitely).  Reclaim decisions follow the lease timeout the
     coordinator published in ``campaign.json`` unless ``lease_timeout``
-    explicitly overrides it; the same holds for ``cell_timeout`` and
-    ``split_min_cells``, which default to the campaign's published
-    elastic policy (see :meth:`Spool.elastic_policy`).  ``pipes`` is set
-    only in a worker the coordinator forked (see :class:`CampaignPipes`).
+    explicitly overrides it; the same holds for ``cell_timeout`` (see
+    :meth:`Spool.campaign_cell_timeout`).  ``pipes`` is set only in a
+    worker the coordinator forked (see :class:`CampaignPipes`).
     """
     _import_scenario_modules(scenario_modules)
     if registry is None:
@@ -416,7 +369,6 @@ def run_worker(
     stats = WorkerStats(worker_id=worker_id or f"worker-{os.getpid()}")
     # A ``sleep`` here stands for a worker that is slow to start up.
     inject("worker.start", worker=stats.worker_id)
-    health = WorkerHealth()
     # Seeded per worker id: each worker's idle polling is deterministic in
     # isolation but decorrelated from its peers', so N idle workers fan out
     # over a poll interval instead of racing the same expired lease in the
@@ -446,35 +398,9 @@ def run_worker(
         if max_tasks is not None and stats.tasks_completed >= max_tasks:
             stats.exit_reason = "max_tasks"
             break
-        if cell_timeout is None or split_min_cells is None:
-            policy = spool.elastic_policy()
-        else:
-            policy = {}
         task_deadline = (
-            cell_timeout if cell_timeout is not None else policy.get("cell_timeout")
+            cell_timeout if cell_timeout is not None else spool.campaign_cell_timeout()
         )
-        split_min = (
-            split_min_cells
-            if split_min_cells is not None
-            else int(policy.get("split_min_cells") or 0)
-        )
-        if health.benched():
-            # Benched: still working, but a penalty nap before each claim
-            # race hands new tasks to healthier peers first.
-            time.sleep(poll_interval * (2.0 + 2.0 * jitter.random()))
-        if split_min >= 2:
-            split = _maybe_split_lone_task(spool, split_min)
-            if split is not None:
-                parent, halves = split
-                stats.shards_split += 1
-                logger.info(
-                    "%s: split oversized task %s into %s + %s",
-                    stats.worker_id,
-                    parent,
-                    halves[0],
-                    halves[1],
-                )
-                events.emit("shard_split", task=parent, halves=list(halves))
         claimed = spool.claim_next()
         if claimed is None:
             # Nothing claimable: rescue tasks from dead peers, then wait.
@@ -515,9 +441,7 @@ def run_worker(
                 events.emit("worker_idle")
                 spool.write_worker_heartbeat(
                     stats.worker_id,
-                    stats.heartbeat_payload(
-                        "idle", events_dropped=events.dropped, health=health
-                    ),
+                    stats.heartbeat_payload("idle", events_dropped=events.dropped),
                 )
             idle_wait(poll_interval * (0.75 + 0.5 * jitter.random()))
             continue
@@ -530,7 +454,6 @@ def run_worker(
                 "running",
                 current_task=claimed.task_id,
                 events_dropped=events.dropped,
-                health=health,
             ),
         )
         try:
@@ -551,7 +474,6 @@ def run_worker(
             # cross the quarantine threshold, where the coordinator records
             # the failed CellTimeout cell.
             stats.timeouts += 1
-            health.record_timeout()
             outcome = spool.requeue(
                 claimed, event="timeout", index=exc.index, error_class="CellTimeout"
             )
@@ -571,9 +493,8 @@ def run_worker(
             )
         except OSError as exc:
             # Spool I/O failed even after retries (disk full, NFS blip…).
-            # Give the claim back — a healthier peer, or this worker later,
+            # Give the claim back — a peer, or this worker later,
             # re-executes it; the quarantine ledger caps how often.
-            health.record_io_failure()
             outcome = spool.requeue(claimed)
             logger.error(
                 "%s: task %s failed on spool I/O (%s); %s",
@@ -583,15 +504,11 @@ def run_worker(
                 outcome or "claim already gone",
             )
             time.sleep(poll_interval)
-        else:
-            health.record_success()
         if pipes is not None:
             pipes.note_landed()
         spool.write_worker_heartbeat(
             stats.worker_id,
-            stats.heartbeat_payload(
-                "running", events_dropped=events.dropped, health=health
-            ),
+            stats.heartbeat_payload("running", events_dropped=events.dropped),
         )
     events.emit(
         "worker_exit",
@@ -601,12 +518,11 @@ def run_worker(
         cache_hits=stats.cache_hits,
         failures=stats.failures,
         timeouts=stats.timeouts,
-        shards_split=stats.shards_split,
         busy_s=round(stats.busy_s, 3),
     )
     spool.write_worker_heartbeat(
         stats.worker_id,
-        stats.heartbeat_payload("exited", events_dropped=events.dropped, health=health),
+        stats.heartbeat_payload("exited", events_dropped=events.dropped),
     )
     if isinstance(cache, CacheIndex):
         cache.flush_stats()

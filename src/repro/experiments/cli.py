@@ -36,10 +36,9 @@ Examples::
     python -m repro.experiments quarantine list /spool/chaos
     python -m repro.experiments quarantine retry /spool/chaos
 
-    # Elastic scheduling: adaptive shards, cell deadlines, spool fsck
+    # Failure bounds: kill runaway cells, audit and repair a spool
     python -m repro.experiments run platoon/karyon --seeds 50 \\
-        --backend spool --spool /spool/platoon --task-size adaptive \\
-        --cell-timeout 30
+        --backend spool --spool /spool/platoon --cell-timeout 30
     python -m repro.experiments fsck /spool/platoon --repair
 """
 
@@ -152,9 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(0: wait for externally-started workers; default 2)",
     )
     run_parser.add_argument(
-        "--task-size", default=None, metavar="N|adaptive",
-        help="spool only: campaign cells per spool task file (default 1), or "
-        "'adaptive' to size shards from a probe wave's measured cell runtimes",
+        "--task-size", type=int, default=None, metavar="N",
+        help="spool only: campaign cells per spool task file (default 1)",
     )
     run_parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
@@ -485,20 +483,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    task_size: Any = None
-    if args.task_size is not None:
-        if args.task_size in ("adaptive", "auto"):
-            task_size = "adaptive"
-        else:
-            try:
-                task_size = int(args.task_size)
-            except ValueError:
-                print(
-                    f"error: --task-size must be an integer or 'adaptive', "
-                    f"got {args.task_size!r}",
-                    file=sys.stderr,
-                )
-                return 2
     if spool_requested:
         if not args.spool:
             print("error: --backend spool requires --spool DIR", file=sys.stderr)
@@ -514,7 +498,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.workers is not None and args.workers < 0:
             print("error: --workers must be >= 0", file=sys.stderr)
             return 2
-        if isinstance(task_size, int) and task_size < 1:
+        if args.task_size is not None and args.task_size < 1:
             print("error: --task-size must be >= 1", file=sys.stderr)
             return 2
         if args.cell_timeout is not None and args.cell_timeout <= 0:
@@ -593,7 +577,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.spool,
             workers=args.workers if args.workers is not None else 2,
             lease_timeout=args.lease_timeout if args.lease_timeout is not None else 60.0,
-            task_size=task_size if task_size is not None else 1,
+            task_size=args.task_size if args.task_size is not None else 1,
             timeout=args.timeout,
             worker_cache_root=args.cache,
             max_respawns=args.max_respawns if args.max_respawns is not None else 0,
@@ -1162,11 +1146,6 @@ def _format_progress(progress: CampaignProgress) -> str:
             f"{label}={count}" for label, count in sorted(progress.backend_cells.items())
         )
         parts.append(f"| cells: {cells}")
-    if progress.scheduler:
-        elastic = ", ".join(
-            f"{name}={count}" for name, count in sorted(progress.scheduler.items())
-        )
-        parts.append(f"| elastic: {elastic}")
     return " ".join(parts)
 
 
@@ -1184,13 +1163,6 @@ def _format_worker(worker_id: str, heartbeat: Dict[str, Any]) -> str:
     timeouts = heartbeat.get("timeouts", 0)
     if isinstance(timeouts, int) and timeouts > 0:
         bits.append(f", {timeouts} timeout(s)")
-    splits = heartbeat.get("shards_split", 0)
-    if isinstance(splits, int) and splits > 0:
-        bits.append(f", {splits} shard(s) split")
-    health = heartbeat.get("health")
-    if isinstance(health, (int, float)) and health < 1.0:
-        benched = " BENCHED" if heartbeat.get("benched") else ""
-        bits.append(f", health {health:.2f}{benched}")
     dropped = heartbeat.get("events_dropped", 0)
     if isinstance(dropped, int) and dropped > 0:
         bits.append(f", {dropped} dropped event(s)")

@@ -222,7 +222,10 @@ def measure_skewed_spool(
     cheap: Tuple[int, float] = (12, 0.3),
     heavy: Tuple[int, float] = (4, 1.6),
 ) -> Tuple[float, float]:
-    """``(elastic_wall_s, ideal_s)`` for a seeded-skew spool campaign.
+    """``(spool_wall_s, ideal_s)`` for a seeded-skew spool campaign.
+
+    The spool is a plain pull queue at ``task_size=1``: each idle worker
+    claims the next pending cell.
 
     Cells are *sleep-bound*: a deterministic fault plan injects a per-cell
     stall at ``worker.cell`` (``cheap`` cells get a short one, ``heavy``
@@ -230,7 +233,7 @@ def measure_skewed_spool(
     core and the measured ratio reflects scheduling quality rather than
     CPU contention.  ``ideal_s`` is the perfect-packing wall time: every
     task's claim-to-completion busy time (summed from the event log)
-    divided by the worker count.  The elastic store is also checked
+    divided by the worker count.  The spool store is also checked
     byte-identical against a ``jobs=1`` serial run of the same campaign
     (the fault plan only matches spool workers, so the serial run is not
     stalled).
@@ -272,25 +275,21 @@ def measure_skewed_spool(
                 root / "spool",
                 workers=workers,
                 task_size=1,
-                # Sleep-stalled cells are the *workload* here, not
-                # stragglers; a high threshold keeps speculation from
-                # burning a worker on byte-identical duplicates.
-                speculation_k=50.0,
                 poll_interval=0.05,
                 timeout=600.0,
             )
-            elastic_store = root / "elastic.jsonl"
+            spool_store = root / "spool.jsonl"
             started = time.monotonic()
             ParallelCampaignRunner(
-                registry=registry, store=ResultStore(elastic_store), backend=backend
+                registry=registry, store=ResultStore(spool_store), backend=backend
             ).run("demo/random_walk", params={"steps": 100}, seeds=seeds)
-            elastic_wall_s = time.monotonic() - started
+            spool_wall_s = time.monotonic() - started
         finally:
             if previous is None:
                 os.environ.pop(PLAN_ENV, None)
             else:
                 os.environ[PLAN_ENV] = previous
-        if serial_store.read_bytes() != elastic_store.read_bytes():
+        if serial_store.read_bytes() != spool_store.read_bytes():
             raise RuntimeError(
                 "skewed spool campaign diverged from the jobs=1 serial store"
             )
@@ -301,7 +300,7 @@ def measure_skewed_spool(
                 claimed_at[event["task"]] = event["ts"]
             elif event["kind"] == "task_completed" and event["task"] in claimed_at:
                 busy_s += event["ts"] - claimed_at.pop(event["task"])
-    return elastic_wall_s, busy_s / workers
+    return spool_wall_s, busy_s / workers
 
 
 def calibrate(repeats: int = 3) -> float:

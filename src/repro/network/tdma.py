@@ -62,21 +62,14 @@ class TdmaConfig:
     """TDMA parameters."""
 
     slots_per_frame: int = 16
-    slot_duration: float = 0.005
     #: Probability that a collision report is lost (models imperfect feedback).
     feedback_loss_probability: float = 0.0
 
     def __post_init__(self) -> None:
         if self.slots_per_frame < 1:
             raise ValueError("slots_per_frame must be >= 1")
-        if self.slot_duration <= 0:
-            raise ValueError("slot_duration must be positive")
         if not 0.0 <= self.feedback_loss_probability < 1.0:
             raise ValueError("feedback_loss_probability must be in [0, 1)")
-
-    @property
-    def frame_duration(self) -> float:
-        return self.slots_per_frame * self.slot_duration
 
 
 def _kth_free(taken: int, slots_per_frame: int, draw: Callable[[int], int]) -> int:

@@ -30,16 +30,15 @@ kind                emitted when
 ``task_quarantined``  a poison task was retired after repeated failed claims
 ``vector_batch``      the vector backend settled a lockstep seed batch
 ``vector_evict``      a seed was evicted from a batch to the scalar kernel
-``task_speculated``   the coordinator re-published a straggler's task copy
-``task_superseded``   a late shard arrived after its copy already won
-``shard_split``       an idle worker split an oversized pending task in two
+``task_superseded``   a late shard arrived for cells another shard already filled
 ``cell_timeout``      a worker's watchdog killed a cell past its deadline
 =================== ========================================================
 
-Schema note (v3 of this taxonomy, PR 10): the elastic-scheduling kinds
-carry ``task`` plus — for ``task_speculated`` — the ``copy`` id and the
-observed ``claim_age_s``; ``shard_split`` carries the two ``halves``;
-``cell_timeout`` carries ``index`` and ``seconds``.
+Schema note (v4 of this taxonomy): ``task_superseded`` carries ``task``
+and ``cells``; ``cell_timeout`` carries ``task``, ``index`` and ``seconds``.
+v3 also had one kind each for straggler speculation and work stealing,
+which are gone; logs of older spools may still hold them, and readers
+pass them through like any unknown kind.
 Schema note (v2 of this taxonomy, PR 9): ``vector_batch`` carries
 ``scenario``, ``size`` (seeds in the batch), ``verified`` (probe byte-match)
 and ``elapsed_s``; ``vector_evict`` carries ``scenario``, ``seed`` and
@@ -82,9 +81,7 @@ EVENT_KINDS = frozenset(
         "task_quarantined",
         "vector_batch",
         "vector_evict",
-        "task_speculated",
         "task_superseded",
-        "shard_split",
         "cell_timeout",
     }
 )

@@ -116,10 +116,6 @@ class CampaignProgress:
     #: Per-execution-path cell counts ("vector"/"scalar"/"store"/"cache"/
     #: backend name -> count); populated when the campaign closes.
     backend_cells: Dict[str, int] = field(default_factory=dict)
-    #: Elastic-scheduling counters (speculated/superseded/splits_observed/
-    #: ...), maintained by the spool coordinator.  Optional — the document
-    #: stays version 1 and readers that predate it ignore the key.
-    scheduler: Dict[str, int] = field(default_factory=dict)
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {
@@ -142,7 +138,6 @@ class CampaignProgress:
             "eta_smoothed_s": self.eta_smoothed_s,
             "workers": self.workers,
             "backend_cells": self.backend_cells,
-            **({"scheduler": self.scheduler} if self.scheduler else {}),
         }
 
     @classmethod
@@ -168,10 +163,6 @@ class CampaignProgress:
             backend_cells={
                 str(name): int(count)
                 for name, count in (payload.get("backend_cells") or {}).items()
-            },
-            scheduler={
-                str(name): int(count)
-                for name, count in (payload.get("scheduler") or {}).items()
             },
         )
 
@@ -230,7 +221,6 @@ class ProgressTracker:
         self._running = 0
         self._workers: Dict[str, Dict[str, Any]] = {}
         self._backend_cells: Dict[str, int] = {}
-        self._scheduler: Dict[str, int] = {}
         self._complete = False
         self._started_at = 0.0
         self._fresh_done = 0  # executed this session; drives throughput/ETA
@@ -282,14 +272,6 @@ class ProgressTracker:
     def set_workers(self, workers: Dict[str, Dict[str, Any]]) -> None:
         with self._lock:
             self._workers = dict(workers)
-            self._write_locked()
-
-    def set_scheduler(self, counters: Dict[str, int]) -> None:
-        """Publish the elastic scheduler's counters (spool campaigns)."""
-        with self._lock:
-            self._scheduler = {
-                str(name): int(count) for name, count in counters.items()
-            }
             self._write_locked()
 
     def finish(
@@ -347,7 +329,6 @@ class ProgressTracker:
             eta_smoothed_s=eta_smoothed,
             workers=dict(self._workers),
             backend_cells=dict(self._backend_cells),
-            scheduler=dict(self._scheduler),
         )
 
     def _write_locked(self, force: bool = False) -> None:

@@ -490,7 +490,7 @@ def summarize_trace(
     ``phases`` aggregates wall seconds by span name+category over the
     complete spans; ``slowest_cells`` ranks the ``cell``-category spans;
     ``stragglers`` lists cells slower than ``straggler_k`` times the
-    median cell — the feed for ROADMAP 3's speculative re-publish.
+    median cell.
     """
     phases: Dict[Tuple[str, str], Dict[str, Any]] = {}
     cells: List[Dict[str, Any]] = []

@@ -24,8 +24,6 @@ point                    where
 ``cache.put``            cache publish
 ``events.emit``          events.jsonl append
 ``coordinator.poll``     coordinator collect loop, once per poll
-``scheduler.speculate``  before each speculative straggler re-publish
-                         (``stall`` suppresses the speculation)
 ``worker.deadline``      when a cell's wall-clock deadline is armed
                          (``stall`` disables the watchdog for the cell)
 ``vector.evict``         vector backend, per cell while planning a

@@ -1,5 +1,5 @@
-"""Elastic spool scheduling: adaptive shards, speculation, stealing,
-cell deadlines, worker health, and spool fsck."""
+"""Spool failure bounds under plain pull scheduling: cell deadlines, late
+shards after a lease reclaim, recovery tasks, idle jitter and spool fsck."""
 
 import json
 import random
@@ -11,24 +11,18 @@ from repro.distributed import (
     CellTimeout,
     Spool,
     SpoolBackend,
-    WorkerHealth,
     cell_deadline,
     fsck_spool,
     merge_spool_results,
     run_worker,
 )
-from repro.distributed.coordinator import _campaign_id
-from repro.distributed.scheduler import (
-    ElapsedStats,
-    ElasticScheduler,
-    param_signature,
-)
-from repro.distributed.spool import SpoolTask, shard_cells
+from repro.distributed.coordinator import republish_missing
+from repro.distributed.spool import shard_cells
 from repro.experiments import ParallelCampaignRunner, ResultStore
 from repro.experiments.cli import main as cli_main
 from repro.experiments.registry import load_builtin_scenarios
 from repro.observability.events import EVENT_KINDS, read_events
-from repro.observability.progress import read_progress
+from repro.observability.progress import ProgressTracker, read_progress
 from repro.resilience import PLAN_ENV, FaultPlan, FaultRule, armed
 
 
@@ -92,59 +86,11 @@ class TestCellDeadline:
 
 
 # --------------------------------------------------------------------------
-# Adaptive shard sizing
+# Plain pull
 # --------------------------------------------------------------------------
 
 
-class TestElapsedStats:
-    def test_shard_size_scales_inverse_to_cell_cost(self):
-        stats = ElapsedStats()
-        stats.add("cheap", cells=1, elapsed_s=0.01)
-        stats.add("dear", cells=1, elapsed_s=1.0)
-        assert stats.shard_size("cheap", target_task_s=2.0, max_cells=32) == 32
-        assert stats.shard_size("dear", target_task_s=2.0, max_cells=32) == 2
-
-    def test_no_history_defaults_to_single_cell_shards(self):
-        assert ElapsedStats().shard_size("anything") == 1
-
-    def test_unprobed_signature_falls_back_to_global_median(self):
-        stats = ElapsedStats()
-        stats.add("seen", cells=2, elapsed_s=0.2)
-        assert stats.median_cell_s("never-seen") == pytest.approx(0.1)
-
-    def test_param_signature_ignores_nothing_but_is_canonical(self):
-        assert param_signature({"b": 1, "a": 2}) == param_signature({"a": 2, "b": 1})
-        assert param_signature({"a": 1}) != param_signature({"a": 2})
-
-
-# --------------------------------------------------------------------------
-# Worker health
-# --------------------------------------------------------------------------
-
-
-class TestWorkerHealth:
-    def test_fresh_worker_is_healthy_and_unbenched(self):
-        health = WorkerHealth()
-        assert health.score() == 1.0
-        assert not health.benched()
-
-    def test_repeated_timeouts_bench_the_worker(self):
-        health = WorkerHealth(window=8, bench_below=0.5, min_events=4)
-        for _ in range(4):
-            health.record_timeout()
-        assert health.benched()
-        assert health.heartbeat_fields() == {"health": 0.0, "benched": True}
-
-    def test_successes_rehabilitate_a_benched_worker(self):
-        health = WorkerHealth(window=4, bench_below=0.5, min_events=4)
-        for _ in range(4):
-            health.record_io_failure()
-        assert health.benched()
-        for _ in range(4):
-            health.record_success()
-        assert not health.benched()
-        assert health.score() == 1.0
-
+class TestPlainPull:
     def test_idle_jitter_is_seeded_per_worker_id(self):
         # The thundering-herd fix: decorrelated but deterministic polling.
         first = [random.Random("worker-1").random() for _ in range(3)]
@@ -153,201 +99,100 @@ class TestWorkerHealth:
         assert first == again
         assert first != other
 
-
-# --------------------------------------------------------------------------
-# Work stealing (split_pending)
-# --------------------------------------------------------------------------
-
-
-class TestWorkStealing:
-    def test_split_halves_preserve_cells_and_claim_order(self, tmp_path):
-        spool = Spool(tmp_path / "spool")
-        spool.initialise()
-        _, cells = _demo_cells([1, 2, 3, 4, 5])
-        (task,) = shard_cells(cells, "demo/random_walk", task_size=5)
-        spool.publish_task(task)
-        halves = spool.split_pending(task.task_id)
-        assert halves == (f"{task.task_id}-a", f"{task.task_id}-b")
-        pending = spool.pending_task_ids()
-        assert pending == sorted(pending)  # halves claim in run-list order
-        first = spool.claim(halves[0]).task
-        second = spool.claim(halves[1]).task
-        assert first.cells + second.cells == task.cells
-        assert len(first.cells) == 3 and len(second.cells) == 2
-
-    def test_half_ids_sort_between_parent_and_successor(self):
-        assert "task-00000" < "task-00000-a" < "task-00000-b" < "task-00001"
-
-    def test_too_small_tasks_are_requeued_not_split(self, tmp_path):
-        spool = Spool(tmp_path / "spool")
-        spool.initialise()
-        _, cells = _demo_cells([1])
-        (task,) = shard_cells(cells, "demo/random_walk", task_size=1)
-        spool.publish_task(task)
-        assert spool.split_pending(task.task_id) is None
-        assert spool.pending_task_ids() == [task.task_id]
-
-    def test_campaign_with_one_oversized_task_splits_and_stays_byte_identical(
-        self, tmp_path
-    ):
+    def test_one_task_campaign_on_three_workers_stays_byte_identical(self, tmp_path):
         serial = _serial_store(tmp_path, range(1, 9))
         backend = SpoolBackend(
             tmp_path / "spool",
-            workers=2,
-            task_size=8,  # one task; idle second worker must steal half
+            workers=3,
+            task_size=8,  # one task: one worker runs it, two stay idle
             poll_interval=0.02,
             timeout=120.0,
         )
-        elastic = tmp_path / "elastic.jsonl"
-        result = ParallelCampaignRunner(store=ResultStore(elastic), backend=backend).run(
+        pulled = tmp_path / "pulled.jsonl"
+        result = ParallelCampaignRunner(store=ResultStore(pulled), backend=backend).run(
             "demo/random_walk", seeds=range(1, 9)
         )
         assert result.failures == 0
-        assert serial.read_bytes() == elastic.read_bytes()
+        assert serial.read_bytes() == pulled.read_bytes()
         spool = Spool(tmp_path / "spool")
-        kinds = {event["kind"] for event in read_events(spool.events_path)}
-        assert kinds <= EVENT_KINDS
-        assert "shard_split" in kinds
+        events = read_events(spool.events_path)
+        assert {event["kind"] for event in events} <= EVENT_KINDS
+        (start,) = [event for event in events if event["kind"] == "campaign_start"]
+        assert start["tasks"] == 1
+        claims = [event["task"] for event in events if event["kind"] == "task_claimed"]
+        assert claims == ["task-00000"]
         assert spool.quarantined_task_ids() == []
 
 
 # --------------------------------------------------------------------------
-# Speculation
+# Late shards after a lease reclaim
 # --------------------------------------------------------------------------
 
 
-class TestSpeculation:
-    def _scheduler(self, spool, **kwargs):
-        return ElasticScheduler(
-            spool,
-            "demo/random_walk",
-            publish=spool.publish_task,
-            make_task=lambda task_id, cells: SpoolTask(
-                task_id=task_id, scenario="demo/random_walk", cells=tuple(cells)
-            ),
-            speculation_min_age_s=0.5,
-            **kwargs,
-        )
+class TestLateShards:
+    """A worker stalled past its lease keeps running and writes its shard
+    late.  With ``max_task_attempts=1`` the reclaim quarantines the task at
+    once, so the coordinator records its cells as failed before the real
+    shard lands; what happens next depends on whether the campaign is still
+    running.  One worker and a stall six leases long keep the order fixed."""
 
-    def test_straggler_claim_gets_a_speculative_copy(self, tmp_path):
-        spool = Spool(tmp_path / "spool")
-        spool.initialise()
-        _, cells = _demo_cells([1, 2])
-        tasks = shard_cells(cells, "demo/random_walk", task_size=1)
-        for task in tasks:
-            spool.publish_task(task)
-        scheduler = self._scheduler(spool)
-        for task in tasks:
-            scheduler.register_published(task.task_id, cells=len(task.cells))
-        scheduler.stats.add(None, cells=1, elapsed_s=0.01)  # median known
-        claimed = spool.claim(tasks[0].task_id)
-        assert claimed is not None
-        spool.claim(tasks[1].task_id)  # queue empty; both claimed
-        scheduler.observe([], [tasks[0].task_id, tasks[1].task_id], now=100.0)
-        assert spool.pending_task_ids() == []  # not stragglers yet
-        scheduler.observe([], [tasks[0].task_id, tasks[1].task_id], now=110.0)
-        pending = spool.pending_task_ids()
-        assert f"{tasks[0].task_id}~1" in pending
-        assert scheduler.counters["speculated"] == 2
-        # One copy per task, ever: another poll must not re-speculate.
-        scheduler.observe([], [tasks[0].task_id], now=200.0)
-        assert scheduler.counters["speculated"] == 2
-
-    def test_speculative_copy_sorts_right_after_its_original(self):
-        assert "task-00001" < "task-00001~1" < "task-00002"
-
-    def test_stall_fault_suppresses_speculation(self, tmp_path):
-        spool = Spool(tmp_path / "spool")
-        spool.initialise()
-        _, cells = _demo_cells([1])
-        (task,) = shard_cells(cells, "demo/random_walk", task_size=1)
-        spool.publish_task(task)
-        scheduler = self._scheduler(spool)
-        scheduler.register_published(task.task_id, cells=1)
-        scheduler.stats.add(None, cells=1, elapsed_s=0.01)
-        spool.claim(task.task_id)
-        plan = FaultPlan(
-            [FaultRule(point="scheduler.speculate", kind="stall", times=None)]
-        )
-        with armed(plan):
-            scheduler.observe([], [task.task_id], now=100.0)
-            scheduler.observe([], [task.task_id], now=110.0)
-        assert spool.pending_task_ids() == []
-        assert scheduler.counters["speculated"] == 0
-
-    def test_no_history_means_no_speculation(self, tmp_path):
-        spool = Spool(tmp_path / "spool")
-        spool.initialise()
-        _, cells = _demo_cells([1])
-        (task,) = shard_cells(cells, "demo/random_walk", task_size=1)
-        spool.publish_task(task)
-        scheduler = self._scheduler(spool)
-        scheduler.register_published(task.task_id, cells=1)
-        spool.claim(task.task_id)
-        scheduler.observe([], [task.task_id], now=100.0)
-        scheduler.observe([], [task.task_id], now=1000.0)
-        assert spool.pending_task_ids() == []  # can't tell straggler from slow
-
-    def test_stalled_worker_loses_the_race_and_its_shard_is_superseded(
-        self, tmp_path, monkeypatch
-    ):
-        """Satellite: a worker stalled by an injected sleep holds its claim
-        past the speculation threshold; the copy's records win, the late
-        byte-identical twin is discarded at ingest with `task_superseded`,
-        and the merged store matches the serial run exactly.
-
-        Start-up timing does not decide the outcome.  Every worker stalls
-        0.5 s at ``worker.start``, about the start-up cost of a fresh
-        interpreter, and the roles do not depend on which worker claims
-        first.  task-00001's cells sleep 0.1 s each, so its claim is always
-        observed and the speculation history (about 0.1 s per cell, a
-        0.6 s threshold) never hinges on poll timing.  Whichever worker
-        takes task-00002 stalls 3 s, far past the threshold, while its peer
-        is free to run the copy."""
-        serial = _serial_store(tmp_path, range(1, 7))
+    def _run(self, tmp_path, monkeypatch, seeds):
         plan = FaultPlan(
             [
-                FaultRule(point="worker.start", kind="sleep", args={"seconds": 0.5}),
                 FaultRule(
                     point="worker.cell", kind="sleep",
-                    match={"task": "task-00000"}, args={"seconds": 1.5},
-                ),
-                FaultRule(
-                    point="worker.cell", kind="sleep",
-                    match={"task": "task-00001"}, times=None, args={"seconds": 0.1},
-                ),
-                FaultRule(
-                    point="worker.cell", kind="sleep",
-                    match={"task": "task-00002"}, args={"seconds": 3.0},
-                ),
+                    match={"task": "task-00000"}, args={"seconds": 3.0},
+                )
             ]
         )
-        plan_path = plan.save(tmp_path / "plan.json")
-        monkeypatch.setenv(PLAN_ENV, str(plan_path))  # workers arm it at start
+        monkeypatch.setenv(PLAN_ENV, str(plan.save(tmp_path / "plan.json")))
         backend = SpoolBackend(
             tmp_path / "spool",
-            workers=2,
-            task_size=2,
-            lease_timeout=30.0,  # leases must outlive the injected stalls
+            workers=1,
+            task_size=1,
+            lease_timeout=0.5,
+            max_task_attempts=1,
             poll_interval=0.02,
             timeout=120.0,
         )
-        elastic = tmp_path / "elastic.jsonl"
-        result = ParallelCampaignRunner(store=ResultStore(elastic), backend=backend).run(
-            "demo/random_walk", seeds=range(1, 7)
+        store = tmp_path / "spool.jsonl"
+        result = ParallelCampaignRunner(store=ResultStore(store), backend=backend).run(
+            "demo/random_walk", seeds=seeds
         )
-        assert result.failures == 0
-        assert serial.read_bytes() == elastic.read_bytes()
         spool = Spool(tmp_path / "spool")
-        kinds = {event["kind"] for event in read_events(spool.events_path)}
-        assert kinds <= EVENT_KINDS
-        assert "task_speculated" in kinds
-        assert "task_superseded" in kinds
-        assert spool.quarantined_task_ids() == []
-        # The spool's merged view is equally byte-identical, duplicates and all.
+        events = read_events(spool.events_path)
+        assert {event["kind"] for event in events} <= EVENT_KINDS
+        return result, store, spool, events
+
+    def test_stalled_worker_loses_its_lease_and_its_late_shard_is_superseded(
+        self, tmp_path, monkeypatch
+    ):
+        serial = _serial_store(tmp_path, [1])
+        result, store, spool, events = self._run(tmp_path, monkeypatch, [1])
+        # The quarantined cell completed the campaign as a failure ...
+        (failed,) = result.records
+        assert failed.error_class == "TaskQuarantined"
+        assert serial.read_bytes() != store.read_bytes()
+        # ... so the real shard landed after completion and was discarded.
+        kinds = [event["kind"] for event in events]
+        assert kinds.index("task_quarantined") < kinds.index("campaign_complete")
+        (superseded,) = [event for event in events if event["kind"] == "task_superseded"]
+        assert superseded["task"] == "task-00000" and superseded["cells"] == 1
+        # The late shard itself is whole: the spool's merged view is serial.
         merged = tmp_path / "merged.jsonl"
         merge_spool_results(spool, ResultStore(merged))
         assert serial.read_bytes() == merged.read_bytes()
+
+    def test_late_shard_heals_a_quarantined_cell_while_the_campaign_runs(
+        self, tmp_path, monkeypatch
+    ):
+        serial = _serial_store(tmp_path, [1, 2])
+        result, store, spool, events = self._run(tmp_path, monkeypatch, [1, 2])
+        assert result.failures == 0
+        assert serial.read_bytes() == store.read_bytes()
+        kinds = [event["kind"] for event in events]
+        assert "task_quarantined" in kinds
+        assert "task_superseded" not in kinds
 
 
 # --------------------------------------------------------------------------
@@ -426,61 +271,39 @@ class TestCellTimeoutCampaign:
 
 
 # --------------------------------------------------------------------------
-# Adaptive campaigns
+# status on spools written before plain pull
 # --------------------------------------------------------------------------
 
 
-class TestAdaptiveCampaign:
-    def test_adaptive_campaign_is_byte_identical_and_reports_counters(self, tmp_path):
-        serial = _serial_store(tmp_path, range(1, 9))
-        backend = SpoolBackend(
-            tmp_path / "spool",
-            workers=2,
-            task_size="adaptive",
-            poll_interval=0.02,
-            timeout=120.0,
-        )
-        adaptive = tmp_path / "adaptive.jsonl"
-        result = ParallelCampaignRunner(store=ResultStore(adaptive), backend=backend).run(
-            "demo/random_walk", seeds=range(1, 9)
-        )
-        assert result.failures == 0
-        assert serial.read_bytes() == adaptive.read_bytes()
-        spool = Spool(tmp_path / "spool")
-        events = read_events(spool.events_path)
-        assert {event["kind"] for event in events} <= EVENT_KINDS
-        (start,) = [event for event in events if event["kind"] == "campaign_start"]
-        assert start["tasks"] == 1  # one probe (single parameter signature)
-        progress = read_progress(spool.progress_path)
-        assert progress is not None and progress.complete
-        assert progress.scheduler.get("backlog_published", 0) >= 1
-
-    def test_adaptive_task_size_rejects_resume(self, tmp_path):
-        _, cells = _demo_cells([1, 2])
-        fixed = _campaign_id("demo/random_walk", cells, 2)
-        adaptive = _campaign_id("demo/random_walk", cells, "adaptive")
-        assert fixed != adaptive  # adaptive spools never match a fixed resume
-
-    def test_bad_task_size_strings_are_rejected(self):
-        with pytest.raises(ValueError):
-            SpoolBackend("unused-spool", task_size="huge")
-
-    def test_progress_scheduler_field_round_trips(self, tmp_path):
-        from repro.observability.progress import ProgressTracker
-
+class TestOldSpoolStatus:
+    def test_status_renders_old_scheduler_and_health_fields(self, tmp_path, capsys):
         path = tmp_path / "progress.json"
         tracker = ProgressTracker(path, scenario="s", backend="spool")
-        tracker.begin(total=4)
-        tracker.set_scheduler({"speculated": 2, "splits_observed": 1})
+        tracker.begin(total=2)
+        tracker.set_workers(
+            {
+                "w1": {
+                    "state": "running",
+                    "tasks_completed": 3,
+                    "shards_split": 2,
+                    "health": 0.25,
+                    "benched": True,
+                }
+            }
+        )
+        tracker.record_record(ok=True)
         tracker.finish(complete=True)
+        document = json.loads(path.read_text())
+        document["scheduler"] = {"speculated": 2, "splits_observed": 1}
+        path.write_text(json.dumps(document))
         progress = read_progress(path)
-        assert progress.scheduler == {"speculated": 2, "splits_observed": 1}
-        # Plain campaigns keep the v1 schema: no scheduler key at all.
-        plain = tmp_path / "plain.json"
-        plain_tracker = ProgressTracker(plain, scenario="s", backend="inline")
-        plain_tracker.begin(total=1)
-        plain_tracker.finish(complete=True)
-        assert "scheduler" not in json.loads(plain.read_text())
+        assert progress is not None and progress.complete
+        assert cli_main(["status", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "w1: running" in out and "3 tasks" in out
+        assert "elastic" not in out and "BENCHED" not in out
+        assert cli_main(["status", str(path), "--json"]) == 0
+        assert "scheduler" not in json.loads(capsys.readouterr().out)
 
 
 # --------------------------------------------------------------------------
@@ -580,20 +403,11 @@ class TestRepublishMissing:
     def test_republish_missing_covers_the_cells(self, tmp_path):
         spool = Spool(tmp_path / "spool")
         spool.initialise()
-        scheduler = ElasticScheduler(
-            spool,
-            "demo/random_walk",
-            publish=spool.publish_task,
-            make_task=lambda task_id, cells: SpoolTask(
-                task_id=task_id, scenario="demo/random_walk", cells=tuple(cells)
-            ),
-        )
         _, cells = _demo_cells([1, 2, 3])
-        assert scheduler.republish_missing(cells) == 1
-        (pending,) = spool.pending_task_ids()
-        assert pending.startswith("task-r")
-        assert len(spool.claim(pending).task.cells) == 3
-        assert scheduler.counters["republished_missing"] == 1
+        (task,) = republish_missing(spool.publish_task, "demo/random_walk", cells, first=2)
+        assert task.task_id == "task-r00002"
+        assert spool.pending_task_ids() == [task.task_id]
+        assert spool.claim(task.task_id).task.cells == tuple(cells)
 
 
 # --------------------------------------------------------------------------
@@ -601,12 +415,15 @@ class TestRepublishMissing:
 # --------------------------------------------------------------------------
 
 
-class TestElasticCli:
-    def test_task_size_accepts_adaptive_and_rejects_garbage(self, capsys):
-        rc = cli_main(
-            ["run", "demo/random_walk", "--seeds", "1", "--task-size", "huge"]
-        )
-        assert rc == 2
+class TestSpoolCli:
+    @pytest.mark.parametrize("value", ["adaptive", "huge"])
+    def test_task_size_is_an_integer(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(
+                ["run", "demo/random_walk", "--seeds", "1", "--backend", "spool",
+                 "--spool", "unused", "--task-size", value]
+            )
+        assert excinfo.value.code == 2
         assert "--task-size" in capsys.readouterr().err
 
     def test_cell_timeout_is_spool_only_and_positive(self, tmp_path, capsys):
