@@ -206,11 +206,14 @@ class SpoolBackend(ExecutionBackend):
             raise ValueError(f"worker_retries must be >= 1, got {worker_retries}")
         if cell_timeout is not None and cell_timeout <= 0:
             raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
+        task_size = int(task_size)
+        if task_size < 1:
+            raise ValueError(f"task_size must be >= 1, got {task_size}")
         self.spool = Spool(
             spool_root, lease_timeout=lease_timeout, max_task_attempts=max_task_attempts
         )
         self.workers = int(workers)
-        self.task_size = int(task_size)
+        self.task_size = task_size
         self.cell_timeout = cell_timeout
         self.poll_interval = float(poll_interval)
         self.timeout = timeout

@@ -2,7 +2,10 @@
 shards after a lease reclaim, recovery tasks, idle jitter and spool fsck."""
 
 import json
+import os
 import random
+import signal
+import threading
 import time
 
 import pytest
@@ -16,7 +19,11 @@ from repro.distributed import (
     merge_spool_results,
     run_worker,
 )
-from repro.distributed.coordinator import republish_missing
+from repro.distributed.coordinator import (
+    RECOVERY_TASK_CELLS,
+    _campaign_id,
+    republish_missing,
+)
 from repro.distributed.spool import shard_cells
 from repro.experiments import ParallelCampaignRunner, ResultStore
 from repro.experiments.cli import main as cli_main
@@ -84,6 +91,32 @@ class TestCellDeadline:
             with cell_deadline(0.05, task="t", index=0):
                 time.sleep(0.15)  # would have been killed without the stall
 
+    def test_off_the_main_thread_the_deadline_is_a_noop(self):
+        # SIGALRM is delivered only to the main thread, so library callers
+        # on other threads get no watchdog (and no foreign handler).
+        previous = signal.getsignal(signal.SIGALRM)
+        outcome = []
+
+        def body():
+            try:
+                with cell_deadline(0.05, task="t", index=0):
+                    time.sleep(0.15)
+                outcome.append("finished")
+            except BaseException as error:  # noqa: BLE001 — recorded below
+                outcome.append(error)
+
+        thread = threading.Thread(target=body)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert outcome == ["finished"]
+        assert signal.getsignal(signal.SIGALRM) is previous
+
+    def test_message_names_the_deadline_task_and_index(self):
+        assert str(CellTimeout(1.5, task="task-00004", index=9)) == (
+            "cell exceeded its 1.5s wall-clock deadline (task task-00004, index 9)"
+        )
+        assert str(CellTimeout(2.0)) == "cell exceeded its 2s wall-clock deadline"
+
 
 # --------------------------------------------------------------------------
 # Plain pull
@@ -122,6 +155,60 @@ class TestPlainPull:
         claims = [event["task"] for event in events if event["kind"] == "task_claimed"]
         assert claims == ["task-00000"]
         assert spool.quarantined_task_ids() == []
+
+    @pytest.mark.parametrize("value", ["huge", "adaptive", "auto"])
+    def test_bad_task_size_strings_are_rejected(self, value):
+        with pytest.raises(ValueError):
+            SpoolBackend("unused-spool", task_size=value)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_nonpositive_task_size_is_rejected_at_construction(self, tmp_path, value):
+        with pytest.raises(ValueError, match="task_size must be >= 1"):
+            SpoolBackend(tmp_path / "spool", workers=2, task_size=value)
+        assert not (tmp_path / "spool").exists()
+
+    def test_campaign_id_covers_the_task_size(self):
+        _, cells = _demo_cells([1, 2, 3, 4])
+        one = _campaign_id("demo/random_walk", cells, 1)
+        assert one == _campaign_id("demo/random_walk", cells, 1)
+        assert one != _campaign_id("demo/random_walk", cells, 2)
+        assert one != _campaign_id("demo/random_walk", cells[:3], 1)
+
+    def _spool_run(self, tmp_path, task_size, name):
+        backend = SpoolBackend(
+            tmp_path / "spool",
+            workers=1,
+            task_size=task_size,
+            poll_interval=0.02,
+            timeout=120.0,
+        )
+        store = tmp_path / name
+        result = ParallelCampaignRunner(store=ResultStore(store), backend=backend).run(
+            "demo/random_walk", seeds=range(1, 5)
+        )
+        assert result.failures == 0
+        return store, read_events(Spool(tmp_path / "spool").events_path)
+
+    def test_same_task_size_resumes_the_finished_spool(self, tmp_path):
+        first, _ = self._spool_run(tmp_path, 2, "first.jsonl")
+        again, events = self._spool_run(tmp_path, 2, "again.jsonl")
+        assert first.read_bytes() == again.read_bytes()
+        (resumed,) = [event for event in events if event["kind"] == "campaign_resumed"]
+        assert resumed["completed"] == 2 and resumed["republished"] == 0
+        # The resume keeps the first run's log; nothing is claimed after it.
+        kinds = [event["kind"] for event in events]
+        assert kinds.count("task_claimed") == 2
+        assert "task_claimed" not in kinds[kinds.index("campaign_resumed") :]
+
+    def test_other_task_size_purges_and_republishes(self, tmp_path):
+        first, _ = self._spool_run(tmp_path, 2, "first.jsonl")
+        again, events = self._spool_run(tmp_path, 1, "again.jsonl")
+        assert first.read_bytes() == again.read_bytes()
+        kinds = [event["kind"] for event in events]
+        assert "campaign_resumed" not in kinds
+        (start,) = [event for event in events if event["kind"] == "campaign_start"]
+        assert start["tasks"] == 4
+        assert kinds.count("task_claimed") == 4
 
 
 # --------------------------------------------------------------------------
@@ -305,6 +392,33 @@ class TestOldSpoolStatus:
         assert cli_main(["status", str(path), "--json"]) == 0
         assert "scheduler" not in json.loads(capsys.readouterr().out)
 
+    def _old_event_log(self, tmp_path):
+        lines = [
+            {"kind": "task_claimed", "source": "w1", "ts": 1.0, "task": "task-00000"},
+            {"kind": "task_speculated", "source": "coordinator", "ts": 2.0,
+             "task": "task-00000~1"},
+            {"kind": "shard_split", "source": "w2", "ts": 3.0, "task": "task-00001",
+             "halves": ["task-00001-a", "task-00001-b"]},
+        ]
+        (tmp_path / "events.jsonl").write_text(
+            "".join(json.dumps(line) + "\n" for line in lines)
+        )
+        return lines
+
+    def test_tail_passes_retired_event_kinds_through(self, tmp_path, capsys):
+        lines = self._old_event_log(tmp_path)
+        assert read_events(tmp_path / "events.jsonl") == lines
+        assert cli_main(["tail", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 3
+        assert "task_speculated" in out[1] and "task-00000~1" in out[1]
+        assert "shard_split" in out[2] and "task-00001" in out[2]
+
+    def test_tail_rejects_a_retired_kind_as_a_filter(self, tmp_path, capsys):
+        self._old_event_log(tmp_path)
+        assert cli_main(["tail", str(tmp_path), "--kind", "task_speculated"]) == 2
+        assert "unknown event kind(s): task_speculated" in capsys.readouterr().err
+
 
 # --------------------------------------------------------------------------
 # fsck
@@ -386,6 +500,65 @@ class TestFsck:
         document = json.loads(capsys.readouterr().out)
         assert document["issues"] == [] and document["ok"] is True
 
+    def test_fsck_finds_nothing_on_a_drained_spool(self, tmp_path):
+        spool = Spool(tmp_path / "spool")
+        spool.initialise()
+        _, cells = _demo_cells([1, 2])
+        for task in shard_cells(cells, "demo/random_walk", task_size=1):
+            spool.publish_task(task)
+        run_worker(spool.root, idle_timeout=0.05, poll_interval=0.01, max_tasks=2)
+        assert spool.completed_task_ids() == ["task-00000", "task-00001"]
+        assert fsck_spool(spool) == {"issues": [], "repaired": [], "ok": True}
+
+    def _expired_claim(self, tmp_path, max_task_attempts):
+        spool = Spool(
+            tmp_path / "spool", lease_timeout=5.0, max_task_attempts=max_task_attempts
+        )
+        spool.initialise()
+        _, cells = _demo_cells([1])
+        (task,) = shard_cells(cells, "demo/random_walk", task_size=1)
+        spool.publish_task(task)
+        claimed = spool.claim_next()
+        stale = time.time() - 60.0
+        os.utime(claimed.claimed_path, (stale, stale))
+        report = fsck_spool(spool)
+        assert [(issue["kind"], issue["target"]) for issue in report["issues"]] == [
+            ("expired_lease", task.task_id)
+        ]
+        assert report["ok"] is False
+        return spool, task
+
+    def test_fsck_repair_requeues_an_expired_lease(self, tmp_path):
+        spool, task = self._expired_claim(tmp_path, max_task_attempts=3)
+        repaired = fsck_spool(spool, repair=True)
+        assert repaired["repaired"] == [f"requeued expired claim {task.task_id}"]
+        assert spool.pending_task_ids() == [task.task_id]
+        assert spool.claimed_task_ids() == []
+        assert spool.reclaim_count(task.task_id) == 1
+        assert fsck_spool(spool)["issues"] == []
+
+    def test_fsck_repair_quarantines_an_expired_lease_at_the_cap(self, tmp_path):
+        spool, task = self._expired_claim(tmp_path, max_task_attempts=1)
+        repaired = fsck_spool(spool, repair=True)
+        assert repaired["repaired"] == [f"quarantined poison task {task.task_id}"]
+        assert spool.quarantined_task_ids() == [task.task_id]
+        assert spool.pending_task_ids() == [] and spool.claimed_task_ids() == []
+
+    def test_fsck_flags_a_quarantine_with_too_few_recorded_attempts(self, tmp_path):
+        spool = Spool(tmp_path / "spool", max_task_attempts=3)
+        spool.initialise()
+        _, cells = _demo_cells([1])
+        (task,) = shard_cells(cells, "demo/random_walk", task_size=1)
+        spool.quarantine_dir.mkdir(parents=True, exist_ok=True)
+        (spool.quarantine_dir / f"{task.task_id}.json").write_text(
+            json.dumps(task.to_json_dict())
+        )
+        report = fsck_spool(spool)
+        (issue,) = report["issues"]
+        assert issue["kind"] == "quarantine_ledger" and issue["target"] == task.task_id
+        assert "0 recorded failed attempt(s)" in issue["detail"]
+        assert report["ok"] is False
+
     def test_fsck_cli_rejects_a_non_spool_directory(self, tmp_path, capsys):
         assert cli_main(["fsck", str(tmp_path / "nowhere")]) == 1
         assert "not a campaign spool" in capsys.readouterr().out
@@ -409,6 +582,24 @@ class TestRepublishMissing:
         assert spool.pending_task_ids() == [task.task_id]
         assert spool.claim(task.task_id).task.cells == tuple(cells)
 
+    def test_many_missing_cells_come_back_in_bounded_recovery_tasks(self):
+        cells = [({"n": n}, n, n) for n in range(2 * RECOVERY_TASK_CELLS + 6)]
+        published = []
+        tasks = republish_missing(published.append, "demo/random_walk", cells)
+        assert tasks == published
+        assert [task.task_id for task in tasks] == [
+            "task-r00000", "task-r00001", "task-r00002"
+        ]
+        assert [len(task.cells) for task in tasks] == [
+            RECOVERY_TASK_CELLS, RECOVERY_TASK_CELLS, 6
+        ]
+        assert [cell for task in tasks for cell in task.cells] == cells
+
+    def test_nothing_missing_publishes_nothing(self):
+        published = []
+        assert republish_missing(published.append, "demo/random_walk", [], first=3) == []
+        assert published == []
+
 
 # --------------------------------------------------------------------------
 # CLI validation
@@ -416,7 +607,7 @@ class TestRepublishMissing:
 
 
 class TestSpoolCli:
-    @pytest.mark.parametrize("value", ["adaptive", "huge"])
+    @pytest.mark.parametrize("value", ["adaptive", "huge", "auto"])
     def test_task_size_is_an_integer(self, value, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli_main(
@@ -425,6 +616,16 @@ class TestSpoolCli:
             )
         assert excinfo.value.code == 2
         assert "--task-size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_task_size_must_be_positive(self, tmp_path, value, capsys):
+        rc = cli_main(
+            ["run", "demo/random_walk", "--seeds", "1", "--backend", "spool",
+             "--spool", str(tmp_path / "spool"), "--task-size", value]
+        )
+        assert rc == 2
+        assert "--task-size must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "spool").exists()
 
     def test_cell_timeout_is_spool_only_and_positive(self, tmp_path, capsys):
         rc = cli_main(
