@@ -342,6 +342,9 @@ class SpoolBackend(ExecutionBackend):
                 # every cell is filled.  It is never merged — record the
                 # discard so it stays visible in the event log.
                 self._discard_late_shards(pending, ingested, events)
+            # Joined workers have written their `exited` heartbeats; the
+            # last liveness fold predates them.
+            tracker.set_workers(self.spool.worker_heartbeats())
             tracker.finish(complete=ok)
 
     def finalize(self, spec: ScenarioSpec) -> None:

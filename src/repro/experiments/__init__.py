@@ -12,8 +12,8 @@ parallel, resumable campaigns:
   deterministic result ordering;
 * :mod:`repro.experiments.store` — JSONL persistence keyed by
   ``(scenario, params, seed)`` with resume-skip of completed runs;
-* :mod:`repro.experiments.perf` — pinned perf workloads and the
-  wall-time budget store behind ``benchmarks/perf_budgets.py``;
+* :mod:`repro.experiments.perf` — :func:`~repro.experiments.perf.calibrate`,
+  the machine-speed probe ``perfbench`` records with every run;
 * :mod:`repro.experiments.cli` — ``python -m repro.experiments
   list|run|report|worker|merge|cache``.
 
@@ -52,12 +52,8 @@ from repro.experiments.runner import (
     grouped_rows,
 )
 from repro.experiments.store import ResultStore
-from repro.experiments.perf import PERF_WORKLOADS, PerfWorkload, measure_workload
 
 __all__ = [
-    "PERF_WORKLOADS",
-    "PerfWorkload",
-    "measure_workload",
     "Parameter",
     "ParameterGrid",
     "RunSpec",

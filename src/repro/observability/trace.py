@@ -21,8 +21,8 @@ loses at most its open spans, never tears a line another process wrote.
 **Off by default, free when off.**  The process-global :data:`TRACER` is
 disabled unless explicitly configured (``run --trace`` / ``REPRO_TRACE_DIR``);
 while disabled, :meth:`Tracer.span` returns a shared no-op span after one
-attribute check, so the perf-budget gate runs against
-un-instrumented-equivalent code.  Tracing never draws seeded randomness
+attribute check, so untraced campaigns run un-instrumented-equivalent
+code.  Tracing never draws seeded randomness
 and never contributes to result bytes: the fingerprint suite re-runs all
 20 pinned workloads with tracing enabled.
 

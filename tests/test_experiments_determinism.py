@@ -8,6 +8,7 @@ on N worker processes, or in batched seed-chunks.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,44 +177,22 @@ class TestManyReceiverDelivery:
 
 
 class TestPerfBudgetStore:
-    def test_record_and_check_roundtrip(self, tmp_path):
-        from repro.experiments.perf import (
-            budget_for,
-            load_bench,
-            record_current,
-            save_bench,
-        )
-
-        path = tmp_path / "bench.json"
-        data = load_bench(path)
-        assert data == {"meta": {}, "workloads": {}}
-        record_current(data, "w", measured_s=0.1, calibration_s=0.02)
-        save_bench(path, data)
-
-        loaded = load_bench(path)
-        # Same machine speed: budget = current * (1 + tolerance).
-        assert budget_for(loaded, "w", calibration_s=0.02) == pytest.approx(0.13)
-        # A 2x slower machine gets a 2x larger budget.
-        assert budget_for(loaded, "w", calibration_s=0.04) == pytest.approx(0.26)
-        assert budget_for(loaded, "missing") is None
-
-    def test_speedup_tracked_against_baseline(self):
-        from repro.experiments.perf import record_current
-
-        data = {"meta": {}, "workloads": {"w": {"baseline_s": 1.0}}}
-        record_current(data, "w", measured_s=0.25, calibration_s=0.01)
-        assert data["workloads"]["w"]["speedup"] == pytest.approx(4.0)
-
     def test_checked_in_budgets_show_required_speedups(self):
-        from pathlib import Path
-
-        from repro.experiments.perf import PERF_WORKLOADS, load_bench
-
-        bench = load_bench(Path(__file__).resolve().parent.parent / "BENCH_kernel.json")
-        workloads = bench["workloads"]
-        assert set(PERF_WORKLOADS) <= set(workloads)
+        # BENCH_kernel.json is a frozen record of the speed-ups over the
+        # first simulation core; no code writes it.
+        bench_path = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
+        workloads = json.loads(bench_path.read_text(encoding="utf-8"))["workloads"]
         acceptance = [
             workloads[key]["speedup"]
             for key in ("e1_platoon_blackouts", "e3_r2t_mac_bursts", "e4_tdma_grid")
         ]
         assert sum(1 for speedup in acceptance if speedup >= 2.0) >= 2
+
+
+class TestCalibrate:
+    def test_calibrate_returns_a_positive_float(self):
+        # perfbench records this probe in every run's provenance.
+        from repro.experiments.perf import calibrate
+
+        probe = calibrate()
+        assert isinstance(probe, float) and probe > 0.0

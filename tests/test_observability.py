@@ -584,6 +584,20 @@ class TestStatusAndTailCli:
         out = capsys.readouterr().out
         assert "[spool] complete" in out and "2/2 done" in out
 
+    def test_status_on_a_finished_spool_shows_no_running_worker(self, tmp_path, capsys):
+        spool_root = str(tmp_path / "spool")
+        argv = ["run", "demo/random_walk", "--seeds", "12", "--backend", "spool",
+                "--spool", spool_root, "--workers", "3", "--task-size", "1"]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        assert cli_main(["status", spool_root, "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["complete"] is True
+        assert document["done"] == document["total"] == 12
+        assert len(document["workers"]) == 3
+        states = {worker: beat["state"] for worker, beat in document["workers"].items()}
+        assert "running" not in states.values(), states
+
     def test_status_missing_progress_file(self, tmp_path, capsys):
         assert cli_main(["status", str(tmp_path / "nowhere.jsonl")]) == 1
         assert "no progress file" in capsys.readouterr().err

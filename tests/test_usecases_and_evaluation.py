@@ -10,10 +10,10 @@ import pytest
 
 from repro.core.asil import ASIL
 from repro.core.hazard import SafetyGoal
-from repro.evaluation.campaign import FaultCampaign
 from repro.evaluation.iso26262 import SafetyCase, Verdict
 from repro.evaluation.metrics import PerformanceMetrics, SafetyMetrics, summarize
 from repro.evaluation.reporting import format_series, format_table
+from repro.experiments import ParallelCampaignRunner, ScenarioSpec
 from repro.usecases.acc import ArchitectureVariant, PlatoonConfig, PlatoonScenario
 from repro.usecases.avionics import AvionicsConfig, AvionicsScenario, AvionicsUseCase
 from repro.usecases.intersection import (
@@ -162,17 +162,16 @@ class TestEvaluationToolkit:
         assert not SafetyMetrics(collisions=1).is_safe
 
     def test_campaign_runs_multiple_seeds(self):
-        campaign = FaultCampaign(
-            "platoon-karyon",
+        spec = ScenarioSpec(
+            name="platoon-karyon",
             factory=lambda seed: run_platoon(ArchitectureVariant.KARYON, duration=20.0,
                                              followers=2, bursts=(), seed=seed),
-            metric_fields=["collisions", "mean_speed"],
-            seeds=[1, 2],
+            metric_fields=("collisions", "mean_speed"),
         )
-        summary = campaign.run()
-        assert summary.run_count == 2
-        assert summary.metric("collisions", "max") == 0.0
-        assert summary.metric("mean_speed", "mean") > 0.0
+        result = ParallelCampaignRunner(jobs=1).run(spec, seeds=[1, 2])
+        assert result.run_count == 2
+        assert result.metric("collisions", "max") == 0.0
+        assert result.metric("mean_speed", "mean") > 0.0
 
     def test_campaign_survives_a_raising_factory(self):
         # Regression: a factory that raises used to abort the whole campaign.
@@ -182,23 +181,22 @@ class TestEvaluationToolkit:
             return run_platoon(ArchitectureVariant.KARYON, duration=15.0,
                                followers=2, bursts=(), seed=seed)
 
-        campaign = FaultCampaign(
-            "platoon-with-crash",
+        spec = ScenarioSpec(
+            name="platoon-with-crash",
             factory=factory,
-            metric_fields=["collisions", "mean_speed"],
-            seeds=[1, 2, 3],
+            metric_fields=("collisions", "mean_speed"),
         )
-        summary = campaign.run()
-        assert summary.run_count == 3
-        assert summary.failures == 1
-        failed = [run for run in summary.runs if not run.ok]
+        result = ParallelCampaignRunner(jobs=1).run(spec, seeds=[1, 2, 3])
+        assert result.run_count == 3
+        assert result.failures == 1
+        failed = result.failed_records
         assert len(failed) == 1
         assert failed[0].seed == 2
         assert "injected factory crash" in failed[0].error
-        assert failed[0].result is None
+        assert failed[0].raw_result is None
         # Aggregates still cover the two successful runs.
-        assert summary.aggregates["mean_speed"]["count"] == 2
-        assert summary.metric("collisions", "max") == 0.0
+        assert result.aggregates["mean_speed"]["count"] == 2
+        assert result.metric("collisions", "max") == 0.0
 
     def test_safety_case_verdicts(self):
         case = SafetyCase("acc")
