@@ -6,7 +6,10 @@ machines using nothing but a shared filesystem (NFS mount, bind mount,
 
 * :mod:`repro.distributed.spool` — the work-queue directory layout:
   pending task files claimed atomically via ``os.rename``, lease
-  timestamps for dead-worker detection, result shards written atomically;
+  timestamps for dead-worker detection, result shards written atomically,
+  and :func:`settle`, the one rule that decides each cell's record from a
+  spool's shards and quarantine (for the coordinator, ``merge`` and
+  ``fsck`` alike);
 * :mod:`repro.distributed.worker` — the pull-based worker loop behind
   ``python -m repro.experiments worker <spool>``;
 * :mod:`repro.distributed.coordinator` — :class:`SpoolBackend`, the
@@ -22,14 +25,16 @@ machines using nothing but a shared filesystem (NFS mount, bind mount,
 """
 
 from repro.distributed.cache import CacheIndex
-from repro.distributed.coordinator import SpoolBackend, SpoolDispatchError, merge_spool_results
+from repro.distributed.coordinator import SpoolBackend, merge_spool_results
 from repro.distributed.scheduler import CellTimeout, cell_deadline, fsck_spool
 from repro.distributed.spool import (
     DEFAULT_MAX_TASK_ATTEMPTS,
     ClaimedTask,
     Spool,
+    SpoolDispatchError,
     SpoolTask,
     TornShardError,
+    settle,
 )
 from repro.distributed.worker import WorkerStats, run_worker
 
@@ -48,4 +53,5 @@ __all__ = [
     "fsck_spool",
     "merge_spool_results",
     "run_worker",
+    "settle",
 ]

@@ -5,9 +5,10 @@
 :class:`~repro.experiments.runner.ExecutionBackend`: it shards the pending
 ``(scenario, params, seed)`` cells into atomically-claimable task files on
 a shared-filesystem spool, optionally forks local worker processes, and
-merges the result shards back **in run-list order** — so a spool campaign's
-records, aggregates and persisted store are byte-identical to the same
-campaign run with ``jobs=1``.
+once they are joined takes each cell's record from
+:func:`~repro.distributed.spool.settle`, **in run-list order** — so a spool
+campaign's records, aggregates and persisted store are byte-identical to
+the same campaign run with ``jobs=1``, and to ``merge`` of its spool.
 
 Workers may equally be started by hand (possibly on other hosts sharing
 the filesystem) with ``python -m repro.experiments worker <spool>``; the
@@ -24,7 +25,7 @@ Scheduling is a plain pull queue: the coordinator publishes fixed-size
 tasks (``task_size`` cells each) once, and idle workers claim the next
 pending one.  Recovery never changes that shape: an expired lease is
 requeued, a torn shard's task is republished, a poison task is
-quarantined and its cells recorded as failures, and cells that every
+quarantined and its cells counted as failures, and cells that every
 other path lost are republished as recovery tasks
 (:func:`republish_missing`) once the queue drains.
 """
@@ -48,8 +49,10 @@ from repro.distributed.spool import (
     DEFAULT_LEASE_TIMEOUT,
     DEFAULT_MAX_TASK_ATTEMPTS,
     Spool,
+    SpoolDispatchError,
     SpoolTask,
     TornShardError,
+    settle,
     shard_cells,
 )
 from repro.distributed.worker import CampaignPipes, run_worker
@@ -161,10 +164,6 @@ def republish_missing(
     for task in tasks:
         publish(task)
     return tasks
-
-
-class SpoolDispatchError(RuntimeError):
-    """The campaign cannot be dispatched onto a spool."""
 
 
 class SpoolBackend(ExecutionBackend):
@@ -309,15 +308,16 @@ class SpoolBackend(ExecutionBackend):
         worker_slots: List[Dict[str, Any]] = []
         self._pipes = CampaignPipes() if self.workers else None
         ok = False
-        ingested: Set[str] = set()
         try:
             for _ in range(self.workers):
                 worker_slots.append(
                     {"process": self._spawn_worker(), "generation": 0, "reported": False}
                 )
-            ingested = self._collect(
+            # Keyed after the fork, while the workers start up.
+            key_by_index = {run_spec.index: run_spec.key for run_spec in pending}
+            shards = self._collect(
                 pending,
-                records,
+                key_by_index,
                 task_by_id,
                 payload,
                 worker_slots,
@@ -335,17 +335,33 @@ class SpoolBackend(ExecutionBackend):
             if self._pipes is not None:
                 self._pipes.close()
                 self._pipes = None
-            if ok:
-                # A worker whose lease was reclaimed (its task quarantined
-                # and recorded as failed, or re-run by a recovery task) can
-                # still be mid-task; its shard lands during the drain, after
-                # every cell is filled.  It is never merged — record the
-                # discard so it stays visible in the event log.
-                self._discard_late_shards(pending, ingested, events)
             # Joined workers have written their `exited` heartbeats; the
-            # last liveness fold predates them.
-            tracker.set_workers(self.spool.worker_heartbeats())
+            # last liveness fold predates them.  A killed one never wrote
+            # it, and its last heartbeat must not read as still running.
+            heartbeats = self.spool.worker_heartbeats()
+            for slot in worker_slots:
+                beat = heartbeats.get(f"worker-{slot['process'].pid}")
+                if beat is not None and beat.get("state") != "exited":
+                    beat["state"] = "dead"
+            for each in trackers:
+                each.set_workers(heartbeats)
             tracker.finish(complete=ok)
+        # Settled only now, after the join: a worker whose lease was
+        # reclaimed may still have been mid-task, and the shard it wrote
+        # during the drain heals its quarantined cell here as in `merge`.
+        while True:
+            try:
+                settled = settle(self.spool, key_by_index, shards)
+                break
+            except TornShardError as torn:
+                self._drop_torn_shard(torn.task_id, events)
+        if len(settled) < len(key_by_index):
+            raise SpoolDispatchError(
+                f"a cell lost its shard or quarantine on spool {self.spool.root} "
+                "while the workers were joined; re-run the campaign on this spool"
+            )
+        for index in key_by_index:
+            records[index] = settled[index]
 
     def finalize(self, spec: ScenarioSpec) -> None:
         """Publish the completion marker even when nothing was dispatched.
@@ -452,37 +468,33 @@ class SpoolBackend(ExecutionBackend):
     def _collect(
         self,
         pending: Sequence[RunSpec],
-        records: List[Optional[RunRecord]],
+        key_by_index: Dict[int, str],
         task_by_id: Dict[str, SpoolTask],
         scenario: str,
         worker_slots: Optional[List[Dict[str, Any]]] = None,
         events: Optional[EventLog] = None,
         trackers: Sequence[ProgressTracker] = (),
-    ) -> Set[str]:
-        expected: Set[int] = {run_spec.index for run_spec in pending}
-        # Accept a shard record only when it is for this campaign's cell:
-        # a stale worker from a previous campaign on the same spool may
-        # still write shards whose task ids collide with ours.
-        key_by_index: Dict[int, str] = {
-            run_spec.index: run_spec.key for run_spec in pending
-        }
+    ) -> Dict[str, List[Tuple[int, RunRecord]]]:
+        """Poll until every cell has a shard or a quarantine failure, for
+        progress and termination only; returns the shards parsed whose every
+        record is this campaign's (its key matches the cell's: a stale worker
+        from a previous campaign may write shards under our task ids)."""
+        expected: Set[int] = set(key_by_index)
         spec_by_index: Dict[int, RunSpec] = {
             run_spec.index: run_spec for run_spec in pending
         }
+        #: Cells with a shard or a quarantine failure: progress, termination.
         filled: Set[int] = set()
-        #: Indices filled with *synthesised* quarantine failures: a real
-        #: shard arriving later (the reclaimed worker's own, a recovery
-        #: task's) still heals them, keeping the merged store as close to
-        #: serial as possible.
-        synthesized: Set[int] = set()
-        ingested: Set[str] = set()
+        #: Cells with a shard: a shard that covers none anew is a twin.
+        covered: Set[int] = set()
+        shards: Dict[str, List[Tuple[int, RunRecord]]] = {}
         #: mtime at which an unmatched (stale) shard was last parsed, so the
         #: poll loop re-reads it only after a worker atomically replaces it.
         stale_shard_mtime: Dict[str, float] = {}
 
         def ingest_new_shards() -> None:
             for task_id in self.spool.completed_task_ids():
-                if task_id in ingested:
+                if task_id in shards:
                     continue
                 shard_path = self.spool.results_dir / f"{task_id}.jsonl"
                 try:
@@ -495,22 +507,9 @@ class SpoolBackend(ExecutionBackend):
                     with TRACER.span("ingest", cat="ingest", task=task_id):
                         shard_records = self.spool.read_result_shard(task_id)
                 except TornShardError:
-                    # A partial write slipped to the final path (fault
-                    # injection, or a filesystem that tore the rename's
-                    # backing write).  Drop it and republish the task so
-                    # its cells re-execute: merging half a shard would
-                    # silently diverge from the serial store.
-                    logger.warning(
-                        "torn result shard %s detected; discarding and re-executing",
-                        task_id,
-                    )
-                    try:
-                        shard_path.unlink()
-                    except FileNotFoundError:
-                        pass
+                    # Drop it and republish the task so its cells re-execute.
+                    self._drop_torn_shard(task_id, events)
                     stale_shard_mtime.pop(task_id, None)
-                    if events is not None:
-                        events.emit("shard_torn", task=task_id)
                     task = task_by_id.get(task_id)
                     if task is not None and not (
                         (self.spool.tasks_dir / f"{task_id}.json").exists()
@@ -528,20 +527,30 @@ class SpoolBackend(ExecutionBackend):
                 matched = True
                 fresh = False
                 for index, record in shard_records:
-                    if index in expected and record.key == key_by_index[index]:
-                        if index not in filled or index in synthesized:
-                            fresh = True
-                    else:
+                    if key_by_index.get(index) != record.key:
                         matched = False
-                if matched and not fresh:
+                        continue
+                    if index not in covered:
+                        covered.add(index)
+                        fresh = True
+                    if index not in filled:
+                        filled.add(index)
+                        for tracker in trackers:
+                            tracker.record_record(ok=record.ok)
+                if not matched:
+                    # A stale shard (previous campaign's straggler) occupies
+                    # this task id; re-read only once its mtime changes —
+                    # i.e. the real worker atomically replaced it.
+                    stale_shard_mtime[task_id] = mtime
+                    continue
+                shards[task_id] = shard_records
+                stale_shard_mtime.pop(task_id, None)
+                if not fresh:
                     # Every cell already landed via an earlier shard under
-                    # another id (a recovery task raced the original).
-                    # First shard wins; this byte-identical twin is dropped.
-                    ingested.add(task_id)
-                    stale_shard_mtime.pop(task_id, None)
+                    # another id (a recovery task raced the original): a
+                    # byte-identical twin, which settle() passes over.
                     logger.info(
-                        "discarding superseded shard %s (all %d cell(s) "
-                        "already ingested)",
+                        "superseded shard %s (all %d cell(s) already ingested)",
                         task_id,
                         len(shard_records),
                     )
@@ -549,46 +558,22 @@ class SpoolBackend(ExecutionBackend):
                         events.emit(
                             "task_superseded", task=task_id, cells=len(shard_records)
                         )
-                    continue
-                for index, record in shard_records:
-                    if index in expected and record.key == key_by_index[index]:
-                        records[index] = record
-                        if index in synthesized:
-                            synthesized.discard(index)  # late real result heals it
-                        elif index not in filled:
-                            filled.add(index)
-                            for tracker in trackers:
-                                tracker.record_record(ok=record.ok)
-                if matched:
-                    ingested.add(task_id)
-                    stale_shard_mtime.pop(task_id, None)
-                else:
-                    # A stale shard (previous campaign's straggler) occupies
-                    # this task id; re-read only once its mtime changes —
-                    # i.e. the real worker atomically replaced it.
-                    stale_shard_mtime[task_id] = mtime
 
         handled_quarantine: Set[str] = set()
 
         def absorb_quarantined() -> None:
-            """Synthesise failed records for poison tasks so the campaign
-            completes (with visible failures) instead of stalling forever."""
+            """Count a poison task's cells as failed, so the campaign
+            completes (with visible failures) instead of stalling forever;
+            settle() gives them their records unless a shard lands first."""
             for task_id in self.spool.quarantined_task_ids():
                 if task_id in handled_quarantine:
                     continue
                 handled_quarantine.add(task_id)
-                task = task_by_id.get(task_id)
-                if task is None:
-                    # Ids this coordinator did not publish are not in
-                    # task_by_id; read the quarantined task file itself —
-                    # key verification below rejects leftovers from another
-                    # campaign cell by cell.
-                    try:
-                        task = self.spool.read_quarantined_task(task_id)
-                    except (OSError, ValueError, KeyError, TypeError):
-                        continue
-                attempts = max(1, self.spool.reclaim_count(task_id) + 1)
-                timeout_idx = self.spool.timeout_indices(task_id)
+                # The key check below rejects another campaign's leftovers.
+                failures = self.spool.quarantine_failures(task_id)
+                if not failures:
+                    continue
+                attempts = failures[0][1].attempts
                 logger.error(
                     "task %s quarantined as poison after %d failed attempt(s); "
                     "its cells are recorded as failures "
@@ -598,37 +583,11 @@ class SpoolBackend(ExecutionBackend):
                 )
                 if events is not None:
                     events.emit("task_quarantined", task=task_id, attempts=attempts)
-                for params, seed, index in task.cells:
-                    if index not in expected or index in filled:
-                        continue
-                    if index in timeout_idx:
-                        error = (
-                            f"cell killed by its wall-clock deadline in task "
-                            f"{task_id} ({attempts} attempt(s))"
-                        )
-                        error_class = "CellTimeout"
-                    else:
-                        error = (
-                            f"task {task_id} quarantined after {attempts} "
-                            "failed execution attempt(s)"
-                        )
-                        error_class = "TaskQuarantined"
-                    record = RunRecord(
-                        scenario=task.scenario,
-                        params=dict(params),
-                        seed=seed,
-                        status="failed",
-                        error=error,
-                        error_class=error_class,
-                        attempts=attempts,
-                    )
-                    if record.key != key_by_index[index]:
-                        continue  # another campaign's cell under our index
-                    records[index] = record
-                    filled.add(index)
-                    synthesized.add(index)
-                    for tracker in trackers:
-                        tracker.record_record(ok=False)
+                for index, record in failures:
+                    if key_by_index.get(index) == record.key and index not in filled:
+                        filled.add(index)
+                        for tracker in trackers:
+                            tracker.record_record(ok=False)
 
         def update_liveness() -> None:
             """Fold claimed-cell counts and worker heartbeats into progress."""
@@ -650,15 +609,18 @@ class SpoolBackend(ExecutionBackend):
 
             Covers what the per-task republish cannot: cells whose task file
             is gone from every spool directory.  Only fires when nothing is
-            pending, claimed, or sitting as an un-ingested non-stale shard.
+            pending, claimed, newly quarantined, or sitting as an un-ingested
+            non-stale shard.
             """
             nonlocal recovery_tasks
             if filled == expected:
                 return
             if self.spool.pending_task_ids() or self.spool.claimed_task_ids():
                 return
+            if set(self.spool.quarantined_task_ids()) - handled_quarantine:
+                return  # this poll's reclaim quarantined a task; absorb it first
             for task_id in self.spool.completed_task_ids():
-                if task_id not in ingested and task_id not in stale_shard_mtime:
+                if task_id not in shards and task_id not in stale_shard_mtime:
                     return  # a shard landed this poll; ingest it first
             missing = [
                 (spec_by_index[index].params, spec_by_index[index].seed, index)
@@ -762,38 +724,15 @@ class SpoolBackend(ExecutionBackend):
                     self.poll_interval,
                     [slot["process"].sentinel for slot in worker_slots if not slot["reported"]],
                 )
-        return ingested
+        return shards
 
-    def _discard_late_shards(
-        self,
-        pending: Sequence[RunSpec],
-        ingested: Set[str],
-        events: Optional[EventLog],
-    ) -> None:
-        """Account for late shards that landed after completion."""
-        key_by_index = {run_spec.index: run_spec.key for run_spec in pending}
-        for task_id in self.spool.completed_task_ids():
-            if task_id in ingested:
-                continue
-            try:
-                shard_records = self.spool.read_result_shard(task_id)
-            except (TornShardError, OSError, ValueError, KeyError):
-                continue
-            if not shard_records or not all(
-                record.key == key_by_index.get(index)
-                for index, record in shard_records
-            ):
-                continue  # another campaign's stale shard, not our straggler
-            logger.info(
-                "discarding superseded late shard %s (%d cell(s), landed "
-                "after completion)",
-                task_id,
-                len(shard_records),
-            )
-            if events is not None:
-                events.emit(
-                    "task_superseded", task=task_id, cells=len(shard_records)
-                )
+    def _drop_torn_shard(self, task_id: str, events: Optional[EventLog]) -> None:
+        """Delete a torn result shard (a partial write slipped to the final
+        path): merging half a shard would diverge from the serial store."""
+        logger.warning("torn result shard %s detected; discarding it", task_id)
+        (self.spool.results_dir / f"{task_id}.jsonl").unlink(missing_ok=True)
+        if events is not None:
+            events.emit("shard_torn", task=task_id)
 
     def _join_workers(self, processes: Sequence[BaseProcess]) -> None:
         for process in processes:
@@ -810,35 +749,23 @@ def merge_spool_results(
     spool: Union[str, os.PathLike, Spool],
     store: Optional[ResultStore] = None,
 ) -> List[RunRecord]:
-    """Collect every result shard of a spool **in run-list order**.
+    """The spool's records as :func:`settle` decides them, **in run-list order**.
 
-    Returns the merged records; when ``store`` is given they are also
-    appended to it (skipping keys the store already has), so merging a
-    drained spool into a fresh store reproduces the ``jobs=1`` store
-    byte-for-byte.  Two shards claiming the same run-list index with
-    *different* cells is a mixed-campaign spool (e.g. a straggler worker
-    from a previous campaign wrote after the spool was reused) — that
-    raises instead of silently merging wrong data.
+    When ``store`` is given they are also appended to it (skipping keys the
+    store already has), so merging a finished campaign's spool into a fresh
+    store reproduces that campaign's store byte-for-byte, quarantine
+    failures included.  A torn shard or a mixed-campaign spool raises
+    :class:`SpoolDispatchError` instead of merging wrong data.
     """
     spool = spool if isinstance(spool, Spool) else Spool(spool)
-    by_index: Dict[int, RunRecord] = {}
     try:
-        shard_records = list(spool.iter_result_records())
+        settled = settle(spool)
     except TornShardError as exc:
         raise SpoolDispatchError(
             f"spool {spool.root} holds a torn result shard ({exc}); "
             "re-run the campaign on this spool to re-execute it before merging"
         ) from exc
-    for index, record in shard_records:
-        existing = by_index.get(index)
-        if existing is not None and existing.key != record.key:
-            raise SpoolDispatchError(
-                f"spool {spool.root} mixes campaigns: run-list index {index} "
-                f"has records for both {existing.key!r} and {record.key!r}; "
-                "re-run the campaign on a clean spool"
-            )
-        by_index[index] = record
-    merged = [by_index[index] for index in sorted(by_index)]
+    merged = [settled[index] for index in sorted(settled)]
     if store is not None:
         store.merge(merged)
     return merged

@@ -27,6 +27,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.distributed.spool import SpoolDispatchError, TornShardError, settle
 from repro.resilience.faults import inject
 
 __all__ = [
@@ -108,9 +109,10 @@ def fsck_spool(spool: Any, repair: bool = False) -> Dict[str, Any]:
 
     Checks: torn result shards, orphaned leases (claims whose valid shard
     already exists), expired leases, stale/unparsable worker heartbeats,
-    and quarantine/ledger inconsistencies (a quarantined task with a valid
-    shard, or quarantined with fewer recorded failed attempts than the
-    campaign threshold).  With ``repair`` the same recovery paths the
+    and quarantine/ledger inconsistencies (a quarantined task whose every
+    cell :func:`~repro.distributed.spool.settle` gives a shard record, or
+    one quarantined with fewer recorded failed attempts than the campaign
+    threshold).  With ``repair`` the same recovery paths the
     coordinator uses online are applied — torn shards dropped, settled and
     expired claims retired through the normal reclaim/quarantine ledger,
     completed quarantine entries lifted, dead heartbeats removed — so an
@@ -200,12 +202,19 @@ def fsck_spool(spool: Any, repair: bool = False) -> Dict[str, Any]:
                 except OSError:
                     pass
 
-    for task_id in spool.quarantined_task_ids():
-        if spool.verify_shard(task_id):
+    quarantined = spool.quarantined_task_ids()
+    try:
+        settled = settle(spool) if quarantined else {}
+    except (SpoolDispatchError, TornShardError):
+        settled = {}  # a torn shard (reported above) or a mixed-campaign spool
+    for task_id in quarantined:
+        failures = spool.quarantine_failures(task_id)
+        if failures and all(settled.get(index) != record for index, record in failures):
             issue(
                 "quarantine_completed",
                 task_id,
-                "quarantined task has a valid result shard (work actually finished)",
+                "every cell of the quarantined task settles to a shard record "
+                "(work actually finished)",
             )
             if repair:
                 try:

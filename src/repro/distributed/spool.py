@@ -34,6 +34,14 @@ so a cell that crashes its executor cannot grind the campaign forever.
 The reclaim ledger (``attempts.jsonl``) is how racing reclaimers agree on
 the attempt count: the process that wins the reclaim rename appends one
 line.  ``quarantine list|retry`` on the CLI inspects and re-queues them.
+
+One rule, :func:`settle`, decides the record each cell of a spool keeps,
+for every reader: the coordinator's store, ``merge`` and ``fsck``.  The
+first verified shard by task id wins a cell (any later one is a
+byte-identical twin), a verified shard beats a quarantine failure, and a
+quarantined cell that no shard covers keeps the failed record
+:meth:`Spool.quarantine_failures` builds.  A shard that lands late, even
+after its cell was quarantined, therefore heals the cell for every reader.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.experiments.runner import RunRecord
 from repro.experiments.spec import jsonable
@@ -61,6 +69,10 @@ DEFAULT_LEASE_TIMEOUT = 60.0
 
 #: Default failed-claim count after which a task is quarantined as poison.
 DEFAULT_MAX_TASK_ATTEMPTS = 3
+
+
+class SpoolDispatchError(RuntimeError):
+    """The campaign cannot be dispatched onto, or merged from, a spool."""
 
 
 class TornShardError(RuntimeError):
@@ -470,58 +482,70 @@ class Spool:
         self._append_attempt(task_id, "reset")
         return True
 
-    def reclaim_count(self, task_id: str) -> int:
-        """Failed-claim count for a task since its last quarantine reset."""
+    def failed_attempts(self, task_id: str) -> Tuple[int, Set[int]]:
+        """A task's failed-claim count since its last quarantine reset, and
+        the run-list indices a cell deadline killed, from the attempts
+        ledger (its ``timeout`` lines, or a quarantine line whose
+        ``cause`` is ``timeout``)."""
         count = 0
+        timed_out: Set[int] = set()
         try:
             with self.attempts_path.open("r", encoding="utf-8") as handle:
                 for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
                     try:
                         entry = json.loads(line)
                     except ValueError:
-                        continue  # torn ledger tail; ignore the fragment
+                        continue  # blank line or torn ledger tail
                     if entry.get("task") != task_id:
                         continue
-                    if entry.get("event") == "reset":
+                    event = entry.get("event")
+                    if event == "reset":
                         count = 0
-                    elif entry.get("event") in ("reclaim", "timeout"):
+                    elif event in ("reclaim", "timeout"):
                         count += 1
-        except OSError:
-            return count
-        return count
-
-    def timeout_indices(self, task_id: str) -> Set[int]:
-        """Run-list indices a cell deadline killed for this task.
-
-        Read back from the attempts ledger's ``timeout`` lines; the
-        coordinator uses it to label a quarantined task's deadline-killed
-        cells ``error_class=CellTimeout`` (the rest stay
-        ``TaskQuarantined``).
-        """
-        indices: Set[int] = set()
-        try:
-            with self.attempts_path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except ValueError:
-                        continue
-                    if entry.get("task") != task_id:
-                        continue
-                    if entry.get("event") != "timeout" and entry.get("cause") != "timeout":
-                        continue
                     index = entry.get("index")
-                    if isinstance(index, int):
-                        indices.add(index)
+                    if "timeout" in (event, entry.get("cause")) and isinstance(index, int):
+                        timed_out.add(index)
         except OSError:
             pass
-        return indices
+        return count, timed_out
+
+    def reclaim_count(self, task_id: str) -> int:
+        """Failed-claim count for a task since its last quarantine reset."""
+        return self.failed_attempts(task_id)[0]
+
+    def quarantine_failures(self, task_id: str) -> List[Tuple[int, RunRecord]]:
+        """The failed record each cell of quarantined ``task_id`` settles to
+        when no shard covers it: ``CellTimeout`` for a cell a deadline
+        killed, ``TaskQuarantined`` for the rest (none if unreadable)."""
+        try:
+            task = self.read_quarantined_task(task_id)
+        except (OSError, ValueError, KeyError, TypeError):
+            return []
+        count, timed_out = self.failed_attempts(task_id)
+        attempts = count + 1
+        failures: List[Tuple[int, RunRecord]] = []
+        for params, seed, index in task.cells:
+            if index in timed_out:
+                error_class = "CellTimeout"
+                error = (
+                    f"cell killed by its wall-clock deadline in task {task_id} "
+                    f"({attempts} attempt(s))"
+                )
+            else:
+                error_class = "TaskQuarantined"
+                error = f"task {task_id} quarantined after {attempts} failed execution attempt(s)"
+            record = RunRecord(
+                scenario=task.scenario,
+                params=dict(params),
+                seed=seed,
+                status="failed",
+                error=error,
+                error_class=error_class,
+                attempts=attempts,
+            )
+            failures.append((index, record))
+        return failures
 
     def _append_attempt(self, task_id: str, event: str, **extra: Any) -> None:
         entry = {"task": task_id, "event": event, "ts": round(time.time(), 6)}
@@ -661,15 +685,6 @@ class Spool:
             return False
         return True
 
-    def iter_result_records(self) -> Iterable[Tuple[int, RunRecord]]:
-        """Every shard's records, in shard order then shard-line order.
-
-        Torn shards raise :class:`TornShardError` — merging half a task's
-        results would silently diverge from the serial store.
-        """
-        for task_id in self.completed_task_ids():
-            yield from self.read_result_shard(task_id)
-
     # -------------------------------------------------------------- completion
     def mark_complete(self) -> None:
         """Close the campaign ``campaign.json`` describes: the marker names
@@ -729,3 +744,39 @@ def shard_cells(
             )
         )
     return tasks
+
+
+def settle(
+    spool: Spool,
+    key_by_index: Optional[Mapping[int, str]] = None,
+    shards: Optional[Mapping[str, Sequence[Tuple[int, RunRecord]]]] = None,
+) -> Dict[int, RunRecord]:
+    """The record each run-list index of ``spool`` keeps: the first verified
+    shard by task id wins a cell, and a quarantined cell no shard covers
+    gets its :meth:`Spool.quarantine_failures` record.
+
+    With ``key_by_index``, a record whose key differs from its cell's is
+    another campaign's leftover and skipped; without it, two shards that
+    disagree on a cell raise :class:`SpoolDispatchError`.  ``shards`` holds
+    shards the caller already parsed, by task id; the rest are read here,
+    and a torn one raises :class:`TornShardError`.
+    """
+    parsed = shards or {}
+    settled: Dict[int, RunRecord] = {}
+    for task_id in spool.completed_task_ids():
+        records = parsed.get(task_id)
+        for index, record in spool.read_result_shard(task_id) if records is None else records:
+            if key_by_index is not None and key_by_index.get(index) != record.key:
+                continue
+            first = settled.setdefault(index, record)
+            if first.key != record.key:
+                raise SpoolDispatchError(
+                    f"spool {spool.root} mixes campaigns: run-list index {index} "
+                    f"has records for both {first.key!r} and {record.key!r}; "
+                    "re-run the campaign on a clean spool"
+                )
+    for task_id in spool.quarantined_task_ids():
+        for index, record in spool.quarantine_failures(task_id):
+            if key_by_index is None or key_by_index.get(index) == record.key:
+                settled.setdefault(index, record)
+    return settled

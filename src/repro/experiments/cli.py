@@ -270,6 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     merge_parser = sub.add_parser(
         "merge", help="merge spool result shards or other stores into a JSONL store",
+        description="A spool's cells settle by the rule its campaign's store used: "
+        "the first verified shard by task id wins a cell, a verified shard beats a "
+        "quarantine failure, and a quarantined cell no shard covers keeps its failed "
+        "record.  So merging a finished campaign's spool reproduces its store.",
         parents=[common],
     )
     merge_parser.add_argument("dest", help="destination JSONL store (created if absent)")

@@ -30,7 +30,9 @@ kind                emitted when
 ``task_quarantined``  a poison task was retired after repeated failed claims
 ``vector_batch``      the vector backend settled a lockstep seed batch
 ``vector_evict``      a seed was evicted from a batch to the scalar kernel
-``task_superseded``   a late shard arrived for cells another shard already filled
+``task_superseded``   a shard landed while the campaign ran whose every cell an
+                      earlier shard holds: a byte-identical twin (a late shard
+                      that heals a quarantined cell is not superseded)
 ``cell_timeout``      a worker's watchdog killed a cell past its deadline
 =================== ========================================================
 

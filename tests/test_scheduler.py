@@ -219,9 +219,11 @@ class TestPlainPull:
 class TestLateShards:
     """A worker stalled past its lease keeps running and writes its shard
     late.  With ``max_task_attempts=1`` the reclaim quarantines the task at
-    once, so the coordinator records its cells as failed before the real
-    shard lands; what happens next depends on whether the campaign is still
-    running.  One worker and a stall six leases long keep the order fixed."""
+    once, so the coordinator counts its cells as failed before the real
+    shard lands.  Whether the shard lands while the campaign runs or while
+    its workers are joined, it heals the cell, in the store and in the
+    merged spool alike.  One worker and a stall six leases long keep the
+    order fixed."""
 
     def _run(self, tmp_path, monkeypatch, seeds):
         plan = FaultPlan(
@@ -251,24 +253,23 @@ class TestLateShards:
         assert {event["kind"] for event in events} <= EVENT_KINDS
         return result, store, spool, events
 
-    def test_stalled_worker_loses_its_lease_and_its_late_shard_is_superseded(
+    def test_stalled_worker_loses_its_lease_and_its_late_shard_heals_the_cell_at_the_join(
         self, tmp_path, monkeypatch
     ):
         serial = _serial_store(tmp_path, [1])
         result, store, spool, events = self._run(tmp_path, monkeypatch, [1])
-        # The quarantined cell completed the campaign as a failure ...
-        (failed,) = result.records
-        assert failed.error_class == "TaskQuarantined"
-        assert serial.read_bytes() != store.read_bytes()
-        # ... so the real shard landed after completion and was discarded.
+        # The quarantine completed the campaign ...
         kinds = [event["kind"] for event in events]
         assert kinds.index("task_quarantined") < kinds.index("campaign_complete")
-        (superseded,) = [event for event in events if event["kind"] == "task_superseded"]
-        assert superseded["task"] == "task-00000" and superseded["cells"] == 1
-        # The late shard itself is whole: the spool's merged view is serial.
+        # ... and the real shard, landing while the worker was joined, heals
+        # the cell: the store, the merged spool and the serial store agree.
+        assert result.failures == 0
+        assert serial.read_bytes() == store.read_bytes()
         merged = tmp_path / "merged.jsonl"
         merge_spool_results(spool, ResultStore(merged))
         assert serial.read_bytes() == merged.read_bytes()
+        assert "task_superseded" not in kinds
+        assert spool.pending_task_ids() == []
 
     def test_late_shard_heals_a_quarantined_cell_while_the_campaign_runs(
         self, tmp_path, monkeypatch
@@ -280,6 +281,82 @@ class TestLateShards:
         kinds = [event["kind"] for event in events]
         assert "task_quarantined" in kinds
         assert "task_superseded" not in kinds
+
+
+# --------------------------------------------------------------------------
+# One settle rule: under seeded faults the store equals the merged spool
+# --------------------------------------------------------------------------
+
+
+def _seeded_faults(kind, seed, tasks):
+    """One fault of ``kind`` aimed at a task the plan ``seed`` picks."""
+    task = f"task-{random.Random(f'{kind}|{seed}').randrange(tasks):05d}"
+    if kind == "kill":  # the first wave dies on it; replacements run clean
+        return [FaultRule(point="worker.cell", kind="crash", match={"task": task},
+                          max_generation=0)]
+    if kind == "torn":
+        return [FaultRule(point="spool.write_shard", kind="torn_write",
+                          match={"task": task})]
+    if kind == "stall":  # the lease ages out while the worker is alive
+        return [
+            FaultRule(point="spool.lease_heartbeat", kind="stall", match={"task": task},
+                      times=None),
+            FaultRule(point="worker.cell", kind="sleep", match={"task": task},
+                      times=None, args={"seconds": 0.4}),
+        ]
+    if kind == "sleep":
+        return [FaultRule(point="worker.cell", kind="sleep", match={"task": task},
+                          args={"seconds": 0.3})]
+    assert kind == "poison"  # crashes every attempt: quarantined with no shard
+    return [FaultRule(point="worker.cell", kind="crash", match={"task": task},
+                      times=None)]
+
+
+class TestOneSettleRule:
+    SEEDS = range(1, 7)
+    TASK_SIZE = 2
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["kill", "torn", "stall", "sleep", "poison"])
+    def test_merged_spool_equals_the_store_under_seeded_faults(
+        self, tmp_path, monkeypatch, capsys, kind, seed
+    ):
+        tasks = len(self.SEEDS) // self.TASK_SIZE
+        plan = FaultPlan(_seeded_faults(kind, seed, tasks), seed=seed)
+        monkeypatch.setenv(PLAN_ENV, str(plan.save(tmp_path / "plan.json")))
+        spool_root = tmp_path / "spool"
+        backend = SpoolBackend(
+            spool_root,
+            workers=2,
+            task_size=self.TASK_SIZE,
+            lease_timeout=0.5,
+            max_task_attempts=2,
+            max_respawns=4,
+            poll_interval=0.02,
+            timeout=120.0,
+        )
+        store = tmp_path / "spool.jsonl"
+        result = ParallelCampaignRunner(store=ResultStore(store), backend=backend).run(
+            "demo/random_walk", seeds=self.SEEDS
+        )
+        spool = Spool(spool_root)
+        merged = tmp_path / "merged.jsonl"
+        merge_spool_results(spool, ResultStore(merged))
+        assert merged.read_bytes() == store.read_bytes()
+        capsys.readouterr()
+        for progress in (spool_root, store):  # the spool's and the store's
+            assert cli_main(["status", str(progress), "--json"]) == 0
+            document = json.loads(capsys.readouterr().out)
+            states = {worker: beat["state"] for worker, beat in document["workers"].items()}
+            assert "running" not in states.values(), (progress, states)
+        if kind == "poison":
+            failed = [record.error_class for record in result.records if not record.ok]
+            assert failed == ["TaskQuarantined"] * self.TASK_SIZE
+            assert len(spool.quarantined_task_ids()) == 1
+        if not spool.quarantined_task_ids():
+            serial = _serial_store(tmp_path, self.SEEDS)
+            assert serial.read_bytes() == store.read_bytes()
+            assert result.failures == 0
 
 
 # --------------------------------------------------------------------------
@@ -353,8 +430,7 @@ class TestCellTimeoutCampaign:
         )
         # The cap-hitting attempt rides the quarantine line as its cause, so
         # the attempt count stays accurate and the index stays attributable.
-        assert spool.reclaim_count(task.task_id) == 1
-        assert spool.timeout_indices(task.task_id) == {0}
+        assert spool.failed_attempts(task.task_id) == (1, {0})
 
 
 # --------------------------------------------------------------------------
@@ -488,6 +564,26 @@ class TestFsck:
             issue["kind"] == "quarantine_completed" for issue in report["issues"]
         )
         assert spool.quarantined_task_ids() == []
+
+    def test_fsck_finds_a_quarantine_whose_cells_another_shard_settles(self, tmp_path):
+        spool = Spool(tmp_path / "spool", max_task_attempts=1)
+        spool.initialise()
+        _, cells = _demo_cells([1])
+        (task,) = shard_cells(cells, "demo/random_walk", task_size=1)
+        spool.publish_task(task)
+        run_worker(spool.root, idle_timeout=0.05, poll_interval=0.01, max_tasks=1)
+        # A recovery task's shard holds the cell; the task itself is quarantined.
+        (spool.results_dir / f"{task.task_id}.jsonl").rename(
+            spool.results_dir / "task-r00000.jsonl"
+        )
+        spool.quarantine_dir.mkdir(parents=True, exist_ok=True)
+        (spool.quarantine_dir / f"{task.task_id}.json").write_text(
+            json.dumps(task.to_json_dict())
+        )
+        report = fsck_spool(spool)
+        assert [issue["kind"] for issue in report["issues"]] == ["quarantine_completed"]
+        (merged,) = merge_spool_results(spool)
+        assert merged.ok
 
     def test_fsck_cli_reports_and_repairs(self, tmp_path, capsys):
         spool, _ = self._damaged_spool(tmp_path)
