@@ -6,13 +6,15 @@ campaign and proves the crash-consistency guarantees on the spot:
 
 1. **Serial reference** — ``jobs=1``, the byte-identity baseline.
 2. **Chaos campaign** — the same cells through the spool backend while
-   every first-wave worker process (a) garbles its first cache publish,
-   (b) tears its second result-shard write mid-flight, and (c) dies with
-   ``os._exit`` on its third cell.  The coordinator detects torn shards
-   via their sha256 trailers, reclaims expired leases, respawns
-   replacement workers at the next fault generation, and repairs corrupt
-   cache entries on read.  The merged store is still byte-identical to
-   the serial one and the quarantine stays empty.
+   every first-wave worker process (a) tears its second result-shard
+   write mid-flight and (b) dies with ``os._exit`` on its third cell.
+   The coordinator detects torn shards via their sha256 trailers,
+   reclaims expired leases and respawns replacement workers at the next
+   fault generation.  The merged store is still byte-identical to the
+   serial one and the quarantine stays empty.  Workers never touch the
+   result cache (the campaign runner alone reads and writes it), so a
+   garbled cache entry is a fault of the runner's cache, repaired on read
+   by the next campaign that looks it up.
 
 Fault plans are plain JSON, so the same chaos run works from the CLI:
 
@@ -50,7 +52,6 @@ def main() -> None:
     # campaign converges deterministically.
     plan = FaultPlan(
         [
-            FaultRule(point="cache.put", kind="corrupt", at=1, max_generation=0),
             FaultRule(point="spool.write_shard", kind="torn_write", at=2, max_generation=0),
             FaultRule(point="worker.cell", kind="crash", at=3, max_generation=0),
         ]
@@ -67,7 +68,6 @@ def main() -> None:
         poll_interval=0.02,
         timeout=300.0,
         max_respawns=4,
-        worker_cache_root=workdir / "cache",
     )
     chaos_store = ResultStore(workdir / "chaos.jsonl")
     chaos = ParallelCampaignRunner(store=chaos_store, backend=backend).run(

@@ -6,10 +6,12 @@ records a distributed span trace of a campaign.  Every process that
 touches it — the coordinator, each spool worker — appends whole-line
 spans to its own ``trace-<pid>.jsonl``, stitched into one tree by
 explicit ids: the coordinator's ``publish`` span id rides inside the
-spool task file, the worker parents its ``task`` span to it, cells to
-the task, cache probes and shard writes to whatever ran them.  The spans
-carry the per-cell facts too: each ``task`` span its queue wait, each
-``cell`` span its seed and run time, and the worker that ran it.
+spool task file, the worker parents its ``task`` span to it, cells and
+shard writes to the task.  Workers never touch the result cache: with
+one attached, the runner's single batch of writes is one ``cache.put``
+span on the coordinator's lane.  The spans carry the per-cell facts
+too: each ``task`` span its queue wait, each ``cell`` span its seed and
+run time, and the worker that ran it.
 
 This example runs a traced 2-worker spool campaign, then asks the three
 questions the ``trace`` CLI subcommand answers:

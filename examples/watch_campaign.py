@@ -9,7 +9,7 @@ directory while it runs:
   heartbeats).  ``python -m repro.experiments status <spool> --watch``
   polls exactly this file.
 * ``events.jsonl`` — an append-only log of campaign transitions (tasks
-  claimed and completed, cache hits, workers starting and exiting).
+  claimed and completed, workers starting and exiting).
   ``python -m repro.experiments tail <spool> --follow`` streams it.
 
 This example drives a 2-worker spool campaign on a background thread and

@@ -116,11 +116,6 @@ class CacheIndex:
         )
 
     @property
-    def location(self) -> str:
-        """The absolute root: the same for every index on one cache."""
-        return str(self.root.resolve())
-
-    @property
     def keys_dir(self) -> Path:
         return self.root / "keys"
 
@@ -266,11 +261,6 @@ class CacheIndex:
             return 0
         self.puts += len(written)
         return len(written)
-
-    def __contains__(self, key: str) -> bool:
-        """Whether a record for ``key`` is published (its link exists: not
-        validated, not counted as a hit or miss)."""
-        return not self._degraded and os.path.exists(self.keys_dir / key)
 
     # ------------------------------------------------------------ effectiveness
     def session_stats(self) -> Dict[str, int]:

@@ -178,6 +178,10 @@ class SpoolBackend(ExecutionBackend):
     them wake on :class:`~repro.distributed.worker.CampaignPipes` events
     (a shard landed, a worker exited, the campaign closed), so for them it
     is only the longest either side waits.
+
+    The backend and its workers never touch the result cache: the runner
+    looks every cell up before :meth:`execute` publishes it and writes the
+    executed cells back afterwards, one batch per campaign.
     """
 
     name = "spool"
@@ -190,7 +194,6 @@ class SpoolBackend(ExecutionBackend):
         task_size: int = 1,
         poll_interval: float = 0.05,
         timeout: Optional[float] = None,
-        worker_cache_root: Optional[Union[str, os.PathLike]] = None,
         scenario_modules: Sequence[str] = (),
         max_task_attempts: int = DEFAULT_MAX_TASK_ATTEMPTS,
         max_respawns: int = 0,
@@ -216,7 +219,6 @@ class SpoolBackend(ExecutionBackend):
         self.cell_timeout = cell_timeout
         self.poll_interval = float(poll_interval)
         self.timeout = timeout
-        self.worker_cache_root = worker_cache_root
         self.scenario_modules = tuple(scenario_modules)
         #: Budget of replacement workers spawned when a spawned worker dies
         #: before campaign completion.  Each respawn runs at the next fault
@@ -237,7 +239,6 @@ class SpoolBackend(ExecutionBackend):
         payload: Optional[object] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
-        checked_cache: Optional[Any] = None,
     ) -> None:
         if not isinstance(payload, str):
             raise SpoolDispatchError(
@@ -262,11 +263,6 @@ class SpoolBackend(ExecutionBackend):
             metadata["cell_timeout"] = self.cell_timeout
         if TRACER.enabled:
             metadata["trace_id"] = TRACER.trace_id
-        checked = getattr(checked_cache, "location", None)
-        if checked is not None:
-            # Every cell published here already missed in this cache, so
-            # workers that share it only publish to it (execute_task).
-            metadata["checked_cache"] = checked
         recovery = self._try_resume(campaign_id, tasks, metadata)
         if recovery is None:
             self.spool.initialise(metadata=metadata)
@@ -345,23 +341,31 @@ class SpoolBackend(ExecutionBackend):
                     beat["state"] = "dead"
             for each in trackers:
                 each.set_workers(heartbeats)
-            tracker.finish(complete=ok)
+            if not ok:
+                tracker.finish(complete=False)
         # Settled only now, after the join: a worker whose lease was
         # reclaimed may still have been mid-task, and the shard it wrote
         # during the drain heals its quarantined cell here as in `merge`.
-        while True:
-            try:
-                settled = settle(self.spool, key_by_index, shards)
-                break
-            except TornShardError as torn:
-                self._drop_torn_shard(torn.task_id, events)
-        if len(settled) < len(key_by_index):
-            raise SpoolDispatchError(
-                f"a cell lost its shard or quarantine on spool {self.spool.root} "
-                "while the workers were joined; re-run the campaign on this spool"
-            )
+        try:
+            while True:
+                try:
+                    settled = settle(self.spool, key_by_index, shards)
+                    break
+                except TornShardError as torn:
+                    self._drop_torn_shard(torn.task_id, events)
+            if len(settled) < len(key_by_index):
+                raise SpoolDispatchError(
+                    f"a cell lost its shard or quarantine on spool {self.spool.root} "
+                    "while the workers were joined; re-run the campaign on this spool"
+                )
+        except SpoolDispatchError:
+            tracker.finish(complete=False)
+            raise
         for index in key_by_index:
             records[index] = settled[index]
+        # Counted from the settled records: a late shard may have healed a
+        # cell the live tally counted as failed when it was quarantined.
+        tracker.finish(records=records)
 
     def finalize(self, spec: ScenarioSpec) -> None:
         """Publish the completion marker even when nothing was dispatched.
@@ -453,7 +457,6 @@ class SpoolBackend(ExecutionBackend):
         registry and source fingerprints instead of paying for its own."""
         options: Dict[str, Any] = {
             "spool_root": self.spool.root,
-            "cache": self.worker_cache_root,
             "poll_interval": self.poll_interval,
             "scenario_modules": self.scenario_modules,
         }

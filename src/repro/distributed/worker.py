@@ -6,10 +6,11 @@ host or many — and coordinate purely through the spool's atomic renames:
 
 1. claim the first pending task (atomic ``os.rename``);
 2. resolve the task's scenario against the registry;
-3. execute each cell (consulting the shared result cache when one is
-   attached), refreshing the claim lease between cells;
-4. publish the executed cells to the cache in one batch, atomically
-   write the result shard and drop the claim.
+3. execute each cell, refreshing the claim lease between cells;
+4. atomically write the result shard and drop the claim.
+
+Workers never touch the result cache; the campaign runner alone reads
+and writes it (see :func:`execute_task`).
 
 A worker that finds nothing to claim reclaims expired leases (rescuing
 tasks from dead peers) and waits until the coordinator marks the campaign
@@ -28,8 +29,8 @@ ledger event (feeding the quarantine threshold) and no shard is written,
 so results stay byte-identical to ``jobs=1``.
 
 Observability: each worker appends to the spool's shared event log (task
-claimed/completed, cache hit/miss, reclaims it performs, its own
-start/idle/exit transitions) and stamps a heartbeat file
+claimed/completed, reclaims it performs, its own start/idle/exit
+transitions) and stamps a heartbeat file
 (``workers/<id>.json``) with task counts and runtimes, which the
 coordinator folds into ``progress.json``.  Both are advisory and
 best-effort — a worker on a spool that does not exist yet stays silent and
@@ -47,7 +48,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.distributed.cache import CacheIndex
 from repro.distributed.scheduler import CellTimeout, cell_deadline
 from repro.distributed.spool import ClaimedTask, Spool
 from repro.experiments.registry import (
@@ -55,8 +55,8 @@ from repro.experiments.registry import (
     UnknownScenarioError,
     load_builtin_scenarios,
 )
-from repro.experiments.runner import RunRecord, execute_run_with_retry
-from repro.experiments.spec import RunSpec, content_cache_key
+from repro.experiments.runner import RunRecord, execute_run_with_retry, unresolved_record
+from repro.experiments.spec import RunSpec
 from repro.observability.events import EventLog
 from repro.observability.trace import TRACER
 from repro.resilience.faults import inject
@@ -72,7 +72,6 @@ class WorkerStats:
     worker_id: str
     tasks_completed: int = 0
     runs_executed: int = 0
-    cache_hits: int = 0
     failures: int = 0
     #: Cells killed by the ``--cell-timeout`` watchdog.
     timeouts: int = 0
@@ -91,7 +90,6 @@ class WorkerStats:
             "state": state,
             "tasks_completed": self.tasks_completed,
             "runs_executed": self.runs_executed,
-            "cache_hits": self.cache_hits,
             "failures": self.failures,
             "busy_s": round(self.busy_s, 3),
             "pid": os.getpid(),
@@ -185,7 +183,6 @@ def execute_task(
     claimed: ClaimedTask,
     spool: Spool,
     registry: ScenarioRegistry,
-    cache: Optional[CacheIndex] = None,
     stats: Optional[WorkerStats] = None,
     events: Optional[EventLog] = None,
     retry_policy: Optional[RetryPolicy] = None,
@@ -199,7 +196,6 @@ def execute_task(
     runaway cell is killed with :class:`CellTimeout`, which — being a
     ``BaseException`` — aborts the whole task *without* writing a shard
     (the worker loop requeues the claim with a ``timeout`` ledger event).
-    Cached cells never hit the deadline: a cache lookup is bounded I/O.
 
     Cell execution goes through the shared retry policy (same one the
     inline/process backends use, so attempt counts — and therefore failed
@@ -207,15 +203,9 @@ def execute_task(
     retries under the quick spool-I/O policy; if it still fails the
     ``OSError`` propagates to the worker loop, which requeues the claim.
 
-    Cache: the task's executed cells are published with one
-    :meth:`CacheIndex.put_many` right before the shard write, not one put
-    per cell.  A worker that crashes (or times out) mid-task therefore
-    leaves no cache entries for that task's finished cells, and the
-    reclaimed task re-executes them.  Runs are deterministic, so the
-    merged store is byte-identical either way.
-    When ``campaign.json`` names this very cache as ``checked_cache``, the
-    coordinator has already looked the cells up there and missed, so the
-    worker skips the lookups and only publishes.
+    Cache: a worker neither reads nor writes the result cache.  The
+    campaign runner looked every published cell up already, and it writes
+    the executed cells back in one batch once the campaign settles.
 
     Tracing: a task file published by a tracing coordinator carries the
     trace context (``task.trace``), which this worker *adopts* — it
@@ -242,15 +232,8 @@ def execute_task(
         spec = registry.get(task.scenario)
     except UnknownScenarioError as exc:
         resolve_error = f"worker could not resolve scenario: {exc.args[0]}"
-    source_fingerprint = spec.source_fingerprint() if spec is not None else None
-    # The coordinator names the cache it looked every published cell up in;
-    # this worker's lookups there would only miss a second time.  A worker
-    # whose coordinator has no cache, or another one, still looks up.
-    lookup = cache is not None and spool.metadata().get("checked_cache") != cache.location
 
     results: List[Tuple[int, RunRecord]] = []
-    # Executed cells awaiting publication to the cache, in cell order.
-    fresh: List[Tuple[Optional[str], RunRecord]] = []
     with TRACER.span(
         "task",
         cat="task",
@@ -263,52 +246,21 @@ def execute_task(
         for params, seed, index in task.cells:
             inject("worker.cell", task=task.task_id, index=index, scenario=task.scenario)
             if spec is None:
-                record = RunRecord(
-                    scenario=task.scenario,
-                    params=dict(params),
-                    seed=seed,
-                    status="failed",
-                    error=resolve_error,
-                    error_class="ScenarioResolutionError",
-                )
+                record = unresolved_record(task.scenario, params, seed, resolve_error)
             else:
-                cache_key = (
-                    content_cache_key(source_fingerprint, params, seed)
-                    if cache is not None and source_fingerprint is not None
-                    else None
-                )
-                if lookup:
-                    with TRACER.span("cache.get", cat="cache", seed=seed):
-                        record = cache.get(cache_key)
-                else:
-                    record = None
-                if record is not None:
-                    record = record.relabelled(spec.name, dict(params), seed)
-                    if stats is not None:
-                        stats.cache_hits += 1
-                    if events is not None:
-                        events.emit("cache_hit", task=task.task_id, index=index)
-                else:
-                    if events is not None and lookup and cache_key is not None:
-                        events.emit("cache_miss", task=task.task_id, index=index)
-                    with cell_deadline(cell_timeout, task=task.task_id, index=index):
-                        record = execute_run_with_retry(
-                            spec,
-                            RunSpec(scenario=spec.name, params=dict(params), seed=seed, index=index),
-                            policy=retry_policy,
-                            breaker=breaker,
-                        )
-                    if cache is not None:
-                        fresh.append((cache_key, record))
-                    if stats is not None:
-                        stats.runs_executed += 1
+                with cell_deadline(cell_timeout, task=task.task_id, index=index):
+                    record = execute_run_with_retry(
+                        spec,
+                        RunSpec(scenario=spec.name, params=dict(params), seed=seed, index=index),
+                        policy=retry_policy,
+                        breaker=breaker,
+                    )
+                if stats is not None:
+                    stats.runs_executed += 1
             if stats is not None and not record.ok:
                 stats.failures += 1
             results.append((index, record))
             spool.heartbeat(claimed)
-        if fresh:
-            with TRACER.span("cache.put", cat="cache", task=task.task_id, cells=len(fresh)):
-                cache.put_many(fresh)
         with TRACER.span("shard.write", cat="io", task=task.task_id):
             SPOOL_IO_RETRY_POLICY.call(
                 lambda: spool.write_result_shard(task.task_id, results),
@@ -334,7 +286,6 @@ def run_worker(
     spool_root: Union[str, os.PathLike],
     *,
     registry: Optional[ScenarioRegistry] = None,
-    cache: Optional[Union[str, os.PathLike, CacheIndex]] = None,
     poll_interval: float = 0.2,
     max_tasks: Optional[int] = None,
     idle_timeout: Optional[float] = None,
@@ -359,8 +310,6 @@ def run_worker(
     _import_scenario_modules(scenario_modules)
     if registry is None:
         registry = load_builtin_scenarios()
-    if cache is not None and not isinstance(cache, CacheIndex):
-        cache = CacheIndex(cache)
     spool = (
         Spool(spool_root)
         if lease_timeout is None
@@ -461,7 +410,6 @@ def run_worker(
                 claimed,
                 spool,
                 registry,
-                cache=cache,
                 stats=stats,
                 events=events,
                 retry_policy=retry_policy,
@@ -515,7 +463,6 @@ def run_worker(
         reason=stats.exit_reason,
         tasks_completed=stats.tasks_completed,
         runs_executed=stats.runs_executed,
-        cache_hits=stats.cache_hits,
         failures=stats.failures,
         timeouts=stats.timeouts,
         busy_s=round(stats.busy_s, 3),
@@ -524,14 +471,11 @@ def run_worker(
         stats.worker_id,
         stats.heartbeat_payload("exited", events_dropped=events.dropped),
     )
-    if isinstance(cache, CacheIndex):
-        cache.flush_stats()
     logger.info(
-        "%s: exit (%s) after %d task(s), %d run(s), %d cache hit(s)",
+        "%s: exit (%s) after %d task(s), %d run(s)",
         stats.worker_id,
         stats.exit_reason or "done",
         stats.tasks_completed,
         stats.runs_executed,
-        stats.cache_hits,
     )
     return stats

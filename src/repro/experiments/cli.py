@@ -248,10 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reclaiming dead peers' tasks",
     )
     worker_parser.add_argument(
-        "--cache", default=None, metavar="DIR",
-        help="consult/fill this shared content-addressed result cache",
-    )
-    worker_parser.add_argument(
         "--import", dest="imports", action="append", default=[], metavar="MODULE",
         help="import MODULE before working so its scenarios register (repeatable)",
     )
@@ -583,7 +579,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             lease_timeout=args.lease_timeout if args.lease_timeout is not None else 60.0,
             task_size=args.task_size if args.task_size is not None else 1,
             timeout=args.timeout,
-            worker_cache_root=args.cache,
             max_respawns=args.max_respawns if args.max_respawns is not None else 0,
             worker_retries=args.retries,
             cell_timeout=args.cell_timeout,
@@ -964,7 +959,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         return 2
     stats = run_worker(
         args.spool,
-        cache=args.cache,
         poll_interval=args.poll,
         max_tasks=args.max_tasks,
         idle_timeout=args.idle_timeout,
@@ -975,7 +969,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     if not args.quiet:
         print(
             f"{stats.worker_id}: {stats.tasks_completed} tasks, "
-            f"{stats.runs_executed} runs executed, {stats.cache_hits} cache hits, "
+            f"{stats.runs_executed} runs executed, "
             f"{stats.failures} failed runs"
         )
     return 0
@@ -1161,8 +1155,7 @@ def _format_worker(worker_id: str, heartbeat: Dict[str, Any]) -> str:
         bits.append(f"on {task}")
     bits.append(
         f"({heartbeat.get('tasks_completed', 0)} tasks, "
-        f"{heartbeat.get('runs_executed', 0)} runs, "
-        f"{heartbeat.get('cache_hits', 0)} cache hits"
+        f"{heartbeat.get('runs_executed', 0)} runs"
     )
     timeouts = heartbeat.get("timeouts", 0)
     if isinstance(timeouts, int) and timeouts > 0:

@@ -18,7 +18,8 @@ benchmark harness and the acceptance criteria rely on:
 * **Caching** — with a :class:`~repro.distributed.cache.CacheIndex`
   attached, cells whose content-addressed key (scenario source + canonical
   params + seed) has a cached successful record are reused *across* stores,
-  campaigns and hosts before any dispatch happens.
+  campaigns and hosts before any dispatch happens.  The runner is the
+  cache's only reader and writer: no backend or worker touches it.
 """
 
 from __future__ import annotations
@@ -136,8 +137,8 @@ class RunRecord:
         so a hit may have been recorded under another alias of the same
         factory; re-labelling keeps stores keyed by (scenario, params, seed)
         byte-identical whichever alias populated the cache.  Every
-        serialised field must be carried over here — coordinator-side and
-        worker-side cache hits both go through this one place.
+        serialised field must be carried over here: every cache hit, in
+        :meth:`ParallelCampaignRunner._consult_cache`, goes through it.
         """
         return RunRecord(
             scenario=scenario,
@@ -149,6 +150,20 @@ class RunRecord:
             attempts=self.attempts,
             error_class=self.error_class,
         )
+
+
+def unresolved_record(
+    scenario: str, params: Mapping[str, Any], seed: int, error: Optional[str]
+) -> RunRecord:
+    """The failed record of a cell whose scenario a worker could not resolve."""
+    return RunRecord(
+        scenario=scenario,
+        params=dict(params),
+        seed=seed,
+        status="failed",
+        error=error,
+        error_class="ScenarioResolutionError",
+    )
 
 
 def execute_run(
@@ -316,14 +331,7 @@ def _execute_batch(
         parent_scope.__enter__()
     for params, seed, index in cells:
         if spec is None:
-            record = RunRecord(
-                scenario=str(payload),
-                params=dict(params),
-                seed=seed,
-                status="failed",
-                error=resolve_error,
-                error_class="ScenarioResolutionError",
-            )
+            record = unresolved_record(str(payload), params, seed, resolve_error)
         else:
             run_spec = RunSpec(scenario=spec.name, params=dict(params), seed=seed, index=index)
             record = execute_run_with_retry(
@@ -354,11 +362,9 @@ class ExecutionBackend:
     a backend that ignores it is still correct.  ``events`` is an optional
     :class:`~repro.observability.events.EventLog` for backends with
     taxonomy events to report (the vector backend's batch/evict activity);
-    like ``progress`` it is advisory and safely ignorable.
-    ``checked_cache`` is the runner's result cache when it has already
-    looked every pending cell up there and missed: a backend whose workers
-    consult a cache of their own skips that one, so each miss is counted
-    once.
+    like ``progress`` it is advisory and safely ignorable.  Backends never
+    see the result cache: the runner looks every cell up before
+    :meth:`execute` and publishes the executed ones after it.
     """
 
     name = "backend"
@@ -371,7 +377,6 @@ class ExecutionBackend:
         payload: Optional[Any] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
-        checked_cache: Optional[Any] = None,
     ) -> None:
         raise NotImplementedError
 
@@ -410,7 +415,6 @@ class InProcessBackend(ExecutionBackend):
         payload: Optional[Any] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
-        checked_cache: Optional[Any] = None,
     ) -> None:
         breaker = CircuitBreaker()
         for run_spec in pending:
@@ -441,12 +445,10 @@ class MultiprocessingBackend(ExecutionBackend):
     def __init__(
         self,
         jobs: int = 2,
-        mp_context: Optional[str] = None,
         batch_size: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ):
         self.jobs = max(1, int(jobs))
-        self.mp_context = mp_context
         self.batch_size = batch_size
         self.retry_policy = retry_policy
 
@@ -458,7 +460,6 @@ class MultiprocessingBackend(ExecutionBackend):
         payload: Optional[Any] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
-        checked_cache: Optional[Any] = None,
     ) -> None:
         payload = spec if payload is None else payload
         chunk = self.batch_size if self.batch_size is not None else 1
@@ -481,10 +482,9 @@ class MultiprocessingBackend(ExecutionBackend):
             )
             for start in range(0, len(pending), chunk)
         ]
-        context = multiprocessing.get_context(self.mp_context)
         processes = min(self.jobs, len(tasks))
         try:
-            with context.Pool(processes=processes) as pool:
+            with multiprocessing.Pool(processes=processes) as pool:
                 for batch in pool.imap_unordered(_execute_batch, tasks):
                     for index, record in batch:
                         records[index] = record
@@ -500,19 +500,12 @@ class MultiprocessingBackend(ExecutionBackend):
                 type(exc).__name__,
                 exc,
             )
-            breaker = CircuitBreaker()
-            for run_spec in pending:
-                if records[run_spec.index] is None:
-                    record = execute_run_with_retry(
-                        spec,
-                        run_spec,
-                        policy=self.retry_policy,
-                        breaker=breaker,
-                        keep_result=True,
-                    )
-                    records[run_spec.index] = record
-                    if progress is not None:
-                        progress.record_record(ok=record.ok)
+            InProcessBackend(retry_policy=self.retry_policy).execute(
+                spec,
+                [run_spec for run_spec in pending if records[run_spec.index] is None],
+                records,
+                progress=progress,
+            )
 
 
 # --------------------------------------------------------------------------
@@ -675,7 +668,8 @@ class ParallelCampaignRunner:
     With a ``cache`` (:class:`~repro.distributed.cache.CacheIndex`)
     attached, cells whose content-addressed key — scenario *source* +
     canonical params + seed — already has a successful record are reused
-    before dispatch, and freshly-executed successes are published back.
+    before dispatch, and freshly-executed successes are published back in
+    one batch once the backend has settled them.
     The cache is shared by all stores: completing a campaign once warms it
     for every later campaign touching the same cells, and editing one
     scenario's source never invalidates another scenario's entries.
@@ -687,7 +681,6 @@ class ParallelCampaignRunner:
         registry: Optional[ScenarioRegistry] = None,
         store: Optional[Any] = None,
         resume: bool = True,
-        mp_context: Optional[str] = None,
         batch_size: Optional[int] = None,
         backend: Optional[ExecutionBackend] = None,
         cache: Optional[Any] = None,
@@ -700,7 +693,6 @@ class ParallelCampaignRunner:
         self.registry = registry if registry is not None else REGISTRY
         self.store = store
         self.resume = resume
-        self.mp_context = mp_context
         self.batch_size = int(batch_size) if batch_size is not None else None
         self.backend = backend
         self.cache = cache
@@ -767,7 +759,6 @@ class ParallelCampaignRunner:
                 payload=self._payload_for(spec),
                 progress=tracker,
                 events=self._event_log(backend),
-                checked_cache=self.cache if cache_keys else None,
             )
             # Backends that distinguish execution paths (vector/scalar) label
             # records themselves; everything else is attributed to the backend.
@@ -783,7 +774,7 @@ class ParallelCampaignRunner:
                 label = record.executed_by or backend.name
                 backend_cells[label] = backend_cells.get(label, 0) + 1
         if tracker is not None:
-            tracker.finish(backend_cells=backend_cells)
+            tracker.finish(backend_cells=backend_cells, records=records)
         flush_stats = getattr(self.cache, "flush_stats", None)
         if flush_stats is not None:
             flush_stats()
@@ -855,7 +846,6 @@ class ParallelCampaignRunner:
             return InProcessBackend(retry_policy=self.retry_policy)
         return MultiprocessingBackend(
             jobs=self.jobs,
-            mp_context=self.mp_context,
             batch_size=self.batch_size,
             retry_policy=self.retry_policy,
         )
@@ -890,18 +880,18 @@ class ParallelCampaignRunner:
         still_pending: List[RunSpec] = []
         cache_keys: Dict[int, str] = {}
         cached = 0
-        for run_spec in pending:
-            key = content_cache_key(source_fingerprint, run_spec.params, run_spec.seed)
-            record = self.cache.get(key)
-            if record is not None and record.ok:
-                hit = record.relabelled(run_spec.scenario, run_spec.params, run_spec.seed)
-                hit.executed_by = "cache"
-                records[run_spec.index] = hit
+        with TRACER.span("cache.get", cat="cache", cells=len(pending)):
+            for run_spec in pending:
+                key = content_cache_key(source_fingerprint, run_spec.params, run_spec.seed)
                 cache_keys[run_spec.index] = key
-                cached += 1
-            else:
-                still_pending.append(run_spec)
-                cache_keys[run_spec.index] = key
+                record = self.cache.get(key)
+                if record is not None and record.ok:
+                    hit = record.relabelled(run_spec.scenario, run_spec.params, run_spec.seed)
+                    hit.executed_by = "cache"
+                    records[run_spec.index] = hit
+                    cached += 1
+                else:
+                    still_pending.append(run_spec)
         return still_pending, cache_keys, cached
 
     def _publish_to_cache(
@@ -910,14 +900,13 @@ class ParallelCampaignRunner:
         cache_keys: Dict[int, str],
         records: List[Optional[RunRecord]],
     ) -> None:
+        """Publish every executed cell in one batch, one cache segment per
+        campaign (``put_many`` skips the failed records)."""
         if self.cache is None or not cache_keys:
             return
-        # Spool workers sharing this cache have already published the cells
-        # they ran; skipping what is published writes each executed cell once.
-        self.cache.put_many(
-            (key, records[run_spec.index])
-            for run_spec in pending
-            if records[run_spec.index] is not None
-            and (key := cache_keys.get(run_spec.index)) is not None
-            and key not in self.cache
-        )
+        with TRACER.span("cache.put", cat="cache", cells=len(pending)):
+            self.cache.put_many(
+                (cache_keys[run_spec.index], records[run_spec.index])
+                for run_spec in pending
+                if records[run_spec.index] is not None
+            )

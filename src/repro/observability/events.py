@@ -23,8 +23,6 @@ kind                emitted when
 ``worker_exit``       a worker left its loop (reason: complete/max_tasks/idle)
 ``worker_dead``       the coordinator observed a spawned worker exit early
 ``worker_respawn``    the coordinator started a replacement for a dead worker
-``cache_hit``         a cell was served from the content-addressed cache
-``cache_miss``        a cell was consulted against the cache and not found
 ``campaign_resumed``  a restarted coordinator adopted an interrupted campaign
 ``shard_torn``        a result shard failed sha256 verification (re-executed)
 ``task_quarantined``  a poison task was retired after repeated failed claims
@@ -36,6 +34,10 @@ kind                emitted when
 ``cell_timeout``      a worker's watchdog killed a cell past its deadline
 =================== ========================================================
 
+Schema note (v5 of this taxonomy): the ``cache_hit`` and ``cache_miss``
+kinds are gone; spool workers no longer touch the result cache, whose
+counts live in its ``stats.jsonl`` ledger.  Logs of older spools may
+still hold them, and readers pass them through like any unknown kind.
 Schema note (v4 of this taxonomy): ``task_superseded`` carries ``task``
 and ``cells``; ``cell_timeout`` carries ``task``, ``index`` and ``seconds``.
 v3 also had one kind each for straggler speculation and work stealing,
@@ -76,8 +78,6 @@ EVENT_KINDS = frozenset(
         "worker_exit",
         "worker_dead",
         "worker_respawn",
-        "cache_hit",
-        "cache_miss",
         "campaign_resumed",
         "shard_torn",
         "task_quarantined",

@@ -34,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterable, Optional, Union
 
 PROGRESS_VERSION = 1
 
@@ -275,19 +275,30 @@ class ProgressTracker:
             self._write_locked()
 
     def finish(
-        self, complete: bool = True, backend_cells: Optional[Dict[str, int]] = None
+        self,
+        complete: bool = True,
+        backend_cells: Optional[Dict[str, int]] = None,
+        records: Optional[Iterable[Any]] = None,
     ) -> None:
         """Close the campaign and force a final snapshot.
 
         ``backend_cells`` records which execution path settled each cell
         (vector/scalar/store/cache/...); the runner passes its final
         provenance counts so ``report`` and ``status`` can surface them.
+        ``records`` are the campaign's settled records (``None`` entries
+        are skipped): ``done``/``failed`` are recounted from their ``ok``
+        rather than kept from the live tallies, which counted a quarantined
+        cell as failed before a late shard healed it.
         """
         with self._lock:
             self._complete = bool(complete)
             self._running = 0
             if backend_cells is not None:
                 self._backend_cells = dict(backend_cells)
+            if records is not None:
+                oks = [record.ok for record in records if record is not None]
+                self._done = sum(oks)
+                self._failed = len(oks) - self._done
             self._write_locked(force=True)
 
     # --------------------------------------------------------------- snapshot

@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.runner import (
     ExecutionBackend,
+    InProcessBackend,
     RunRecord,
     execute_run_with_retry,
 )
@@ -73,7 +74,6 @@ class VectorBatchBackend(ExecutionBackend):
         payload: Optional[Any] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
-        checked_cache: Optional[Any] = None,
     ) -> None:
         self.stats = VectorStats()
         breaker = CircuitBreaker()
@@ -91,21 +91,12 @@ class VectorBatchBackend(ExecutionBackend):
             )
         # Scalar queue: original pending order, so retry/fault-plan counters
         # fire in a deterministic sequence.
-        for run_spec in pending:
-            if run_spec.index not in scalar_indices:
-                continue
-            record = execute_run_with_retry(
-                spec,
-                run_spec,
-                policy=self.retry_policy,
-                breaker=breaker,
-                keep_result=True,
-                profile=self.profile,
-            )
-            record.executed_by = "scalar"
-            records[run_spec.index] = record
-            if progress is not None:
-                progress.record_record(ok=record.ok)
+        scalar = [run_spec for run_spec in pending if run_spec.index in scalar_indices]
+        InProcessBackend(profile=self.profile, retry_policy=self.retry_policy).execute(
+            spec, scalar, records, progress=progress
+        )
+        for run_spec in scalar:
+            records[run_spec.index].executed_by = "scalar"
 
     # ------------------------------------------------------------------- steps
     def _plan(self, pending: Sequence[Any]) -> List[List[Any]]:

@@ -137,7 +137,7 @@ class TestPutMany:
         assert {path: path.read_bytes() for path in (root / "segments").iterdir()} == segments
         # The repair is on disk: a fresh reader neither serves nor re-counts it.
         fresh = CacheIndex(tmp_path / "cache")
-        assert pairs[3][0] not in fresh
+        assert pairs[3][0] not in fresh.keys()
         assert fresh.get(pairs[3][0]) is None
         assert fresh.repairs == 0
         assert [fresh.get(key) for key, _ in pairs[4:]] == [record for _, record in pairs[4:]]
@@ -168,7 +168,7 @@ class TestPutMany:
         written = cache.stats()["bytes"]
         assert cache.put_many([(None, ok_a), (key_c, failed)]) == 0
         assert CacheIndex(tmp_path / "cache").stats()["bytes"] == written  # nothing written
-        assert key_c not in CacheIndex(tmp_path / "cache")
+        assert key_c not in CacheIndex(tmp_path / "cache").keys()
 
     def test_one_fsync_before_one_rename_per_put_many(self, tmp_path, monkeypatch):
         calls = _record_barriers(monkeypatch)
@@ -202,7 +202,7 @@ class TestPutMany:
         assert _leftover_temps(tmp_path) == []
         reader = CacheIndex(tmp_path / "cache")
         assert len(reader) == 0
-        assert all(key not in reader for key, _ in pairs)
+        assert all(key not in reader.keys() for key, _ in pairs)
         assert cache.degraded and cache.puts == 0
         assert len([r for r in caplog.records if "continuing uncached" in r.message]) == 1
 
@@ -247,7 +247,7 @@ class TestSegments:
         assert len(reads) == 3  # one read per segment, not per hit
         assert reader.get("0" * 64) is None  # a miss tries its own link only
         assert opened == ["0" * 64] and len(reads) == 3
-        assert "1" * 64 not in reader and batches[0][0][0] in reader
+        assert "1" * 64 not in reader.keys() and batches[0][0][0] in reader.keys()
         assert len(reader) == 9
         assert reader.get(batches[0][0][0]) == batches[0][0][1]  # back to the first
         assert len(opened) == 2 and len(reads) == 4
@@ -288,7 +288,7 @@ class TestSegments:
         os.link(root / "segments" / ".unpublished.jsonl", root / "keys" / f".{stray_key}.tmp")
         reader = CacheIndex(root)
         assert reader.get(stray_key) is None
-        assert stray_key not in reader
+        assert stray_key not in reader.keys()
         assert reader.keys() == [key]
         assert reader.stats()["entries"] == 1
         assert reader.stats()["bytes"] == published
@@ -348,7 +348,7 @@ class TestSegments:
         reader = CacheIndex(root)
         assert reader.get(key) is None
         assert reader.repairs == 1 and reader.hits == 0
-        assert key not in reader
+        assert key not in reader.keys()
         assert reader.get(other) == other_record
 
     def test_a_re_put_replaces_an_unread_corrupt_entry(self, tmp_path):

@@ -288,35 +288,6 @@ class TestWorker:
         assert late.tasks_completed == 0
         assert time.monotonic() - started < 5.0
 
-    def test_worker_uses_shared_cache(self, tmp_path):
-        cache = CacheIndex(tmp_path / "cache")
-        spool_a = self._published_spool(tmp_path / "a", [1, 2])
-        first = run_worker(spool_a.root, cache=cache, idle_timeout=0.01, poll_interval=0.01)
-        assert first.runs_executed == 2 and first.cache_hits == 0
-        spool_b = self._published_spool(tmp_path / "b", [1, 2])
-        second = run_worker(spool_b.root, cache=cache, idle_timeout=0.01, poll_interval=0.01)
-        assert second.runs_executed == 0 and second.cache_hits == 2
-        assert merge_spool_results(spool_a) == merge_spool_results(spool_b)
-
-    def test_worker_skips_lookups_only_in_the_cache_the_coordinator_checked(self, tmp_path):
-        cache = CacheIndex(tmp_path / "cache")
-        warm = self._published_spool(tmp_path / "warm", [1, 2])
-        run_worker(warm.root, cache=cache, idle_timeout=0.01, poll_interval=0.01)
-        # A coordinator that looked cells up in another cache (or in none)
-        # leaves the lookups to the worker: its cache hits.
-        other = self._published_spool(tmp_path / "other", [1, 2])
-        other.write_campaign_metadata({"checked_cache": str(tmp_path / "elsewhere")})
-        hits = run_worker(other.root, cache=cache, idle_timeout=0.01, poll_interval=0.01)
-        assert hits.cache_hits == 2 and hits.runs_executed == 0
-        # One that missed in this cache already owns those misses: the
-        # worker runs the cells and publishes them without a lookup.
-        checked = self._published_spool(tmp_path / "checked", [3, 4])
-        checked.write_campaign_metadata({"checked_cache": cache.location})
-        fresh = CacheIndex(tmp_path / "cache")
-        ran = run_worker(checked.root, cache=fresh, idle_timeout=0.01, poll_interval=0.01)
-        assert ran.runs_executed == 2 and ran.cache_hits == 0
-        assert (fresh.hits, fresh.misses, fresh.puts) == (0, 0, 2)
-
 
 # --------------------------------------------------------------------------
 # Coordinator / SpoolBackend
@@ -718,8 +689,8 @@ class TestDistributedCli:
         assert "removed 4" in capsys.readouterr().out
 
     def test_spool_campaign_counts_each_cache_miss_once(self, tmp_path, capsys):
-        """The coordinator looks every cell up before publishing it; its
-        spawned workers share the cache and do not miss a second time."""
+        """The coordinator looks every cell up before publishing it, and its
+        workers never look a cell up again: one miss per cell."""
         cache = str(tmp_path / "cache")
         rc = cli_main(
             [
@@ -802,3 +773,14 @@ class TestDistributedCli:
         assert rc == 0
         assert "2 tasks" in capsys.readouterr().out
         assert spool.is_drained()
+
+    def test_worker_cli_has_no_cache_option(self, tmp_path, capsys):
+        """Only the campaign runner reads and writes the result cache."""
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(
+                ["worker", str(tmp_path / "spool"), "--idle-timeout", "0.05",
+                 "--cache", str(tmp_path / "cache")]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cache" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()

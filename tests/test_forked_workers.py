@@ -240,3 +240,6 @@ class TestSpoolCacheWrites:
         lines = (cache / "stats.jsonl").read_text(encoding="utf-8").splitlines()
         assert sum(json.loads(line)["puts"] for line in lines) == 8
         assert len(CacheIndex(cache)) == 8
+        # The coordinator is the only writer: one segment, one ledger flush.
+        assert len(list((cache / "segments").iterdir())) == 1
+        assert len(lines) == 1

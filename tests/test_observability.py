@@ -245,11 +245,13 @@ class TestEventLog:
         path = tmp_path / "events.jsonl"
         log = EventLog(path)
         log.emit("worker_start")
-        log.emit("cache_hit")
-        log.emit("cache_miss")
-        assert [e["kind"] for e in read_events(path, kinds={"cache_hit", "cache_miss"})] == [
-            "cache_hit",
-            "cache_miss",
+        log.emit("task_claimed")
+        log.emit("task_completed")
+        assert [
+            e["kind"] for e in read_events(path, kinds={"task_claimed", "task_completed"})
+        ] == [
+            "task_claimed",
+            "task_completed",
         ]
 
     def test_read_missing_file_is_empty(self, tmp_path):
@@ -618,7 +620,7 @@ class TestStatusAndTailCli:
         path = tmp_path / "events.jsonl"
         log = EventLog(path, source="w")
         for index in range(10):
-            log.emit("cache_miss", index=index)
+            log.emit("task_claimed", index=index)
         capsys.readouterr()
         assert cli_main(["tail", str(path), "-n", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

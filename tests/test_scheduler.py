@@ -271,6 +271,18 @@ class TestLateShards:
         assert "task_superseded" not in kinds
         assert spool.pending_task_ids() == []
 
+    def test_final_progress_counts_come_from_the_settled_records(
+        self, tmp_path, monkeypatch
+    ):
+        """The quarantine counted the cell as failed while the campaign ran;
+        both progress files must end with what the store holds."""
+        result, store, spool, _ = self._run(tmp_path, monkeypatch, [1])
+        assert result.failures == 0
+        for path in (spool.progress_path, store.with_name(store.name + ".progress.json")):
+            progress = read_progress(path)
+            assert progress is not None and progress.complete, path
+            assert (progress.done, progress.failed, progress.total) == (1, 0, 1), path
+
     def test_late_shard_heals_a_quarantined_cell_while_the_campaign_runs(
         self, tmp_path, monkeypatch
     ):
@@ -451,6 +463,7 @@ class TestOldSpoolStatus:
                     "shards_split": 2,
                     "health": 0.25,
                     "benched": True,
+                    "cache_hits": 4,
                 }
             }
         )
@@ -464,7 +477,7 @@ class TestOldSpoolStatus:
         assert cli_main(["status", str(path)]) == 0
         out = capsys.readouterr().out
         assert "w1: running" in out and "3 tasks" in out
-        assert "elastic" not in out and "BENCHED" not in out
+        assert "elastic" not in out and "BENCHED" not in out and "cache" not in out
         assert cli_main(["status", str(path), "--json"]) == 0
         assert "scheduler" not in json.loads(capsys.readouterr().out)
 
@@ -475,6 +488,8 @@ class TestOldSpoolStatus:
              "task": "task-00000~1"},
             {"kind": "shard_split", "source": "w2", "ts": 3.0, "task": "task-00001",
              "halves": ["task-00001-a", "task-00001-b"]},
+            {"kind": "cache_hit", "source": "w1", "ts": 4.0, "task": "task-00002",
+             "index": 2},
         ]
         (tmp_path / "events.jsonl").write_text(
             "".join(json.dumps(line) + "\n" for line in lines)
@@ -486,14 +501,17 @@ class TestOldSpoolStatus:
         assert read_events(tmp_path / "events.jsonl") == lines
         assert cli_main(["tail", str(tmp_path)]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert len(out) == 3
+        assert len(out) == 4
         assert "task_speculated" in out[1] and "task-00000~1" in out[1]
         assert "shard_split" in out[2] and "task-00001" in out[2]
+        assert "cache_hit" in out[3] and "task-00002" in out[3]
 
     def test_tail_rejects_a_retired_kind_as_a_filter(self, tmp_path, capsys):
         self._old_event_log(tmp_path)
         assert cli_main(["tail", str(tmp_path), "--kind", "task_speculated"]) == 2
         assert "unknown event kind(s): task_speculated" in capsys.readouterr().err
+        assert cli_main(["tail", str(tmp_path), "--kind", "cache_hit"]) == 2
+        assert "unknown event kind(s): cache_hit" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
