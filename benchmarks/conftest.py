@@ -9,14 +9,14 @@ captured but the measured numbers still land in the pytest-benchmark summary.
 Campaign options (registered in the repo-root ``conftest.py``):
 
 * ``--jobs N`` — run every benchmark campaign on N worker processes through
-  :class:`repro.experiments.runner.ParallelCampaignRunner`;
+  :class:`repro.experiments.runner.MultiprocessingBackend`;
 * ``--seeds N`` — sweep seeds 1..N instead of each benchmark's default seed
   list (tables then show per-group means over the seeds).
 """
 
 import pytest
 
-from repro.experiments import ParallelCampaignRunner
+from repro.experiments import MultiprocessingBackend, ParallelCampaignRunner
 
 
 def run_once(benchmark, func):
@@ -43,12 +43,16 @@ def campaign_seed_count(request):
 @pytest.fixture
 def campaign_batch_size(request):
     value = request.config.getoption("--batch-size", default=None)
-    # Pass 0 and negatives through: the runner rejects them loudly instead of
-    # silently benchmarking unbatched dispatch.
+    # Pass 0 and negatives through: the pool backend rejects them loudly
+    # instead of silently benchmarking unbatched dispatch.
     return None if value is None else int(value)
 
 
 @pytest.fixture
 def campaign_runner(campaign_jobs, campaign_batch_size):
-    """A campaign runner honouring the ``--jobs`` and ``--batch-size`` options."""
-    return ParallelCampaignRunner(jobs=campaign_jobs, batch_size=campaign_batch_size)
+    """A campaign runner honouring the ``--jobs`` and ``--batch-size`` options:
+    a process pool when either is set, in-process serial otherwise."""
+    backend = None
+    if campaign_jobs > 1 or campaign_batch_size is not None:
+        backend = MultiprocessingBackend(jobs=campaign_jobs, batch_size=campaign_batch_size)
+    return ParallelCampaignRunner(backend=backend)

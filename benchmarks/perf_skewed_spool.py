@@ -50,7 +50,7 @@ def test_skewed_spool_wall_clock(tmp_path, monkeypatch):
     registry = load_builtin_scenarios()
     serial_store = tmp_path / "serial.jsonl"
     ParallelCampaignRunner(
-        jobs=1, registry=registry, store=ResultStore(serial_store)
+        registry=registry, store=ResultStore(serial_store)
     ).run(SCENARIO, params=PARAMS, seeds=seeds)
 
     monkeypatch.setenv(PLAN_ENV, str(FaultPlan(rules).save(tmp_path / "skew-plan.json")))

@@ -4,7 +4,7 @@
 This example arms a :class:`repro.resilience.FaultPlan` against a spool
 campaign and proves the crash-consistency guarantees on the spot:
 
-1. **Serial reference** — ``jobs=1``, the byte-identity baseline.
+1. **Serial reference** — an inline campaign, the byte-identity baseline.
 2. **Chaos campaign** — the same cells through the spool backend while
    every first-wave worker process (a) tears its second result-shard
    write mid-flight and (b) dies with ``os._exit`` on its third cell.
@@ -44,7 +44,7 @@ def main() -> None:
 
     # 1. Serial reference run.
     serial_store = ResultStore(workdir / "serial.jsonl")
-    serial = ParallelCampaignRunner(jobs=1, store=serial_store).run(SCENARIO, seeds=SEEDS)
+    serial = ParallelCampaignRunner(store=serial_store).run(SCENARIO, seeds=SEEDS)
     print(f"serial:  {serial.run_count} runs executed in-process")
 
     # 2. A seeded fault plan.  ``max_generation=0`` scopes every rule to
@@ -86,7 +86,7 @@ def main() -> None:
 
     identical = (workdir / "serial.jsonl").read_bytes() == (workdir / "chaos.jsonl").read_bytes()
     print(f"         store byte-identical to serial: {identical}")
-    assert identical, "chaos campaign store must match the jobs=1 store byte-for-byte"
+    assert identical, "chaos campaign store must match the serial store byte-for-byte"
     assert chaos.failures == 0
     assert spool.quarantined_task_ids() == [], "no task should need quarantine"
 

@@ -4,7 +4,7 @@
 This example runs the same campaign three ways and proves the distributed
 guarantees on the spot:
 
-1. **Serial reference** — ``jobs=1``, the byte-identity baseline.
+1. **Serial reference** — an inline campaign, the byte-identity baseline.
 2. **Spool campaign** — the coordinator shards the campaign's
    ``(scenario, params, seed)`` cells into task files on a filesystem
    spool; two worker *processes* claim tasks via atomic ``os.rename``,
@@ -41,7 +41,7 @@ def main() -> None:
 
     # 1. Serial reference run.
     serial_store = ResultStore(workdir / "serial.jsonl")
-    serial = ParallelCampaignRunner(jobs=1, store=serial_store).run(SCENARIO, seeds=SEEDS)
+    serial = ParallelCampaignRunner(store=serial_store).run(SCENARIO, seeds=SEEDS)
     print(
         f"serial:  {serial.run_count} runs executed in-process "
         f"(backend={serial.backend})"
@@ -59,11 +59,11 @@ def main() -> None:
         f"spool:   {distributed.run_count} runs over 2 worker processes "
         f"(backend={distributed.backend}); store byte-identical to serial: {identical}"
     )
-    assert identical, "spool campaign store must match the jobs=1 store byte-for-byte"
+    assert identical, "spool campaign store must match the serial store byte-for-byte"
 
     # 3. A fresh store sharing the cache: zero cells re-run.
     replay_store = ResultStore(workdir / "replay.jsonl")
-    replay = ParallelCampaignRunner(jobs=1, store=replay_store, cache=cache).run(
+    replay = ParallelCampaignRunner(store=replay_store, cache=cache).run(
         SCENARIO, seeds=SEEDS
     )
     print(

@@ -25,7 +25,7 @@ from repro.experiments import ParallelCampaignRunner
 
 
 def main() -> None:
-    runner = ParallelCampaignRunner(jobs=1)
+    runner = ParallelCampaignRunner()
     result = runner.run("demo/safety_kernel", seeds=[1, 2, 3])
 
     rows = [{"seed": record.seed, **record.metrics} for record in result.records]

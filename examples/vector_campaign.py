@@ -30,7 +30,7 @@ PARAMS = {"fault_class": "stuck_at"}
 
 def run_campaign(store_path: Path, backend=None) -> float:
     start = time.perf_counter()
-    ParallelCampaignRunner(jobs=1, store=ResultStore(store_path), backend=backend).run(
+    ParallelCampaignRunner(store=ResultStore(store_path), backend=backend).run(
         "sensor_validity", params=PARAMS, seeds=SEEDS
     )
     return time.perf_counter() - start

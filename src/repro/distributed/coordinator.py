@@ -197,17 +197,17 @@ class SpoolBackend(ExecutionBackend):
         scenario_modules: Sequence[str] = (),
         max_task_attempts: int = DEFAULT_MAX_TASK_ATTEMPTS,
         max_respawns: int = 0,
-        worker_retries: Optional[int] = None,
+        retry_policy: Optional[RetryPolicy] = None,
         cell_timeout: Optional[float] = None,
     ):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         if max_respawns < 0:
             raise ValueError(f"max_respawns must be >= 0, got {max_respawns}")
-        if worker_retries is not None and worker_retries < 1:
-            raise ValueError(f"worker_retries must be >= 1, got {worker_retries}")
         if cell_timeout is not None and cell_timeout <= 0:
             raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
+        if timeout is not None and timeout <= 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
         task_size = int(task_size)
         if task_size < 1:
             raise ValueError(f"task_size must be >= 1, got {task_size}")
@@ -225,8 +225,8 @@ class SpoolBackend(ExecutionBackend):
         #: generation (``REPRO_FAULT_GENERATION``), so generation-gated
         #: crash rules kill the first wave but let replacements run clean.
         self.max_respawns = int(max_respawns)
-        #: Attempts per cell in spawned workers (None = their default).
-        self.worker_retries = worker_retries
+        #: Retry policy of spawned workers (None = their default).
+        self.retry_policy = retry_policy
         #: Open only while :meth:`execute` runs with forked workers.
         self._pipes: Optional[CampaignPipes] = None
 
@@ -459,9 +459,8 @@ class SpoolBackend(ExecutionBackend):
             "spool_root": self.spool.root,
             "poll_interval": self.poll_interval,
             "scenario_modules": self.scenario_modules,
+            "retry_policy": self.retry_policy,
         }
-        if self.worker_retries is not None:
-            options["retry_policy"] = RetryPolicy(max_attempts=self.worker_retries)
         process = _FORK.Process(
             target=_forked_worker, args=(options, self._pipes, generation)
         )

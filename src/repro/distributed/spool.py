@@ -60,7 +60,8 @@ from repro.resilience.faults import inject
 
 # Canonical home is the observability layer (its progress files need the
 # same never-torn guarantee); re-exported here for the existing importers.
-from repro.observability.progress import atomic_write_text
+from repro.observability.progress import CampaignPaths, atomic_write_text
+from repro.observability.trace import TRACER, read_trace_file
 
 SPOOL_VERSION = 1
 
@@ -185,12 +186,12 @@ class Spool:
     @property
     def events_path(self) -> Path:
         """The campaign's shared append-only event log (``tail`` reads this)."""
-        return self.root / "events.jsonl"
+        return CampaignPaths(self.root, spool=True).events
 
     @property
     def progress_path(self) -> Path:
         """The coordinator-maintained progress snapshot (``status`` reads this)."""
-        return self.root / "progress.json"
+        return CampaignPaths(self.root, spool=True).progress
 
     @property
     def workers_dir(self) -> Path:
@@ -237,9 +238,19 @@ class Spool:
                 stale.unlink()
         # Trace span files are per-pid, so a fresh campaign must purge the
         # previous one's — a recycled pid would otherwise append to (and a
-        # merge would interleave with) a stale campaign's spans.
-        for stale in self.root.glob("trace-*.jsonl"):
-            stale.unlink()
+        # merge would interleave with) a stale campaign's spans.  This
+        # process's own file already holds this campaign's spans (the
+        # runner's cache lookup), so it keeps them and only them.
+        own = TRACER.path.resolve() if TRACER.enabled else None
+        for path in self.root.glob("trace-*.jsonl"):
+            if path.resolve() != own:
+                path.unlink()
+                continue
+            spans = read_trace_file(path)
+            current = [span for span in spans if span.get("trace") == TRACER.trace_id]
+            if len(current) < len(spans):
+                lines = "".join(json.dumps(span, sort_keys=True) + "\n" for span in current)
+                atomic_write_text(path, lines, durable=False)
         self.write_campaign_metadata(metadata)
 
     def write_campaign_metadata(self, metadata: Optional[Dict[str, Any]] = None) -> None:

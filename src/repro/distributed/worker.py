@@ -324,9 +324,9 @@ def run_worker(
     # same tick (thundering-herd reclaim).
     jitter = random.Random(stats.worker_id)
     if TRACER.enabled:
-        # Tracing already on (env-configured, or inherited by a worker
-        # forked from a tracing coordinator): label this process's trace
-        # lane with the worker id instead of the coordinator's label.
+        # Tracing already on (inherited by a worker forked from a tracing
+        # coordinator): label this process's trace lane with the worker id
+        # instead of the coordinator's label.
         TRACER.source = stats.worker_id
     events = EventLog(spool.events_path, source=stats.worker_id)
     events.emit("worker_start", pid=os.getpid())

@@ -7,9 +7,9 @@ parallel, resumable campaigns:
   parameters, :class:`ParameterGrid` cartesian sweeps, canonical run keys;
 * :mod:`repro.experiments.registry` — decorator-based scenario registry
   (the paper's use cases and E2-E5 experiments register as builtins);
-* :mod:`repro.experiments.runner` — :class:`ParallelCampaignRunner` with
-  seed-sharded ``multiprocessing`` workers, per-run error capture and
-  deterministic result ordering;
+* :mod:`repro.experiments.runner` — :class:`ParallelCampaignRunner`, which
+  runs a campaign on the backend its caller built, with per-run error
+  capture and deterministic result ordering;
 * :mod:`repro.experiments.store` — JSONL persistence keyed by
   ``(scenario, params, seed)`` with resume-skip of completed runs;
 * :mod:`repro.experiments.perf` — :func:`~repro.experiments.perf.calibrate`,

@@ -46,13 +46,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import logging
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from repro.evaluation.reporting import format_table
 from repro.experiments.registry import REGISTRY, UnknownScenarioError, load_builtin_scenarios
@@ -68,6 +69,7 @@ from repro.observability.events import EVENT_KINDS, follow_events, read_events
 from repro.observability.progress import (
     CampaignProgress,
     atomic_write_text,
+    campaign_paths,
     read_progress,
 )
 from repro.observability.trace import (
@@ -75,11 +77,44 @@ from repro.observability.trace import (
     enable_tracing,
     export_chrome_trace,
     merge_trace_files,
-    resolve_trace_dir,
     summarize_trace,
 )
+from repro.resilience.retry import RetryPolicy
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
+
+
+class _Backend(NamedTuple):
+    """One ``run --backend`` choice: its ``module:Class``, the flags it
+    accepts (each mapped to the constructor parameter that takes, and
+    range-checks, its value) and the arguments ``run`` passes for absent
+    flags."""
+
+    constructor: str
+    flags: Dict[str, str]
+    defaults: Dict[str, Any] = {}
+
+
+#: ``run``'s backends: which flags each accepts, which one runs by default
+#: and how it is built are all read from here.
+BACKENDS: Dict[str, _Backend] = {
+    "inline": _Backend("repro.experiments.runner:InProcessBackend", {"--profile": "profile"}),
+    "process": _Backend(
+        "repro.experiments.runner:MultiprocessingBackend",
+        {"--jobs": "jobs", "--batch-size": "batch_size"},
+    ),
+    "spool": _Backend(
+        "repro.distributed:SpoolBackend",
+        {"--spool": "spool_root", "--workers": "workers", "--task-size": "task_size",
+         "--cell-timeout": "cell_timeout", "--lease-timeout": "lease_timeout",
+         "--timeout": "timeout", "--max-respawns": "max_respawns"},
+        {"workers": 2},
+    ),
+    "vector": _Backend("repro.vectorized:VectorBatchBackend", {"--profile": "profile"}),
+}
+_BACKEND_FLAGS = list(dict.fromkeys(flag for row in BACKENDS.values() for flag in row.flags))
+#: The backend flags whose default is not ``None``.
+_FLAG_DEFAULTS = {"--jobs": 1, "--profile": False}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,11 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed-list", default=None, metavar="S1,S2,...",
         help="explicit comma-separated seed list (overrides --seeds)",
     )
-    run_parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    run_parser.add_argument("--jobs", type=int, default=1, help="process only: pool size")
     run_parser.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
-        help="dispatch whole chunks of N runs per worker process instead of "
-        "one run per dispatch (results are identical either way)",
+        help="process only: dispatch whole chunks of N runs per worker "
+        "process instead of one run per dispatch (results are identical "
+        "either way)",
     )
     run_parser.add_argument(
         "-p", "--param", action="append", default=[], metavar="NAME=VALUE",
@@ -136,10 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run every cell even when the store already has it",
     )
     run_parser.add_argument(
-        "--backend", choices=("inline", "process", "spool", "vector"), default=None,
-        help="execution backend (default: inline for --jobs 1, process "
-        "otherwise; vector runs homogeneous seed batches in lockstep, "
-        "byte-identical to inline)",
+        "--backend", choices=tuple(BACKENDS), default=None,
+        help="execution backend (default: spool with --spool, process with "
+        "--jobs or --batch-size, inline otherwise; vector runs homogeneous "
+        "seed batches in lockstep, byte-identical to inline)",
     )
     run_parser.add_argument(
         "--spool", default=None, metavar="DIR",
@@ -198,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--profile", action="store_true",
-        help="time each executed cell's build/sim/collect phases (inline "
-        "execution only)",
+        help="inline and vector only: time each executed cell's "
+        "build/sim/collect phases",
     )
     run_parser.add_argument(
         "--trace", action="store_true",
@@ -454,149 +490,63 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         spec = REGISTRY.get(args.scenario)
     except UnknownScenarioError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        print(f"known scenarios: {', '.join(REGISTRY.names())}", file=sys.stderr)
-        return 2
+        return _usage(f"{exc.args[0]}\nknown scenarios: {', '.join(REGISTRY.names())}")
     try:
-        if args.batch_size is not None and args.batch_size < 1:
-            raise ValueError(f"--batch-size must be >= 1, got {args.batch_size}")
         params = _parse_params(spec, args.param)
         sweep = _parse_sweep(spec, args.sweep)
         seeds = _parse_seeds(args)
     except (KeyError, ValueError) as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return 2
+        return _usage(exc.args[0] if exc.args else exc)
 
-    spool_requested = bool(args.backend == "spool" or (args.backend is None and args.spool))
-    vector_requested = args.backend == "vector"
-    if args.profile and (spool_requested or args.backend == "process" or args.jobs != 1):
-        print(
-            "error: --profile requires in-process execution (--jobs 1, "
-            "--backend inline or vector): phase timers are process-global",
-            file=sys.stderr,
+    given = [
+        flag for flag in _BACKEND_FLAGS
+        if getattr(args, _dest(flag)) != _FLAG_DEFAULTS.get(flag)
+    ]
+    name = args.backend or (
+        "spool" if args.spool
+        else "process" if set(given) & set(BACKENDS["process"].flags)
+        else "inline"
+    )
+    row = BACKENDS[name]
+    rejected = [flag for flag in given if flag not in row.flags]
+    if rejected:
+        homes = [other for other, each in BACKENDS.items() if set(rejected) & set(each.flags)]
+        verb = "applies" if len(rejected) == 1 else "apply"
+        return _usage(
+            f"{', '.join(rejected)} only {verb} to --backend {', '.join(homes)} (not {name})"
         )
-        return 2
-    if vector_requested and (args.jobs != 1 or args.batch_size is not None):
-        print(
-            "error: --jobs/--batch-size do not apply to --backend vector "
-            "(seed batches are planned by the backend)",
-            file=sys.stderr,
+    if name == "spool" and not args.spool:
+        return _usage("--backend spool requires --spool DIR")
+    if name == "spool" and args.trace_dir:
+        return _usage(
+            "spool campaigns always trace into the spool directory (workers "
+            "append there); drop --trace-dir"
         )
-        return 2
-    if spool_requested:
-        if not args.spool:
-            print("error: --backend spool requires --spool DIR", file=sys.stderr)
-            return 2
-        if args.jobs != 1 or args.batch_size is not None:
-            print(
-                "error: --jobs/--batch-size do not apply to --backend spool "
-                "(worker count comes from --workers and externally-started "
-                "workers)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.workers is not None and args.workers < 0:
-            print("error: --workers must be >= 0", file=sys.stderr)
-            return 2
-        if args.task_size is not None and args.task_size < 1:
-            print("error: --task-size must be >= 1", file=sys.stderr)
-            return 2
-        if args.cell_timeout is not None and args.cell_timeout <= 0:
-            print("error: --cell-timeout must be positive", file=sys.stderr)
-            return 2
-        if args.lease_timeout is not None and args.lease_timeout <= 0:
-            print("error: --lease-timeout must be positive", file=sys.stderr)
-            return 2
-        if args.timeout is not None and args.timeout <= 0:
-            print("error: --timeout must be positive", file=sys.stderr)
-            return 2
-        if args.max_respawns is not None and args.max_respawns < 0:
-            print("error: --max-respawns must be >= 0", file=sys.stderr)
-            return 2
-    else:
-        misapplied = [
-            flag
-            for flag, value in (
-                ("--spool", args.spool),
-                ("--workers", args.workers),
-                ("--task-size", args.task_size),
-                ("--cell-timeout", args.cell_timeout),
-                ("--lease-timeout", args.lease_timeout),
-                ("--timeout", args.timeout),
-                ("--max-respawns", args.max_respawns),
-            )
-            if value is not None
-        ]
-        if misapplied:
-            print(
-                f"error: {', '.join(misapplied)} only apply to --backend spool",
-                file=sys.stderr,
-            )
-            return 2
-
-    trace_requested = bool(args.trace or args.trace_dir)
+    if args.trace and not (name == "spool" or args.trace_dir or args.store):
+        return _usage(
+            "--trace needs somewhere to write: add --store, --trace-dir, or run a spool campaign"
+        )
     trace_dir: Optional[Path] = None
-    if trace_requested:
-        if spool_requested:
-            if args.trace_dir:
-                print(
-                    "error: spool campaigns always trace into the spool "
-                    "directory (workers append there); drop --trace-dir",
-                    file=sys.stderr,
-                )
-                return 2
-            trace_dir = Path(args.spool)
-        elif args.trace_dir:
-            trace_dir = Path(args.trace_dir)
-        elif args.store:
-            trace_dir = Path(f"{args.store}.trace")
-        else:
-            print(
-                "error: --trace needs somewhere to write: add --store, "
-                "--trace-dir, or run a spool campaign",
-                file=sys.stderr,
-            )
-            return 2
+    if name == "spool" and args.trace:
+        trace_dir = Path(args.spool)
+    elif args.trace_dir:
+        trace_dir = Path(args.trace_dir)
+    elif args.trace:
+        trace_dir = campaign_paths(args.store).trace
 
-    if args.retries is not None and args.retries < 1:
-        print("error: --retries must be >= 1", file=sys.stderr)
+    module, _, constructor = row.constructor.partition(":")
+    options = {**row.defaults, "retry_policy": None}
+    for flag, parameter in row.flags.items():
+        if getattr(args, _dest(flag)) is not None:
+            options[parameter] = getattr(args, _dest(flag))
+    try:
+        if args.retries is not None:
+            options["retry_policy"] = RetryPolicy(max_attempts=args.retries)
+        backend = getattr(importlib.import_module(module), constructor)(**options)
+    except ValueError as exc:
+        return _usage(_flag_error(exc, {**row.flags, "--retries": "max_attempts"}))
+    if args.faults and _arm_fault_plan(args.faults, export=name == "spool") != 0:
         return 2
-    retry_policy = None
-    if args.retries is not None:
-        from repro.resilience import RetryPolicy
-
-        retry_policy = RetryPolicy(max_attempts=args.retries)
-    if args.faults and _arm_fault_plan(args.faults, export=spool_requested) != 0:
-        return 2
-
-    backend = None
-    if spool_requested:
-        from repro.distributed import SpoolBackend
-
-        backend = SpoolBackend(
-            args.spool,
-            workers=args.workers if args.workers is not None else 2,
-            lease_timeout=args.lease_timeout if args.lease_timeout is not None else 60.0,
-            task_size=args.task_size if args.task_size is not None else 1,
-            timeout=args.timeout,
-            max_respawns=args.max_respawns if args.max_respawns is not None else 0,
-            worker_retries=args.retries,
-            cell_timeout=args.cell_timeout,
-        )
-    elif vector_requested:
-        from repro.vectorized import VectorBatchBackend
-
-        backend = VectorBatchBackend(profile=args.profile, retry_policy=retry_policy)
-    elif args.backend == "inline" or args.profile:
-        from repro.experiments.runner import InProcessBackend
-
-        backend = InProcessBackend(profile=args.profile, retry_policy=retry_policy)
-    elif args.backend == "process":
-        from repro.experiments.runner import MultiprocessingBackend
-
-        backend = MultiprocessingBackend(
-            jobs=args.jobs, batch_size=args.batch_size, retry_policy=retry_policy
-        )
 
     cache = None
     if args.cache:
@@ -605,20 +555,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cache = CacheIndex(args.cache)
 
     trace_id = None
-    if trace_requested and trace_dir is not None:
+    if trace_dir is not None:
         trace_id = enable_tracing(
-            trace_dir, source="coordinator" if spool_requested else "runner"
+            trace_dir, source="coordinator" if name == "spool" else "runner"
         )
 
     store = ResultStore(args.store) if args.store else None
     runner = ParallelCampaignRunner(
-        jobs=args.jobs,
-        store=store,
-        resume=not args.no_resume,
-        batch_size=args.batch_size,
-        backend=backend,
-        cache=cache,
-        retry_policy=retry_policy,
+        store=store, resume=not args.no_resume, backend=backend, cache=cache
     )
     result = runner.run(spec, params=params, sweep=sweep, seeds=seeds)
 
@@ -626,14 +570,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(
         f"{spec.name}: {result.run_count} runs "
         f"({result.executed} executed, {result.reused} reused{cached_part}, "
-        f"{result.failures} failed) backend={result.backend} jobs={result.jobs}"
+        f"{result.failures} failed) backend={result.backend} "
+        f"jobs={getattr(backend, 'jobs', 1)}"
     )
     if result.backend_cells:
         parts = ", ".join(
             f"{label}={count}" for label, count in sorted(result.backend_cells.items())
         )
         print(f"cells by path: {parts}")
-    if vector_requested and backend is not None:
+    if name == "vector":
         print(backend.stats.summary())
     if cache is not None:
         session = cache.session_stats()
@@ -662,7 +607,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(format_table(result.failure_rows(), title="failed runs"))
     if args.profile:
         profile = _profile_document(result)
-        if vector_requested and backend is not None:
+        if name == "vector":
             # Fast-path cells have no per-phase timers (they never ran the
             # scalar kernel); the batch occupancy stats are the vector
             # backend's profile contribution.
@@ -688,10 +633,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 )
             )
         if args.store:
-            sidecar = Path(f"{args.store}.profile.json")
+            sidecar = campaign_paths(args.store).profile
             atomic_write_text(sidecar, json.dumps(profile, indent=2, sort_keys=True) + "\n")
             print(f"phase profile stored in {sidecar}")
-    if trace_requested and trace_dir is not None:
+    if trace_dir is not None:
         print()
         print(
             f"trace {trace_id} recorded in {trace_dir} "
@@ -702,6 +647,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print()
         print(f"results stored in {args.store} (re-run to resume)")
     return 1 if (args.strict and result.failures) else 0
+
+
+def _usage(message: object) -> int:
+    """Report a usage error; returns the exit status for it."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _flag_error(exc: ValueError, flags: Mapping[str, str]) -> str:
+    """``exc``'s message with the parameter it opens with replaced by its
+    flag (``flags`` maps flag -> parameter); re-raises ``exc`` when the
+    message names none of them."""
+    message = str(exc)
+    for flag, parameter in flags.items():
+        if message.startswith(f"{parameter} "):
+            return f"{flag}{message[len(parameter):]}"
+    raise exc
 
 
 def _arm_fault_plan(path: str, export: bool) -> int:
@@ -717,8 +683,7 @@ def _arm_fault_plan(path: str, export: bool) -> int:
     try:
         plan = FaultPlan.load(path)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: could not load fault plan {path}: {exc}", file=sys.stderr)
-        return 2
+        return _usage(f"could not load fault plan {path}: {exc}")
     arm(plan)
     if export:
         os.environ[PLAN_ENV] = str(Path(path).resolve())
@@ -902,9 +867,7 @@ def _print_campaign_sidecar(store_path: str) -> None:
     Reads the `<store>.progress.json` sidecar the runner maintains; shows
     which execution path (vector/scalar/store/cache/...) settled each cell.
     """
-    from repro.observability.progress import read_progress
-
-    progress = read_progress(Path(f"{store_path}.progress.json"))
+    progress = read_progress(campaign_paths(store_path).progress)
     if progress is None:
         return
     line = f"last campaign: backend={progress.backend}"
@@ -919,7 +882,7 @@ def _print_campaign_sidecar(store_path: str) -> None:
 
 def _print_profile_sidecar(store_path: str) -> None:
     """Surface a `run --profile` sidecar's phase summary, when one exists."""
-    sidecar = Path(f"{store_path}.profile.json")
+    sidecar = campaign_paths(store_path).profile
     try:
         with sidecar.open("r", encoding="utf-8") as handle:
             profile = json.load(handle)
@@ -942,30 +905,23 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.distributed import run_worker
 
     if args.poll <= 0:
-        print("error: --poll must be positive", file=sys.stderr)
-        return 2
-    if args.lease_timeout is not None and args.lease_timeout <= 0:
-        print("error: --lease-timeout must be positive", file=sys.stderr)
-        return 2
-    if args.retries is not None and args.retries < 1:
-        print("error: --retries must be >= 1", file=sys.stderr)
-        return 2
-    retry_policy = None
-    if args.retries is not None:
-        from repro.resilience import RetryPolicy
-
-        retry_policy = RetryPolicy(max_attempts=args.retries)
+        return _usage("--poll must be positive")
     if args.faults and _arm_fault_plan(args.faults, export=False) != 0:
         return 2
-    stats = run_worker(
-        args.spool,
-        poll_interval=args.poll,
-        max_tasks=args.max_tasks,
-        idle_timeout=args.idle_timeout,
-        lease_timeout=args.lease_timeout,
-        scenario_modules=args.imports,
-        retry_policy=retry_policy,
-    )
+    try:
+        stats = run_worker(
+            args.spool,
+            poll_interval=args.poll,
+            max_tasks=args.max_tasks,
+            idle_timeout=args.idle_timeout,
+            lease_timeout=args.lease_timeout,
+            scenario_modules=args.imports,
+            retry_policy=None if args.retries is None else RetryPolicy(max_attempts=args.retries),
+        )
+    except ValueError as exc:
+        return _usage(
+            _flag_error(exc, {"--retries": "max_attempts", "--lease-timeout": "lease_timeout"})
+        )
     if not args.quiet:
         print(
             f"{stats.worker_id}: {stats.tasks_completed} tasks, "
@@ -985,14 +941,12 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         if source_path.is_dir():
             spool = Spool(source_path)
             if not spool.exists():
-                print(f"error: {source} is not a campaign spool", file=sys.stderr)
-                return 2
+                return _usage(f"{source} is not a campaign spool")
             merged = dest.merge(merge_spool_results(spool))
         elif source_path.is_file():
             merged = dest.merge_store(ResultStore(source_path))
         else:
-            print(f"error: no such store or spool: {source}", file=sys.stderr)
-            return 2
+            return _usage(f"no such store or spool: {source}")
         print(f"{source}: merged {merged} new record(s)")
         total += merged
     print(f"{args.dest}: {len(dest)} record(s) total (+{total})")
@@ -1027,13 +981,11 @@ def _cmd_quarantine(args: argparse.Namespace) -> int:
 
     spool = Spool(args.spool)
     if not spool.exists():
-        print(f"error: {args.spool} is not a campaign spool", file=sys.stderr)
-        return 2
+        return _usage(f"{args.spool} is not a campaign spool")
     quarantined = spool.quarantined_task_ids()
     if args.action == "list":
         if args.tasks:
-            print("error: `quarantine list` takes no task ids", file=sys.stderr)
-            return 2
+            return _usage("`quarantine list` takes no task ids")
         if not quarantined:
             print(f"{args.spool}: quarantine is empty")
             return 0
@@ -1056,8 +1008,7 @@ def _cmd_quarantine(args: argparse.Namespace) -> int:
         return 0
     missing = sorted(set(args.tasks) - set(quarantined))
     if missing:
-        print(f"error: not quarantined: {', '.join(missing)}", file=sys.stderr)
-        return 2
+        return _usage(f"not quarantined: {', '.join(missing)}")
     wanted = args.tasks or quarantined
     if not wanted:
         print(f"{args.spool}: quarantine is empty; nothing to retry")
@@ -1104,16 +1055,6 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_progress_path(target: str) -> Path:
-    """Map a spool dir, store path, or progress file onto its progress.json."""
-    path = Path(target)
-    if path.is_dir():
-        return path / "progress.json"
-    if path.name.endswith("progress.json"):
-        return path
-    return Path(f"{target}.progress.json")
-
-
 def _format_progress(progress: CampaignProgress) -> str:
     state = "complete" if progress.complete else "running"
     parts = [
@@ -1153,19 +1094,21 @@ def _format_worker(worker_id: str, heartbeat: Dict[str, Any]) -> str:
     task = heartbeat.get("current_task")
     if state == "running" and task:
         bits.append(f"on {task}")
-    bits.append(
-        f"({heartbeat.get('tasks_completed', 0)} tasks, "
-        f"{heartbeat.get('runs_executed', 0)} runs"
-    )
+    counts = [
+        f"{heartbeat.get('tasks_completed', 0)} tasks",
+        f"{heartbeat.get('runs_executed', 0)} runs",
+    ]
     timeouts = heartbeat.get("timeouts", 0)
     if isinstance(timeouts, int) and timeouts > 0:
-        bits.append(f", {timeouts} timeout(s)")
+        counts.append(f"{timeouts} timeout(s)")
     dropped = heartbeat.get("events_dropped", 0)
     if isinstance(dropped, int) and dropped > 0:
-        bits.append(f", {dropped} dropped event(s)")
+        counts.append(f"{dropped} dropped event(s)")
     age = heartbeat.get("age_s")
-    suffix = f", heartbeat {age:.1f}s ago)" if isinstance(age, (int, float)) else ")"
-    return " ".join(bits) + suffix
+    if isinstance(age, (int, float)):
+        counts.append(f"heartbeat {age:.1f}s ago")
+    bits.append(f"({', '.join(counts)})")
+    return " ".join(bits)
 
 
 def _print_status(progress: CampaignProgress, as_json: bool) -> None:
@@ -1188,10 +1131,9 @@ def _print_status(progress: CampaignProgress, as_json: bool) -> None:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    path = _resolve_progress_path(args.target)
+    path = campaign_paths(args.target).progress
     if args.interval <= 0:
-        print("error: --interval must be positive", file=sys.stderr)
-        return 2
+        return _usage("--interval must be positive")
     if not args.watch:
         progress = read_progress(path)
         if progress is None:
@@ -1231,20 +1173,13 @@ def _format_event(event: Dict[str, Any]) -> str:
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:
-    path = Path(args.target)
-    if path.is_dir():
-        path = path / "events.jsonl"
-    elif not path.name.endswith("events.jsonl"):
-        # A store path: the runner's event sidecar lives next to it.
-        path = Path(f"{args.target}.events.jsonl")
+    path = campaign_paths(args.target).events
     unknown = sorted(set(args.kind) - EVENT_KINDS)
     if unknown:
-        print(
-            f"error: unknown event kind(s): {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(EVENT_KINDS))})",
-            file=sys.stderr,
+        return _usage(
+            f"unknown event kind(s): {', '.join(unknown)} "
+            f"(known: {', '.join(sorted(EVENT_KINDS))})"
         )
-        return 2
     kinds = set(args.kind) or None
     events = read_events(path, kinds=kinds)
     if not events and not path.exists() and not args.follow:
@@ -1273,7 +1208,7 @@ def _cmd_tail(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    trace_dir = resolve_trace_dir(args.target)
+    trace_dir = campaign_paths(args.target).trace
     spans = merge_trace_files(trace_dir)
     if not spans:
         print(
@@ -1379,26 +1314,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         stream=sys.stderr,
         force=True,
     )
-    if args.command == "list":
-        return _cmd_list(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
-    if args.command == "merge":
-        return _cmd_merge(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "quarantine":
-        return _cmd_quarantine(args)
-    if args.command == "fsck":
-        return _cmd_fsck(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "tail":
-        return _cmd_tail(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    return 2
+    # Subcommand NAME is handled by ``_cmd_NAME``.
+    return globals()[f"_cmd_{args.command}"](args)

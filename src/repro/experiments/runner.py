@@ -10,7 +10,7 @@ benchmark harness and the acceptance criteria rely on:
 
 * **Determinism** — records are re-assembled in the run-list order whatever
   order workers finish in, so aggregates (and the persisted store) of a
-  ``jobs=4`` or spool campaign are identical to a ``jobs=1`` campaign.
+  pool or spool campaign are identical to an in-process serial campaign.
 * **Fault isolation** — a crashing run becomes a ``status="failed"`` record
   with the captured exception, not a dead campaign.
 * **Resume** — with a :class:`~repro.experiments.store.ResultStore` attached,
@@ -24,25 +24,24 @@ benchmark harness and the acceptance criteria rely on:
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import multiprocessing
 import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.evaluation.metrics import summarize
 from repro.observability.events import EventLog
-from repro.observability.progress import ProgressTracker
+from repro.observability.progress import CampaignPaths, ProgressTracker
 from repro.observability.trace import TRACER
 from repro.resilience.faults import inject
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, CircuitBreaker, RetryPolicy
 from repro.sim import kernel as sim_kernel
 from repro.experiments.registry import REGISTRY, ScenarioRegistry, load_builtin_scenarios
 from repro.experiments.spec import (
-    ParameterGrid,
     RunSpec,
     ScenarioSpec,
     canonical_key,
@@ -294,9 +293,7 @@ def _resolve_payload(payload: Any) -> Tuple[Optional[ScenarioSpec], Optional[str
 _BATCH_BREAKER: Optional[CircuitBreaker] = None
 
 
-def _execute_batch(
-    task: Tuple[Any, ...],
-) -> List[Tuple[int, RunRecord]]:
+def _execute_batch(task: Tuple[Any, ...]) -> List[Tuple[int, RunRecord]]:
     """Worker entry point: run one seed-chunk (possibly of size 1).
 
     The scenario is resolved once per chunk and each cell runs sequentially
@@ -305,41 +302,30 @@ def _execute_batch(
     Records are tagged with their run-list index, so the parent re-assembles
     them in deterministic order no matter how chunks interleave.
 
-    ``task`` may carry a fourth element — ``{"dir", "id", "parent"}`` trace
-    config — when the parent campaign is being traced: the pool child
-    configures its own tracer from it (each child appends to its own
-    ``trace-<pid>.jsonl``) and parents this chunk's spans to the parent's
-    campaign span.  Absent (the default), tracing stays disabled in the
-    child and the task tuples are identical to PR 7's.
+    ``task`` is ``(payload, cells, retry policy, trace config)``.  The trace
+    config — ``{"dir", "id", "parent"}``, ``None`` when the campaign is not
+    traced — makes the pool child configure its own tracer (each child
+    appends to its own ``trace-<pid>.jsonl``) and parent this chunk's spans
+    to the campaign span.
     """
-    payload, cells = task[0], task[1]
-    policy: Optional[RetryPolicy] = task[2] if len(task) > 2 else None
-    trace_cfg: Optional[Dict[str, Any]] = task[3] if len(task) > 3 else None
+    payload, cells, policy, trace_cfg = task
     global _BATCH_BREAKER
     if _BATCH_BREAKER is None:
         _BATCH_BREAKER = CircuitBreaker()
     if trace_cfg is not None and not TRACER.enabled:
         TRACER.configure(trace_cfg["dir"], trace_id=trace_cfg.get("id"))
-    parent_scope = (
-        TRACER.parent_scope(trace_cfg.get("parent"))
-        if trace_cfg is not None and TRACER.enabled
-        else None
-    )
     spec, resolve_error = _resolve_payload(payload)
     results: List[Tuple[int, RunRecord]] = []
-    if parent_scope is not None:
-        parent_scope.__enter__()
-    for params, seed, index in cells:
-        if spec is None:
-            record = unresolved_record(str(payload), params, seed, resolve_error)
-        else:
-            run_spec = RunSpec(scenario=spec.name, params=dict(params), seed=seed, index=index)
-            record = execute_run_with_retry(
-                spec, run_spec, policy=policy, breaker=_BATCH_BREAKER
-            )
-        results.append((index, record))
-    if parent_scope is not None:
-        parent_scope.__exit__(None, None, None)
+    with TRACER.parent_scope(trace_cfg["parent"]) if trace_cfg else contextlib.nullcontext():
+        for params, seed, index in cells:
+            if spec is None:
+                record = unresolved_record(str(payload), params, seed, resolve_error)
+            else:
+                run_spec = RunSpec(scenario=spec.name, params=dict(params), seed=seed, index=index)
+                record = execute_run_with_retry(
+                    spec, run_spec, policy=policy, breaker=_BATCH_BREAKER
+                )
+            results.append((index, record))
     return results
 
 
@@ -437,7 +423,8 @@ class MultiprocessingBackend(ExecutionBackend):
     With ``batch_size`` set, pending runs are dispatched in whole
     seed-chunks of that size (one process dispatch executes ``batch_size``
     runs).  Batching only changes how work is shipped: records are
-    re-assembled in run-list order either way.
+    re-assembled in run-list order either way.  With ``jobs=1``, or at
+    most one pending cell, no pool is started: the cells run in-process.
     """
 
     name = "process"
@@ -448,8 +435,10 @@ class MultiprocessingBackend(ExecutionBackend):
         batch_size: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ):
+        if batch_size is not None and int(batch_size) < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.jobs = max(1, int(jobs))
-        self.batch_size = batch_size
+        self.batch_size = int(batch_size) if batch_size is not None else None
         self.retry_policy = retry_policy
 
     def execute(
@@ -461,6 +450,11 @@ class MultiprocessingBackend(ExecutionBackend):
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
     ) -> None:
+        if self.jobs == 1 or len(pending) <= 1:
+            InProcessBackend(retry_policy=self.retry_policy).execute(
+                spec, pending, records, progress=progress
+            )
+            return
         payload = spec if payload is None else payload
         chunk = self.batch_size if self.batch_size is not None else 1
         trace_cfg: Optional[Dict[str, Any]] = None
@@ -598,7 +592,6 @@ class CampaignResult:
     aggregates: Dict[str, Dict[str, float]]
     #: Runs reused from the attached store (resume).
     reused: int = 0
-    jobs: int = 1
     #: Runs reused from the shared content-addressed cache.
     cached: int = 0
     backend: str = ""
@@ -657,13 +650,14 @@ class CampaignResult:
 class ParallelCampaignRunner:
     """Runs campaigns over registered scenarios through a pluggable backend.
 
-    Without an explicit ``backend``, ``jobs=1`` executes serially in-process
-    and ``jobs>1`` shards over a local ``multiprocessing`` pool; passing a
-    :class:`~repro.distributed.coordinator.SpoolBackend` shards the campaign
-    across worker processes (possibly on other hosts) via a shared
-    filesystem spool.  Whichever backend runs the cells, records are
-    re-assembled in run-list order, so results and stores are byte-identical
-    across backends, job counts and batch sizes.
+    The caller builds the ``backend``; without one, cells run serially
+    in-process (:class:`InProcessBackend`).  A
+    :class:`MultiprocessingBackend` shards them over a local pool, a
+    :class:`~repro.distributed.coordinator.SpoolBackend` across worker
+    processes (possibly on other hosts) via a shared filesystem spool.
+    Whichever backend runs the cells, records are re-assembled in run-list
+    order, so results and stores are byte-identical across backends, job
+    counts and batch sizes.
 
     With a ``cache`` (:class:`~repro.distributed.cache.CacheIndex`)
     attached, cells whose content-addressed key — scenario *source* +
@@ -677,28 +671,18 @@ class ParallelCampaignRunner:
 
     def __init__(
         self,
-        jobs: int = 1,
         registry: Optional[ScenarioRegistry] = None,
         store: Optional[Any] = None,
         resume: bool = True,
-        batch_size: Optional[int] = None,
         backend: Optional[ExecutionBackend] = None,
         cache: Optional[Any] = None,
         progress_path: Optional[Any] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ):
-        if batch_size is not None and int(batch_size) < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.jobs = max(1, int(jobs))
         self.registry = registry if registry is not None else REGISTRY
         self.store = store
         self.resume = resume
-        self.batch_size = int(batch_size) if batch_size is not None else None
-        self.backend = backend
+        self.backend = backend if backend is not None else InProcessBackend()
         self.cache = cache
-        #: Retry policy handed to the backends this runner constructs
-        #: (an explicitly-passed ``backend`` keeps its own policy).
-        self.retry_policy = retry_policy
         #: Where to maintain the campaign's ``progress.json``; defaults to a
         #: ``<store path>.progress.json`` sidecar when a store is attached.
         self.progress_path = progress_path
@@ -746,19 +730,27 @@ class ParallelCampaignRunner:
 
         pending, cache_keys, cached = self._consult_cache(spec, pending, records)
 
-        backend = self._backend_for(pending)
-        tracker = self._progress_tracker(spec, backend)
-        if tracker is not None:
+        backend = self.backend
+        # The store's sidecars; a spool backend keeps its event log in the spool.
+        store_path = getattr(self.store, "path", None)
+        sidecars = CampaignPaths(store_path) if store_path is not None else None
+        progress_path = self.progress_path or (sidecars.progress if sidecars else None)
+        tracker = None
+        if progress_path is not None:
+            tracker = ProgressTracker(progress_path, scenario=spec.name, backend=backend.name)
             tracker.begin(total=len(run_specs), reused=reused, cached=cached)
             tracker.set_running(len(pending))
         if pending:
+            events = None
+            if sidecars is not None and backend.name != "spool":
+                events = EventLog(sidecars.events, source=backend.name)
             backend.execute(
                 spec,
                 pending,
                 records,
                 payload=self._payload_for(spec),
                 progress=tracker,
-                events=self._event_log(backend),
+                events=events,
             )
             # Backends that distinguish execution paths (vector/scalar) label
             # records themselves; everything else is attributed to the backend.
@@ -799,7 +791,6 @@ class ParallelCampaignRunner:
             records=final_records,
             aggregates=aggregates,
             reused=reused,
-            jobs=self.jobs,
             cached=cached,
             backend=backend.name,
             backend_cells=backend_cells,
@@ -812,43 +803,6 @@ class ParallelCampaignRunner:
         if self.registry is REGISTRY:
             load_builtin_scenarios()
         return self.registry.get(scenario)
-
-    def _progress_tracker(
-        self, spec: ScenarioSpec, backend: ExecutionBackend
-    ) -> Optional[ProgressTracker]:
-        path = self.progress_path
-        if path is None:
-            store_path = getattr(self.store, "path", None)
-            if store_path is None:
-                return None
-            path = Path(f"{store_path}.progress.json")
-        return ProgressTracker(path, scenario=spec.name, backend=backend.name)
-
-    def _event_log(self, backend: ExecutionBackend) -> Optional[EventLog]:
-        """A ``<store>.events.jsonl`` sidecar for backend taxonomy events.
-
-        Spool campaigns keep their event log inside the spool (the backend
-        owns it and ignores this one); store-backed campaigns get a sidecar
-        next to the store so ``tail <store>`` can surface e.g. the vector
-        backend's batch/evict activity.  No store → no sidecar.
-        """
-        if getattr(backend, "name", "") == "spool":
-            return None
-        store_path = getattr(self.store, "path", None)
-        if store_path is None:
-            return None
-        return EventLog(Path(f"{store_path}.events.jsonl"), source=backend.name)
-
-    def _backend_for(self, pending: Sequence[RunSpec]) -> ExecutionBackend:
-        if self.backend is not None:
-            return self.backend
-        if self.jobs == 1 or len(pending) <= 1:
-            return InProcessBackend(retry_policy=self.retry_policy)
-        return MultiprocessingBackend(
-            jobs=self.jobs,
-            batch_size=self.batch_size,
-            retry_policy=self.retry_policy,
-        )
 
     def _payload_for(self, spec: ScenarioSpec) -> Any:
         """Ship the scenario by name when workers can re-resolve it, else by value."""

@@ -13,7 +13,8 @@ the simulator kernel's accumulator:
 * :mod:`repro.observability.progress` — the machine-readable
   ``progress.json`` snapshot (atomic tmp+rename) that the runner and the
   spool coordinator keep up to date, and that ``python -m
-  repro.experiments status`` polls.
+  repro.experiments status`` polls; :func:`campaign_paths` names it and
+  every other sidecar of a spool or a store.
 * :mod:`repro.observability.trace` — distributed span tracing: per-process
   ``trace-<pid>.jsonl`` span files with explicit trace/span/parent ids
   propagated coordinator → task file → worker → cell → cache/shard, merged
@@ -32,6 +33,7 @@ from repro.observability.progress import (
     CampaignProgress,
     ProgressTracker,
     atomic_write_text,
+    campaign_paths,
     read_progress,
     write_progress,
 )
@@ -42,9 +44,7 @@ from repro.observability.trace import (
     disable_tracing,
     enable_tracing,
     export_chrome_trace,
-    get_tracer,
     merge_trace_files,
-    resolve_trace_dir,
     summarize_trace,
 )
 
@@ -59,9 +59,7 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "export_chrome_trace",
-    "get_tracer",
     "merge_trace_files",
-    "resolve_trace_dir",
     "summarize_trace",
     "PROGRESS_VERSION",
     "CampaignProgress",
@@ -69,4 +67,5 @@ __all__ = [
     "atomic_write_text",
     "read_progress",
     "write_progress",
+    "campaign_paths",
 ]

@@ -7,7 +7,8 @@ and an ETA, and — for spool campaigns — each worker's last heartbeat.
 The runner maintains ``<store>.progress.json`` next to its result store;
 the spool coordinator maintains ``progress.json`` inside the spool root.
 Either is what ``python -m repro.experiments status`` (and ROADMAP item
-1's control plane) polls.
+1's control plane) polls.  :func:`campaign_paths` names both, and the
+campaign's other sidecars: its event log, trace and ``--profile`` document.
 
 This module is also the canonical home of the atomic publication helper
 (:func:`atomic_write_text`) that the spool layer, the result cache and the
@@ -37,6 +38,62 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Union
 
 PROGRESS_VERSION = 1
+
+_SPOOL_FILES = ("progress.json", "events.jsonl")
+
+
+class CampaignPaths:
+    """One campaign's sidecars: inside a spool directory, or beside a store
+    (``<store>.progress.json``, ...).  Each is built when asked for, so a
+    caller that knows its ``root`` is a store pays for no ``stat``."""
+
+    __slots__ = ("root", "spool")
+
+    def __init__(self, root: Path, spool: bool = False):
+        self.root = root
+        self.spool = spool
+
+    def _sidecar(self, name: str) -> Path:
+        return self.root / name if self.spool else Path(f"{self.root}.{name}")
+
+    @property
+    def progress(self) -> Path:
+        """The snapshot ``status`` reads."""
+        return self._sidecar("progress.json")
+
+    @property
+    def events(self) -> Path:
+        """The log ``tail`` reads."""
+        return self._sidecar("events.jsonl")
+
+    @property
+    def trace(self) -> Path:
+        """The directory of ``trace-<pid>.jsonl`` span files."""
+        return self.root if self.spool else self._sidecar("trace")
+
+    @property
+    def profile(self) -> Path:
+        """The ``run --profile`` document ``report`` reads."""
+        return self._sidecar("profile.json")
+
+
+def campaign_paths(target: Union[str, os.PathLike]) -> CampaignPaths:
+    """The sidecars of the campaign ``target`` names.
+
+    An existing directory is a spool (or a trace directory); anything else
+    is a result store.  A spool's ``progress.json`` or ``events.jsonl``,
+    and a store's sidecar of either, name their own campaign.
+    """
+    path = Path(target)
+    if path.name in _SPOOL_FILES:
+        return CampaignPaths(path.parent, spool=True)
+    if path.is_dir():
+        return CampaignPaths(path, spool=True)
+    for name in _SPOOL_FILES:
+        if path.name.endswith(f".{name}"):
+            return CampaignPaths(path.with_name(path.name[: -len(name) - 1]))
+    return CampaignPaths(path)
+
 
 #: EWMA smoothing factor for throughput.  Each fresh completion folds its
 #: instantaneous rate (1 / inter-completion gap) into the average with this
@@ -242,26 +299,23 @@ class ProgressTracker:
             self._last_fresh_mono = self._started_mono
             self._write_locked(force=True)
 
-    def record_record(self, ok: bool = True, cached: bool = False) -> None:
-        """Account one settled cell (optionally served from the cache)."""
+    def record_record(self, ok: bool = True) -> None:
+        """Account one executed cell (cache hits are counted by :meth:`begin`)."""
         with self._lock:
             if ok:
                 self._done += 1
             else:
                 self._failed += 1
-            if cached:
-                self._cached += 1
-            else:
-                self._fresh_done += 1
-                now = time.monotonic()
-                gap = now - self._last_fresh_mono
-                self._last_fresh_mono = now
-                if gap > 0:
-                    instant_rps = 1.0 / gap
-                    if self._ewma_rps is None:
-                        self._ewma_rps = instant_rps
-                    else:
-                        self._ewma_rps += EWMA_ALPHA * (instant_rps - self._ewma_rps)
+            self._fresh_done += 1
+            now = time.monotonic()
+            gap = now - self._last_fresh_mono
+            self._last_fresh_mono = now
+            if gap > 0:
+                instant_rps = 1.0 / gap
+                if self._ewma_rps is None:
+                    self._ewma_rps = instant_rps
+                else:
+                    self._ewma_rps += EWMA_ALPHA * (instant_rps - self._ewma_rps)
             self._write_locked()
 
     def set_running(self, running: int) -> None:

@@ -19,12 +19,13 @@ one small ``write()`` on an append-mode handle, so a crashing process
 loses at most its open spans, never tears a line another process wrote.
 
 **Off by default, free when off.**  The process-global :data:`TRACER` is
-disabled unless explicitly configured (``run --trace`` / ``REPRO_TRACE_DIR``);
-while disabled, :meth:`Tracer.span` returns a shared no-op span after one
-attribute check, so untraced campaigns run un-instrumented-equivalent
-code.  Tracing never draws seeded randomness
-and never contributes to result bytes: the fingerprint suite re-runs all
-20 pinned workloads with tracing enabled.
+disabled unless explicitly configured (``run --trace``).  A forked spool
+worker inherits it; a pool child or a hand-started spool worker configures
+it from the trace context its task carries.  While disabled,
+:meth:`Tracer.span` returns a shared no-op span after one attribute check,
+so untraced campaigns run un-instrumented-equivalent code.  Tracing never
+draws seeded randomness and never contributes to result bytes: the
+fingerprint suite re-runs all 20 pinned workloads with tracing enabled.
 
 Timestamps: each process anchors ``time.time()`` against
 ``time.perf_counter()`` once at configure time and derives every span's
@@ -289,16 +290,6 @@ class Tracer:
 #: The process-global tracer every instrumented subsystem writes through.
 TRACER = Tracer()
 
-#: Environment variable that pre-configures the tracer at import time, so
-#: multiprocessing pool children and spawned spool workers inherit tracing
-#: without any in-band plumbing.  ``REPRO_TRACE_ID`` pins the trace id.
-TRACE_DIR_ENV = "REPRO_TRACE_DIR"
-TRACE_ID_ENV = "REPRO_TRACE_ID"
-
-
-def get_tracer() -> Tracer:
-    return TRACER
-
 
 def new_trace_id() -> str:
     """A fresh 16-hex-digit trace id (os.urandom-backed; physics-blind)."""
@@ -309,30 +300,14 @@ def enable_tracing(
     directory: Union[str, os.PathLike],
     trace_id: Optional[str] = None,
     source: Optional[str] = None,
-    export_env: bool = False,
 ) -> str:
-    """Configure the global tracer; optionally export it to child processes."""
+    """Create ``directory`` and configure the global tracer into it."""
     Path(directory).mkdir(parents=True, exist_ok=True)
-    trace_id = TRACER.configure(directory, trace_id=trace_id, source=source)
-    if export_env:
-        os.environ[TRACE_DIR_ENV] = str(Path(directory).resolve())
-        os.environ[TRACE_ID_ENV] = trace_id
-    return trace_id
+    return TRACER.configure(directory, trace_id=trace_id, source=source)
 
 
 def disable_tracing() -> None:
     TRACER.disable()
-    os.environ.pop(TRACE_DIR_ENV, None)
-    os.environ.pop(TRACE_ID_ENV, None)
-
-
-def _adopt_env_tracing() -> None:
-    directory = os.environ.get(TRACE_DIR_ENV)
-    if directory and Path(directory).is_dir():
-        TRACER.configure(directory, trace_id=os.environ.get(TRACE_ID_ENV))
-
-
-_adopt_env_tracing()
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +334,6 @@ def read_trace_file(path: Union[str, os.PathLike]) -> List[Dict[str, Any]]:
             if isinstance(span, dict) and "ts" in span:
                 spans.append(span)
     return spans
-
-
-def resolve_trace_dir(target: Union[str, os.PathLike]) -> Path:
-    """Map a spool dir, store path, or trace dir onto its trace directory."""
-    path = Path(target)
-    if path.is_dir():
-        return path
-    return Path(f"{target}.trace")
 
 
 def merge_trace_files(directory: Union[str, os.PathLike]) -> List[Dict[str, Any]]:

@@ -71,9 +71,9 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
-            raise ValueError("RetryPolicy.max_attempts must be >= 1")
+            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("RetryPolicy.jitter must be within [0, 1]")
+            raise ValueError(f"jitter must be within [0, 1], got {self.jitter}")
 
     def classify(self, exc: BaseException) -> str:
         return classify_error(exc)

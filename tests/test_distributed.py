@@ -298,7 +298,7 @@ class TestSpoolBackend:
     def test_spool_campaign_store_matches_jobs1_byte_for_byte(self, tmp_path):
         serial_path = tmp_path / "serial.jsonl"
         spool_path = tmp_path / "spool.jsonl"
-        ParallelCampaignRunner(jobs=1, store=ResultStore(serial_path)).run(
+        ParallelCampaignRunner(store=ResultStore(serial_path)).run(
             "demo/random_walk", seeds=range(1, 9)
         )
         backend = SpoolBackend(
@@ -313,7 +313,7 @@ class TestSpoolBackend:
 
     def test_merge_spool_results_reproduces_serial_store(self, tmp_path):
         serial_path = tmp_path / "serial.jsonl"
-        ParallelCampaignRunner(jobs=1, store=ResultStore(serial_path)).run(
+        ParallelCampaignRunner(store=ResultStore(serial_path)).run(
             "demo/random_walk", seeds=[1, 2, 3, 4]
         )
         spool = Spool(tmp_path / "spool")
@@ -575,11 +575,11 @@ class TestCacheIndex:
     def test_campaign_populates_and_consumes_cache_across_stores(self, tmp_path):
         cache = CacheIndex(tmp_path / "cache")
         first = ParallelCampaignRunner(
-            jobs=1, store=ResultStore(tmp_path / "one.jsonl"), cache=cache
+            store=ResultStore(tmp_path / "one.jsonl"), cache=cache
         ).run("demo/random_walk", seeds=[1, 2, 3, 4])
         assert first.executed == 4 and first.cached == 0
         second = ParallelCampaignRunner(
-            jobs=1, store=ResultStore(tmp_path / "two.jsonl"), cache=cache
+            store=ResultStore(tmp_path / "two.jsonl"), cache=cache
         ).run("demo/random_walk", seeds=[1, 2, 3, 4])
         assert second.executed == 0 and second.cached == 4
         assert second.aggregates == first.aggregates
@@ -717,7 +717,7 @@ class TestDistributedCli:
         assert "--timeout" in capsys.readouterr().err
         rc = cli_main(["run", "demo/random_walk", "--seeds", "2", "--workers", "4"])
         assert rc == 2
-        assert "only apply to --backend spool" in capsys.readouterr().err
+        assert "--workers only applies to --backend spool (not inline)" in capsys.readouterr().err
         # An explicitly non-spool backend must not silently ignore --spool.
         rc = cli_main(
             ["run", "demo/random_walk", "--seeds", "2", "--backend", "process",
@@ -739,7 +739,7 @@ class TestDistributedCli:
         [
             ({"workers": -1}, "workers must be >= 0"),
             ({"max_respawns": -1}, "max_respawns must be >= 0"),
-            ({"worker_retries": 0}, "worker_retries must be >= 1"),
+            ({"timeout": 0}, "timeout must be positive"),
         ],
     )
     def test_bad_backend_options_are_rejected_at_construction(self, tmp_path, option, message):
@@ -756,7 +756,7 @@ class TestDistributedCli:
             ]
         )
         assert rc == 2
-        assert "--jobs/--batch-size do not apply" in capsys.readouterr().err
+        assert "--jobs only applies to --backend process (not spool)" in capsys.readouterr().err
 
     def test_merge_rejects_missing_source(self, tmp_path, capsys):
         rc = cli_main(["merge", str(tmp_path / "out.jsonl"), str(tmp_path / "nope")])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.experiments import ParallelCampaignRunner, ParameterGrid
+from repro.experiments import MultiprocessingBackend, ParallelCampaignRunner, ParameterGrid
 from repro.experiments.store import ResultStore
 
 SCENARIO = "sensor_validity"  # RNG-heavy: noise draws + fault injection
@@ -22,16 +22,17 @@ PARAMS = {"samples": 120}
 SEEDS = (1, 2, 3)
 
 
-def _campaign(tmp_path, label, **runner_kwargs):
+def _campaign(tmp_path, label, **pool_kwargs):
     store = ResultStore(tmp_path / f"{label}.jsonl")
-    runner = ParallelCampaignRunner(store=store, **runner_kwargs)
+    backend = MultiprocessingBackend(**pool_kwargs) if pool_kwargs else None
+    runner = ParallelCampaignRunner(store=store, backend=backend)
     result = runner.run(SCENARIO, params=PARAMS, sweep=SWEEP, seeds=SEEDS)
     return result, (tmp_path / f"{label}.jsonl").read_bytes()
 
 
 class TestCampaignDeterminism:
     def test_jobs_and_batching_are_byte_identical(self, tmp_path):
-        serial, serial_bytes = _campaign(tmp_path, "serial", jobs=1)
+        serial, serial_bytes = _campaign(tmp_path, "serial")
         parallel, parallel_bytes = _campaign(tmp_path, "parallel", jobs=3)
         batched, batched_bytes = _campaign(tmp_path, "batched", jobs=3, batch_size=2)
 
@@ -51,7 +52,7 @@ class TestCampaignDeterminism:
 
     def test_batch_size_validated(self):
         with pytest.raises(ValueError):
-            ParallelCampaignRunner(batch_size=0)
+            MultiprocessingBackend(batch_size=0)
 
 
 class TestSimulationDeterminism:

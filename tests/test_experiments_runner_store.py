@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from repro.experiments import (
+    MultiprocessingBackend,
     ParallelCampaignRunner,
     ParameterGrid,
     ResultStore,
@@ -33,16 +34,16 @@ def _flaky_spec(name="flaky"):
 
 class TestRunnerExecution:
     def test_serial_campaign_aggregates(self):
-        result = ParallelCampaignRunner(jobs=1).run("demo/random_walk", seeds=range(1, 7))
+        result = ParallelCampaignRunner().run("demo/random_walk", seeds=range(1, 7))
         assert result.run_count == 6
         assert result.failures == 0
         assert result.aggregates["final_position"]["count"] == 6
 
     def test_parallel_matches_serial_exactly(self):
-        serial = ParallelCampaignRunner(jobs=1).run(
+        serial = ParallelCampaignRunner().run(
             "demo/random_walk", sweep=ParameterGrid(drift=(0.0, 0.1)), seeds=range(1, 7)
         )
-        parallel = ParallelCampaignRunner(jobs=3).run(
+        parallel = ParallelCampaignRunner(backend=MultiprocessingBackend(jobs=3)).run(
             "demo/random_walk", sweep=ParameterGrid(drift=(0.0, 0.1)), seeds=range(1, 7)
         )
         assert [r.metrics for r in serial.records] == [r.metrics for r in parallel.records]
@@ -52,7 +53,7 @@ class TestRunnerExecution:
         assert serial.aggregates == parallel.aggregates
 
     def test_crashing_run_is_recorded_not_fatal(self):
-        result = ParallelCampaignRunner(jobs=1).run(_flaky_spec(), seeds=[1, 2, 3])
+        result = ParallelCampaignRunner().run(_flaky_spec(), seeds=[1, 2, 3])
         assert result.run_count == 3
         assert result.failures == 1
         failed = result.failed_records[0]
@@ -63,12 +64,14 @@ class TestRunnerExecution:
         assert result.metric("value", "mean") == 2.0
 
     def test_parallel_crash_capture(self):
-        result = ParallelCampaignRunner(jobs=2).run(_flaky_spec(), seeds=[1, 2, 3, 4])
+        result = ParallelCampaignRunner(backend=MultiprocessingBackend(jobs=2)).run(
+            _flaky_spec(), seeds=[1, 2, 3, 4]
+        )
         assert result.failures == 1
         assert result.failed_records[0].seed == 2
 
     def test_grouped_rows_average_over_seeds(self):
-        result = ParallelCampaignRunner(jobs=1).run(
+        result = ParallelCampaignRunner().run(
             "demo/random_walk", sweep=ParameterGrid(sigma=(1.0, 2.0)), seeds=[1, 2, 3]
         )
         rows = result.grouped_rows(by=("sigma",))
@@ -123,30 +126,30 @@ class TestResultStore:
 
     def test_resume_skips_completed_runs(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        first = ParallelCampaignRunner(jobs=1, store=ResultStore(path)).run(
+        first = ParallelCampaignRunner(store=ResultStore(path)).run(
             "demo/random_walk", seeds=[1, 2, 3]
         )
         assert first.executed == 3 and first.reused == 0
 
         # Re-running the superset only executes the missing seeds...
-        second = ParallelCampaignRunner(jobs=1, store=ResultStore(path)).run(
+        second = ParallelCampaignRunner(store=ResultStore(path)).run(
             "demo/random_walk", seeds=[1, 2, 3, 4, 5]
         )
         assert second.reused == 3
         assert second.executed == 2
         # ...and the combined aggregates match a fresh full campaign.
-        fresh = ParallelCampaignRunner(jobs=1).run("demo/random_walk", seeds=[1, 2, 3, 4, 5])
+        fresh = ParallelCampaignRunner().run("demo/random_walk", seeds=[1, 2, 3, 4, 5])
         assert second.aggregates == fresh.aggregates
 
     def test_failed_runs_are_retried_on_resume(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
         registry = ScenarioRegistry()
         registry.register(_flaky_spec())
-        runner = ParallelCampaignRunner(jobs=1, registry=registry, store=ResultStore(path))
+        runner = ParallelCampaignRunner(registry=registry, store=ResultStore(path))
         first = runner.run("flaky", seeds=[1, 2, 3])
         assert first.failures == 1
         # Only successful records satisfy resume: the failed cell re-runs.
-        second = ParallelCampaignRunner(jobs=1, registry=registry, store=ResultStore(path)).run(
+        second = ParallelCampaignRunner(registry=registry, store=ResultStore(path)).run(
             "flaky", seeds=[1, 2, 3]
         )
         assert second.reused == 2  # seeds 1 and 3 come from the store
@@ -155,17 +158,19 @@ class TestResultStore:
     def test_store_is_byte_deterministic_across_job_counts(self, tmp_path):
         path_a = tmp_path / "a.jsonl"
         path_b = tmp_path / "b.jsonl"
-        ParallelCampaignRunner(jobs=1, store=ResultStore(path_a)).run(
+        ParallelCampaignRunner(store=ResultStore(path_a)).run(
             "demo/random_walk", sweep=ParameterGrid(drift=(0.0, 0.5)), seeds=[1, 2, 3]
         )
-        ParallelCampaignRunner(jobs=3, store=ResultStore(path_b)).run(
+        ParallelCampaignRunner(
+            store=ResultStore(path_b), backend=MultiprocessingBackend(jobs=3)
+        ).run(
             "demo/random_walk", sweep=ParameterGrid(drift=(0.0, 0.5)), seeds=[1, 2, 3]
         )
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_stored_lines_are_valid_json_with_keys(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
-        ParallelCampaignRunner(jobs=1, store=ResultStore(path)).run(
+        ParallelCampaignRunner(store=ResultStore(path)).run(
             "demo/random_walk", seeds=[1, 2]
         )
         lines = [json.loads(line) for line in path.read_text().splitlines()]

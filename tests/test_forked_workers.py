@@ -27,7 +27,7 @@ SEEDS = [1, 2, 3, 4]
 
 def _serial_store(tmp_path, seeds=SEEDS):
     path = tmp_path / "serial.jsonl"
-    ParallelCampaignRunner(jobs=1, store=ResultStore(path)).run("demo/random_walk", seeds=seeds)
+    ParallelCampaignRunner(store=ResultStore(path)).run("demo/random_walk", seeds=seeds)
     return path
 
 

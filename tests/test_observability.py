@@ -90,7 +90,7 @@ class TestKernelInstrumentation:
         """What the perf gates time is the un-instrumented-equivalent path:
         tracing off with one shared no-op span, no phase accumulator, and
         an unprofiled run carrying no phases."""
-        assert not TRACER.enabled, "tracing is enabled (REPRO_TRACE_DIR?)"
+        assert not TRACER.enabled, "tracing is enabled (a test left it on?)"
         assert TRACER.span("cell", cat="cell") is TRACER.span("task", cat="task")
         assert sim_kernel.PHASES is None
         spec = load_builtin_scenarios().get("demo/safety_kernel")
@@ -577,6 +577,24 @@ class TestStatusAndTailCli:
         assert document["complete"] is True
         assert document["done"] == document["total"] == 2
 
+    def test_worker_line_joins_its_counts_with_commas(self):
+        from repro.experiments.cli import _format_worker
+
+        heartbeat = {
+            "state": "running",
+            "current_task": "task-00003",
+            "tasks_completed": 3,
+            "runs_executed": 5,
+            "timeouts": 1,
+            "events_dropped": 2,
+            "age_s": 0.5,
+        }
+        assert _format_worker("w1", heartbeat) == (
+            "  w1: running on task-00003 (3 tasks, 5 runs, 1 timeout(s), "
+            "2 dropped event(s), heartbeat 0.5s ago)"
+        )
+        assert _format_worker("w2", {"state": "idle"}) == "  w2: idle (0 tasks, 0 runs)"
+
     def test_status_on_spool_directory(self, tmp_path, capsys):
         spool_root = tmp_path / "spool"
         backend = SpoolBackend(spool_root, workers=1, timeout=120.0, poll_interval=0.01)
@@ -717,7 +735,9 @@ class TestProfileCli:
     def test_profile_rejects_parallel_backends(self, tmp_path, capsys):
         rc = cli_main(["run", "demo/random_walk", "--seeds", "2", "--jobs", "2", "--profile"])
         assert rc == 2
-        assert "--profile requires in-process execution" in capsys.readouterr().err
+        assert "--profile only applies to --backend inline, vector (not process)" in (
+            capsys.readouterr().err
+        )
 
     def test_cache_counters_in_run_output(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")

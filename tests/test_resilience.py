@@ -31,6 +31,7 @@ from repro.distributed import (
 )
 from repro.distributed.spool import shard_cells
 from repro.experiments import (
+    MultiprocessingBackend,
     ParallelCampaignRunner,
     ResultStore,
     RunRecord,
@@ -299,10 +300,12 @@ class TestExecuteRunWithRetry:
         registry.register(_adhoc_spec(factory, name="probe/broken"))
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
-        ParallelCampaignRunner(jobs=1, registry=registry, store=ResultStore(serial)).run(
+        ParallelCampaignRunner(registry=registry, store=ResultStore(serial)).run(
             "probe/broken", seeds=[1, 2]
         )
-        ParallelCampaignRunner(jobs=2, registry=registry, store=ResultStore(parallel)).run(
+        ParallelCampaignRunner(
+            registry=registry, store=ResultStore(parallel), backend=MultiprocessingBackend(jobs=2)
+        ).run(
             "probe/broken", seeds=[1, 2]
         )
         assert serial.read_bytes() == parallel.read_bytes()
@@ -658,7 +661,7 @@ class TestChaosCampaigns:
         """Worker crashes + torn shards: the spool campaign must converge to the fault-free jobs=1 store, byte for
         byte, with an empty quarantine."""
         serial_path = tmp_path / "serial.jsonl"
-        ParallelCampaignRunner(jobs=1, store=ResultStore(serial_path)).run(
+        ParallelCampaignRunner(store=ResultStore(serial_path)).run(
             "demo/random_walk", seeds=range(1, 7)
         )
         plan = FaultPlan(
@@ -743,7 +746,7 @@ class TestChaosCampaigns:
         merged_path = tmp_path / "merged.jsonl"
         merge_spool_results(Spool(spool_root), ResultStore(merged_path))
         serial_path = tmp_path / "serial.jsonl"
-        ParallelCampaignRunner(jobs=1, store=ResultStore(serial_path)).run(
+        ParallelCampaignRunner(store=ResultStore(serial_path)).run(
             "demo/random_walk", seeds=range(1, 7)
         )
         assert serial_path.read_bytes() == merged_path.read_bytes()

@@ -41,7 +41,7 @@ def _demo_cells(seeds):
 
 def _serial_store(tmp_path, seeds, name="serial.jsonl"):
     path = tmp_path / name
-    ParallelCampaignRunner(jobs=1, store=ResultStore(path)).run(
+    ParallelCampaignRunner(store=ResultStore(path)).run(
         "demo/random_walk", seeds=seeds
     )
     return path

@@ -199,7 +199,7 @@ class TestEmptySweepFails:
     def test_empty_cell_is_a_failed_record_not_nan(self, tmp_path):
         # Used to store "faulty_sensor_mae": NaN with "status": "ok".
         inline = tmp_path / "inline.jsonl"
-        result = ParallelCampaignRunner(jobs=1, registry=REGISTRY, store=ResultStore(inline)).run(
+        result = ParallelCampaignRunner(registry=REGISTRY, store=ResultStore(inline)).run(
             "sensor_validity", params={"samples": 0}, seeds=[1]
         )
         (record,) = result.records
@@ -212,7 +212,7 @@ class TestEmptySweepFails:
         for name, backend in (("inline", None), ("vector", VectorBatchBackend())):
             path = tmp_path / f"{name}.jsonl"
             ParallelCampaignRunner(
-                jobs=1, registry=REGISTRY, store=ResultStore(path), backend=backend
+                registry=REGISTRY, store=ResultStore(path), backend=backend
             ).run("sensor_validity", params={"samples": 0}, seeds=range(4))
             stores[name] = path.read_bytes()
         assert stores["vector"] == stores["inline"]
@@ -234,7 +234,7 @@ class TestUndefinedFusionFails:
         for name, backend in (("inline", None), ("vector", VectorBatchBackend())):
             path = tmp_path / f"{name}.jsonl"
             ParallelCampaignRunner(
-                jobs=1, registry=REGISTRY, store=ResultStore(path), backend=backend
+                registry=REGISTRY, store=ResultStore(path), backend=backend
             ).run("sensor_validity", params={"true_value": -100.0}, seeds=range(4))
             stores[name] = path.read_bytes()
         assert stores["vector"] == stores["inline"]
@@ -260,7 +260,7 @@ class TestNonFiniteMagnitudeFails:
         for name, backend in (("inline", None), ("vector", VectorBatchBackend())):
             path = tmp_path / f"{name}.jsonl"
             ParallelCampaignRunner(
-                jobs=1, registry=REGISTRY, store=ResultStore(path), backend=backend
+                registry=REGISTRY, store=ResultStore(path), backend=backend
             ).run(
                 "sensor_validity",
                 params={"fault_class": "permanent_offset", "magnitude": magnitude},
@@ -281,7 +281,7 @@ class TestPaperClaimPerSeed:
     averaging under sensor faults, asserted on every seed."""
 
     def test_validity_weighted_fusion_wins_on_every_seed(self):
-        result = ParallelCampaignRunner(jobs=1, registry=REGISTRY).run(
+        result = ParallelCampaignRunner(registry=REGISTRY).run(
             "sensor_validity",
             sweep=ParameterGrid(fault_class=tuple(fc.value for fc in FaultClass)),
             seeds=range(32),

@@ -16,11 +16,11 @@ import json
 
 import pytest
 
+from repro.distributed import Spool
 from repro.experiments import ParallelCampaignRunner
 from repro.experiments.cli import main as cli_main
+from repro.observability.progress import campaign_paths
 from repro.observability.trace import (
-    TRACE_DIR_ENV,
-    TRACE_ID_ENV,
     TRACER,
     Tracer,
     critical_path,
@@ -30,7 +30,6 @@ from repro.observability.trace import (
     merge_trace_files,
     new_trace_id,
     read_trace_file,
-    resolve_trace_dir,
     summarize_trace,
 )
 
@@ -118,17 +117,6 @@ class TestTracer:
             pass
         assert tracer.dropped == 1
 
-    def test_env_adoption_round_trip(self, traced):
-        directory, trace_id = traced
-        import os
-
-        assert os.environ.get(TRACE_DIR_ENV) is None  # export_env off by default
-        enable_tracing(directory, trace_id=trace_id, export_env=True)
-        assert os.environ[TRACE_DIR_ENV] == str(directory.resolve())
-        assert os.environ[TRACE_ID_ENV] == trace_id
-        disable_tracing()
-        assert os.environ.get(TRACE_DIR_ENV) is None
-
     def test_new_trace_ids_are_distinct(self):
         assert new_trace_id() != new_trace_id()
         assert len(new_trace_id()) == 16
@@ -176,10 +164,10 @@ class TestMerge:
         names = [span["name"] for span in merge_trace_files(tmp_path)]
         assert names == ["b1", "a1", "a2", "b2"]
 
-    def test_resolve_trace_dir(self, tmp_path):
-        assert resolve_trace_dir(tmp_path) == tmp_path
+    def test_campaign_paths_trace(self, tmp_path):
+        assert campaign_paths(tmp_path).trace == tmp_path
         store = tmp_path / "results.jsonl"
-        assert resolve_trace_dir(store) == tmp_path / "results.jsonl.trace"
+        assert campaign_paths(store).trace == tmp_path / "results.jsonl.trace"
 
 
 # --------------------------------------------------------------------------
@@ -389,6 +377,42 @@ class TestTraceCli:
     def test_trace_without_a_destination_is_an_error(self, capsys):
         assert cli_main(["run", "demo/random_walk", "--seeds", "1", "--trace"]) == 2
         assert "--trace needs somewhere" in capsys.readouterr().err
+
+    def test_a_spool_campaign_keeps_the_coordinators_cache_spans(self, tmp_path, capsys):
+        """The spool is purged of an earlier campaign's trace files when it
+        is initialised, but not of the coordinator's own: its cache lookup
+        ran before the publish, as the inline campaign's does."""
+        def cache_spans(directory):
+            names = [span["name"] for span in merge_trace_files(directory)]
+            return names.count("cache.get"), names.count("cache.put")
+
+        common = ["run", "demo/random_walk", "--seeds", "4", "--trace"]
+        spool = tmp_path / "tr"
+        spool.mkdir()
+        (spool / "trace-1.jsonl").write_text(
+            json.dumps({"ph": "X", "name": "cache.get", "trace": "old", "ts": 1.0}) + "\n"
+        )
+        code = cli_main(common + ["--backend", "spool", "--spool", str(spool),
+                                  "--workers", "2", "--cache", str(tmp_path / "trc")])
+        disable_tracing()
+        assert code == 0
+        store = tmp_path / "tri.jsonl"
+        code = cli_main(common + ["--store", str(store), "--cache", str(tmp_path / "tric")])
+        disable_tracing()
+        assert code == 0
+        assert cache_spans(spool) == cache_spans(f"{store}.trace") == (1, 1)
+
+    def test_initialise_drops_stale_spans_from_a_recycled_pid_file(self, traced):
+        directory, trace_id = traced
+        own = TRACER.path
+        own.write_text(
+            json.dumps({"ph": "X", "name": "stale", "trace": "old", "ts": 1.0}) + "\n"
+        )
+        with TRACER.span("cache.get"):
+            pass
+        Spool(directory).initialise()
+        assert [span["name"] for span in merge_trace_files(directory)] == ["cache.get"]
+        assert read_trace_file(own)[0]["trace"] == trace_id
 
     def test_trace_dir_flag_implies_trace(self, tmp_path, capsys):
         trace_dir = tmp_path / "t"

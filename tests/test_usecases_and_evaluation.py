@@ -168,7 +168,7 @@ class TestEvaluationToolkit:
                                              followers=2, bursts=(), seed=seed),
             metric_fields=("collisions", "mean_speed"),
         )
-        result = ParallelCampaignRunner(jobs=1).run(spec, seeds=[1, 2])
+        result = ParallelCampaignRunner().run(spec, seeds=[1, 2])
         assert result.run_count == 2
         assert result.metric("collisions", "max") == 0.0
         assert result.metric("mean_speed", "mean") > 0.0
@@ -186,7 +186,7 @@ class TestEvaluationToolkit:
             factory=factory,
             metric_fields=("collisions", "mean_speed"),
         )
-        result = ParallelCampaignRunner(jobs=1).run(spec, seeds=[1, 2, 3])
+        result = ParallelCampaignRunner().run(spec, seeds=[1, 2, 3])
         assert result.run_count == 3
         assert result.failures == 1
         failed = result.failed_records

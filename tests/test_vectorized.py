@@ -30,7 +30,7 @@ def run_store(tmp_path, name, scenario, seeds, params=None, backend=None):
     """Run one campaign into ``tmp_path/name`` and return the store path."""
     path = tmp_path / name
     ParallelCampaignRunner(
-        jobs=1, registry=REGISTRY, store=ResultStore(path), backend=backend
+        registry=REGISTRY, store=ResultStore(path), backend=backend
     ).run(scenario, params=params, seeds=list(seeds))
     return path
 
@@ -82,7 +82,7 @@ class TestByteIdentity:
         vector_path = tmp_path / "vector.jsonl"
         sweep = [{"fault_class": "stuck_at"}, {"fault_class": "permanent_offset"}]
         seeds = list(range(6))
-        ParallelCampaignRunner(jobs=1, registry=REGISTRY, store=ResultStore(inline_path)).run(
+        ParallelCampaignRunner(registry=REGISTRY, store=ResultStore(inline_path)).run(
             "sensor_validity", sweep=sweep, seeds=seeds
         )
         backend = VectorBatchBackend()
@@ -252,9 +252,11 @@ class TestCliAndProvenance:
     def test_vector_rejects_parallel_and_batch_flags(self, capsys):
         args = ["run", "tdma_convergence", "--seeds", "4", "--backend", "vector"]
         assert cli_main(args + ["--jobs", "2"]) == 2
-        assert "--jobs/--batch-size" in capsys.readouterr().err
+        assert "--jobs only applies to --backend process (not vector)" in capsys.readouterr().err
         assert cli_main(args + ["--batch-size", "2"]) == 2
-        assert "--jobs/--batch-size" in capsys.readouterr().err
+        assert "--batch-size only applies to --backend process (not vector)" in (
+            capsys.readouterr().err
+        )
 
     def test_vector_run_report_status_surfaces(self, tmp_path, capsys):
         store = tmp_path / "vector.jsonl"
