@@ -8,15 +8,17 @@ captured but the measured numbers still land in the pytest-benchmark summary.
 
 Campaign options (registered in the repo-root ``conftest.py``):
 
-* ``--jobs N`` — run every benchmark campaign on N worker processes through
-  :class:`repro.experiments.runner.MultiprocessingBackend`;
+* ``--jobs N`` — run every benchmark campaign on N forked worker processes
+  through a :class:`repro.distributed.SpoolBackend` in the test's
+  temporary directory;
 * ``--seeds N`` — sweep seeds 1..N instead of each benchmark's default seed
   list (tables then show per-group means over the seeds).
 """
 
 import pytest
 
-from repro.experiments import MultiprocessingBackend, ParallelCampaignRunner
+from repro.distributed import SpoolBackend
+from repro.experiments import ParallelCampaignRunner
 
 
 def run_once(benchmark, func):
@@ -31,7 +33,10 @@ def seeds_or(default, count):
 
 @pytest.fixture
 def campaign_jobs(request):
-    return int(request.config.getoption("--jobs", default=1) or 1)
+    jobs = int(request.config.getoption("--jobs", default=1))
+    if jobs < 1:
+        raise pytest.UsageError(f"--jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 @pytest.fixture
@@ -41,18 +46,10 @@ def campaign_seed_count(request):
 
 
 @pytest.fixture
-def campaign_batch_size(request):
-    value = request.config.getoption("--batch-size", default=None)
-    # Pass 0 and negatives through: the pool backend rejects them loudly
-    # instead of silently benchmarking unbatched dispatch.
-    return None if value is None else int(value)
-
-
-@pytest.fixture
-def campaign_runner(campaign_jobs, campaign_batch_size):
-    """A campaign runner honouring the ``--jobs`` and ``--batch-size`` options:
-    a process pool when either is set, in-process serial otherwise."""
+def campaign_runner(campaign_jobs, tmp_path):
+    """A campaign runner honouring the ``--jobs`` option: a spool with that
+    many forked workers when it is above 1, in-process serial otherwise."""
     backend = None
-    if campaign_jobs > 1 or campaign_batch_size is not None:
-        backend = MultiprocessingBackend(jobs=campaign_jobs, batch_size=campaign_batch_size)
+    if campaign_jobs > 1:
+        backend = SpoolBackend(tmp_path / "spool", workers=campaign_jobs)
     return ParallelCampaignRunner(backend=backend)

@@ -1,12 +1,13 @@
 """Plain pull spool scheduling stays within 1.2x of perfect packing.
 
 A seeded-skew campaign (12 short-stall cells, 4 long-stall cells) runs on a
-2-worker spool at one cell per task: each idle worker claims the next
-pending cell.  Its wall clock is compared against the ideal packing, the
-summed per-task busy time split evenly across the workers.  The gate is a
-ratio of two times measured in the same run, so it needs no machine-speed
-calibration.  The spool store must also stay byte-identical to a ``jobs=1``
-serial run of the same campaign.
+2-worker spool, once at one cell per task and once on the default chunk
+schedule (large tasks first, shrinking to one cell): each idle worker
+claims the next pending task.  Its wall clock is compared against the ideal
+packing, the summed per-task busy time split evenly across the workers.
+The gate is a ratio of two times measured in the same run, so it needs no
+machine-speed calibration.  The spool store must also stay byte-identical
+to a ``jobs=1`` serial run of the same campaign.
 
 Run it::
 
@@ -15,6 +16,8 @@ Run it::
 
 import time
 from typing import Dict
+
+import pytest
 
 from repro.distributed import Spool, SpoolBackend
 from repro.experiments import ParallelCampaignRunner, ResultStore
@@ -30,7 +33,8 @@ SCENARIO = "demo/random_walk"
 PARAMS = {"steps": 100}
 
 
-def test_skewed_spool_wall_clock(tmp_path, monkeypatch):
+@pytest.mark.parametrize("task_size", [1, None], ids=["one-cell-tasks", "default-schedule"])
+def test_skewed_spool_wall_clock(tmp_path, monkeypatch, task_size):
     # Cells are sleep-bound: a deterministic fault plan stalls each cell at
     # `worker.cell`, so concurrent workers overlap even on a single core and
     # the ratio reflects scheduling quality rather than CPU contention.  The
@@ -57,7 +61,7 @@ def test_skewed_spool_wall_clock(tmp_path, monkeypatch):
     backend = SpoolBackend(
         tmp_path / "spool",
         workers=WORKERS,
-        task_size=1,
+        task_size=task_size,
         poll_interval=0.05,
         timeout=600.0,
     )
@@ -84,6 +88,6 @@ def test_skewed_spool_wall_clock(tmp_path, monkeypatch):
     assert spool_wall_s <= 1.2 * ideal_s, (
         f"skewed spool campaign took {spool_wall_s:.2f}s against an ideal "
         f"packing of {ideal_s:.2f}s ({spool_wall_s / ideal_s:.2f}x > 1.2x); "
-        "plain pull scheduling (one cell per task, idle workers claim the "
-        "next) has regressed"
+        f"plain pull scheduling (task_size={task_size}, idle workers claim "
+        "the next task) has regressed"
     )

@@ -12,18 +12,11 @@ def pytest_addoption(parser):
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for campaign-backed benchmarks (E1-E9)",
+        help="spool worker processes for campaign-backed benchmarks (E1-E9)",
     )
     group.addoption(
         "--seeds",
         type=int,
         default=None,
         help="run seeds 1..N instead of each benchmark's default seed list",
-    )
-    group.addoption(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="dispatch whole chunks of N runs per worker process (campaign "
-        "benchmarks; identical results, fewer process dispatches)",
     )

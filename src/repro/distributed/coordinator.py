@@ -21,13 +21,14 @@ heartbeat), appends campaign lifecycle events to the shared event log, and
 reports reclaimed leases and early worker deaths *as they happen* via
 ``logging`` — not only in the terminal failure message.
 
-Scheduling is a plain pull queue: the coordinator publishes fixed-size
-tasks (``task_size`` cells each) once, and idle workers claim the next
-pending one.  Recovery never changes that shape: an expired lease is
-requeued, a torn shard's task is republished, a poison task is
-quarantined and its cells counted as failures, and cells that every
-other path lost are republished as recovery tasks
-(:func:`republish_missing`) once the queue drains.
+Scheduling is a plain pull queue: the coordinator publishes its tasks
+once, sized by one deterministic schedule
+(:func:`~repro.distributed.spool.chunk_sizes`) or a fixed ``task_size``,
+and idle workers claim the next pending one.  Recovery never changes
+that shape: an expired lease is requeued, a torn shard's task is
+republished, a poison task is quarantined and its cells counted as
+failures, and cells that every other path lost are republished as
+recovery tasks (:func:`republish_missing`) once the queue drains.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ import logging
 import multiprocessing
 import os
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from multiprocessing.process import BaseProcess
+from pathlib import Path
 from types import CodeType
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -56,8 +59,9 @@ from repro.distributed.spool import (
     shard_cells,
 )
 from repro.distributed.worker import CampaignPipes, run_worker
+from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import ExecutionBackend, RunRecord
-from repro.experiments.spec import RunSpec, ScenarioSpec, jsonable
+from repro.experiments.spec import RunSpec, ScenarioSpec
 from repro.experiments.store import ResultStore
 from repro.observability.events import EventLog
 from repro.observability.progress import ProgressTracker
@@ -71,21 +75,14 @@ logger = logging.getLogger(__name__)
 RECOVERY_TASK_CELLS = 32
 
 
-def _campaign_id(
-    payload: str,
-    cells: Sequence[Tuple[Dict[str, Any], int, int]],
-    task_size: int,
-) -> str:
-    """Content id of a campaign's exact work list (scenario + cells + sharding).
+def _campaign_id(tasks: Sequence[SpoolTask]) -> str:
+    """Content id of a campaign's exact task list (ids, scenario, cells).
 
     Stored in ``campaign.json``: a restarted coordinator recomputes it from
     its own pending cells and resumes the spool's campaign *only* on an
-    exact match — anything else is a different campaign and gets the usual
-    purge-and-republish."""
-    blob = json.dumps(
-        {"scenario": payload, "cells": jsonable(list(cells)), "task_size": task_size},
-        sort_keys=True,
-    )
+    exact match — anything else (other cells, another task size or worker
+    count) is a different campaign and gets the usual purge-and-republish."""
+    blob = json.dumps([task.to_json_dict() for task in tasks], sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -172,6 +169,10 @@ class SpoolBackend(ExecutionBackend):
     ``workers`` > 0 forks that many local worker processes for the
     duration of the campaign; with ``workers=0`` the coordinator only
     publishes tasks and waits for externally-started workers to drain them.
+    Without a ``spool_root`` each campaign runs on a temporary spool,
+    removed after it (on failure too), which only forked workers reach.
+    ``task_size`` fixes the cells per task; by default the sizes follow
+    :func:`~repro.distributed.spool.chunk_sizes` for ``workers``.
 
     ``poll_interval`` is how often the coordinator and hand-started
     workers poll the spool.  Forked workers and the coordinator that forked
@@ -188,10 +189,10 @@ class SpoolBackend(ExecutionBackend):
 
     def __init__(
         self,
-        spool_root: Union[str, os.PathLike],
+        spool_root: Optional[Union[str, os.PathLike]],
         workers: int = 0,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        task_size: int = 1,
+        task_size: Optional[int] = None,
         poll_interval: float = 0.05,
         timeout: Optional[float] = None,
         scenario_modules: Sequence[str] = (),
@@ -202,17 +203,24 @@ class SpoolBackend(ExecutionBackend):
     ):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
+        if spool_root is None and workers < 1:
+            raise ValueError(
+                "workers must be >= 1 without a spool directory: no other "
+                "worker can reach a temporary spool"
+            )
         if max_respawns < 0:
             raise ValueError(f"max_respawns must be >= 0, got {max_respawns}")
         if cell_timeout is not None and cell_timeout <= 0:
             raise ValueError(f"cell_timeout must be positive, got {cell_timeout}")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        task_size = int(task_size)
-        if task_size < 1:
+        task_size = None if task_size is None else int(task_size)
+        if task_size is not None and task_size < 1:
             raise ValueError(f"task_size must be >= 1, got {task_size}")
+        #: ``None``: a temporary spool per campaign (see :meth:`execute`).
+        self.spool_root = spool_root
         self.spool = Spool(
-            spool_root, lease_timeout=lease_timeout, max_task_attempts=max_task_attempts
+            spool_root or "", lease_timeout=lease_timeout, max_task_attempts=max_task_attempts
         )
         self.workers = int(workers)
         self.task_size = task_size
@@ -236,26 +244,39 @@ class SpoolBackend(ExecutionBackend):
         spec: ScenarioSpec,
         pending: Sequence[RunSpec],
         records: List[Optional[RunRecord]],
-        payload: Optional[object] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
     ) -> None:
-        if not isinstance(payload, str):
+        # Workers resolve the scenario by name in the built-in registry.
+        if spec.name not in REGISTRY or REGISTRY.get(spec.name) is not spec:
             raise SpoolDispatchError(
                 f"scenario {spec.name!r} is not resolvable by name in worker "
                 "processes (ad-hoc spec?); register it — e.g. via a module "
                 "importable with the worker's --import flag — to use the "
                 "spool backend"
             )
+        if self.spool_root is not None:
+            self._execute(spec, pending, records, progress)
+            return
+        with tempfile.TemporaryDirectory(prefix="repro-spool-") as root:
+            self.spool.root = Path(root)
+            self._execute(spec, pending, records, progress)
+
+    def _execute(
+        self,
+        spec: ScenarioSpec,
+        pending: Sequence[RunSpec],
+        records: List[Optional[RunRecord]],
+        progress: Optional[ProgressTracker],
+    ) -> None:
         if self.workers:
             _preimport_factory(spec.factory)
         cells = [(run_spec.params, run_spec.seed, run_spec.index) for run_spec in pending]
-        campaign_id = _campaign_id(payload, cells, self.task_size)
-        tasks = shard_cells(cells, payload, self.task_size)
+        tasks = shard_cells(cells, spec.name, self.task_size, self.workers)
+        campaign_id = _campaign_id(tasks)
         metadata = {
             "scenario": spec.name,
             "cells": len(cells),
-            "task_size": self.task_size,
             "campaign_id": campaign_id,
             "tasks": len(tasks),
         }
@@ -315,7 +336,7 @@ class SpoolBackend(ExecutionBackend):
                 pending,
                 key_by_index,
                 task_by_id,
-                payload,
+                spec.name,
                 worker_slots,
                 events=events,
                 trackers=trackers,
@@ -372,8 +393,11 @@ class SpoolBackend(ExecutionBackend):
 
         A fully resumed/cached campaign never calls :meth:`execute`, but
         externally-started workers (``--workers 0`` deployments) still wait
-        on the marker and would otherwise poll forever.
+        on the marker and would otherwise poll forever.  A temporary spool
+        is gone by now and has no such workers.
         """
+        if self.spool_root is None:
+            return
         self.spool.root.mkdir(parents=True, exist_ok=True)
         self.spool.mark_complete()
 

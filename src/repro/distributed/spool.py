@@ -47,6 +47,7 @@ after its cell was quarantined, therefore heals the cell for every reader.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import time
@@ -733,28 +734,52 @@ class Spool:
     _atomic_write = staticmethod(atomic_write_text)
 
 
+def chunk_sizes(cells: int, workers: int) -> List[int]:
+    """The default task sizes of ``cells`` cells on ``workers`` workers.
+
+    Factoring (Hummel, Schonberg and Flynn, CACM 1992): rounds of
+    ``workers`` equal chunks of ``ceil(remaining / (2 * workers))`` cells.
+    Sizes never grow and the last chunks hold one cell, so a cheap
+    campaign pays for few tasks and a slow cell near the end holds no
+    cheap ones hostage.  With ``workers=0`` (a count the coordinator
+    cannot know) every task holds one cell.
+    """
+    if workers < 1:
+        return [1] * cells
+    sizes: List[int] = []
+    remaining = cells
+    while remaining:
+        size = -(-remaining // (2 * workers))
+        for _ in range(min(workers, remaining // size)):
+            sizes.append(size)
+            remaining -= size
+    return sizes
+
+
 def shard_cells(
     cells: Sequence[Tuple[Dict[str, Any], int, int]],
     scenario: str,
-    task_size: int,
+    task_size: Optional[int] = None,
+    workers: int = 0,
 ) -> List[SpoolTask]:
     """Split a campaign's pending cells into :class:`SpoolTask` shards.
 
-    Task ids are zero-padded so lexicographic claim order equals run-list
-    order and workers drain the queue front to back.
+    Each task holds ``task_size`` cells, or, when it is ``None``, follows
+    :func:`chunk_sizes` for ``workers`` workers.  Task ids are zero-padded
+    so lexicographic claim order equals run-list order and workers drain
+    the queue front to back.
     """
-    if task_size < 1:
+    if task_size is None:
+        sizes = chunk_sizes(len(cells), workers)
+    elif task_size < 1:
         raise ValueError(f"task_size must be >= 1, got {task_size}")
-    tasks: List[SpoolTask] = []
-    for start in range(0, len(cells), task_size):
-        tasks.append(
-            SpoolTask(
-                task_id=f"task-{len(tasks):05d}",
-                scenario=scenario,
-                cells=tuple(cells[start : start + task_size]),
-            )
-        )
-    return tasks
+    else:
+        sizes = [task_size] * -(-len(cells) // task_size)
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    return [
+        SpoolTask(task_id=f"task-{number:05d}", scenario=scenario, cells=tuple(cells[start:end]))
+        for number, (start, end) in enumerate(zip(bounds, bounds[1:]))
+    ]
 
 
 def settle(

@@ -198,7 +198,7 @@ def execute_task(
     (the worker loop requeues the claim with a ``timeout`` ledger event).
 
     Cell execution goes through the shared retry policy (same one the
-    inline/process backends use, so attempt counts — and therefore failed
+    inline backend uses, so attempt counts — and therefore failed
     records — are byte-identical across backends).  The shard write itself
     retries under the quick spool-I/O policy; if it still fails the
     ``OSError`` propagates to the worker loop, which requeues the claim.

@@ -18,9 +18,9 @@ parallel, resumable campaigns:
   list|run|report|worker|merge|cache``.
 
 Execution is pluggable through :class:`ExecutionBackend`: in-process
-serial, local ``multiprocessing``, or the multi-host spool backend in
-:mod:`repro.distributed` (which also provides the content-addressed
-result cache shared across campaigns).
+serial, or the spool backend in :mod:`repro.distributed`, whose worker
+processes run on this host or many (the package also provides the
+content-addressed result cache shared across campaigns).
 """
 
 from repro.experiments.spec import (
@@ -43,7 +43,6 @@ from repro.experiments.runner import (
     CampaignResult,
     ExecutionBackend,
     InProcessBackend,
-    MultiprocessingBackend,
     ParallelCampaignRunner,
     RunRecord,
     aggregate_records,
@@ -69,7 +68,6 @@ __all__ = [
     "CampaignResult",
     "ExecutionBackend",
     "InProcessBackend",
-    "MultiprocessingBackend",
     "ParallelCampaignRunner",
     "RunRecord",
     "aggregate_records",

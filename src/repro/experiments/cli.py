@@ -3,14 +3,14 @@
 Examples::
 
     python -m repro.experiments list
-    python -m repro.experiments run platoon/karyon --seeds 10 --jobs 4
+    python -m repro.experiments run platoon/karyon --seeds 10 --jobs 4   # 4 workers
     python -m repro.experiments run platoon --sweep variant=karyon,never_cooperative \\
         -p duration=30 --seeds 5 --store results.jsonl
     python -m repro.experiments report results.jsonl --group-by variant
 
     # Distributed: coordinator on one host, workers anywhere that sees /spool
     python -m repro.experiments run platoon/karyon --seeds 50 \\
-        --backend spool --spool /spool/platoon --workers 0 --store results.jsonl
+        --spool /spool/platoon --workers 0 --store results.jsonl
     python -m repro.experiments worker /spool/platoon          # on each host
     python -m repro.experiments merge results.jsonl /spool/platoon
 
@@ -84,6 +84,15 @@ from repro.resilience.retry import RetryPolicy
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
+class _Spelling(argparse.Action):
+    """Store the value and the spelling that set it (``<dest>_flag``), so
+    an error names an option with two spellings as it was typed."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"{self.dest}_flag", option_string)
+
+
 class _Backend(NamedTuple):
     """One ``run --backend`` choice: its ``module:Class``, the flags it
     accepts (each mapped to the constructor parameter that takes, and
@@ -99,22 +108,16 @@ class _Backend(NamedTuple):
 #: and how it is built are all read from here.
 BACKENDS: Dict[str, _Backend] = {
     "inline": _Backend("repro.experiments.runner:InProcessBackend", {"--profile": "profile"}),
-    "process": _Backend(
-        "repro.experiments.runner:MultiprocessingBackend",
-        {"--jobs": "jobs", "--batch-size": "batch_size"},
-    ),
     "spool": _Backend(
         "repro.distributed:SpoolBackend",
-        {"--spool": "spool_root", "--workers": "workers", "--task-size": "task_size",
+        {"--spool": "spool_root", "--jobs": "workers", "--task-size": "task_size",
          "--cell-timeout": "cell_timeout", "--lease-timeout": "lease_timeout",
          "--timeout": "timeout", "--max-respawns": "max_respawns"},
-        {"workers": 2},
+        {"spool_root": None, "workers": 2},
     ),
     "vector": _Backend("repro.vectorized:VectorBatchBackend", {"--profile": "profile"}),
 }
 _BACKEND_FLAGS = list(dict.fromkeys(flag for row in BACKENDS.values() for flag in row.flags))
-#: The backend flags whose default is not ``None``.
-_FLAG_DEFAULTS = {"--jobs": 1, "--profile": False}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,13 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed-list", default=None, metavar="S1,S2,...",
         help="explicit comma-separated seed list (overrides --seeds)",
     )
-    run_parser.add_argument("--jobs", type=int, default=1, help="process only: pool size")
     run_parser.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="process only: dispatch whole chunks of N runs per worker "
-        "process instead of one run per dispatch (results are identical "
-        "either way)",
+        "--jobs", "--workers", type=int, default=None, metavar="N", action=_Spelling,
+        help="spool worker processes the coordinator forks (default 2 with "
+        "--spool; 0 waits for hand-started workers).  Without --spool, N >= 2 "
+        "runs a spool in a temporary directory, removed after the campaign, "
+        "and 1 runs inline",
     )
+    run_parser.set_defaults(jobs_flag="--jobs")
     run_parser.add_argument(
         "-p", "--param", action="append", default=[], metavar="NAME=VALUE",
         help="override one scenario parameter (repeatable)",
@@ -173,22 +177,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--backend", choices=tuple(BACKENDS), default=None,
-        help="execution backend (default: spool with --spool, process with "
-        "--jobs or --batch-size, inline otherwise; vector runs homogeneous "
-        "seed batches in lockstep, byte-identical to inline)",
+        help="execution backend (default: spool with --spool or --jobs N >= 2, "
+        "inline otherwise; vector runs homogeneous seed batches in lockstep, "
+        "byte-identical to inline)",
     )
     run_parser.add_argument(
         "--spool", default=None, metavar="DIR",
-        help="shared-filesystem spool directory (required for --backend spool)",
-    )
-    run_parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="spool only: local worker processes the coordinator spawns "
-        "(0: wait for externally-started workers; default 2)",
+        help="shared-filesystem spool directory, kept after the campaign "
+        "(--backend spool needs it or --jobs)",
     )
     run_parser.add_argument(
         "--task-size", type=int, default=None, metavar="N",
-        help="spool only: campaign cells per spool task file (default 1)",
+        help="spool only: campaign cells per spool task file (default: large "
+        "tasks first, shrinking to one cell, sized for the forked workers; "
+        "one cell per task with --workers 0)",
     )
     run_parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
@@ -233,20 +235,20 @@ def build_parser() -> argparse.ArgumentParser:
         "die mid-campaign (default 0)",
     )
     run_parser.add_argument(
-        "--profile", action="store_true",
+        "--profile", action="store_true", default=None,
         help="inline and vector only: time each executed cell's "
         "build/sim/collect phases",
     )
     run_parser.add_argument(
         "--trace", action="store_true",
-        help="record a distributed span trace (spool campaigns trace into "
+        help="record a distributed span trace (--spool campaigns trace into "
         "the spool directory, others into --trace-dir or <store>.trace/); "
         "explore with the `trace` subcommand",
     )
     run_parser.add_argument(
         "--trace-dir", default=None, metavar="DIR",
-        help="trace directory for non-spool campaigns (implies --trace; "
-        "default <store>.trace)",
+        help="trace directory for campaigns without --spool (implies "
+        "--trace; default <store>.trace)",
     )
 
     report_parser = sub.add_parser("report", help="aggregate a JSONL results store", parents=[common])
@@ -498,36 +500,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         return _usage(exc.args[0] if exc.args else exc)
 
-    given = [
-        flag for flag in _BACKEND_FLAGS
-        if getattr(args, _dest(flag)) != _FLAG_DEFAULTS.get(flag)
-    ]
-    name = args.backend or (
-        "spool" if args.spool
-        else "process" if set(given) & set(BACKENDS["process"].flags)
-        else "inline"
-    )
+    # `--jobs 1` runs inline, unless it asks for one worker on a spool.
+    given = [flag for flag in _BACKEND_FLAGS if getattr(args, _dest(flag)) is not None]
+    name = args.backend or ("spool" if args.spool or args.jobs not in (None, 1) else "inline")
     row = BACKENDS[name]
-    rejected = [flag for flag in given if flag not in row.flags]
+    rejected = [
+        flag for flag in given if flag not in row.flags and (flag, args.jobs) != ("--jobs", 1)
+    ]
     if rejected:
         homes = [other for other, each in BACKENDS.items() if set(rejected) & set(each.flags)]
         verb = "applies" if len(rejected) == 1 else "apply"
+        shown = ", ".join(args.jobs_flag if flag == "--jobs" else flag for flag in rejected)
+        return _usage(f"{shown} only {verb} to --backend {', '.join(homes)} (not {name})")
+    if name == "spool" and not args.spool and args.jobs is None:
+        return _usage("--backend spool requires --spool DIR or --jobs N")
+    if args.spool and args.trace_dir:
         return _usage(
-            f"{', '.join(rejected)} only {verb} to --backend {', '.join(homes)} (not {name})"
-        )
-    if name == "spool" and not args.spool:
-        return _usage("--backend spool requires --spool DIR")
-    if name == "spool" and args.trace_dir:
-        return _usage(
-            "spool campaigns always trace into the spool directory (workers "
+            "--spool campaigns always trace into the spool directory (workers "
             "append there); drop --trace-dir"
         )
-    if args.trace and not (name == "spool" or args.trace_dir or args.store):
+    if args.trace and not (args.spool or args.trace_dir or args.store):
         return _usage(
-            "--trace needs somewhere to write: add --store, --trace-dir, or run a spool campaign"
+            "--trace needs somewhere to write: add --store, --trace-dir or --spool"
         )
     trace_dir: Optional[Path] = None
-    if name == "spool" and args.trace:
+    if args.spool and args.trace:
         trace_dir = Path(args.spool)
     elif args.trace_dir:
         trace_dir = Path(args.trace_dir)
@@ -544,7 +541,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             options["retry_policy"] = RetryPolicy(max_attempts=args.retries)
         backend = getattr(importlib.import_module(module), constructor)(**options)
     except ValueError as exc:
-        return _usage(_flag_error(exc, {**row.flags, "--retries": "max_attempts"}))
+        flags = {**row.flags, "--retries": "max_attempts"}
+        return _usage(
+            _flag_error(exc, {args.jobs_flag if f == "--jobs" else f: p for f, p in flags.items()})
+        )
     if args.faults and _arm_fault_plan(args.faults, export=name == "spool") != 0:
         return 2
 
@@ -571,7 +571,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{spec.name}: {result.run_count} runs "
         f"({result.executed} executed, {result.reused} reused{cached_part}, "
         f"{result.failures} failed) backend={result.backend} "
-        f"jobs={getattr(backend, 'jobs', 1)}"
+        f"jobs={getattr(backend, 'workers', 1)}"
     )
     if result.backend_cells:
         parts = ", ".join(

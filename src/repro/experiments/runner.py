@@ -2,15 +2,14 @@
 
 :class:`ParallelCampaignRunner` executes the run list of a scenario spec
 through a pluggable :class:`ExecutionBackend` — in-process serial
-(:class:`InProcessBackend`), ``multiprocessing`` workers sharded over the
-pending ``(params, seed)`` cells (:class:`MultiprocessingBackend`), or a
-shared-filesystem work queue spanning hosts
-(:class:`repro.distributed.coordinator.SpoolBackend`).  Four properties the
-benchmark harness and the acceptance criteria rely on:
+(:class:`InProcessBackend`), or worker processes pulling the pending
+``(params, seed)`` cells from a shared-filesystem work queue, on this host
+or many (:class:`repro.distributed.coordinator.SpoolBackend`).  Four
+properties the benchmark harness and the acceptance criteria rely on:
 
 * **Determinism** — records are re-assembled in the run-list order whatever
   order workers finish in, so aggregates (and the persisted store) of a
-  pool or spool campaign are identical to an in-process serial campaign.
+  spool campaign are identical to an in-process serial campaign.
 * **Fault isolation** — a crashing run becomes a ``status="failed"`` record
   with the captured exception, not a dead campaign.
 * **Resume** — with a :class:`~repro.experiments.store.ResultStore` attached,
@@ -24,10 +23,7 @@ benchmark harness and the acceptance criteria rely on:
 
 from __future__ import annotations
 
-import contextlib
 import logging
-import multiprocessing
-import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -240,7 +236,7 @@ def execute_run_with_retry(
     """
     policy = DEFAULT_RETRY_POLICY if policy is None else policy
     attempt = 1
-    # Every execution path — inline, pool child, spool worker, vector scalar
+    # Every execution path — inline, spool worker, vector scalar
     # probe/fallback — funnels through here, so the per-cell trace span (and
     # its per-attempt children) is emitted in exactly one place.  The null
     # span while tracing is disabled keeps this one attribute check + empty
@@ -278,57 +274,6 @@ def execute_run_with_retry(
     return record
 
 
-def _resolve_payload(payload: Any) -> Tuple[Optional[ScenarioSpec], Optional[str]]:
-    """Turn a shipped payload (spec object or registry name) into a spec."""
-    if not isinstance(payload, str):
-        return payload, None
-    try:
-        return load_builtin_scenarios().get(payload), None
-    except KeyError as exc:
-        return None, f"worker could not resolve scenario: {exc}"
-
-
-#: Per-pool-worker-process circuit breaker; persists across batches so a
-#: broken factory stops costing backoff stalls within each worker too.
-_BATCH_BREAKER: Optional[CircuitBreaker] = None
-
-
-def _execute_batch(task: Tuple[Any, ...]) -> List[Tuple[int, RunRecord]]:
-    """Worker entry point: run one seed-chunk (possibly of size 1).
-
-    The scenario is resolved once per chunk and each cell runs sequentially
-    in the worker, so a single process dispatch (pickle + queue round-trip +
-    registry resolution) is amortised over the chunk instead of paid per run.
-    Records are tagged with their run-list index, so the parent re-assembles
-    them in deterministic order no matter how chunks interleave.
-
-    ``task`` is ``(payload, cells, retry policy, trace config)``.  The trace
-    config — ``{"dir", "id", "parent"}``, ``None`` when the campaign is not
-    traced — makes the pool child configure its own tracer (each child
-    appends to its own ``trace-<pid>.jsonl``) and parent this chunk's spans
-    to the campaign span.
-    """
-    payload, cells, policy, trace_cfg = task
-    global _BATCH_BREAKER
-    if _BATCH_BREAKER is None:
-        _BATCH_BREAKER = CircuitBreaker()
-    if trace_cfg is not None and not TRACER.enabled:
-        TRACER.configure(trace_cfg["dir"], trace_id=trace_cfg.get("id"))
-    spec, resolve_error = _resolve_payload(payload)
-    results: List[Tuple[int, RunRecord]] = []
-    with TRACER.parent_scope(trace_cfg["parent"]) if trace_cfg else contextlib.nullcontext():
-        for params, seed, index in cells:
-            if spec is None:
-                record = unresolved_record(str(payload), params, seed, resolve_error)
-            else:
-                run_spec = RunSpec(scenario=spec.name, params=dict(params), seed=seed, index=index)
-                record = execute_run_with_retry(
-                    spec, run_spec, policy=policy, breaker=_BATCH_BREAKER
-                )
-            results.append((index, record))
-    return results
-
-
 # --------------------------------------------------------------------------
 # Execution backends
 # --------------------------------------------------------------------------
@@ -339,10 +284,7 @@ class ExecutionBackend:
 
     A backend fills ``records[run_spec.index]`` for every pending run spec;
     the runner owns everything around that seam (resume, caching, store
-    writes, aggregation).  ``payload`` is the runner's pickled-or-named form
-    of the spec for backends that ship work to other processes: the
-    registry name when workers can re-resolve it, the spec object itself
-    otherwise.  ``progress`` is an optional
+    writes, aggregation).  ``progress`` is an optional
     :class:`~repro.observability.progress.ProgressTracker` the backend
     feeds one :meth:`record_record` per settled cell — purely advisory, so
     a backend that ignores it is still correct.  ``events`` is an optional
@@ -360,7 +302,6 @@ class ExecutionBackend:
         spec: ScenarioSpec,
         pending: Sequence[RunSpec],
         records: List[Optional[RunRecord]],
-        payload: Optional[Any] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
     ) -> None:
@@ -398,7 +339,6 @@ class InProcessBackend(ExecutionBackend):
         spec: ScenarioSpec,
         pending: Sequence[RunSpec],
         records: List[Optional[RunRecord]],
-        payload: Optional[Any] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
     ) -> None:
@@ -415,91 +355,6 @@ class InProcessBackend(ExecutionBackend):
             records[run_spec.index] = record
             if progress is not None:
                 progress.record_record(ok=record.ok)
-
-
-class MultiprocessingBackend(ExecutionBackend):
-    """Seed-sharded ``multiprocessing`` pool on the local host.
-
-    With ``batch_size`` set, pending runs are dispatched in whole
-    seed-chunks of that size (one process dispatch executes ``batch_size``
-    runs).  Batching only changes how work is shipped: records are
-    re-assembled in run-list order either way.  With ``jobs=1``, or at
-    most one pending cell, no pool is started: the cells run in-process.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        jobs: int = 2,
-        batch_size: Optional[int] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-    ):
-        if batch_size is not None and int(batch_size) < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.jobs = max(1, int(jobs))
-        self.batch_size = int(batch_size) if batch_size is not None else None
-        self.retry_policy = retry_policy
-
-    def execute(
-        self,
-        spec: ScenarioSpec,
-        pending: Sequence[RunSpec],
-        records: List[Optional[RunRecord]],
-        payload: Optional[Any] = None,
-        progress: Optional[ProgressTracker] = None,
-        events: Optional[EventLog] = None,
-    ) -> None:
-        if self.jobs == 1 or len(pending) <= 1:
-            InProcessBackend(retry_policy=self.retry_policy).execute(
-                spec, pending, records, progress=progress
-            )
-            return
-        payload = spec if payload is None else payload
-        chunk = self.batch_size if self.batch_size is not None else 1
-        trace_cfg: Optional[Dict[str, Any]] = None
-        if TRACER.enabled:
-            trace_cfg = {
-                "dir": str(TRACER.directory),
-                "id": TRACER.trace_id,
-                "parent": TRACER.current_parent,
-            }
-        tasks = [
-            (
-                payload,
-                [
-                    (run_spec.params, run_spec.seed, run_spec.index)
-                    for run_spec in pending[start : start + chunk]
-                ],
-                self.retry_policy,
-                trace_cfg,
-            )
-            for start in range(0, len(pending), chunk)
-        ]
-        processes = min(self.jobs, len(tasks))
-        try:
-            with multiprocessing.Pool(processes=processes) as pool:
-                for batch in pool.imap_unordered(_execute_batch, tasks):
-                    for index, record in batch:
-                        records[index] = record
-                        if progress is not None:
-                            progress.record_record(ok=record.ok)
-        except (multiprocessing.ProcessError, pickle.PicklingError, OSError, AttributeError, TypeError) as exc:
-            # Pool creation or task pickling failed (e.g. an ad-hoc spec whose
-            # factory is a closure): fall back to in-process execution.
-            logger.warning(
-                "parallel execution of %r failed (%s: %s); "
-                "falling back to serial in-process runs",
-                spec.name,
-                type(exc).__name__,
-                exc,
-            )
-            InProcessBackend(retry_policy=self.retry_policy).execute(
-                spec,
-                [run_spec for run_spec in pending if records[run_spec.index] is None],
-                records,
-                progress=progress,
-            )
 
 
 # --------------------------------------------------------------------------
@@ -652,12 +507,11 @@ class ParallelCampaignRunner:
 
     The caller builds the ``backend``; without one, cells run serially
     in-process (:class:`InProcessBackend`).  A
-    :class:`MultiprocessingBackend` shards them over a local pool, a
-    :class:`~repro.distributed.coordinator.SpoolBackend` across worker
-    processes (possibly on other hosts) via a shared filesystem spool.
-    Whichever backend runs the cells, records are re-assembled in run-list
-    order, so results and stores are byte-identical across backends, job
-    counts and batch sizes.
+    :class:`~repro.distributed.coordinator.SpoolBackend` runs them on
+    worker processes (possibly on other hosts) via a shared filesystem
+    spool.  Whichever backend runs the cells, records are re-assembled in
+    run-list order, so results and stores are byte-identical across
+    backends, worker counts and task sizes.
 
     With a ``cache`` (:class:`~repro.distributed.cache.CacheIndex`)
     attached, cells whose content-addressed key — scenario *source* +
@@ -748,7 +602,6 @@ class ParallelCampaignRunner:
                 spec,
                 pending,
                 records,
-                payload=self._payload_for(spec),
                 progress=tracker,
                 events=events,
             )
@@ -803,16 +656,6 @@ class ParallelCampaignRunner:
         if self.registry is REGISTRY:
             load_builtin_scenarios()
         return self.registry.get(scenario)
-
-    def _payload_for(self, spec: ScenarioSpec) -> Any:
-        """Ship the scenario by name when workers can re-resolve it, else by value."""
-        if (
-            self.registry is REGISTRY
-            and spec.name in self.registry
-            and self.registry.get(spec.name) is spec
-        ):
-            return spec.name
-        return spec
 
     def _consult_cache(
         self,

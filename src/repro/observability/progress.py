@@ -251,8 +251,8 @@ def read_progress(path: Union[str, os.PathLike]) -> Optional[CampaignProgress]:
 class ProgressTracker:
     """Maintains one campaign's ``progress.json`` with throttled rewrites.
 
-    Thread-safe: the multiprocessing backend's collector thread and the
-    coordinator's ingest loop may record completions concurrently.  Calls
+    Thread-safe: any thread of the owning process may record completions
+    while the coordinator's ingest loop does.  Calls
     between :meth:`begin` and :meth:`finish` rewrite the file at most once
     per ``min_interval`` seconds (forced on begin/finish), so per-cell
     accounting costs a lock and an integer bump, not a file write.

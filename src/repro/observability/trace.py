@@ -1,8 +1,8 @@
 """Distributed span tracing: where a campaign's wall-clock time actually goes.
 
 A *trace* is the set of spans one campaign produced across every process
-that touched it — coordinator, spool workers, multiprocessing pool
-children, the vector backend — stitched together by explicit ids:
+that touched it — coordinator, spool workers, the vector backend —
+stitched together by explicit ids:
 
 * every span carries ``trace`` (the campaign's trace id), ``span`` (its
   own id, unique across processes: ``<pid-hex>-<seq-hex>``) and ``parent``
@@ -13,15 +13,15 @@ children, the vector backend — stitched together by explicit ids:
   to their cell, cache and shard-write spans to whatever ran them.
 
 Spans append to per-process ``trace-<pid>.jsonl`` files in the trace
-directory (the spool root for spool campaigns, ``<store>.trace/``
+directory (the spool root for ``--spool`` campaigns, ``<store>.trace/``
 otherwise) with the same whole-line append discipline as ``events.jsonl``:
 one small ``write()`` on an append-mode handle, so a crashing process
 loses at most its open spans, never tears a line another process wrote.
 
 **Off by default, free when off.**  The process-global :data:`TRACER` is
 disabled unless explicitly configured (``run --trace``).  A forked spool
-worker inherits it; a pool child or a hand-started spool worker configures
-it from the trace context its task carries.  While disabled,
+worker inherits it; a hand-started spool worker configures it from the
+trace context its task carries.  While disabled,
 :meth:`Tracer.span` returns a shared no-op span after one attribute check,
 so untraced campaigns run un-instrumented-equivalent code.  Tracing never
 draws seeded randomness and never contributes to result bytes: the

@@ -71,7 +71,6 @@ class VectorBatchBackend(ExecutionBackend):
         spec: Any,
         pending: Sequence[Any],
         records: List[Optional[RunRecord]],
-        payload: Optional[Any] = None,
         progress: Optional[ProgressTracker] = None,
         events: Optional[EventLog] = None,
     ) -> None:

@@ -715,12 +715,14 @@ class TestDistributedCli:
         rc = cli_main(["run", "demo/random_walk", "--seeds", "2", "--timeout", "60"])
         assert rc == 2
         assert "--timeout" in capsys.readouterr().err
-        rc = cli_main(["run", "demo/random_walk", "--seeds", "2", "--workers", "4"])
+        rc = cli_main(
+            ["run", "demo/random_walk", "--seeds", "2", "--backend", "inline", "--workers", "4"]
+        )
         assert rc == 2
         assert "--workers only applies to --backend spool (not inline)" in capsys.readouterr().err
         # An explicitly non-spool backend must not silently ignore --spool.
         rc = cli_main(
-            ["run", "demo/random_walk", "--seeds", "2", "--backend", "process",
+            ["run", "demo/random_walk", "--seeds", "2", "--backend", "inline",
              "--spool", "somewhere"]
         )
         assert rc == 2
@@ -748,15 +750,15 @@ class TestDistributedCli:
         with pytest.raises(ValueError, match=message):
             SpoolBackend(tmp_path / "spool", **options)
 
-    def test_jobs_rejected_with_spool_backend(self, tmp_path, capsys):
+    def test_jobs_is_the_spool_worker_count(self, tmp_path, capsys):
         rc = cli_main(
             [
-                "run", "demo/random_walk", "--seeds", "2", "--jobs", "4",
+                "run", "demo/random_walk", "--seeds", "2", "--jobs", "3",
                 "--backend", "spool", "--spool", str(tmp_path / "spool"),
             ]
         )
-        assert rc == 2
-        assert "--jobs only applies to --backend process (not spool)" in capsys.readouterr().err
+        assert rc == 0
+        assert "backend=spool jobs=3" in capsys.readouterr().out
 
     def test_merge_rejects_missing_source(self, tmp_path, capsys):
         rc = cli_main(["merge", str(tmp_path / "out.jsonl"), str(tmp_path / "nope")])

@@ -86,7 +86,7 @@ class TestReport:
         store = str(tmp_path / "walk.jsonl")
         assert main(
             ["run", "demo/random_walk", "--seeds", "3", "--sweep", "drift=0.0,0.2",
-             "--store", store, "--jobs", "2", "--batch-size", "2"]
+             "--store", store, "--jobs", "2", "--task-size", "2"]
         ) == 0
         capsys.readouterr()
         return store

@@ -1,10 +1,10 @@
 """Determinism guarantees of the optimised fast path.
 
 The perf overhaul (tuple-heap kernel, columnar tracing, batched medium delivery,
-batched noise draws, batched seed dispatch) must not change a single
+batched noise draws, chunked spool tasks) must not change a single
 observable: same-seed runs produce identical ``events_processed``, identical
 trace streams, and byte-identical stores whether a campaign runs serially,
-on N worker processes, or in batched seed-chunks.
+on N spool workers with the default chunk schedule, or in fixed-size tasks.
 """
 
 import json
@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.experiments import MultiprocessingBackend, ParallelCampaignRunner, ParameterGrid
+from repro.distributed import SpoolBackend
+from repro.experiments import ParallelCampaignRunner, ParameterGrid
 from repro.experiments.store import ResultStore
 
 SCENARIO = "sensor_validity"  # RNG-heavy: noise draws + fault injection
@@ -22,19 +23,21 @@ PARAMS = {"samples": 120}
 SEEDS = (1, 2, 3)
 
 
-def _campaign(tmp_path, label, **pool_kwargs):
+def _campaign(tmp_path, label, **spool_kwargs):
     store = ResultStore(tmp_path / f"{label}.jsonl")
-    backend = MultiprocessingBackend(**pool_kwargs) if pool_kwargs else None
+    backend = None
+    if spool_kwargs:
+        backend = SpoolBackend(tmp_path / f"{label}-spool", timeout=120.0, **spool_kwargs)
     runner = ParallelCampaignRunner(store=store, backend=backend)
     result = runner.run(SCENARIO, params=PARAMS, sweep=SWEEP, seeds=SEEDS)
     return result, (tmp_path / f"{label}.jsonl").read_bytes()
 
 
 class TestCampaignDeterminism:
-    def test_jobs_and_batching_are_byte_identical(self, tmp_path):
+    def test_schedule_and_task_size_are_byte_identical(self, tmp_path):
         serial, serial_bytes = _campaign(tmp_path, "serial")
-        parallel, parallel_bytes = _campaign(tmp_path, "parallel", jobs=3)
-        batched, batched_bytes = _campaign(tmp_path, "batched", jobs=3, batch_size=2)
+        parallel, parallel_bytes = _campaign(tmp_path, "parallel", workers=3)
+        batched, batched_bytes = _campaign(tmp_path, "batched", workers=3, task_size=2)
 
         def blob(result):
             return json.dumps(
@@ -45,14 +48,14 @@ class TestCampaignDeterminism:
         assert serial.aggregates == parallel.aggregates == batched.aggregates
         assert serial_bytes == parallel_bytes == batched_bytes
 
-    def test_batched_chunks_cover_every_cell(self, tmp_path):
-        result, _ = _campaign(tmp_path, "odd_chunks", jobs=2, batch_size=4)
+    def test_fixed_size_tasks_cover_every_cell(self, tmp_path):
+        result, _ = _campaign(tmp_path, "odd_chunks", workers=2, task_size=4)
         assert result.run_count == len(SEEDS) * 2
         assert result.failures == 0
 
-    def test_batch_size_validated(self):
+    def test_task_size_validated(self, tmp_path):
         with pytest.raises(ValueError):
-            MultiprocessingBackend(batch_size=0)
+            SpoolBackend(tmp_path / "spool", workers=2, task_size=0)
 
 
 class TestSimulationDeterminism:

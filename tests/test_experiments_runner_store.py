@@ -5,8 +5,9 @@ import warnings
 
 import pytest
 
+from repro.distributed import SpoolBackend
 from repro.experiments import (
-    MultiprocessingBackend,
+    REGISTRY,
     ParallelCampaignRunner,
     ParameterGrid,
     ResultStore,
@@ -39,11 +40,12 @@ class TestRunnerExecution:
         assert result.failures == 0
         assert result.aggregates["final_position"]["count"] == 6
 
-    def test_parallel_matches_serial_exactly(self):
+    def test_parallel_matches_serial_exactly(self, tmp_path):
         serial = ParallelCampaignRunner().run(
             "demo/random_walk", sweep=ParameterGrid(drift=(0.0, 0.1)), seeds=range(1, 7)
         )
-        parallel = ParallelCampaignRunner(backend=MultiprocessingBackend(jobs=3)).run(
+        backend = SpoolBackend(tmp_path / "spool", workers=3, timeout=120.0)
+        parallel = ParallelCampaignRunner(backend=backend).run(
             "demo/random_walk", sweep=ParameterGrid(drift=(0.0, 0.1)), seeds=range(1, 7)
         )
         assert [r.metrics for r in serial.records] == [r.metrics for r in parallel.records]
@@ -63,12 +65,15 @@ class TestRunnerExecution:
         assert result.aggregates["value"]["count"] == 2
         assert result.metric("value", "mean") == 2.0
 
-    def test_parallel_crash_capture(self):
-        result = ParallelCampaignRunner(backend=MultiprocessingBackend(jobs=2)).run(
-            _flaky_spec(), seeds=[1, 2, 3, 4]
-        )
+    def test_parallel_crash_capture(self, tmp_path, monkeypatch):
+        # Spool workers resolve the scenario by name, so it is registered.
+        spec = _flaky_spec("test/flaky")
+        monkeypatch.setitem(REGISTRY._specs, spec.name, spec)
+        backend = SpoolBackend(tmp_path / "spool", workers=2, timeout=120.0)
+        result = ParallelCampaignRunner(backend=backend).run(spec, seeds=[1, 2, 3, 4])
         assert result.failures == 1
         assert result.failed_records[0].seed == 2
+        assert "boom at seed 2" in result.failed_records[0].error
 
     def test_grouped_rows_average_over_seeds(self):
         result = ParallelCampaignRunner().run(
@@ -162,7 +167,7 @@ class TestResultStore:
             "demo/random_walk", sweep=ParameterGrid(drift=(0.0, 0.5)), seeds=[1, 2, 3]
         )
         ParallelCampaignRunner(
-            store=ResultStore(path_b), backend=MultiprocessingBackend(jobs=3)
+            store=ResultStore(path_b), backend=SpoolBackend(tmp_path / "spool", workers=3)
         ).run(
             "demo/random_walk", sweep=ParameterGrid(drift=(0.0, 0.5)), seeds=[1, 2, 3]
         )

@@ -735,7 +735,7 @@ class TestProfileCli:
     def test_profile_rejects_parallel_backends(self, tmp_path, capsys):
         rc = cli_main(["run", "demo/random_walk", "--seeds", "2", "--jobs", "2", "--profile"])
         assert rc == 2
-        assert "--profile only applies to --backend inline, vector (not process)" in (
+        assert "--profile only applies to --backend inline, vector (not spool)" in (
             capsys.readouterr().err
         )
 

@@ -31,7 +31,7 @@ from repro.distributed import (
 )
 from repro.distributed.spool import shard_cells
 from repro.experiments import (
-    MultiprocessingBackend,
+    REGISTRY,
     ParallelCampaignRunner,
     ResultStore,
     RunRecord,
@@ -288,24 +288,20 @@ class TestExecuteRunWithRetry:
         assert roundtripped.attempts == 3
         assert roundtripped.error_class == "TransientError"
 
-    def test_failed_records_identical_across_backends(self, tmp_path):
+    def test_failed_records_identical_across_backends(self, tmp_path, monkeypatch):
         """A failing cell produces the same stored bytes serial or parallel."""
 
         def factory(seed, scale=1.0):
             raise ValueError(f"broken for seed {seed}")
 
-        from repro.experiments import ScenarioRegistry
-
-        registry = ScenarioRegistry()
-        registry.register(_adhoc_spec(factory, name="probe/broken"))
+        # Registered by name, so the forked spool workers resolve it.
+        spec = _adhoc_spec(factory, name="probe/broken")
+        monkeypatch.setitem(REGISTRY._specs, spec.name, spec)
         serial = tmp_path / "serial.jsonl"
         parallel = tmp_path / "parallel.jsonl"
-        ParallelCampaignRunner(registry=registry, store=ResultStore(serial)).run(
-            "probe/broken", seeds=[1, 2]
-        )
-        ParallelCampaignRunner(
-            registry=registry, store=ResultStore(parallel), backend=MultiprocessingBackend(jobs=2)
-        ).run(
+        ParallelCampaignRunner(store=ResultStore(serial)).run("probe/broken", seeds=[1, 2])
+        backend = SpoolBackend(tmp_path / "spool", workers=2, timeout=120.0)
+        ParallelCampaignRunner(store=ResultStore(parallel), backend=backend).run(
             "probe/broken", seeds=[1, 2]
         )
         assert serial.read_bytes() == parallel.read_bytes()

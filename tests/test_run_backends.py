@@ -4,27 +4,27 @@ Every backend-specific flag of ``run`` is declared once, in
 :data:`repro.experiments.cli.BACKENDS`.  A flag the chosen backend does not
 accept, and a value the backend's constructor rejects, both exit 2 with an
 error naming the flag before any spool, store or trace directory exists.
+``--jobs`` and ``--workers`` are two spellings of one flag, the spool's
+worker count; errors name the spelling given.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.experiments import (
-    InProcessBackend,
-    MultiprocessingBackend,
-    ParallelCampaignRunner,
-    ResultStore,
-)
-from repro.experiments import runner as runner_module
 from repro.experiments.cli import BACKENDS, main as cli_main
-from repro.observability.trace import TRACER, disable_tracing
+from repro.observability.trace import TRACER, disable_tracing, merge_trace_files
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: A value that sets each backend flag away from its default.
 SET = {
     "--profile": None,
     "--jobs": "2",
-    "--batch-size": "2",
     "--spool": "spool",
-    "--workers": "1",
     "--task-size": "2",
     "--cell-timeout": "5",
     "--lease-timeout": "5",
@@ -34,8 +34,7 @@ SET = {
 
 #: An out-of-range value for each range-checked flag.
 OUT_OF_RANGE = {
-    "--batch-size": "0",
-    "--workers": "-1",
+    "--jobs": "-1",
     "--task-size": "0",
     "--cell-timeout": "0",
     "--lease-timeout": "0",
@@ -104,33 +103,105 @@ def test_an_out_of_range_value_exits_2_naming_the_flag(tmp_path, capsys, backend
 
 
 @pytest.mark.parametrize(
-    "flags, backend",
+    "flags, summary",
     [
-        ([], "inline"),
-        (["--profile"], "inline"),
-        (["--jobs", "2"], "process"),
-        (["--jobs", "2", "--batch-size", "2"], "process"),
-        (["--batch-size", "2"], "process"),
-        (["--spool", "spool", "--workers", "1"], "spool"),
+        ([], "backend=inline jobs=1"),
+        (["--profile"], "backend=inline jobs=1"),
+        (["--jobs", "1"], "backend=inline jobs=1"),
+        (["--jobs", "2"], "backend=spool jobs=2"),
+        (["--jobs", "2", "--task-size", "2"], "backend=spool jobs=2"),
+        (["--workers", "3"], "backend=spool jobs=3"),
+        (["--spool", "spool"], "backend=spool jobs=2"),
+        (["--spool", "spool", "--workers", "1"], "backend=spool jobs=1"),
+        (["--backend", "spool", "--jobs", "1"], "backend=spool jobs=1"),
     ],
 )
-def test_the_default_backend_follows_the_flags(capsys, flags, backend):
-    assert cli_main(["run", "demo/random_walk", "--seeds", "2", *flags]) == 0
-    assert f"backend={backend} " in capsys.readouterr().out
+def test_the_default_backend_follows_the_flags(tmp_path, capsys, flags, summary):
+    assert cli_main(["run", "demo/random_walk", "--seeds", "3", "--store", "s.jsonl", *flags]) == 0
+    assert summary in capsys.readouterr().out
+    assert cli_main(["run", "demo/random_walk", "--seeds", "3", "--store", "serial.jsonl"]) == 0
+    assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+    # Only a named spool outlives its campaign.
+    assert (tmp_path / "spool").exists() == ("--spool" in flags)
 
 
-def test_one_pending_cell_starts_no_pool(tmp_path, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-cell campaign must not start a pool")
+@pytest.mark.parametrize("spelling", ["--jobs", "--workers"])
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--spool", "spool"], ["--backend", "spool"], ["--backend", "inline"],
+     ["--backend", "vector"]],
+)
+def test_a_negative_worker_count_exits_2_naming_the_spelling(
+    tmp_path, capsys, spelling, flags
+):
+    assert cli_main(["run", "demo/random_walk", "--seeds", "3", *flags, spelling, "-3"]) == 2
+    assert f"error: {spelling} " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
-    inline = tmp_path / "inline.jsonl"
-    ParallelCampaignRunner(store=ResultStore(inline), backend=InProcessBackend()).run(
-        "demo/random_walk", seeds=[1]
+
+@pytest.mark.parametrize("spelling", ["--jobs", "--workers"])
+@pytest.mark.parametrize("flags", [[], ["--backend", "spool"]])
+def test_no_workers_without_a_spool_exits_2(tmp_path, capsys, spelling, flags):
+    """No worker could ever drain a temporary spool."""
+    argv = ["run", "demo/random_walk", "--seeds", "3", "--store", "s.jsonl", *flags]
+    assert cli_main(argv + [spelling, "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {spelling} must be >= 1 without a spool directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_spool_backend_needs_a_spool_or_a_worker_count(tmp_path, capsys):
+    assert cli_main(["run", "demo/random_walk", "--seeds", "3", "--backend", "spool"]) == 2
+    assert "--backend spool requires --spool DIR or --jobs N" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_temporary_spool_traces_beside_the_store(tmp_path, capsys):
+    argv = ["run", "demo/random_walk", "--seeds", "4", "--jobs", "2", "--task-size", "1",
+            "--store", "s.jsonl", "--trace"]
+    assert cli_main(argv) == 0
+    assert "recorded in s.jsonl.trace" in capsys.readouterr().out
+    disable_tracing()
+    spans = merge_trace_files(tmp_path / "s.jsonl.trace")
+    cells = [span for span in spans if span.get("cat") == "cell"]
+    assert len(cells) == 4
+    # Forked workers inherited the tracer: the cells ran outside the coordinator.
+    assert os.getpid() not in {span["pid"] for span in cells}
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "s.jsonl", "s.jsonl.progress.json", "s.jsonl.trace"
+    ]
+
+
+def _run_in_empty_tmpdir(tmp_path, *flags):
+    """``run`` in a fresh interpreter whose ``TMPDIR`` is an empty directory."""
+    scratch = tmp_path / "tmpdir"
+    scratch.mkdir()
+    env = {**os.environ, "TMPDIR": str(scratch), "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-m", "repro.experiments", "run", "demo/random_walk", *flags]
+    completed = subprocess.run(
+        argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
-    monkeypatch.setattr(runner_module.multiprocessing, "Pool", no_pool)
-    pooled = tmp_path / "pooled.jsonl"
-    result = ParallelCampaignRunner(
-        store=ResultStore(pooled), backend=MultiprocessingBackend(jobs=2)
-    ).run("demo/random_walk", seeds=[1])
-    assert result.backend == "process" and result.failures == 0
-    assert pooled.read_bytes() == inline.read_bytes()
+    return completed, scratch
+
+
+def test_a_temporary_spool_is_removed_after_a_campaign(tmp_path):
+    completed, scratch = _run_in_empty_tmpdir(
+        tmp_path, "--seeds", "4", "--jobs", "2", "--store", "s.jsonl"
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "backend=spool jobs=2" in completed.stdout
+    assert list(scratch.iterdir()) == []
+
+
+def test_a_temporary_spool_is_removed_after_a_failed_campaign(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(
+        '{"version": 1, "seed": 0, "rules": [{"point": "worker.cell", "kind": "sleep", '
+        '"args": {"seconds": 1.5}, "times": null}]}'
+    )
+    completed, scratch = _run_in_empty_tmpdir(
+        tmp_path, "--seeds", "4", "--jobs", "2", "--timeout", "0.3", "--faults", str(plan)
+    )
+    assert completed.returncode != 0
+    assert "timed out" in completed.stderr
+    assert list(scratch.iterdir()) == []

@@ -1,5 +1,6 @@
-"""Spool failure bounds under plain pull scheduling: cell deadlines, late
-shards after a lease reclaim, recovery tasks, idle jitter and spool fsck."""
+"""Spool scheduling and failure bounds: the default chunk schedule, cell
+deadlines, late shards after a lease reclaim, recovery tasks, idle jitter
+and spool fsck."""
 
 import json
 import os
@@ -24,7 +25,7 @@ from repro.distributed.coordinator import (
     _campaign_id,
     republish_missing,
 )
-from repro.distributed.spool import shard_cells
+from repro.distributed.spool import chunk_sizes, shard_cells
 from repro.experiments import ParallelCampaignRunner, ResultStore
 from repro.experiments.cli import main as cli_main
 from repro.experiments.registry import load_builtin_scenarios
@@ -167,12 +168,17 @@ class TestPlainPull:
             SpoolBackend(tmp_path / "spool", workers=2, task_size=value)
         assert not (tmp_path / "spool").exists()
 
-    def test_campaign_id_covers_the_task_size(self):
-        _, cells = _demo_cells([1, 2, 3, 4])
-        one = _campaign_id("demo/random_walk", cells, 1)
-        assert one == _campaign_id("demo/random_walk", cells, 1)
-        assert one != _campaign_id("demo/random_walk", cells, 2)
-        assert one != _campaign_id("demo/random_walk", cells[:3], 1)
+    def test_campaign_id_covers_the_task_list(self):
+        _, cells = _demo_cells(range(1, 9))
+
+        def campaign_id(cells, task_size=None, workers=0):
+            return _campaign_id(shard_cells(cells, "demo/random_walk", task_size, workers))
+
+        one = campaign_id(cells, 1)
+        assert one == campaign_id(cells, 1) == campaign_id(cells, workers=0)
+        assert one != campaign_id(cells, 2)
+        assert one != campaign_id(cells[:3], 1)
+        assert campaign_id(cells, workers=2) != campaign_id(cells, workers=3)
 
     def _spool_run(self, tmp_path, task_size, name):
         backend = SpoolBackend(
@@ -209,6 +215,89 @@ class TestPlainPull:
         (start,) = [event for event in events if event["kind"] == "campaign_start"]
         assert start["tasks"] == 4
         assert kinds.count("task_claimed") == 4
+
+
+# --------------------------------------------------------------------------
+# The default chunk schedule
+# --------------------------------------------------------------------------
+
+
+class TestChunkSchedule:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+    def test_sizes_never_grow_and_end_with_one_cell(self, workers):
+        for cells in range(1, 300):
+            sizes = chunk_sizes(cells, workers)
+            assert sizes == chunk_sizes(cells, workers)
+            assert sum(sizes) == cells
+            assert all(later <= earlier for earlier, later in zip(sizes, sizes[1:]))
+            assert sizes[-1] == 1
+
+    def test_factoring_deals_rounds_of_equal_chunks(self):
+        # Each round gives each worker ceil(remaining / (2 * workers)) cells.
+        assert chunk_sizes(16, 2) == [4, 4, 2, 2, 1, 1, 1, 1]
+        assert chunk_sizes(200, 2) == [50, 50, 25, 25, 13, 13, 6, 6, 3, 3, 2, 2, 1, 1]
+        assert chunk_sizes(3, 4) == [1, 1, 1]
+        assert chunk_sizes(0, 2) == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_every_cell_appears_once_in_run_list_order(self, workers):
+        _, cells = _demo_cells(range(1, 42))
+        tasks = shard_cells(cells, "demo/random_walk", workers=workers)
+        assert [task.task_id for task in tasks] == [f"task-{n:05d}" for n in range(len(tasks))]
+        assert [cell for task in tasks for cell in task.cells] == cells
+        assert [len(task.cells) for task in tasks] == chunk_sizes(len(cells), workers)
+
+    def test_without_forked_workers_each_task_holds_one_cell(self, tmp_path):
+        _, cells = _demo_cells(range(1, 6))
+        assert chunk_sizes(5, 0) == [1] * 5
+        tasks = shard_cells(cells, "demo/random_walk", workers=0)
+        assert [len(task.cells) for task in tasks] == [1] * 5
+
+    def test_a_fixed_task_size_overrides_the_schedule(self):
+        _, cells = _demo_cells(range(1, 8))
+        tasks = shard_cells(cells, "demo/random_walk", task_size=3, workers=2)
+        assert [len(task.cells) for task in tasks] == [3, 3, 1]
+
+    @pytest.mark.parametrize(
+        "flags", [["--jobs", "2"], ["--jobs", "2", "--task-size", "4"], ["--spool", "sp"],
+                  ["--spool", "sp", "--task-size", "1"], ["--spool", "sp", "--workers", "3"]]
+    )
+    def test_every_spool_store_is_byte_identical_to_jobs_1(
+        self, tmp_path, monkeypatch, capsys, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "demo/random_walk", "--seeds", "13", "--sweep", "drift=0.0,0.3"]
+        assert cli_main(argv + ["--jobs", "1", "--store", "serial.jsonl"]) == 0
+        assert cli_main(argv + flags + ["--store", "spool.jsonl"]) == 0
+        assert "backend=spool" in capsys.readouterr().out
+        assert (tmp_path / "spool.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+
+    def _cli_run(self, tmp_path, capsys, jobs, store):
+        argv = ["run", "demo/random_walk", "--seeds", "9", "--spool", str(tmp_path / "sp"),
+                "--jobs", jobs, "--store", str(tmp_path / store)]
+        assert cli_main(argv) == 0
+        assert f"backend=spool jobs={jobs}" in capsys.readouterr().out
+        return (tmp_path / store).read_bytes(), read_events(Spool(tmp_path / "sp").events_path)
+
+    def test_a_rerun_with_the_same_flags_resumes_and_claims_nothing(self, tmp_path, capsys):
+        first, _ = self._cli_run(tmp_path, capsys, "2", "first.jsonl")
+        again, events = self._cli_run(tmp_path, capsys, "2", "again.jsonl")
+        assert first == again == _serial_store(tmp_path, range(1, 10)).read_bytes()
+        kinds = [event["kind"] for event in events]
+        (resumed,) = [event for event in events if event["kind"] == "campaign_resumed"]
+        assert resumed["completed"] == len(chunk_sizes(9, 2))
+        assert resumed["republished"] == 0
+        assert "task_claimed" not in kinds[kinds.index("campaign_resumed") :]
+
+    def test_a_rerun_with_other_jobs_purges_and_republishes(self, tmp_path, capsys):
+        first, _ = self._cli_run(tmp_path, capsys, "2", "first.jsonl")
+        again, events = self._cli_run(tmp_path, capsys, "3", "again.jsonl")
+        assert first == again == _serial_store(tmp_path, range(1, 10)).read_bytes()
+        kinds = [event["kind"] for event in events]
+        assert "campaign_resumed" not in kinds
+        (start,) = [event for event in events if event["kind"] == "campaign_start"]
+        assert start["tasks"] == len(chunk_sizes(9, 3))
+        assert kinds.count("task_claimed") == len(chunk_sizes(9, 3))
 
 
 # --------------------------------------------------------------------------

@@ -249,12 +249,12 @@ class TestEngineUnits:
 
 
 class TestCliAndProvenance:
-    def test_vector_rejects_parallel_and_batch_flags(self, capsys):
+    def test_vector_rejects_parallel_and_task_size_flags(self, capsys):
         args = ["run", "tdma_convergence", "--seeds", "4", "--backend", "vector"]
         assert cli_main(args + ["--jobs", "2"]) == 2
-        assert "--jobs only applies to --backend process (not vector)" in capsys.readouterr().err
-        assert cli_main(args + ["--batch-size", "2"]) == 2
-        assert "--batch-size only applies to --backend process (not vector)" in (
+        assert "--jobs only applies to --backend spool (not vector)" in capsys.readouterr().err
+        assert cli_main(args + ["--task-size", "2"]) == 2
+        assert "--task-size only applies to --backend spool (not vector)" in (
             capsys.readouterr().err
         )
 
