@@ -17,9 +17,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set
 
-import networkx as nx
+# Only the two functions that call networkx import it, so campaigns that
+# import ``repro.cooperation`` never load it.
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -65,6 +68,8 @@ class TopologyDiscovery:
 
     def graph(self, now: Optional[float] = None) -> nx.Graph:
         """Current topology view as an undirected graph (fresh reports only)."""
+        import networkx as nx
+
         if now is not None:
             self.purge(now)
         graph = nx.Graph()
@@ -86,6 +91,8 @@ class TopologyDiscovery:
 
 def vertex_disjoint_paths(graph: nx.Graph, source: str, target: str) -> List[List[str]]:
     """Maximal set of internally vertex-disjoint simple paths between two nodes."""
+    import networkx as nx
+
     if source not in graph or target not in graph:
         return []
     if source == target:

@@ -237,6 +237,8 @@ class SpoolBackend(ExecutionBackend):
         self.retry_policy = retry_policy
         #: Open only while :meth:`execute` runs with forked workers.
         self._pipes: Optional[CampaignPipes] = None
+        #: Whether :meth:`execute` already wrote this campaign's marker.
+        self._marked = False
 
     # ----------------------------------------------------------------- backend
     def execute(
@@ -345,6 +347,7 @@ class SpoolBackend(ExecutionBackend):
         finally:
             # Let workers observe completion (or failure) and exit cleanly.
             self.spool.mark_complete()
+            self._marked = True
             if self._pipes is not None:
                 self._pipes.close_campaign()
             events.emit("campaign_complete", ok=ok)
@@ -389,14 +392,16 @@ class SpoolBackend(ExecutionBackend):
         tracker.finish(records=records)
 
     def finalize(self, spec: ScenarioSpec) -> None:
-        """Publish the completion marker even when nothing was dispatched.
+        """Publish the completion marker when nothing was dispatched.
 
         A fully resumed/cached campaign never calls :meth:`execute`, but
         externally-started workers (``--workers 0`` deployments) still wait
-        on the marker and would otherwise poll forever.  A temporary spool
-        is gone by now and has no such workers.
+        on the marker and would otherwise poll forever.  A campaign that
+        did dispatch has its marker already, and a temporary spool is gone
+        by now and has no such workers.
         """
-        if self.spool_root is None:
+        marked, self._marked = self._marked, False
+        if marked or self.spool_root is None:
             return
         self.spool.root.mkdir(parents=True, exist_ok=True)
         self.spool.mark_complete()

@@ -18,12 +18,13 @@ Examples::
     python -m repro.experiments run platoon/karyon --seeds 50 --cache ~/.repro-cache
     python -m repro.experiments cache stats ~/.repro-cache
 
-    # Observability: watch a campaign, tail its event log, profile cells
+    # Observability: watch a campaign, tail its event log
     python -m repro.experiments status /spool/platoon --watch
     python -m repro.experiments tail /spool/platoon --follow
-    python -m repro.experiments run platoon/karyon --seeds 5 --profile
 
-    # Tracing: where did the campaign's wall-clock actually go?
+    # Tracing: where did the campaign's wall-clock actually go?  `run`
+    # prints each cell's build/sim/collect phases; `report` shows them again
+    python -m repro.experiments run platoon/karyon --seeds 5 --trace --store s.jsonl
     python -m repro.experiments run platoon/karyon --seeds 50 \\
         --backend spool --spool /spool/platoon --trace
     python -m repro.experiments trace summary /spool/platoon
@@ -53,12 +54,11 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.evaluation.reporting import format_table
 from repro.experiments.registry import REGISTRY, UnknownScenarioError, load_builtin_scenarios
 from repro.experiments.runner import (
-    PROFILE_PHASES,
     ParallelCampaignRunner,
     aggregate_records,
     grouped_rows,
@@ -68,7 +68,6 @@ from repro.experiments.store import ResultStore
 from repro.observability.events import EVENT_KINDS, follow_events, read_events
 from repro.observability.progress import (
     CampaignProgress,
-    atomic_write_text,
     campaign_paths,
     read_progress,
 )
@@ -107,7 +106,7 @@ class _Backend(NamedTuple):
 #: ``run``'s backends: which flags each accepts, which one runs by default
 #: and how it is built are all read from here.
 BACKENDS: Dict[str, _Backend] = {
-    "inline": _Backend("repro.experiments.runner:InProcessBackend", {"--profile": "profile"}),
+    "inline": _Backend("repro.experiments.runner:InProcessBackend", {}),
     "spool": _Backend(
         "repro.distributed:SpoolBackend",
         {"--spool": "spool_root", "--jobs": "workers", "--task-size": "task_size",
@@ -115,7 +114,7 @@ BACKENDS: Dict[str, _Backend] = {
          "--timeout": "timeout", "--max-respawns": "max_respawns"},
         {"spool_root": None, "workers": 2},
     ),
-    "vector": _Backend("repro.vectorized:VectorBatchBackend", {"--profile": "profile"}),
+    "vector": _Backend("repro.vectorized:VectorBatchBackend", {}),
 }
 _BACKEND_FLAGS = list(dict.fromkeys(flag for row in BACKENDS.values() for flag in row.flags))
 
@@ -235,15 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
         "die mid-campaign (default 0)",
     )
     run_parser.add_argument(
-        "--profile", action="store_true", default=None,
-        help="inline and vector only: time each executed cell's "
-        "build/sim/collect phases",
-    )
-    run_parser.add_argument(
         "--trace", action="store_true",
         help="record a distributed span trace (--spool campaigns trace into "
-        "the spool directory, others into --trace-dir or <store>.trace/); "
-        "explore with the `trace` subcommand",
+        "the spool directory, others into --trace-dir or <store>.trace/) and "
+        "print each executed cell's build/sim/collect phases; explore with "
+        "the `trace` subcommand",
     )
     run_parser.add_argument(
         "--trace-dir", default=None, metavar="DIR",
@@ -564,7 +559,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     runner = ParallelCampaignRunner(
         store=store, resume=not args.no_resume, backend=backend, cache=cache
     )
-    result = runner.run(spec, params=params, sweep=sweep, seeds=seeds)
+    # Only a spool campaign fails as a whole (a timeout, a lost shard).
+    campaign_errors: Tuple[type, ...] = ()
+    if name == "spool":
+        from repro.distributed import SpoolDispatchError
+
+        campaign_errors = (SpoolDispatchError,)
+    try:
+        result = runner.run(spec, params=params, sweep=sweep, seeds=seeds)
+    except campaign_errors as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     cached_part = f", {result.cached} cached" if cache is not None else ""
     print(
@@ -605,38 +610,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.failures:
         print()
         print(format_table(result.failure_rows(), title="failed runs"))
-    if args.profile:
-        profile = _profile_document(result)
-        if name == "vector":
-            # Fast-path cells have no per-phase timers (they never ran the
-            # scalar kernel); the batch occupancy stats are the vector
-            # backend's profile contribution.
-            profile["vector"] = backend.stats.to_json_dict()
-        if profile["cells"]:
-            print()
-            print(
-                format_table(
-                    profile["summary"],
-                    title=f"{spec.name}: phase profile over "
-                    f"{len(profile['cells'])} executed cell(s)",
-                )
-            )
-        else:
-            print()
-            print("profile: no cells executed (all reused or cached)")
-        if profile.get("timers"):
-            print()
-            print(
-                format_table(
-                    profile["timers"],
-                    title=f"{spec.name}: per-cell phase percentiles",
-                )
-            )
-        if args.store:
-            sidecar = campaign_paths(args.store).profile
-            atomic_write_text(sidecar, json.dumps(profile, indent=2, sort_keys=True) + "\n")
-            print(f"phase profile stored in {sidecar}")
     if trace_dir is not None:
+        spans = [span for span in merge_trace_files(trace_dir) if span.get("trace") == trace_id]
+        print()
+        _print_cell_phases(spans, f"{spec.name}: cell phases of trace {trace_id}")
         print()
         print(
             f"trace {trace_id} recorded in {trace_dir} "
@@ -691,58 +668,6 @@ def _arm_fault_plan(path: str, export: bool) -> int:
         "fault plan armed from %s (%d rule(s))", path, len(plan.rules)
     )
     return 0
-
-
-def _profile_document(result: Any) -> Dict[str, Any]:
-    """Per-cell phase timings, a per-phase summary, and per-phase
-    percentiles over this campaign's profiled cells, JSON-ready."""
-    import numpy as np
-
-    cells: List[Dict[str, Any]] = []
-    for record in result.records:
-        if record.phases is None:
-            continue
-        cells.append(
-            {
-                "params": record.params,
-                "seed": record.seed,
-                "status": record.status,
-                "duration_s": round(record.duration, 6),
-                "phases": {name: round(value, 6) for name, value in record.phases.items()},
-            }
-        )
-    summary: List[Dict[str, Any]] = []
-    timers: List[Dict[str, Any]] = []
-    for phase in PROFILE_PHASES:
-        values = [cell["phases"].get(phase, 0.0) for cell in cells]
-        if not values:
-            continue
-        mean = sum(values) / len(values)
-        summary.append(
-            {
-                "phase": phase,
-                "total_s": round(sum(values), 4),
-                "mean_s": round(mean, 4),
-                "max_s": round(max(values), 4),
-            }
-        )
-        p50, p95 = np.percentile(values, [50, 95])
-        timers.append(
-            {
-                "timer": phase,
-                "count": len(values),
-                "mean_s": round(mean, 6),
-                "p50_s": round(float(p50), 6),
-                "p95_s": round(float(p95), 6),
-                "max_s": round(max(values), 6),
-            }
-        )
-    return {
-        "scenario": result.scenario,
-        "cells": cells,
-        "summary": summary,
-        "timers": timers,
-    }
 
 
 def _report_rows(
@@ -857,7 +782,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(format_table(failure_rows, title=f"{name}: failed runs"))
         print()
     _print_campaign_sidecar(args.store)
-    _print_profile_sidecar(args.store)
+    _print_trace_phases(args.store)
     return 0
 
 
@@ -880,25 +805,34 @@ def _print_campaign_sidecar(store_path: str) -> None:
     print()
 
 
-def _print_profile_sidecar(store_path: str) -> None:
-    """Surface a `run --profile` sidecar's phase summary, when one exists."""
-    sidecar = campaign_paths(store_path).profile
-    try:
-        with sidecar.open("r", encoding="utf-8") as handle:
-            profile = json.load(handle)
-    except (OSError, ValueError):
+def _print_trace_phases(store_path: str) -> None:
+    """Surface the cell phases of the newest trace in ``<store>.trace/``."""
+    trace_dir = campaign_paths(store_path).trace
+    spans = merge_trace_files(trace_dir)
+    if not spans:
         return
-    summary = profile.get("summary") if isinstance(profile, dict) else None
-    if not isinstance(summary, list) or not summary:
-        return
-    print(
-        format_table(
-            summary,
-            title=f"{profile.get('scenario', '?')}: phase profile over "
-            f"{len(profile.get('cells', []))} cell(s) ({sidecar.name})",
-        )
+    newest = max(spans, key=lambda span: float(span["ts"])).get("trace")
+    _print_cell_phases(
+        [span for span in spans if span.get("trace") == newest],
+        f"cell phases of trace {newest} ({trace_dir.name})",
     )
     print()
+
+
+def _print_cell_phases(spans: Sequence[Dict[str, Any]], title: str) -> None:
+    """Print the cell-phase table of ``spans`` (see :func:`summarize_trace`)
+    in milliseconds."""
+    rows = summarize_trace(spans)["cell_phases"]
+    if not rows:
+        print(f"{title}: no phase spans (no cell executed)")
+        return
+    stats = ("total", "mean", "p50", "p95", "max")
+    shown = [
+        {"phase": row["phase"], "count": row["count"],
+         **{f"{stat}_ms": row[f"{stat}_s"] * 1e3 for stat in stats}}
+        for row in rows
+    ]
+    print(format_table(shown, title=title))
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -1250,6 +1184,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         ]
         print()
         print(format_table(phase_rows, title="per-phase wall seconds"))
+        if summary["cell_phases"]:
+            print()
+            _print_cell_phases(spans, "cell phases")
         if summary["slowest_cells"]:
             print()
             print(

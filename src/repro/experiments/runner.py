@@ -35,7 +35,6 @@ from repro.observability.progress import CampaignPaths, ProgressTracker
 from repro.observability.trace import TRACER
 from repro.resilience.faults import inject
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, CircuitBreaker, RetryPolicy
-from repro.sim import kernel as sim_kernel
 from repro.experiments.registry import REGISTRY, ScenarioRegistry, load_builtin_scenarios
 from repro.experiments.spec import (
     RunSpec,
@@ -46,10 +45,6 @@ from repro.experiments.spec import (
 )
 
 logger = logging.getLogger(__name__)
-
-#: Phase names that make up a run's breakdown under ``run --profile``.
-PROFILE_PHASES = ("scenario.build", "scenario.sim", "run.collect")
-
 
 @dataclass
 class RunRecord:
@@ -67,10 +62,6 @@ class RunRecord:
     #: The raw factory result; only populated for in-process (serial)
     #: execution, never pickled back from workers nor serialised.
     raw_result: Any = field(default=None, compare=False, repr=False)
-    #: Per-phase wall seconds (``scenario.build``/``scenario.sim``/
-    #: ``run.collect``); populated only under ``run --profile`` and — like
-    #: ``duration`` — transient, never serialised.
-    phases: Optional[Dict[str, float]] = field(default=None, compare=False, repr=False)
     #: How many execution attempts this record consumed (retry policy).
     #: Serialised only for failed records: a successful record is the same
     #: bytes whether it needed one attempt or three, which is what keeps
@@ -165,26 +156,19 @@ def execute_run(
     spec: ScenarioSpec,
     run_spec: RunSpec,
     keep_result: bool = False,
-    profile: bool = False,
 ) -> RunRecord:
     """Execute one run, capturing any exception into a failed record.
 
-    With ``profile`` set, the record's transient ``phases`` dict carries
-    this cell's build/sim/collect wall seconds: ``run.collect`` is timed
-    here, build and sim by the simulator kernel into the per-cell
-    accumulator (:data:`repro.sim.kernel.PHASES`) installed for this run.
+    While tracing is on, metric extraction is a ``run.collect`` span of
+    category ``phase``, beside the simulator kernel's ``scenario.build``
+    and ``scenario.sim`` spans.
     """
     start = time.perf_counter()
-    phases: Optional[Dict[str, float]] = None
-    if profile:
-        phases = sim_kernel.PHASES = {}
     try:
         inject("run.cell", scenario=spec.name, seed=run_spec.seed)
         result = spec.build(run_spec.seed, run_spec.params)
-        collect_start = time.perf_counter()
-        metrics = spec.extract_metrics(result)
-        if phases is not None:
-            phases["run.collect"] = time.perf_counter() - collect_start
+        with TRACER.span("run.collect", cat="phase"):
+            metrics = spec.extract_metrics(result)
         record = RunRecord(
             scenario=spec.name,
             params=dict(run_spec.params),
@@ -203,12 +187,7 @@ def execute_run(
             error_class=type(exc).__name__,
             exception=exc,
         )
-    finally:
-        if phases is not None:
-            sim_kernel.PHASES = None
     record.duration = time.perf_counter() - start
-    if phases is not None:
-        record.phases = {name: phases.get(name, 0.0) for name in PROFILE_PHASES}
     return record
 
 
@@ -219,7 +198,6 @@ def execute_run_with_retry(
     policy: Optional[RetryPolicy] = None,
     breaker: Optional[CircuitBreaker] = None,
     keep_result: bool = False,
-    profile: bool = False,
     sleep: Any = time.sleep,
 ) -> RunRecord:
     """Execute one run under a retry policy; always returns a record.
@@ -246,7 +224,7 @@ def execute_run_with_retry(
     ) as cell_span:
         while True:
             with TRACER.span("attempt", cat="attempt", n=attempt) as attempt_span:
-                record = execute_run(spec, run_spec, keep_result=keep_result, profile=profile)
+                record = execute_run(spec, run_spec, keep_result=keep_result)
                 if not record.ok:
                     attempt_span.set(failed=record.error_class)
             record.attempts = attempt
@@ -317,21 +295,11 @@ class ExecutionBackend:
 
 
 class InProcessBackend(ExecutionBackend):
-    """Serial in-process execution; keeps raw factory results available.
-
-    The only backend that can profile: the phase accumulator is a
-    process-global slot, so a per-cell breakdown requires the cells to run
-    here, one at a time.
-    """
+    """Serial in-process execution; keeps raw factory results available."""
 
     name = "inline"
 
-    def __init__(
-        self,
-        profile: bool = False,
-        retry_policy: Optional[RetryPolicy] = None,
-    ):
-        self.profile = profile
+    def __init__(self, retry_policy: Optional[RetryPolicy] = None):
         self.retry_policy = retry_policy
 
     def execute(
@@ -350,7 +318,6 @@ class InProcessBackend(ExecutionBackend):
                 policy=self.retry_policy,
                 breaker=breaker,
                 keep_result=True,
-                profile=self.profile,
             )
             records[run_spec.index] = record
             if progress is not None:

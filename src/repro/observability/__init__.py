@@ -3,8 +3,8 @@
 The observability subsystem makes running campaigns inspectable without
 ever touching the physics.  It records through three paths, each with its
 own job; counters live in the subsystems themselves (``CacheIndex``
-session stats, ``VectorStats``) and per-cell ``run --profile`` phases in
-the simulator kernel's accumulator:
+session stats, ``VectorStats``), and a cell's build/sim/collect phases
+are spans of the trace:
 
 * :mod:`repro.observability.events` — an append-only JSONL event log with
   a fixed taxonomy (task claimed/completed/reclaimed, cache hit/miss,
@@ -17,9 +17,10 @@ the simulator kernel's accumulator:
   every other sidecar of a spool or a store.
 * :mod:`repro.observability.trace` — distributed span tracing: per-process
   ``trace-<pid>.jsonl`` span files with explicit trace/span/parent ids
-  propagated coordinator → task file → worker → cell → cache/shard, merged
-  and exported as Chrome trace-event JSON (Perfetto) by the ``trace`` CLI.
-  Off by default and free when off.  **Hard rule**: tracing never draws
+  propagated coordinator → task file → worker → cell → attempt → phase
+  (and cache/shard spans), merged, summarised (the cell-phase table among
+  its tables) and exported as Chrome trace-event JSON (Perfetto) by the
+  ``trace`` CLI.  Off by default and free when off.  **Hard rule**: tracing never draws
   seeded randomness, never reorders events and never changes result bytes
   — the fingerprint suite re-runs with it enabled to enforce it.
 

@@ -8,14 +8,14 @@ The runner maintains ``<store>.progress.json`` next to its result store;
 the spool coordinator maintains ``progress.json`` inside the spool root.
 Either is what ``python -m repro.experiments status`` (and ROADMAP item
 1's control plane) polls.  :func:`campaign_paths` names both, and the
-campaign's other sidecars: its event log, trace and ``--profile`` document.
+campaign's other sidecars: its event log and its trace directory.
 
 This module is also the canonical home of the atomic publication helper
-(:func:`atomic_write_text`) that the spool layer, the result cache and the
-CLI use.  Every publication writes a temp file and renames it into place,
-so a reader never sees a torn file.  *Durable* files are also fsynced
-before their rename: cache segments, spool task files, result shards,
-``campaign.json``, the completion marker and the ``--profile`` sidecar.
+(:func:`atomic_write_text`) that the spool layer, the result cache and
+the progress tracker use.  Every publication writes a temp file and
+renames it into place, so a reader never sees a torn file.  *Durable*
+files are also fsynced before their rename: cache segments, spool task
+files, result shards, ``campaign.json`` and the completion marker.
 *Advisory* files are renamed without an fsync: ``progress.json`` and the
 spool's worker heartbeats.  They never feed back into scheduling or
 results, a crash that loses one only loses a view the next snapshot (or
@@ -70,11 +70,6 @@ class CampaignPaths:
     def trace(self) -> Path:
         """The directory of ``trace-<pid>.jsonl`` span files."""
         return self.root if self.spool else self._sidecar("trace")
-
-    @property
-    def profile(self) -> Path:
-        """The ``run --profile`` document ``report`` reads."""
-        return self._sidecar("profile.json")
 
 
 def campaign_paths(target: Union[str, os.PathLike]) -> CampaignPaths:

@@ -10,7 +10,9 @@ stitched together by explicit ids:
 * ids are *propagated*, never inferred: the coordinator embeds its publish
   span's id in the spool task file, the worker parents its claim/task
   spans to it, cell spans parent to the task span, retry attempts parent
-  to their cell, cache and shard-write spans to whatever ran them.
+  to their cell, an attempt's ``phase`` spans (``scenario.build``,
+  ``scenario.sim``, ``run.collect``) to it, cache and shard-write spans to
+  whatever ran them.
 
 Spans append to per-process ``trace-<pid>.jsonl`` files in the trace
 directory (the spool root for ``--spool`` campaigns, ``<store>.trace/``
@@ -107,6 +109,10 @@ class _Span:
     def __exit__(self, *exc_info: Any) -> bool:
         end = time.perf_counter()
         self._tracer._restore_current(self._prev)
+        self._write(end)
+        return False
+
+    def _write(self, end: float) -> None:
         self._tracer._append(
             {
                 "ph": "X",
@@ -120,7 +126,6 @@ class _Span:
                 **({"args": self.args} if self.args else {}),
             }
         )
-        return False
 
 
 class Tracer:
@@ -203,6 +208,14 @@ class Tracer:
             span_id = f"{self._pid:x}-{self._seq:x}"
         resolved = self.current_parent if parent is ... else parent
         return _Span(self, name, cat, span_id, resolved, dict(args))
+
+    def record(self, name: str, cat: str, start: float, end: float) -> None:
+        """Record a span over an interval that has already ended, from two
+        of this process's ``time.perf_counter()`` stamps."""
+        span = self.span(name, cat)
+        if span is not _NULL_SPAN:
+            span._start = start
+            span._write(end)
 
     def instant(
         self,
@@ -452,14 +465,20 @@ def summarize_trace(
     top: int = 5,
     straggler_k: float = 3.0,
 ) -> Dict[str, Any]:
-    """Per-phase totals, slowest cells and a straggler report.
+    """Per-phase totals, cell phases, slowest cells and a straggler report.
 
     ``phases`` aggregates wall seconds by span name+category over the
-    complete spans; ``slowest_cells`` ranks the ``cell``-category spans;
-    ``stragglers`` lists cells slower than ``straggler_k`` times the
-    median cell.
+    complete spans.  ``cell_phases`` sums each ``phase``-category span
+    (``scenario.build``, ``scenario.sim``, ``run.collect``) into its parent
+    attempt and gives, per phase, the count of attempts and the total,
+    mean, p50, p95 and max of their seconds.  ``slowest_cells`` ranks the
+    ``cell``-category spans; ``stragglers`` lists cells slower than
+    ``straggler_k`` times the median cell.
     """
     phases: Dict[Tuple[str, str], Dict[str, Any]] = {}
+    # Phase name -> parent attempt -> seconds: the kernel writes one
+    # ``scenario.sim`` span per ``run_until`` call.
+    by_attempt: Dict[str, Dict[Any, float]] = {}
     cells: List[Dict[str, Any]] = []
     for span in spans:
         if span.get("ph") == "i":
@@ -473,6 +492,9 @@ def summarize_trace(
             stats["count"] += 1
             stats["total_s"] += dur
             stats["max_s"] = max(stats["max_s"], dur)
+        if span.get("cat") == "phase":
+            attempts = by_attempt.setdefault(key[1], {})
+            attempts[span.get("parent")] = attempts.get(span.get("parent"), 0.0) + dur
         if span.get("cat") == "cell":
             cells.append(span)
     cells.sort(key=lambda span: float(span.get("dur", 0.0)), reverse=True)
@@ -497,11 +519,36 @@ def summarize_trace(
         "spans": sum(1 for span in spans if span.get("ph") != "i"),
         "processes": len({span.get("pid") for span in spans}),
         "phases": sorted(phases.values(), key=lambda row: -row["total_s"]),
+        "cell_phases": [
+            _phase_row(name, sorted(attempts.values())) for name, attempts in by_attempt.items()
+        ],
         "cells": len(cells),
         "median_cell_s": round(median, 6),
         "slowest_cells": [cell_row(span) for span in cells[: max(0, top)]],
         "straggler_threshold_s": round(threshold, 6),
         "stragglers": [cell_row(span) for span in stragglers],
+    }
+
+
+def _phase_row(name: str, values: Sequence[float]) -> Dict[str, Any]:
+    """One phase's row over the ascending per-attempt ``values``; the
+    percentiles interpolate linearly between the two nearest ranks."""
+
+    def percentile(q: float) -> float:
+        position = (len(values) - 1) * q / 100.0
+        low = int(position)
+        high = min(low + 1, len(values) - 1)
+        return values[low] + (values[high] - values[low]) * (position - low)
+
+    total = sum(values)
+    return {
+        "phase": name,
+        "count": len(values),
+        "total_s": round(total, 6),
+        "mean_s": round(total / len(values), 6),
+        "p50_s": round(percentile(50), 6),
+        "p95_s": round(percentile(95), 6),
+        "max_s": round(values[-1], 6),
     }
 
 

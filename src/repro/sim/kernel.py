@@ -20,19 +20,14 @@ from __future__ import annotations
 import heapq
 import math
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
+
+from repro.observability.trace import TRACER
 
 #: Compact the queue once at least this many cancelled events are buried in it
 #: (and they outnumber the live ones) — small enough to bound waste, large
 #: enough that compaction cost is amortised over many cancellations.
 _COMPACT_MIN_CANCELLED = 64
-
-#: Per-cell phase accumulator behind ``run --profile``: phase name ->
-#: wall seconds (``scenario.build``, ``scenario.sim``).  ``None`` unless
-#: :func:`repro.experiments.runner.execute_run` installs a fresh dict for
-#: the one cell it is profiling; ``--profile`` runs cells in-process and
-#: one at a time, so no lock is needed.
-PHASES: Optional[Dict[str, float]] = None
 
 
 class SimulationError(RuntimeError):
@@ -190,8 +185,8 @@ class Simulator:
         self._pending = 0  # live (non-cancelled, non-executed) events in the queue
         self._cancelled = 0  # cancelled events still buried in the queue
         self.events_processed = 0
-        # Profiling anchors (wall-clock-free): the gap between construction
-        # and the first run_until is the scenario's build phase.
+        # The gap between construction and the first traced run_until is
+        # the scenario's build phase (a ``scenario.build`` span).
         self._created_at = perf_counter()
         self._build_span_recorded = False
 
@@ -314,22 +309,16 @@ class Simulator:
         pending there, so back-to-back ``run_until`` calls behave like a
         continuous timeline.
         """
-        # Profiling wraps the *outer* call only — the per-event hot loop is
-        # untouched, and without an accumulator this costs one global read.
-        phases = PHASES
-        if phases is None:
+        # Tracing wraps the *outer* call only — the per-event hot loop is
+        # untouched, and while tracing is off this costs one attribute read.
+        if not TRACER.enabled:
             self._run_until(end_time)
             return
-        started = perf_counter()
         if not self._build_span_recorded:
             self._build_span_recorded = True
-            phases["scenario.build"] = (
-                phases.get("scenario.build", 0.0) + started - self._created_at
-            )
-        try:
+            TRACER.record("scenario.build", "phase", self._created_at, perf_counter())
+        with TRACER.span("scenario.sim", cat="phase"):
             self._run_until(end_time)
-        finally:
-            phases["scenario.sim"] = phases.get("scenario.sim", 0.0) + perf_counter() - started
 
     def _run_until(self, end_time: float) -> None:
         if end_time < self._now:

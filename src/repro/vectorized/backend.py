@@ -55,12 +55,7 @@ class VectorBatchBackend(ExecutionBackend):
 
     name = "vector"
 
-    def __init__(
-        self,
-        profile: bool = False,
-        retry_policy: Optional[RetryPolicy] = None,
-    ):
-        self.profile = profile
+    def __init__(self, retry_policy: Optional[RetryPolicy] = None):
         self.retry_policy = retry_policy
         #: Per-campaign occupancy accounting; reset on every execute().
         self.stats = VectorStats()
@@ -91,7 +86,7 @@ class VectorBatchBackend(ExecutionBackend):
         # Scalar queue: original pending order, so retry/fault-plan counters
         # fire in a deterministic sequence.
         scalar = [run_spec for run_spec in pending if run_spec.index in scalar_indices]
-        InProcessBackend(profile=self.profile, retry_policy=self.retry_policy).execute(
+        InProcessBackend(retry_policy=self.retry_policy).execute(
             spec, scalar, records, progress=progress
         )
         for run_spec in scalar:
@@ -211,7 +206,6 @@ class VectorBatchBackend(ExecutionBackend):
                 policy=self.retry_policy,
                 breaker=breaker,
                 keep_result=True,
-                profile=self.profile,
             )
             vector_probe = self._vector_record(
                 spec, probe_spec, outputs.get(probe_spec.seed)

@@ -9,8 +9,7 @@ and simply omit that seed from their output — the backend finishes evicted
 seeds on the scalar kernel, so correctness never depends on the fast path.
 
 :class:`VectorStats` aggregates per-campaign occupancy accounting; it is the
-data behind the ``run`` summary line, the ``--profile`` document's ``vector``
-section, and the ``vector-smoke`` CI grep.
+data behind the ``run`` summary line and the ``vector-smoke`` CI grep.
 """
 
 from __future__ import annotations
@@ -92,21 +91,6 @@ class VectorStats:
         self.evicted_cells += 1
         label = reason or "unspecified"
         self.eviction_reasons[label] = self.eviction_reasons.get(label, 0) + 1
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "batches": self.batches,
-            "groups": self.groups,
-            "ineligible_groups": self.ineligible_groups,
-            "fast_cells": self.fast_cells,
-            "probe_cells": self.probe_cells,
-            "evicted_cells": self.evicted_cells,
-            "fallback_cells": self.fallback_cells,
-            "probe_mismatches": self.probe_mismatches,
-            "program_errors": self.program_errors,
-            "eviction_reasons": dict(self.eviction_reasons),
-            "occupancy": round(self.occupancy, 4),
-        }
 
     def summary(self) -> str:
         """One-line human summary, printed by ``run`` and grepped by CI."""

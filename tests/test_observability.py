@@ -1,12 +1,12 @@
-"""Tests for ``repro.observability``: progress files, event logs, profiling.
+"""Tests for ``repro.observability``: progress files, event logs, cell phases.
 
 Covers the subsystem's acceptance criteria: recording is off and free by
-default, the ``run --profile`` phase accumulator is per cell and
-physics-blind while live (the byte-identity half lives in
+default, a cell's build/sim/collect phases are trace spans of its attempt
+and physics-blind while live (the byte-identity half lives in
 ``test_scenario_fingerprints``), progress.json round-trips its schema and
 is kept current by the runner and the spool coordinator, the event log
 keeps append order under two racing workers, and the ``status`` / ``tail``
-/ ``run --profile`` CLI surfaces work end to end.
+/ ``run --trace`` phase-table CLI surfaces work end to end.
 """
 
 import json
@@ -35,8 +35,13 @@ from repro.observability import (
     write_progress,
 )
 from repro.experiments.runner import execute_run
-from repro.observability.trace import TRACER
-from repro.sim import kernel as sim_kernel
+from repro.observability.trace import (
+    TRACER,
+    disable_tracing,
+    enable_tracing,
+    merge_trace_files,
+    summarize_trace,
+)
 from repro.sim.kernel import SimulationError, Simulator
 
 
@@ -47,72 +52,114 @@ def _demo_cells(seeds):
 
 
 # --------------------------------------------------------------------------
-# Per-cell phase accumulator (run --profile) and free-when-off
+# Cell phases as trace spans, and free-when-off
 # --------------------------------------------------------------------------
 
 
-class TestKernelInstrumentation:
-    def test_run_until_records_build_and_sim_spans(self):
-        phases = sim_kernel.PHASES = {}
-        try:
-            sim = Simulator()
-            sim.schedule(1.0, lambda: None)
-            sim.run_until(2.0)
-            build = phases["scenario.build"]
-            sim.run_until(4.0)
-        finally:
-            sim_kernel.PHASES = None
-        assert set(phases) == {"scenario.build", "scenario.sim"}
-        assert phases["scenario.build"] == build  # once per simulator
-        assert phases["scenario.sim"] > 0.0  # summed over both run_until calls
+@pytest.fixture
+def phase_spans(tmp_path):
+    """Tracing on into ``tmp_path/trace`` for one test; yields a reader of
+    the ``phase`` spans written so far."""
+    trace_dir = tmp_path / "trace"
+    enable_tracing(trace_dir, source="test")
+    yield lambda: [span for span in merge_trace_files(trace_dir) if span["cat"] == "phase"]
+    disable_tracing()
 
-    def test_run_until_records_nothing_while_disabled(self):
-        assert sim_kernel.PHASES is None
+
+class TestKernelInstrumentation:
+    def test_run_until_records_one_build_span_per_simulator(self, phase_spans):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run_until(2.0)
-        assert sim_kernel.PHASES is None
+        sim.run_until(4.0)
+        Simulator().run_until(1.0)
+        names = [span["name"] for span in phase_spans()]
+        assert names.count("scenario.build") == 2  # once per simulator
+        assert names.count("scenario.sim") == 3  # once per run_until call
+
+    def test_build_span_runs_from_construction_to_the_first_run(self, phase_spans):
+        sim = Simulator()
+        time.sleep(0.02)
+        sim.run_until(1.0)
+        (build,) = [span for span in phase_spans() if span["name"] == "scenario.build"]
+        assert build["dur"] >= 0.02
+
+    def test_run_until_charges_sim_time_even_when_it_raises(self, phase_spans):
+        sim = Simulator()
+        sim.run_until(5.0)
+        with pytest.raises(SimulationError):
+            sim.run_until(1.0)
+        assert [span["name"] for span in phase_spans()].count("scenario.sim") == 2
+
+    def test_run_until_records_nothing_while_disabled(self):
+        assert not TRACER.enabled
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run_until(2.0)
         assert not sim._build_span_recorded
 
-    def test_run_until_charges_sim_time_even_when_it_raises(self):
-        phases = sim_kernel.PHASES = {}
-        try:
-            sim = Simulator()
-            sim.run_until(5.0)
-            sim_s = phases["scenario.sim"]
-            with pytest.raises(SimulationError):
-                sim.run_until(1.0)
-        finally:
-            sim_kernel.PHASES = None
-        assert phases["scenario.sim"] > sim_s
-
-    def test_recording_is_off_and_free_by_default(self):
+    def test_recording_is_off_and_free_by_default(self, tmp_path, monkeypatch):
         """What the perf gates time is the un-instrumented-equivalent path:
-        tracing off with one shared no-op span, no phase accumulator, and
-        an unprofiled run carrying no phases."""
+        tracing off, one shared no-op span, and nothing written anywhere."""
         assert not TRACER.enabled, "tracing is enabled (a test left it on?)"
         assert TRACER.span("cell", cat="cell") is TRACER.span("task", cat="task")
-        assert sim_kernel.PHASES is None
+        monkeypatch.chdir(tmp_path)
+        TRACER.record("scenario.build", "phase", 0.0, 1.0)
         spec = load_builtin_scenarios().get("demo/safety_kernel")
-        record = execute_run(spec, spec.runs(seeds=[1])[0])
-        assert record.ok and record.phases is None
-        assert sim_kernel.PHASES is None
+        assert execute_run(spec, spec.runs(seeds=[1])[0]).ok
+        assert list(tmp_path.iterdir()) == []
 
-    def test_profiled_run_times_its_own_phases_and_uninstalls(self):
+    def test_an_executed_cell_writes_its_phases_under_its_attempt(self, phase_spans):
         spec = load_builtin_scenarios().get("demo/safety_kernel")
-        record = execute_run(spec, spec.runs(seeds=[1])[0], profile=True)
+        with TRACER.span("attempt", cat="attempt") as attempt:
+            record = execute_run(spec, spec.runs(seeds=[1])[0])
         assert record.ok
-        assert set(record.phases) == {"scenario.build", "scenario.sim", "run.collect"}
-        assert all(value > 0.0 for value in record.phases.values())
-        assert sim_kernel.PHASES is None
+        spans = phase_spans()
+        assert [span["name"] for span in spans] == [
+            "scenario.build", "scenario.sim", "run.collect"
+        ]
+        assert {span["parent"] for span in spans} == {attempt.span_id}
+        assert all(span["dur"] > 0.0 for span in spans)
 
-    def test_failed_profiled_run_keeps_its_phases_and_uninstalls(self):
+    def test_a_cell_that_fails_in_its_build_writes_no_phase(self, phase_spans):
         spec = load_builtin_scenarios().get("demo/random_walk")
-        run_spec = spec.runs(params={"steps": -5}, seeds=[1])[0]
-        record = execute_run(spec, run_spec, profile=True)
+        record = execute_run(spec, spec.runs(params={"steps": -5}, seeds=[1])[0])
         assert not record.ok
-        assert record.phases == {"scenario.build": 0.0, "scenario.sim": 0.0, "run.collect": 0.0}
-        assert sim_kernel.PHASES is None
+        assert phase_spans() == []
+
+
+class TestCellPhaseTable:
+    def _phase(self, name, attempt, dur):
+        return {"ph": "X", "name": name, "cat": "phase", "ts": 0.0, "dur": dur,
+                "pid": 1, "span": f"{attempt}-{name}", "parent": attempt}
+
+    def test_percentiles_are_exact_over_the_attempts(self):
+        spans = [self._phase("scenario.sim", f"a{seed}", float(seed)) for seed in (1, 2, 3, 4, 5)]
+        spans.append({"ph": "X", "name": "cell", "cat": "cell", "ts": 0.0, "dur": 9.0})
+        assert summarize_trace(spans)["cell_phases"] == [
+            {
+                "phase": "scenario.sim",
+                "count": 5,
+                "total_s": 15.0,
+                "mean_s": 3.0,
+                "p50_s": 3.0,
+                "p95_s": 4.8,  # interpolated between the two largest attempts
+                "max_s": 5.0,
+            }
+        ]
+
+    def test_an_attempts_spans_of_one_phase_are_summed(self):
+        spans = [
+            self._phase("scenario.build", "a1", 0.5),
+            self._phase("scenario.sim", "a1", 1.0),
+            self._phase("scenario.sim", "a1", 2.0),  # a second run_until call
+            self._phase("scenario.sim", "a2", 4.0),
+        ]
+        rows = {row["phase"]: row for row in summarize_trace(spans)["cell_phases"]}
+        assert list(rows) == ["scenario.build", "scenario.sim"]
+        assert rows["scenario.build"]["count"] == 1
+        assert (rows["scenario.sim"]["count"], rows["scenario.sim"]["max_s"]) == (2, 4.0)
+        assert rows["scenario.sim"]["p50_s"] == 3.5
 
 
 # --------------------------------------------------------------------------
@@ -551,7 +598,7 @@ class TestCacheCounters:
 
 
 # --------------------------------------------------------------------------
-# CLI surface: status, tail, profile, log-level
+# CLI surface: status, tail, cell phases, log-level
 # --------------------------------------------------------------------------
 
 
@@ -651,93 +698,74 @@ class TestStatusAndTailCli:
         assert "no event log" in capsys.readouterr().err
 
 
-class TestProfileCli:
-    def test_profile_prints_phase_table_and_writes_sidecar(self, tmp_path, capsys):
-        # demo/safety_kernel actually drives the event kernel, so its cells
-        # have a nonzero scenario.sim phase (demo/random_walk is pure numpy).
-        store = str(tmp_path / "results.jsonl")
-        assert cli_main(
-            ["run", "demo/safety_kernel", "--seeds", "2", "--store", store, "--profile"]
-        ) == 0
+def _printed_counts(out):
+    """Phase -> count, read from the rows of the last phase table in ``out``."""
+    counts = {}
+    for line in out.splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if cells[0] in ("scenario.build", "scenario.sim", "run.collect"):
+            counts[cells[0]] = int(cells[1])
+    return counts
+
+
+class TestCellPhasesCli:
+    @pytest.fixture(autouse=True)
+    def _untraced_afterwards(self):
+        yield
+        disable_tracing()
+
+    def _traced_run(self, store, seeds="2"):
+        # demo/safety_kernel drives the event kernel, so its cells have all
+        # three phases (demo/random_walk is pure numpy).
+        argv = ["run", "demo/safety_kernel", "--seeds", seeds, "--store", str(store), "--trace"]
+        assert cli_main(argv) == 0
+        disable_tracing()
+
+    def test_traced_run_prints_its_cells_phase_table(self, tmp_path, capsys):
+        store = tmp_path / "results.jsonl"
+        self._traced_run(store)
         out = capsys.readouterr().out
-        assert "phase profile over 2 executed cell(s)" in out
-        assert "scenario.sim" in out
-        sidecar = json.loads((tmp_path / "results.jsonl.profile.json").read_text())
-        assert sidecar["scenario"] == "demo/safety_kernel"
-        assert len(sidecar["cells"]) == 2
-        for cell in sidecar["cells"]:
-            assert set(cell["phases"]) == {"scenario.build", "scenario.sim", "run.collect"}
-            assert cell["phases"]["scenario.sim"] > 0
-        assert {row["phase"] for row in sidecar["summary"]} == {
-            "scenario.build",
-            "scenario.sim",
-            "run.collect",
-        }
+        assert "demo/safety_kernel: cell phases of trace" in out
+        rows = summarize_trace(merge_trace_files(f"{store}.trace"))["cell_phases"]
+        assert [row["phase"] for row in rows] == ["scenario.build", "scenario.sim", "run.collect"]
+        for row in rows:
+            assert row["count"] == 2
+            assert 0.0 < row["p50_s"] <= row["p95_s"] <= row["max_s"]
+        assert _printed_counts(out) == {row["phase"]: 2 for row in rows}
 
-    def test_profile_leaves_no_phase_accumulator_installed(self, tmp_path):
-        assert sim_kernel.PHASES is None
-        assert cli_main(["run", "demo/random_walk", "--seeds", "1", "--profile"]) == 0
-        assert sim_kernel.PHASES is None
+    def test_each_campaigns_table_counts_only_its_own_cells(self, tmp_path, capsys):
+        # Two campaigns trace into one directory: each run's table covers
+        # the cells of its own trace id only.
+        trace_dir = tmp_path / "shared"
+        for seeds in ("2", "3"):
+            argv = ["run", "demo/safety_kernel", "--seeds", seeds, "--trace-dir", str(trace_dir)]
+            assert cli_main(argv) == 0
+            disable_tracing()
+            counts = _printed_counts(capsys.readouterr().out)
+            assert set(counts.values()) == {int(seeds)}, counts
+        traces = {span["trace"] for span in merge_trace_files(trace_dir)}
+        assert len(traces) == 2
 
-    def test_profile_timers_count_only_this_campaigns_cells(self, tmp_path, capsys):
-        # Two profiled campaigns in one process: each sidecar's percentile
-        # rows cover its own two cells, never the earlier campaign's too.
-        for name in ("first", "second"):
-            store = str(tmp_path / f"{name}.jsonl")
-            assert cli_main(
-                ["run", "demo/safety_kernel", "--seeds", "2", "--store", store, "--profile"]
-            ) == 0
-            sidecar = json.loads((tmp_path / f"{name}.jsonl.profile.json").read_text())
-            timers = {row["timer"]: row for row in sidecar["timers"]}
-            assert set(timers) == {"scenario.build", "scenario.sim", "run.collect"}
-            for row in timers.values():
-                assert row["count"] == 2
-                assert 0.0 < row["p50_s"] <= row["p95_s"] <= row["max_s"]
-
-    def test_profile_percentiles_are_exact_over_the_cells(self):
-        from types import SimpleNamespace
-
-        from repro.experiments.cli import _profile_document
-
-        records = [
-            SimpleNamespace(
-                params={},
-                seed=seed,
-                status="ok",
-                duration=float(seed),
-                phases={"scenario.build": 0.0, "scenario.sim": float(seed), "run.collect": 0.0},
-            )
-            for seed in (1, 2, 3, 4, 5)
-        ]
-        records.append(SimpleNamespace(phases=None))  # a reused cell: not profiled
-        document = _profile_document(SimpleNamespace(scenario="s", records=records))
-        assert len(document["cells"]) == 5
-        sim = next(row for row in document["timers"] if row["timer"] == "scenario.sim")
-        assert sim == {
-            "timer": "scenario.sim",
-            "count": 5,
-            "mean_s": 3.0,
-            "p50_s": 3.0,
-            "p95_s": 4.8,  # interpolated between the two largest cells
-            "max_s": 5.0,
-        }
-
-    def test_report_surfaces_profile_sidecar(self, tmp_path, capsys):
-        store = str(tmp_path / "results.jsonl")
-        assert cli_main(
-            ["run", "demo/random_walk", "--seeds", "2", "--store", store, "--profile"]
-        ) == 0
+    def test_report_surfaces_the_newest_traces_phase_table(self, tmp_path, capsys):
+        store = tmp_path / "results.jsonl"
+        self._traced_run(store, seeds="2")
+        self._traced_run(store, seeds="3")  # resumes 2 cells, executes 1
         capsys.readouterr()
-        assert cli_main(["report", store]) == 0
+        assert cli_main(["report", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "phase profile" in out and "scenario.sim" in out
+        assert "cell phases of trace" in out and "(results.jsonl.trace)" in out
+        assert set(_printed_counts(out).values()) == {1}
 
-    def test_profile_rejects_parallel_backends(self, tmp_path, capsys):
-        rc = cli_main(["run", "demo/random_walk", "--seeds", "2", "--jobs", "2", "--profile"])
-        assert rc == 2
-        assert "--profile only applies to --backend inline, vector (not spool)" in (
-            capsys.readouterr().err
-        )
+    def test_an_untraced_run_prints_and_writes_no_phase_table(self, tmp_path, capsys):
+        store = tmp_path / "results.jsonl"
+        assert cli_main(["run", "demo/safety_kernel", "--seeds", "1", "--store", str(store)]) == 0
+        assert not TRACER.enabled
+        assert "cell phases" not in capsys.readouterr().out
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "results.jsonl", "results.jsonl.progress.json"
+        ]
+        assert cli_main(["report", str(store)]) == 0
+        assert "cell phases" not in capsys.readouterr().out
 
     def test_cache_counters_in_run_output(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")

@@ -15,14 +15,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.distributed import Spool
 from repro.experiments.cli import BACKENDS, main as cli_main
-from repro.observability.trace import TRACER, disable_tracing, merge_trace_files
+from repro.observability.trace import (
+    TRACER,
+    disable_tracing,
+    merge_trace_files,
+    summarize_trace,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: A value that sets each backend flag away from its default.
 SET = {
-    "--profile": None,
     "--jobs": "2",
     "--spool": "spool",
     "--task-size": "2",
@@ -51,7 +56,7 @@ def _argv(backend, flag, value):
             "--store", "store.jsonl", "--trace"]
     if backend == "spool" and flag != "--spool":
         argv += ["--spool", "spool"]
-    return argv + ([flag] if value is None else [flag, value])
+    return argv + [flag, value]
 
 
 @pytest.fixture(autouse=True)
@@ -106,7 +111,6 @@ def test_an_out_of_range_value_exits_2_naming_the_flag(tmp_path, capsys, backend
     "flags, summary",
     [
         ([], "backend=inline jobs=1"),
-        (["--profile"], "backend=inline jobs=1"),
         (["--jobs", "1"], "backend=inline jobs=1"),
         (["--jobs", "2"], "backend=spool jobs=2"),
         (["--jobs", "2", "--task-size", "2"], "backend=spool jobs=2"),
@@ -172,6 +176,48 @@ def test_a_temporary_spool_traces_beside_the_store(tmp_path, capsys):
     ]
 
 
+def test_forked_workers_record_each_cells_phases(tmp_path, capsys):
+    platoon = ["run", "platoon/karyon", "-p", "duration=5.0", "--seeds", "4"]
+    assert cli_main([*platoon, "--jobs", "2", "--trace", "--store", "s.jsonl"]) == 0
+    disable_tracing()
+    assert "platoon/karyon: cell phases of trace" in capsys.readouterr().out
+    spans = merge_trace_files(tmp_path / "s.jsonl.trace")
+    rows = summarize_trace(spans)["cell_phases"]
+    assert {row["phase"]: row["count"] for row in rows} == {
+        "scenario.build": 4, "scenario.sim": 4, "run.collect": 4
+    }
+    phase_pids = {span["pid"] for span in spans if span["cat"] == "phase"}
+    assert phase_pids and os.getpid() not in phase_pids
+    assert cli_main([*platoon, "--jobs", "1", "--store", "serial.jsonl"]) == 0
+    assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [[], ["--jobs", "2"], ["--backend", "vector"]])
+def test_tracing_leaves_the_store_byte_identical(tmp_path, flags):
+    campaign = ["run", "tdma_convergence", "--seeds", "6", *flags]
+    assert cli_main([*campaign, "--trace", "--store", "traced.jsonl"]) == 0
+    disable_tracing()
+    assert cli_main([*campaign, "--store", "untraced.jsonl"]) == 0
+    assert merge_trace_files(tmp_path / "traced.jsonl.trace")
+    assert (tmp_path / "traced.jsonl").read_bytes() == (tmp_path / "untraced.jsonl").read_bytes()
+
+
+def test_a_spool_campaign_writes_its_completion_marker_once(tmp_path, capsys, monkeypatch):
+    marks = []
+    mark_complete = Spool.mark_complete
+    monkeypatch.setattr(
+        Spool, "mark_complete", lambda spool: (marks.append(1), mark_complete(spool))
+    )
+    campaign = ["run", "demo/random_walk", "--seeds", "4", "--spool", "spool", "--cache", "c"]
+    assert cli_main([*campaign, "--store", "first.jsonl"]) == 0
+    assert len(marks) == 1
+    # A fully cached rerun dispatches nothing; only finalize closes it.
+    assert cli_main([*campaign, "--store", "second.jsonl"]) == 0
+    assert "(0 executed, 0 reused, 4 cached" in capsys.readouterr().out
+    assert len(marks) == 2
+    assert Spool(tmp_path / "spool").is_complete()
+
+
 def _run_in_empty_tmpdir(tmp_path, *flags):
     """``run`` in a fresh interpreter whose ``TMPDIR`` is an empty directory."""
     scratch = tmp_path / "tmpdir"
@@ -202,6 +248,8 @@ def test_a_temporary_spool_is_removed_after_a_failed_campaign(tmp_path):
     completed, scratch = _run_in_empty_tmpdir(
         tmp_path, "--seeds", "4", "--jobs", "2", "--timeout", "0.3", "--faults", str(plan)
     )
-    assert completed.returncode != 0
+    assert completed.returncode == 1
     assert "timed out" in completed.stderr
+    assert "Traceback" not in completed.stderr
+    assert completed.stderr.splitlines()[-1].startswith("error:")
     assert list(scratch.iterdir()) == []

@@ -98,37 +98,18 @@ def _assert_matches_pins(observed, context):
     assert counts == EVENT_COUNTS, f"processed-event counts moved {context}"
 
 
-def test_same_seed_physics_is_byte_identical_with_profiling_enabled():
-    """All 20 pinned fingerprints and the event counts, computed WITH the
-    ``run --profile`` phase accumulator recording.
-
-    This is the observability subsystem's hard rule: profiling never draws
-    randomness, never reorders simulator events, and never contributes to
-    result bytes — so the fingerprints must match the pins exactly as they
-    do with profiling off (the suite's every other test runs without an
-    accumulator and covers that side).
-    """
-    from repro.sim import kernel as sim_kernel
-
-    phases = sim_kernel.PHASES = {}
-    try:
-        observed = {name: WORKLOADS[name]() for name in PINNED}
-    finally:
-        sim_kernel.PHASES = None
-    _assert_matches_pins(observed, "with profiling enabled")
-    # Prove the accumulator was actually live during the workloads, so the
-    # byte-identity above tested the instrumented path, not a no-op.
-    assert phases.get("scenario.sim", 0.0) > 0.0
-    assert phases.get("scenario.build", 0.0) > 0.0
-
-
 def test_same_seed_physics_is_byte_identical_with_tracing_enabled(tmp_path):
-    """All 20 pinned fingerprints, computed WITH span tracing recording.
+    """All 20 pinned fingerprints and the event counts, computed WITH span
+    tracing recording.
 
-    Tracing shares profiling's hard rule: it never draws seeded randomness
-    and never contributes to result bytes.  Running every pinned workload
-    under an enabled tracer (inside a live span, so the current-parent
-    thread-local is populated too) must reproduce the exact same hashes.
+    This is the observability subsystem's hard rule: tracing never draws
+    seeded randomness, never reorders simulator events and never
+    contributes to result bytes.  Running every pinned workload under an
+    enabled tracer (inside a live span, so the current-parent thread-local
+    is populated too, and with the simulator kernel writing its
+    ``scenario.build``/``scenario.sim`` phase spans) must reproduce the
+    exact same hashes and counts as with tracing off (the suite's every
+    other test runs untraced and covers that side).
     """
     from repro.observability.trace import (
         TRACER,
@@ -144,11 +125,13 @@ def test_same_seed_physics_is_byte_identical_with_tracing_enabled(tmp_path):
     finally:
         disable_tracing()
     _assert_matches_pins(observed, "with tracing enabled")
-    # Prove the tracer was live: the wrapping span landed on disk.
+    # Prove the tracer was live, the kernel's phase spans included, so the
+    # byte-identity above tested the instrumented path, not a no-op.
     spans = []
     for path in tmp_path.glob("trace-*.jsonl"):
         spans.extend(read_trace_file(path))
-    assert any(span.get("name") == "fingerprints" for span in spans)
+    names = {span.get("name") for span in spans}
+    assert {"fingerprints", "scenario.build", "scenario.sim"} <= names
 
 
 def test_physics_does_not_depend_on_hash_seed():

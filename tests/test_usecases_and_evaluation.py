@@ -219,3 +219,29 @@ class TestEvaluationToolkit:
         series = format_series("fig", [1, 2], [0.1, 0.2], x_label="n", y_label="v")
         assert "fig" in series and "0.1" in series
         assert format_table([]) == "(no rows)"
+
+
+def test_use_cases_import_and_run_without_networkx():
+    """Only ``repro.cooperation.topology``'s graph functions need networkx:
+    with it unimportable, the use cases import and a platoon cell runs."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys; sys.modules['networkx'] = None\n"
+        "import repro.usecases\n"
+        "from repro.experiments.registry import load_builtin_scenarios\n"
+        "from repro.experiments.runner import execute_run\n"
+        "spec = load_builtin_scenarios().get('platoon/karyon')\n"
+        "record = execute_run(spec, spec.runs(params={'duration': 5.0}, seeds=[1])[0])\n"
+        "assert record.ok, record.error\n"
+        "assert sys.modules['networkx'] is None\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr

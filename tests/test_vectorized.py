@@ -14,6 +14,7 @@ from repro.experiments import ParallelCampaignRunner, ResultStore
 from repro.experiments.cli import main as cli_main
 from repro.experiments.registry import load_builtin_scenarios
 from repro.observability.progress import read_progress
+from repro.observability.trace import disable_tracing, merge_trace_files, summarize_trace
 from repro.resilience import FaultPlan, FaultRule, armed
 from repro.vectorized import (
     PROGRAMS,
@@ -243,9 +244,7 @@ class TestEngineUnits:
         assert stats.occupancy == pytest.approx(0.7)
         summary = stats.summary()
         assert "7/10" in summary and "70%" in summary
-        doc = stats.to_json_dict()
-        assert doc["occupancy"] == 0.7
-        assert doc["eviction_reasons"] == {"fault-plan": 2}
+        assert stats.eviction_reasons == {"fault-plan": 2}
 
 
 class TestCliAndProvenance:
@@ -302,30 +301,25 @@ class TestCliAndProvenance:
         assert "[vector]" in out
         assert "cells: scalar=1, vector=7" in out
 
-    def test_vector_profile_reports_batch_stats(self, tmp_path, capsys):
+    def test_vector_trace_reports_batch_stats_and_probe_phases(self, tmp_path, capsys):
         store = tmp_path / "vector.jsonl"
-        rc = cli_main(
-            [
-                "run",
-                "tdma_convergence",
-                "--seeds",
-                "6",
-                "--backend",
-                "vector",
-                "--profile",
-                "--store",
-                str(store),
-            ]
-        )
-        assert rc == 0
-        capsys.readouterr()
-        sidecar = tmp_path / "vector.jsonl.profile.json"
-        profile = json.loads(sidecar.read_text(encoding="utf-8"))
-        assert profile["vector"]["batches"] == 1
-        assert profile["vector"]["fast_cells"] == 5
-        # Only the scalar probe ran the kernel, so only it carries phases.
-        assert len(profile["cells"]) == 1
-        assert {row["count"] for row in profile["timers"]} == {1}
+        argv = ["run", "tdma_convergence", "--seeds", "6", "--backend", "vector",
+                "--trace", "--store", str(store)]
+        try:
+            assert cli_main(argv) == 0
+        finally:
+            disable_tracing()
+        out = capsys.readouterr().out
+        assert "vector: 1 batch(es), 5/6 cells on the fast path" in out
+        assert "cell phases of trace" in out
+        # Only the scalar probe ran the scalar kernel, so only it carries
+        # phase spans, all children of its one attempt.
+        spans = merge_trace_files(f"{store}.trace")
+        phases = [span for span in spans if span["cat"] == "phase"]
+        (attempt,) = [span for span in spans if span["cat"] == "attempt"]
+        assert phases and {span["parent"] for span in phases} == {attempt["span"]}
+        rows = summarize_trace(spans)["cell_phases"]
+        assert {row["count"] for row in rows} == {1}
 
     def test_vector_stats_counters(self):
         backend = VectorBatchBackend()
