@@ -6,7 +6,7 @@ same-seed physics**.  This module computes stable SHA-256 fingerprints so
 ``tests/test_scenario_fingerprints.py`` can pin them and assert they never
 drift.  Coverage differs by workload kind:
 
-* the eleven use-case workloads (run via their ``*Scenario`` classes) hash
+* the fourteen use-case workloads (run via their ``*Scenario`` classes) hash
   metrics at full float precision **plus** the complete trace stream
   (time / kind / source / fields) — any RNG-draw-order or event-order drift
   that reaches an observable shows up.  Their simulators' processed-event
@@ -20,9 +20,10 @@ drift.  Coverage differs by workload kind:
   not.
 
 Run ``python tests/fingerprint_util.py`` to print the current tables (used
-to refresh the pinned constants when a *deliberate* change is made), or
+to refresh the pinned constants when a *deliberate* change is made),
 ``python tests/fingerprint_util.py --diff`` to print only the pinned entries
-that moved, as old → new, and exit 1 if any did.
+that moved, as old → new, and exit 1 if any did, or ``--controller-checks``
+to print how often each use case's inaccessibility controllers ran.
 """
 
 from __future__ import annotations
@@ -145,6 +146,38 @@ def run_avionics(use_case: str, collaborative: bool = True) -> Fingerprint:
     return scenario_fingerprint(scenario)
 
 
+def run_urban_grid() -> Fingerprint:
+    from repro.usecases.urban_grid import UrbanGridConfig, UrbanGridScenario
+
+    scenario = UrbanGridScenario(
+        UrbanGridConfig(
+            streets=3,
+            followers=3,
+            duration=6.0,
+            seed=0,
+            brake_start=3.0,
+            brake_stagger=1.2,
+        )
+    )
+    return scenario_fingerprint(scenario)
+
+
+def run_corridor() -> Fingerprint:
+    from repro.usecases.corridor import CorridorConfig, CorridorScenario
+
+    scenario = CorridorScenario(CorridorConfig(intersections=3, duration=18.0, seed=0))
+    return scenario_fingerprint(scenario)
+
+
+def run_mixed_airspace() -> Fingerprint:
+    from repro.usecases.mixed_airspace import MixedAirspaceConfig, MixedAirspaceScenario
+
+    scenario = MixedAirspaceScenario(
+        MixedAirspaceConfig(ground_nodes=8, duration=40.0, seed=0)
+    )
+    return scenario_fingerprint(scenario)
+
+
 def run_registry(name: str, seed: int, **params) -> Fingerprint:
     """Metrics-only fingerprint of one registry scenario run."""
     from repro.experiments.registry import get_scenario
@@ -173,6 +206,11 @@ WORKLOADS = {
     "avionics/in_trail": lambda: run_avionics("in_trail"),
     "avionics/crossing": lambda: run_avionics("crossing"),
     "avionics/level_change": lambda: run_avionics("level_change", collaborative=False),
+    # The three shared-spectrum cells of perfbench's ``spectrum_cells``, with
+    # its parameters, at seed 0.
+    "urban_grid": run_urban_grid,
+    "corridor": run_corridor,
+    "mixed_airspace": run_mixed_airspace,
     "sensor_validity": lambda: run_registry("sensor_validity", seed=0, samples=200),
     "r2t_mac/r2t": lambda: run_registry("r2t_mac", seed=0, use_r2t=True, duration=20.0),
     "r2t_mac/csma": lambda: run_registry("r2t_mac", seed=0, use_r2t=False, duration=20.0),
@@ -187,6 +225,33 @@ WORKLOADS = {
     "demo/safety_kernel": lambda: run_registry("demo/safety_kernel", seed=1),
     "demo/random_walk": lambda: run_registry("demo/random_walk", seed=2),
 }
+
+
+def controller_checks(name: str) -> int:
+    """How often workload ``name``'s inaccessibility controllers checked
+    their monitors.
+
+    Counted by wrapping ``InaccessibilityController._check``, so the count
+    means the same whether each check is an event of its own or runs inside
+    its monitor's tick: moving the check into the tick lowers a use case's
+    ``EVENT_COUNTS`` entry by exactly this number.
+    """
+    from repro.network.inaccessibility import InaccessibilityController
+
+    original = InaccessibilityController._check
+    calls = 0
+
+    def counting(self) -> None:
+        nonlocal calls
+        calls += 1
+        original(self)
+
+    InaccessibilityController._check = counting
+    try:
+        WORKLOADS[name]()
+    finally:
+        InaccessibilityController._check = original
+    return calls
 
 
 def compute_all() -> Dict[str, Dict[str, Any]]:
@@ -229,12 +294,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     needed to refresh or compare them.
     """
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument(
         "--diff",
         action="store_true",
         help="print only the PINNED and EVENT_COUNTS entries that moved",
     )
+    group.add_argument(
+        "--controller-checks",
+        action="store_true",
+        help="print each use case's inaccessibility-controller checks",
+    )
     args = parser.parse_args(argv)
+    if args.controller_checks:
+        from test_scenario_fingerprints import EVENT_COUNTS
+
+        print(json.dumps({name: controller_checks(name) for name in EVENT_COUNTS}, indent=2))
+        return 0
     current = compute_all()
     if not args.diff:
         print(json.dumps(current, indent=2))

@@ -50,6 +50,9 @@ PINNED = {
     "avionics/in_trail": "41c2d36c6af3d6bf4b37e238f5bd7c3480f5c74aef489b19fbfaebcd657f9bcb",
     "avionics/crossing": "42878e068a33f3e10eb19e19617d290270b64ffc74ba6e8202955aec6a18e029",
     "avionics/level_change": "62f1b48be8df45e961c4c9074fa96cb7858f67e3fa22752678c4c73f8d7a58a9",
+    "urban_grid": "4fc59755926e5925c4fd85e799d14a6e8bedf4c5123fde3f33e3e2bf75ee7191",
+    "corridor": "a355ab5e866482cb76e3e93b4b4eb70f84137925eff7921446ac005da00800bd",
+    "mixed_airspace": "0946dd3cd5125f47d9579be42b004054dbbf6206e6963c61e10dc6d946b124a1",
     "sensor_validity": "792b055096ed868bac181756ce82ed1306894d13d5cf98e0187ca8cf743dbc24",
     "r2t_mac/r2t": "aa893d479121579c76de17ce5238ab3c88849bef1cf1fdf4fa454f7eff09ebe1",
     "r2t_mac/csma": "0db442b76756f0e6d7c00b68ab7f9b97d9da79c1dc1dcc241e30fffd35b4386d",
@@ -74,6 +77,9 @@ EVENT_COUNTS = {
     "avionics/in_trail": 804,
     "avionics/crossing": 804,
     "avionics/level_change": 620,
+    "urban_grid": 15629,
+    "corridor": 26175,
+    "mixed_airspace": 20359,
 }
 
 #: The workloads whose physics used to depend on set iteration order (TDMA
@@ -99,7 +105,7 @@ def _assert_matches_pins(observed, context):
 
 
 def test_same_seed_physics_is_byte_identical_with_tracing_enabled(tmp_path):
-    """All 20 pinned fingerprints and the event counts, computed WITH span
+    """All 23 pinned fingerprints and the event counts, computed WITH span
     tracing recording.
 
     This is the observability subsystem's hard rule: tracing never draws
