@@ -39,6 +39,10 @@ used to write are never read; :meth:`CacheIndex.clear` removes them.
 Segments are never rewritten: a repair removes only the key's link.  A
 repair that overlaps a re-put of the same key can remove the fresh link;
 the cell then re-executes once more, and no reader gets a wrong record.
+A segment whose last key link a re-put replaces or a repair removes is
+deleted: its link count (``st_nlink``) is then 1, its ``segments/`` name.
+Concurrent replacements of the same segment's links can each see another
+link still there and leave it behind; ``cache clear`` removes it.
 
 Effectiveness bookkeeping: every index counts its hits / misses / puts /
 repairs in-process (:meth:`CacheIndex.session_stats`), and
@@ -56,7 +60,7 @@ import os
 import shutil
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.experiments.runner import RunRecord
 from repro.observability.progress import atomic_write_text
@@ -193,8 +197,11 @@ class CacheIndex:
                 key,
                 exc,
             )
+            link = self.keys_dir / key
             try:
-                (self.keys_dir / key).unlink()
+                segment = link.stat().st_ino
+                link.unlink()
+                self._delete_dead_segments({segment})
             except OSError:
                 pass
         except OSError as exc:
@@ -248,6 +255,7 @@ class CacheIndex:
             atomic_write_text(
                 segment, "".join(f"{key}\t{payload}\n" for key, payload in written.items())
             )
+            replaced: Set[int] = set()
             for key in written:
                 link = self.keys_dir / key
                 try:
@@ -255,12 +263,32 @@ class CacheIndex:
                 except FileExistsError:
                     temp = self.keys_dir / f".{key}.{name}"
                     os.link(segment, temp)
+                    try:
+                        replaced.add(link.stat().st_ino)
+                    except FileNotFoundError:
+                        pass  # removed meanwhile (a repair, a clear)
                     os.replace(temp, link)
+            self._delete_dead_segments(replaced)
         except OSError as exc:
             self._degrade(exc)
             return 0
         self.puts += len(written)
         return len(written)
+
+    def _delete_dead_segments(self, inodes: Set[int]) -> None:
+        """Delete each segment among ``inodes`` that no key links to any
+        more (its ``segments/`` name is its last link)."""
+        if not inodes:
+            return
+        with os.scandir(self.segments_dir) as entries:
+            for entry in entries:
+                if entry.inode() not in inodes:
+                    continue
+                try:
+                    if entry.stat(follow_symlinks=False).st_nlink == 1:
+                        os.unlink(entry.path)
+                except FileNotFoundError:
+                    pass
 
     # ------------------------------------------------------------ effectiveness
     def session_stats(self) -> Dict[str, int]:

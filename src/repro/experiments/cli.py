@@ -73,6 +73,7 @@ from repro.observability.progress import (
 )
 from repro.observability.trace import (
     critical_path,
+    disable_tracing,
     enable_tracing,
     export_chrome_trace,
     merge_trace_files,
@@ -555,75 +556,81 @@ def _cmd_run(args: argparse.Namespace) -> int:
             trace_dir, source="coordinator" if name == "spool" else "runner"
         )
 
-    store = ResultStore(args.store) if args.store else None
-    runner = ParallelCampaignRunner(
-        store=store, resume=not args.no_resume, backend=backend, cache=cache
-    )
-    # Only a spool campaign fails as a whole (a timeout, a lost shard).
-    campaign_errors: Tuple[type, ...] = ()
-    if name == "spool":
-        from repro.distributed import SpoolDispatchError
-
-        campaign_errors = (SpoolDispatchError,)
+    # The tracer is process-global: whoever calls ``main`` in-process must
+    # not find it still recording into this campaign's directory.
     try:
-        result = runner.run(spec, params=params, sweep=sweep, seeds=seeds)
-    except campaign_errors as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        store = ResultStore(args.store) if args.store else None
+        runner = ParallelCampaignRunner(
+            store=store, resume=not args.no_resume, backend=backend, cache=cache
+        )
+        # Only a spool campaign fails as a whole (a timeout, a lost shard).
+        campaign_errors: Tuple[type, ...] = ()
+        if name == "spool":
+            from repro.distributed import SpoolDispatchError
 
-    cached_part = f", {result.cached} cached" if cache is not None else ""
-    print(
-        f"{spec.name}: {result.run_count} runs "
-        f"({result.executed} executed, {result.reused} reused{cached_part}, "
-        f"{result.failures} failed) backend={result.backend} "
-        f"jobs={getattr(backend, 'workers', 1)}"
-    )
-    if result.backend_cells:
-        parts = ", ".join(
-            f"{label}={count}" for label, count in sorted(result.backend_cells.items())
-        )
-        print(f"cells by path: {parts}")
-    if name == "vector":
-        print(backend.stats.summary())
-    if cache is not None:
-        session = cache.session_stats()
-        repair_part = (
-            f", {session['repairs']} repair(s)" if session.get("repairs") else ""
-        )
+            campaign_errors = (SpoolDispatchError,)
+        try:
+            result = runner.run(spec, params=params, sweep=sweep, seeds=seeds)
+        except campaign_errors as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+
+        cached_part = f", {result.cached} cached" if cache is not None else ""
         print(
-            f"cache: {session['hits']} hit(s), {session['misses']} miss(es), "
-            f"{session['puts']} put(s){repair_part} this campaign"
+            f"{spec.name}: {result.run_count} runs "
+            f"({result.executed} executed, {result.reused} reused{cached_part}, "
+            f"{result.failures} failed) backend={result.backend} "
+            f"jobs={getattr(backend, 'workers', 1)}"
         )
-    print()
-    print(format_table(result.aggregate_rows(), title=f"{spec.name}: aggregate metrics"))
-    group_by = [part for part in (args.group_by or "").split(",") if part]
-    if not group_by and sweep is not None:
-        group_by = list(sweep.axes)
-    if group_by:
-        print()
-        print(
-            format_table(
-                result.grouped_rows(by=group_by),
-                title=f"{spec.name}: per-{','.join(group_by)} means",
+        if result.backend_cells:
+            parts = ", ".join(
+                f"{label}={count}" for label, count in sorted(result.backend_cells.items())
             )
-        )
-    if result.failures:
+            print(f"cells by path: {parts}")
+        if name == "vector":
+            print(backend.stats.summary())
+        if cache is not None:
+            session = cache.session_stats()
+            repair_part = (
+                f", {session['repairs']} repair(s)" if session.get("repairs") else ""
+            )
+            print(
+                f"cache: {session['hits']} hit(s), {session['misses']} miss(es), "
+                f"{session['puts']} put(s){repair_part} this campaign"
+            )
         print()
-        print(format_table(result.failure_rows(), title="failed runs"))
-    if trace_dir is not None:
-        spans = [span for span in merge_trace_files(trace_dir) if span.get("trace") == trace_id]
-        print()
-        _print_cell_phases(spans, f"{spec.name}: cell phases of trace {trace_id}")
-        print()
-        print(
-            f"trace {trace_id} recorded in {trace_dir} "
-            f"(trace-*.jsonl); inspect with "
-            f"`trace summary {trace_dir}` / `trace export {trace_dir}`"
-        )
-    if args.store:
-        print()
-        print(f"results stored in {args.store} (re-run to resume)")
-    return 1 if (args.strict and result.failures) else 0
+        print(format_table(result.aggregate_rows(), title=f"{spec.name}: aggregate metrics"))
+        group_by = [part for part in (args.group_by or "").split(",") if part]
+        if not group_by and sweep is not None:
+            group_by = list(sweep.axes)
+        if group_by:
+            print()
+            print(
+                format_table(
+                    result.grouped_rows(by=group_by),
+                    title=f"{spec.name}: per-{','.join(group_by)} means",
+                )
+            )
+        if result.failures:
+            print()
+            print(format_table(result.failure_rows(), title="failed runs"))
+        if trace_dir is not None:
+            spans = [span for span in merge_trace_files(trace_dir) if span.get("trace") == trace_id]
+            print()
+            _print_cell_phases(spans, f"{spec.name}: cell phases of trace {trace_id}")
+            print()
+            print(
+                f"trace {trace_id} recorded in {trace_dir} "
+                f"(trace-*.jsonl); inspect with "
+                f"`trace summary {trace_dir}` / `trace export {trace_dir}`"
+            )
+        if args.store:
+            print()
+            print(f"results stored in {args.store} (re-run to resume)")
+        return 1 if (args.strict and result.failures) else 0
+    finally:
+        if trace_dir is not None:
+            disable_tracing()
 
 
 def _usage(message: object) -> int:

@@ -12,7 +12,9 @@ receptions and transmissions) and declares an inaccessibility period when the
 channel has been silent — while traffic was expected — for longer than a
 detection threshold.  :class:`InaccessibilityController` bounds the duration
 of such periods by triggering a recovery action (typically a channel switch
-performed by the R2T-MAC Channel Control Layer).
+performed by the R2T-MAC Channel Control Layer).  A controller has no task
+of its own: it registers with its monitor and polls at the end of each of
+the monitor's checks, so one periodic event per node covers both.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ class InaccessibilityMonitor:
         self._last_activity = simulator.now
         self._open: Optional[InaccessibilityPeriod] = None
         self._listeners: List[Callable[[InaccessibilityPeriod], None]] = []
+        #: Controllers polled at the end of every check; replaced, never
+        #: mutated, so a controller stopping mid-check cannot skip another.
+        self._controllers: List["InaccessibilityController"] = []
         self._task = simulator.periodic(check_period, self._check, name="inaccessibility-monitor")
 
     # ------------------------------------------------------------------ inputs
@@ -111,6 +116,8 @@ class InaccessibilityMonitor:
             self.periods.append(period)
             for listener in self._listeners:
                 listener(period)
+        for controller in self._controllers:
+            controller._check()
 
 
 class InaccessibilityController:
@@ -121,6 +128,27 @@ class InaccessibilityController:
     Control Layer's channel switch) and marks the period as recovered.  The
     achieved bound — the maximum closed-period duration — is the quantity the
     E3 experiment compares against the unbounded baseline.
+
+    The controller has no period of its own: it polls at the end of each of
+    its monitor's checks, at the monitor's ``check_period``, and stops
+    polling when the monitor stops.  That is order-equivalent to a periodic
+    task of the controller's own, started right after the monitor's at the
+    same instant with the same period and no jitter, as a controller built
+    beside its monitor in :class:`~repro.network.r2t_mac.MediatorLayer`
+    (the only place the package builds one) would start it: each of that
+    task's events would sit at the time of a monitor event, with the next
+    ``seq`` at the same priority, so nothing already queued could run
+    between the two.
+    The equivalence rests on two facts about the callers in ``src/``.
+    Nothing registers :meth:`InaccessibilityMonitor.on_period_detected` (a
+    listener could schedule an event with a negative priority, which would
+    run before a separate controller event, or stop the simulator between
+    the two).  The recovery action schedules no event
+    (``ChannelControlLayer.recover`` then ``monitor.activity``), so it
+    cannot take a ``seq`` ahead of the monitor's re-arm that a separate
+    event would have taken after it.  Only the simulator's event counts
+    differ: one event fewer processed per controller check, one fewer
+    pending per controller.
     """
 
     def __init__(
@@ -129,7 +157,6 @@ class InaccessibilityController:
         monitor: InaccessibilityMonitor,
         recovery_action: Callable[[], None],
         bound: float = 0.5,
-        check_period: float = 0.05,
     ):
         if bound <= 0:
             raise ValueError("bound must be positive")
@@ -138,10 +165,12 @@ class InaccessibilityController:
         self.recovery_action = recovery_action
         self.bound = bound
         self.recoveries = 0
-        self._task = simulator.periodic(check_period, self._check, name="inaccessibility-controller")
+        monitor._controllers = monitor._controllers + [self]
 
     def stop(self) -> None:
-        self._task.stop()
+        self.monitor._controllers = [
+            controller for controller in self.monitor._controllers if controller is not self
+        ]
 
     def _check(self) -> None:
         period = self.monitor.current_period

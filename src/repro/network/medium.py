@@ -13,9 +13,17 @@ Hot-path notes: carrier sensing and delivery resolution run once per frame
 per node, so this module is one of the three kernels every campaign funnels
 through (with ``Simulator.step`` and ``TraceRecorder.record``).
 
-* Live transmissions are indexed by channel, so carrier sense and the
-  overlap scan of a completing frame only read their own channel.  Finished
-  transmissions are retired lazily, per channel, every few completions.
+* Transmissions are indexed by channel twice.  The *live* list holds the
+  frames still on the air: :meth:`WirelessMedium.transmit` appends to it and
+  the frame's completion removes it, so carrier sense reads only frames that
+  can make a channel busy.  The *on-air* list also keeps finished frames for
+  as long as the overlap scan of a completing frame may need them, and
+  retires them lazily, per channel, every few completions.
+* Attachments are kept in one row per listening channel, in attachment
+  order.  A broadcast reads only its channel's row; a row is rebuilt (never
+  mutated in place) when a node attaches, detaches or retunes, so a retune
+  from a receive callback cannot change the recipients of a frame whose
+  delivery is already decided.
 * A completing frame decides all its receivers at once and schedules *one*
   delivery event that calls the surviving receive callbacks in attachment
   order.  That is order-equivalent to one event per receiver (see
@@ -30,14 +38,19 @@ through (with ``Simulator.step`` and ``TraceRecorder.record``).
   same ``math.sqrt(dx ** 2 + dy ** 2)`` expression as :meth:`_distance`.
   On a 2-vCPU x86 host it beat a numpy evaluation of the same masks by
   1.8-2.9x at 16, 24 and 48 receivers, so there is no vectorised path.
+  The ``** 2`` stays: ``x ** 2`` and ``x * x`` differ in the last bit for
+  about one double in 1,200 there, so a rewrite (or a squared-distance
+  comparison) would move some receivers across the range edge.
 * Interference bursts are kept sorted by start time and probed with
-  :func:`bisect.bisect_right`.
-* Random-loss draws come off the RNG stream in attachment order, so every
-  delivery outcome is identical to one scalar draw per receiver.  Outside
-  interference bursts each receiver left after the geometry checks takes
-  exactly one base-loss draw, so they are drawn as one array
-  (``Generator.random(k)`` yields the same numbers as ``k`` scalar calls);
-  during a burst a second draw depends on the first, so draws stay scalar.
+  :func:`bisect.bisect_right`; a frame that starts after the last burst
+  ends does not probe at all.
+* Random-loss draws come off the RNG stream in attachment order, one
+  interference draw (during a burst) and then one base-loss draw per
+  receiver left after the geometry checks, so every delivery outcome is
+  identical to one scalar draw each.  They are read from a buffer refilled
+  by ``Generator.random(_DRAW_CHUNK)``, which yields the same numbers as
+  that many scalar calls; the values drawn ahead are gone from the stream,
+  so the medium must be its generator's only consumer.
 """
 
 from __future__ import annotations
@@ -53,8 +66,11 @@ from repro.network.frames import Frame
 from repro.sim.kernel import Simulator
 
 #: Retire finished transmissions only every this many completions — keeps the
-#: per-channel lists short without an O(n) rebuild per carrier-sense query.
+#: per-channel lists short without an O(n) rebuild per completion.
 _PRUNE_INTERVAL = 8
+
+#: Loss draws taken off the medium's generator per refill of its buffer.
+_DRAW_CHUNK = 256
 
 
 @dataclass
@@ -115,7 +131,9 @@ class _Attachment:
     listening_channel: int = 0
 
 
-@dataclass(slots=True)
+# ``eq=False``: transmissions compare by identity, so ``list.remove`` finds
+# the completing one without comparing fields.
+@dataclass(slots=True, eq=False)
 class _Transmission:
     frame: Frame
     sender: str
@@ -146,7 +164,13 @@ class MediumStats:
 
 
 class WirelessMedium:
-    """Broadcast wireless medium shared by all attached nodes."""
+    """Broadcast wireless medium shared by all attached nodes.
+
+    ``rng`` must be private to the medium: its loss draws are taken ahead
+    in chunks, so another consumer of the same generator would read values
+    the medium has already taken, and the medium values it has not yet
+    used.  Every caller in this package passes a stream of its own.
+    """
 
     def __init__(
         self,
@@ -158,7 +182,14 @@ class WirelessMedium:
         self.config = config or MediumConfig()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._attachments: Dict[str, _Attachment] = {}
-        #: Live transmissions, one list per channel, each in start order.
+        #: The attachments listening on each channel, in attachment order;
+        #: replaced, never mutated, by :meth:`_rebuild_rows`.
+        self._rows: List[List[_Attachment]] = [[] for _ in range(self.config.channels)]
+        #: Transmissions not yet completed, one list per channel.
+        self._live: List[List[_Transmission]] = [[] for _ in range(self.config.channels)]
+        #: Transmissions an overlap scan may still need (the live ones and
+        #: those finished within ``_max_air_time``), one list per channel,
+        #: each in start order.
         self._on_air: List[List[_Transmission]] = [[] for _ in range(self.config.channels)]
         self._interference: List[InterferenceBurst] = []
         #: Bursts as (start, insertion#, burst), sorted by start so probes can
@@ -167,10 +198,13 @@ class WirelessMedium:
         self._max_burst_end = -math.inf
         self._completions_since_prune = 0
         #: Largest air time ever transmitted: a finished transmission older
-        #: than this can neither overlap a still-pending completion (overlap
-        #: needs ``other.end > tx.start = tx.end - air_time``) nor satisfy a
-        #: carrier-sense probe, so it is safe to retire.
+        #: than this cannot overlap a still-pending completion (overlap
+        #: needs ``other.end > tx.start = tx.end - air_time``), so it is safe
+        #: to retire.
         self._max_air_time = 0.0
+        #: Loss draws taken ahead off ``rng``, and the index of the next one.
+        self._draws: List[float] = []
+        self._draw_index = 0
         self.stats = MediumStats()
 
     # ------------------------------------------------------------------ setup
@@ -192,14 +226,26 @@ class WirelessMedium:
             position_fn=position_fn,
             listening_channel=listening_channel,
         )
+        self._rebuild_rows()
 
     def detach(self, node_id: str) -> None:
-        self._attachments.pop(node_id, None)
+        if self._attachments.pop(node_id, None) is not None:
+            self._rebuild_rows()
 
     def set_listening_channel(self, node_id: str, channel: int) -> None:
         """Retune a node's receiver (used by the Channel Control Layer)."""
         self._check_channel(channel)
         self._attachments[node_id].listening_channel = channel
+        self._rebuild_rows()
+
+    def _rebuild_rows(self) -> None:
+        channels = range(self.config.channels)
+        rows: List[List[_Attachment]] = [[] for _ in channels]
+        for attachment in self._attachments.values():
+            # A node tuned outside the medium's channels hears nothing.
+            if attachment.listening_channel in channels:
+                rows[int(attachment.listening_channel)].append(attachment)
+        self._rows = rows
 
     def listening_channel(self, node_id: str) -> int:
         return self._attachments[node_id].listening_channel
@@ -236,33 +282,33 @@ class WirelessMedium:
         ]
 
     # ------------------------------------------------------------ channel state
-    def is_busy(self, node_id: str, channel: int, now: Optional[float] = None) -> bool:
+    def is_busy(self, node_id: str, channel: int) -> bool:
         """Carrier sense: is any in-range transmission ongoing on ``channel``?"""
         if not 0 <= channel < self.config.channels:
             self._check_channel(channel)
-        transmissions = self._on_air[channel]
+        transmissions = self._live[channel]
         if not transmissions:
             return False
-        if now is None:
-            now = self.simulator.now
+        now = self.simulator.now
         communication_range = self.config.communication_range
         listener_pos: Optional[Tuple[float, ...]] = None
         for tx in transmissions:
-            if tx.sender == node_id:
+            # A frame whose end is now stays listed until its completion
+            # event runs, but is no longer on the air.
+            if tx.sender == node_id or now >= tx.end:
                 continue
-            if tx.start <= now < tx.end:
-                if listener_pos is None:
-                    listener_pos = self._attachments[node_id].position_fn()
-                sender_pos = tx.sender_position
-                if len(listener_pos) == 2 and len(sender_pos) == 2:
-                    distance = math.sqrt(
-                        (listener_pos[0] - sender_pos[0]) ** 2
-                        + (listener_pos[1] - sender_pos[1]) ** 2
-                    )
-                else:
-                    distance = self._distance(listener_pos, sender_pos)
-                if distance <= communication_range:
-                    return True
+            if listener_pos is None:
+                listener_pos = self._attachments[node_id].position_fn()
+            sender_pos = tx.sender_position
+            if len(listener_pos) == 2 and len(sender_pos) == 2:
+                distance = math.sqrt(
+                    (listener_pos[0] - sender_pos[0]) ** 2
+                    + (listener_pos[1] - sender_pos[1]) ** 2
+                )
+            else:
+                distance = self._distance(listener_pos, sender_pos)
+            if distance <= communication_range:
+                return True
         return False
 
     def is_interfered(self, channel: int, time: Optional[float] = None) -> bool:
@@ -325,6 +371,7 @@ class WirelessMedium:
             sender_position=tuple(sender_attachment.position_fn()),
             on_end=on_end,
         )
+        self._live[channel].append(tx)
         self._on_air[channel].append(tx)
         self.stats.frames_sent += 1
         self.simulator.schedule_fast(air_time, lambda: self._complete(tx))
@@ -356,6 +403,7 @@ class WirelessMedium:
         tx_start = tx.start
         tx_end = tx.end
         channel = tx.channel
+        self._live[channel].remove(tx)
         transmissions = self._on_air[channel]
         if len(transmissions) > 1:
             overlapping = [
@@ -368,32 +416,37 @@ class WirelessMedium:
 
         frame = tx.frame
         if frame.is_broadcast:
-            candidates = self._attachments.values()
+            candidates = self._rows[channel]
             sender = tx.sender
         else:
             target = self._attachments.get(frame.destination)
-            candidates = () if target is None else (target,)
+            listening = target is not None and target.listening_channel == channel
+            candidates = (target,) if listening else ()
             sender = None
 
         communication_range = self.config.communication_range
         base_loss = self.config.base_loss_probability
         # Constant per transmission (channel + start time), so evaluated once
-        # instead of per receiver.
-        interference_loss = self.interference_loss_probability(channel, tx_start)
+        # instead of per receiver, and not at all after the last burst.
+        if tx_start >= self._max_burst_end:
+            interference_loss = 0.0
+        else:
+            interference_loss = self.interference_loss_probability(channel, tx_start)
         sender_pos = tx.sender_position
         planar = len(sender_pos) == 2 and all(len(p) == 2 for p in overlapping)
         if planar:
             sx, sy = sender_pos
         sqrt = math.sqrt
         distance = self._distance
-        rng_random = self.rng.random
+        draws = self._draws
+        draw_index = self._draw_index
         stats = self.stats
         receivers: List[Callable[[Frame, float], None]] = []
 
         # Candidates are visited in attachment order, so the loss draws come
         # off the stream in the order of one scalar draw per receiver.
         for attachment in candidates:
-            if attachment.listening_channel != channel or attachment.node_id == sender:
+            if attachment.node_id == sender:
                 continue
             receiver_pos = attachment.position_fn()
             if planar and len(receiver_pos) == 2:
@@ -419,21 +472,23 @@ class WirelessMedium:
                 continue
             if interference_loss > 0:
                 # Whether a base-loss draw follows depends on this draw.
-                if rng_random() < interference_loss:
+                if draw_index == len(draws):
+                    draws, draw_index = self._refill_draws(), 0
+                draw = draws[draw_index]
+                draw_index += 1
+                if draw < interference_loss:
                     stats.lost_interference += 1
                     continue
-                if base_loss > 0 and rng_random() < base_loss:
+            if base_loss > 0:
+                if draw_index == len(draws):
+                    draws, draw_index = self._refill_draws(), 0
+                draw = draws[draw_index]
+                draw_index += 1
+                if draw < base_loss:
                     stats.lost_random += 1
                     continue
             receivers.append(attachment.receive)
-
-        if base_loss > 0 and interference_loss == 0 and receivers:
-            # One base-loss draw per receiver left, taken as one array: the
-            # same numbers, in the same order, as one scalar draw each.
-            draws = self.rng.random(len(receivers)).tolist()
-            kept = [receive for receive, draw in zip(receivers, draws) if draw >= base_loss]
-            stats.lost_random += len(receivers) - len(kept)
-            receivers = kept
+        self._draw_index = draw_index
 
         if receivers:
             stats.deliveries += len(receivers)
@@ -450,6 +505,12 @@ class WirelessMedium:
             self._prune(now)
         if tx.on_end is not None:
             tx.on_end()
+
+    def _refill_draws(self) -> List[float]:
+        """A fresh buffer of loss draws (Python floats, the same values as
+        ``_DRAW_CHUNK`` scalar ``rng.random()`` calls)."""
+        self._draws = self.rng.random(_DRAW_CHUNK).tolist()
+        return self._draws
 
     def _prune(self, now: float) -> None:
         cutoff = now - self._max_air_time

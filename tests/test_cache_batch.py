@@ -325,6 +325,28 @@ class TestSegments:
         assert [fresh.get(k) for k, _ in pairs] == [r for _, r in pairs]
         assert fresh.repairs == 0
 
+    def test_a_segment_is_deleted_with_its_last_link(self, tmp_path):
+        root = tmp_path / "cache"
+        pairs = _records(3)
+        cache = CacheIndex(root)
+        cache.put_many(pairs[:2])
+        cache.put_many(pairs[2:])
+        first, second = (root / "segments" / segment_of(root, pairs[i][0]) for i in (0, 2))
+        # A re-put of one of two keys leaves the segment its other key needs.
+        cache.put(*pairs[0])
+        assert first.exists()
+        # A repair of the other removes its last link, and the segment.
+        garble_entry(root, pairs[1][0])
+        assert cache.get(pairs[1][0]) is None and cache.repairs == 1
+        assert not first.exists()
+        # A re-put of a segment's only key removes it at once.
+        cache.put(*pairs[2])
+        assert not second.exists()
+        assert len(os.listdir(root / "segments")) == 2
+        assert cache.get(pairs[0][0]) == pairs[0][1]
+        assert cache.get(pairs[1][0]) is None
+        assert cache.get(pairs[2][0]) == pairs[2][1]
+
     @pytest.mark.parametrize(
         "old, new",
         [
@@ -364,6 +386,10 @@ class TestSegments:
         assert fresh.keys() == [key]
         assert _leftover_temps(tmp_path) == []
         assert os.listdir(root / "keys") == [key]
+        # The corrupt entry's segment lost its last link and is gone.
+        segments = os.listdir(root / "segments")
+        assert len(segments) == 1
+        assert fresh.stats()["bytes"] == (root / "segments" / segments[0]).stat().st_size
 
 
 class TestCacheCli:

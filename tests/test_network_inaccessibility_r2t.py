@@ -69,6 +69,31 @@ class TestInaccessibilityController:
         sim.run_until(3.0)
         assert recoveries == []
 
+    def test_controller_polls_inside_its_monitors_tick(self):
+        sim = Simulator()
+        monitor = InaccessibilityMonitor(sim, detection_threshold=0.1)
+        checks = []
+        InaccessibilityController(sim, monitor, lambda: None, bound=0.3)._check = (
+            lambda: checks.append(sim.now)
+        )
+        # One pending event (the monitor's tick) covers both.
+        assert sim.pending_events() == 1
+        sim.run_until(0.22)
+        assert sim.events_processed == 5
+        assert len(checks) == 5 and checks[0] == 0.0
+
+    def test_stopped_controller_no_longer_recovers(self):
+        sim = Simulator()
+        monitor = InaccessibilityMonitor(sim, detection_threshold=0.1)
+        recoveries = []
+        stopped = InaccessibilityController(sim, monitor, lambda: recoveries.append("a"), bound=0.3)
+        InaccessibilityController(sim, monitor, lambda: recoveries.append("b"), bound=0.3)
+        stopped.stop()
+        monitor.activity(0.0)
+        sim.run_until(2.0)
+        assert recoveries == ["b"]
+        assert stopped.recoveries == 0
+
 
 def build_r2t_pair(sim, channels=3, loss=0.0):
     medium = WirelessMedium(

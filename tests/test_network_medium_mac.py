@@ -4,11 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.clocks import DriftingClock
 from repro.network.frames import Frame, FrameKind
 from repro.network.mac_csma import CsmaConfig, CsmaMacNode
-from repro.network.medium import InterferenceBurst, MediumConfig, WirelessMedium
+from repro.network.medium import (
+    _DRAW_CHUNK,
+    _PRUNE_INTERVAL,
+    InterferenceBurst,
+    MediumConfig,
+    WirelessMedium,
+)
 from repro.sim.kernel import Simulator
 
 
@@ -302,6 +310,227 @@ class TestBatchedDelivery:
         sim.run_until(0.2)
         assert not medium.is_busy("b", 1)
         assert not medium.is_busy("b", 0)
+
+
+class _ScalarMedium(WirelessMedium):
+    """Reference medium: carrier sense scans every listed frame, a completion
+    visits every attachment and re-checks its channel, and each loss draw is
+    one scalar ``rng.random()`` call."""
+
+    def is_busy(self, node_id, channel):
+        now = self.simulator.now
+        for tx in self._on_air[channel]:
+            if tx.sender != node_id and tx.start <= now < tx.end:
+                listener = self._attachments[node_id].position_fn()
+                if self._distance(listener, tx.sender_position) <= self.config.communication_range:
+                    return True
+        return False
+
+    def _complete(self, tx):
+        now = self.simulator.now
+        config = self.config
+        reach = config.communication_range
+        base_loss = config.base_loss_probability
+        overlapping = [
+            other.sender_position
+            for other in self._on_air[tx.channel]
+            if other is not tx and other.start < tx.end and other.end > tx.start
+        ]
+        if tx.frame.is_broadcast:
+            candidates = [a for a in self._attachments.values() if a.node_id != tx.sender]
+        else:
+            target = self._attachments.get(tx.frame.destination)
+            candidates = [] if target is None else [target]
+        interference = self.interference_loss_probability(tx.channel, tx.start)
+        receivers = []
+        for attachment in candidates:
+            if attachment.listening_channel != tx.channel:
+                continue
+            position = attachment.position_fn()
+            if self._distance(position, tx.sender_position) > reach:
+                self.stats.lost_out_of_range += 1
+            elif any(self._distance(position, other) <= reach for other in overlapping):
+                self.stats.lost_collision += 1
+            elif interference > 0 and self.rng.random() < interference:
+                self.stats.lost_interference += 1
+            elif base_loss > 0 and self.rng.random() < base_loss:
+                self.stats.lost_random += 1
+            else:
+                receivers.append(attachment.receive)
+        if receivers:
+            self.stats.deliveries += len(receivers)
+            time = now + config.propagation_delay
+            frame = tx.frame
+            self.simulator.schedule_at_fast(
+                time, lambda: [receive(frame, time) for receive in receivers]
+            )
+        self._completions_since_prune += 1
+        if self._completions_since_prune >= _PRUNE_INTERVAL:
+            self._prune(now)
+        if tx.on_end is not None:
+            tx.on_end()
+
+
+def _next_unused_draw(medium):
+    """The value the medium's next loss draw would take."""
+    if isinstance(medium, _ScalarMedium):
+        return medium.rng.random()
+    if medium._draw_index < len(medium._draws):
+        return medium._draws[medium._draw_index]
+    return medium.rng.random()
+
+
+_TIMES = st.integers(0, 60).map(lambda ms: ms * 1e-3)
+
+
+@st.composite
+def _medium_scripts(draw):
+    """A random layout, channel plan, burst set and action script."""
+    nodes = draw(st.integers(2, 7))
+    channels = draw(st.integers(1, 3))
+    layout = [
+        (
+            draw(st.floats(0.0, 600.0)),
+            draw(st.floats(0.0, 600.0)),
+            draw(st.floats(-2000.0, 2000.0)),  # x speed, m/s
+            draw(st.one_of(st.none(), st.floats(0.0, 200.0))),  # altitude
+            draw(st.integers(0, channels - 1)),  # listening channel
+        )
+        for _ in range(nodes)
+    ]
+    bursts = draw(
+        st.lists(
+            st.tuples(
+                _TIMES,
+                st.floats(1e-3, 0.03),
+                st.one_of(st.none(), st.integers(0, channels - 1)),
+                st.one_of(st.floats(0.05, 0.95), st.just(1.0)),
+            ),
+            max_size=3,
+        )
+    )
+    node = st.integers(0, nodes - 1)
+    channel = st.integers(0, channels - 1)
+    actions = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("tx"), _TIMES, node, channel,
+                    st.one_of(st.none(), node),  # unicast destination
+                    st.sampled_from([400, 800, 6000, 30000]),
+                    st.one_of(st.none(), node),  # senses the channel at the frame's end
+                ),
+                st.tuples(st.just("tune"), _TIMES, node, channel),
+                st.tuples(st.just("sense"), _TIMES, node, channel),
+            ),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    base_loss = draw(st.sampled_from([0.0, 0.05, 0.4]))
+    return channels, layout, bursts, actions, base_loss
+
+
+def _play(medium_class, script, seed):
+    """Run ``script`` on a fresh medium; its log, stats and next draw."""
+    channels, layout, bursts, actions, base_loss = script
+    sim = Simulator()
+    medium = medium_class(
+        sim,
+        MediumConfig(base_loss_probability=base_loss, channels=channels),
+        rng=np.random.default_rng(seed),
+    )
+    log = []
+    for index, (x, y, speed, altitude, listening) in enumerate(layout):
+        def position(x=x, y=y, speed=speed, altitude=altitude):
+            planar = (x + speed * sim.now, y)
+            return planar if altitude is None else planar + (altitude,)
+
+        medium.attach(
+            f"n{index}",
+            lambda frame, time, index=index: log.append(("rx", index, frame.frame_id, time)),
+            position_fn=position,
+            listening_channel=listening,
+        )
+    for start, duration, channel, loss in bursts:
+        medium.add_interference(InterferenceBurst(start, duration, channel, loss))
+
+    def act(step, action):
+        kind, _time, index, channel = action[:4]
+        if kind == "tx":
+            _, _, _, _, destination, size_bits, prober = action
+            frame = Frame(
+                source=f"n{index}",
+                destination=None if destination is None else f"n{destination}",
+                size_bits=size_bits,
+                channel=channel,
+                frame_id=step,
+            )
+            if prober is not None:
+                # Runs at the frame's end time, before its completion event.
+                end = sim.now + frame.air_time(medium.config.bitrate_bps)
+                sim.schedule_at(end, lambda: sense(step, prober, channel))
+            medium.transmit(frame, on_end=lambda: log.append(("end", step, sim.now)))
+        elif kind == "tune":
+            medium.set_listening_channel(f"n{index}", channel)
+        else:
+            sense(step, index, channel)
+
+    def sense(step, index, channel):
+        log.append(("busy", step, sim.now, medium.is_busy(f"n{index}", channel)))
+
+    for step, action in enumerate(actions):
+        sim.schedule_at(action[1], lambda step=step, action=action: act(step, action))
+    sim.run_until(0.2)
+    return log, medium.stats, _next_unused_draw(medium)
+
+
+class TestMediumMatchesScalarReference:
+    """The live lists, channel rows and chunked draws change no outcome."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(script=_medium_scripts(), seed=st.integers(0, 2**32 - 1))
+    def test_same_deliveries_stats_and_draws_as_the_reference(self, script, seed):
+        log, stats, next_draw = _play(WirelessMedium, script, seed)
+        reference_log, reference_stats, reference_next_draw = _play(_ScalarMedium, script, seed)
+        assert log == reference_log
+        assert stats == reference_stats
+        # Both consumed the same number of draws.
+        assert next_draw == reference_next_draw
+
+    def test_reference_comparison_reaches_every_outcome(self):
+        # A fixed dense script: the property above is not vacuous.
+        channels, nodes = 2, 6
+        layout = [(60.0 * k, 0.0, 0.0, None, k % channels) for k in range(nodes)]
+        actions = []
+        for k in range(300):
+            start, sender, channel = 5e-4 * k, k % nodes, k % channels
+            unicast = None if k % 7 else (k + 1) % nodes
+            prober = None if k % 3 else (k + 2) % nodes  # senses at the frame's end
+            actions.append(("tx", start, sender, channel, unicast, 800, prober))
+            if k % 25 == 0:  # a second sender at the same instant: collisions
+                actions.append(("tx", start, (k + 3) % nodes, channel, None, 800, None))
+            # Senses inside (1e-4 s in) or after (3e-4 s) the 0.13 ms frame.
+            sensed = start + (1e-4 if k % 2 else 3e-4)
+            actions.append(("sense", sensed, (k + 2) % nodes, channel))
+            if k % 40 == 39:
+                actions.append(("tune", start, (k + 4) % nodes, (k // 40) % channels))
+        bursts = [(0.02, 0.01, None, 0.5)]
+        script = (channels, layout, bursts, actions, 0.3)
+        log, stats, _ = _play(WirelessMedium, script, 1)
+        assert (log, stats) == _play(_ScalarMedium, script, 1)[:2]
+        assert min(
+            stats.deliveries, stats.lost_random, stats.lost_collision, stats.lost_interference
+        ) > 0
+        assert {entry[-1] for entry in log if entry[0] == "busy"} == {True, False}
+        # More draws than one chunk, so the buffer was refilled mid-run.
+        assert stats.lost_random + stats.lost_interference + stats.deliveries > _DRAW_CHUNK
+
+    def test_chunked_draws_are_successive_scalar_draws(self):
+        medium = WirelessMedium(Simulator(), rng=np.random.default_rng(42))
+        reference = np.random.default_rng(42)
+        drawn = medium._refill_draws() + medium._refill_draws()
+        assert drawn == [reference.random() for _ in range(2 * _DRAW_CHUNK)]
 
 
 class _RecordedSlots:

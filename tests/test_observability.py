@@ -709,17 +709,11 @@ def _printed_counts(out):
 
 
 class TestCellPhasesCli:
-    @pytest.fixture(autouse=True)
-    def _untraced_afterwards(self):
-        yield
-        disable_tracing()
-
     def _traced_run(self, store, seeds="2"):
         # demo/safety_kernel drives the event kernel, so its cells have all
         # three phases (demo/random_walk is pure numpy).
         argv = ["run", "demo/safety_kernel", "--seeds", seeds, "--store", str(store), "--trace"]
         assert cli_main(argv) == 0
-        disable_tracing()
 
     def test_traced_run_prints_its_cells_phase_table(self, tmp_path, capsys):
         store = tmp_path / "results.jsonl"
@@ -740,7 +734,6 @@ class TestCellPhasesCli:
         for seeds in ("2", "3"):
             argv = ["run", "demo/safety_kernel", "--seeds", seeds, "--trace-dir", str(trace_dir)]
             assert cli_main(argv) == 0
-            disable_tracing()
             counts = _printed_counts(capsys.readouterr().out)
             assert set(counts.values()) == {int(seeds)}, counts
         traces = {span["trace"] for span in merge_trace_files(trace_dir)}

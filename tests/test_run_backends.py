@@ -19,7 +19,6 @@ from repro.distributed import Spool
 from repro.experiments.cli import BACKENDS, main as cli_main
 from repro.observability.trace import (
     TRACER,
-    disable_tracing,
     merge_trace_files,
     summarize_trace,
 )
@@ -63,8 +62,6 @@ def _argv(backend, flag, value):
 def _in_tmp_path(tmp_path, monkeypatch):
     """Run in an empty directory, so a test can see that nothing was written."""
     monkeypatch.chdir(tmp_path)
-    yield
-    disable_tracing()
 
 
 def test_every_backend_flag_has_a_test_value():
@@ -165,7 +162,6 @@ def test_a_temporary_spool_traces_beside_the_store(tmp_path, capsys):
             "--store", "s.jsonl", "--trace"]
     assert cli_main(argv) == 0
     assert "recorded in s.jsonl.trace" in capsys.readouterr().out
-    disable_tracing()
     spans = merge_trace_files(tmp_path / "s.jsonl.trace")
     cells = [span for span in spans if span.get("cat") == "cell"]
     assert len(cells) == 4
@@ -179,7 +175,6 @@ def test_a_temporary_spool_traces_beside_the_store(tmp_path, capsys):
 def test_forked_workers_record_each_cells_phases(tmp_path, capsys):
     platoon = ["run", "platoon/karyon", "-p", "duration=5.0", "--seeds", "4"]
     assert cli_main([*platoon, "--jobs", "2", "--trace", "--store", "s.jsonl"]) == 0
-    disable_tracing()
     assert "platoon/karyon: cell phases of trace" in capsys.readouterr().out
     spans = merge_trace_files(tmp_path / "s.jsonl.trace")
     rows = summarize_trace(spans)["cell_phases"]
@@ -196,7 +191,6 @@ def test_forked_workers_record_each_cells_phases(tmp_path, capsys):
 def test_tracing_leaves_the_store_byte_identical(tmp_path, flags):
     campaign = ["run", "tdma_convergence", "--seeds", "6", *flags]
     assert cli_main([*campaign, "--trace", "--store", "traced.jsonl"]) == 0
-    disable_tracing()
     assert cli_main([*campaign, "--store", "untraced.jsonl"]) == 0
     assert merge_trace_files(tmp_path / "traced.jsonl.trace")
     assert (tmp_path / "traced.jsonl").read_bytes() == (tmp_path / "untraced.jsonl").read_bytes()

@@ -13,9 +13,12 @@ one delivery event per frame (instead of one per receiver) lowered the
 counts of the eight use cases that attach a medium while every digest stayed
 byte-identical, and so did releasing the CSMA sender inside its frame's
 completion event (each count dropped by exactly the frame completions its
-run processed).  Keeping the count out of the digest lets such a refresh
-show as exactly the counts it moves; ``fingerprint_util.py --diff`` prints
-them.
+run processed).  Polling the inaccessibility controller inside its
+monitor's tick, instead of as a periodic task of its own, dropped each R2T
+use case's count by exactly its controller checks
+(``fingerprint_util.py --controller-checks``).  Keeping the count out of
+the digest lets such a refresh show as exactly the counts it moves;
+``fingerprint_util.py --diff`` prints them.
 
 Since PR 4 every set-of-node-ids iteration that feeds RNG draws or message
 scheduling (TDMA collision re-draws, pulse-sync neighbour exchanges,
@@ -66,19 +69,19 @@ PINNED = {
 
 #: ``Simulator.events_processed`` of each use-case workload.
 EVENT_COUNTS = {
-    "platoon/karyon": 16282,
-    "platoon/always_cooperative": 15682,
-    "platoon/never_cooperative": 15682,
-    "intersection/infrastructure": 40940,
-    "intersection/vtl_fallback": 40542,
-    "intersection/uncoordinated": 40309,
-    "lane_change/coordinated": 22612,
-    "lane_change/uncoordinated": 22457,
+    "platoon/karyon": 14682,
+    "platoon/always_cooperative": 14082,
+    "platoon/never_cooperative": 14082,
+    "intersection/infrastructure": 32533,
+    "intersection/vtl_fallback": 32135,
+    "intersection/uncoordinated": 31902,
+    "lane_change/coordinated": 17812,
+    "lane_change/uncoordinated": 17657,
     "avionics/in_trail": 804,
     "avionics/crossing": 804,
     "avionics/level_change": 620,
-    "urban_grid": 15629,
-    "corridor": 26175,
+    "urban_grid": 14177,
+    "corridor": 20775,
     "mixed_airspace": 20359,
 }
 

@@ -335,7 +335,6 @@ class TestTraceCli:
             ["run", "demo/random_walk", "--seeds", "3",
              "--store", str(store), "--trace"]
         )
-        disable_tracing()
         assert code == 0
         out = capsys.readouterr().out
         assert "trace" in out and "trace-*.jsonl" in out
@@ -363,6 +362,15 @@ class TestTraceCli:
         assert cli_main(["trace", "critical-path", str(store)]) == 0
         out = capsys.readouterr().out
         assert "wall-clock" in out and "critical chain" in out
+
+    def test_a_traced_run_leaves_the_process_tracer_off(self, tmp_path, capsys):
+        # The tracer is process-global: a later in-process campaign (or any
+        # simulator run) must not keep tracing into this run's directory.
+        self._run_traced(tmp_path, capsys)
+        assert not TRACER.enabled
+        assert cli_main(["run", "demo/random_walk", "--seeds", "1",
+                         "--trace-dir", str(tmp_path / "t")]) == 0
+        assert not TRACER.enabled
 
     def test_summary_json_is_machine_readable(self, tmp_path, capsys):
         store = self._run_traced(tmp_path, capsys)
@@ -394,11 +402,9 @@ class TestTraceCli:
         )
         code = cli_main(common + ["--backend", "spool", "--spool", str(spool),
                                   "--workers", "2", "--cache", str(tmp_path / "trc")])
-        disable_tracing()
         assert code == 0
         store = tmp_path / "tri.jsonl"
         code = cli_main(common + ["--store", str(store), "--cache", str(tmp_path / "tric")])
-        disable_tracing()
         assert code == 0
         assert cache_spans(spool) == cache_spans(f"{store}.trace") == (1, 1)
 
@@ -420,6 +426,5 @@ class TestTraceCli:
             ["run", "demo/random_walk", "--seeds", "1",
              "--trace-dir", str(trace_dir)]
         )
-        disable_tracing()
         assert code == 0
         assert list(trace_dir.glob("trace-*.jsonl"))
