@@ -6,41 +6,3 @@ cooperative group membership, round-based manoeuvre agreement (cohorts),
 virtual (stationary/mobile) nodes, and self-stabilising topology discovery
 with a Byzantine-resilient delivery primitive.
 """
-
-from repro.cooperation.failure_detector import HeartbeatFailureDetector, PeerStatus
-from repro.cooperation.membership import CooperativeGroup, MembershipView
-from repro.cooperation.agreement import (
-    ManeuverAgreement,
-    ManeuverProposal,
-    AgreementOutcome,
-    RegionLock,
-)
-from repro.cooperation.virtual_node import (
-    VirtualNodeRegion,
-    VirtualStationaryNode,
-    VirtualNodeHost,
-    plane_tiling,
-)
-from repro.cooperation.topology import (
-    TopologyDiscovery,
-    byzantine_delivery_possible,
-    deliver_with_disjoint_paths,
-)
-
-__all__ = [
-    "HeartbeatFailureDetector",
-    "PeerStatus",
-    "CooperativeGroup",
-    "MembershipView",
-    "ManeuverAgreement",
-    "ManeuverProposal",
-    "AgreementOutcome",
-    "RegionLock",
-    "VirtualNodeRegion",
-    "VirtualStationaryNode",
-    "VirtualNodeHost",
-    "plane_tiling",
-    "TopologyDiscovery",
-    "byzantine_delivery_possible",
-    "deliver_with_disjoint_paths",
-]

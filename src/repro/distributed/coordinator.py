@@ -25,10 +25,13 @@ Scheduling is a plain pull queue: the coordinator publishes its tasks
 once, sized by one deterministic schedule
 (:func:`~repro.distributed.spool.chunk_sizes`) or a fixed ``task_size``,
 and idle workers claim the next pending one.  Recovery never changes
-that shape: an expired lease is requeued, a torn shard's task is
-republished, a poison task is quarantined and its cells counted as
-failures, and cells that every other path lost are republished as
-recovery tasks (:func:`republish_missing`) once the queue drains.
+that shape: an expired lease is requeued, a torn shard is dropped, a
+poison task is quarantined and its cells counted as failures, and once
+the queue drains with cells still unfilled, each task that holds one is
+republished under its own id.  That drain rule is the only way back for
+a lost cell (a torn shard, a task file removed by hand, a resumed
+campaign's missing tasks), so every shard a campaign writes is named
+after one of its own tasks.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import replace
 from multiprocessing.process import BaseProcess
 from pathlib import Path
 from types import CodeType
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.distributed.spool import (
     DEFAULT_LEASE_TIMEOUT,
@@ -70,9 +73,6 @@ from repro.resilience.faults import GENERATION_ENV, arm_from_environment, inject
 from repro.resilience.retry import RetryPolicy
 
 logger = logging.getLogger(__name__)
-
-#: Cells per recovery task republished by :func:`republish_missing`.
-RECOVERY_TASK_CELLS = 32
 
 
 def _campaign_id(tasks: Sequence[SpoolTask]) -> str:
@@ -132,35 +132,6 @@ def _preimport_factory(factory: Any) -> None:
                 except Exception:  # noqa: BLE001 — the cell reports it, as before
                     pass
     import numpy.random  # noqa: F401
-
-
-def republish_missing(
-    publish: Callable[[SpoolTask], None],
-    scenario: str,
-    missing_cells: Sequence[Tuple[Dict[str, Any], int, int]],
-    first: int = 0,
-) -> List[SpoolTask]:
-    """Re-publish cells no pending/claimed/quarantined task covers.
-
-    The recovery path of last resort: whenever the queue drains with
-    run-list indices still unfilled (say, a task file removed by hand
-    while the campaign ran), the missing cells come back as fresh tasks
-    of up to :data:`RECOVERY_TASK_CELLS` cells.  Ids use a ``task-r``
-    prefix, numbered from ``first``, that sorts after every numeric id,
-    so recovery work queues behind real work.  Returns the published
-    tasks.
-    """
-    tasks = [
-        SpoolTask(
-            task_id=f"task-r{first + number:05d}",
-            scenario=scenario,
-            cells=tuple(missing_cells[start : start + RECOVERY_TASK_CELLS]),
-        )
-        for number, start in enumerate(range(0, len(missing_cells), RECOVERY_TASK_CELLS))
-    ]
-    for task in tasks:
-        publish(task)
-    return tasks
 
 
 class SpoolBackend(ExecutionBackend):
@@ -307,12 +278,11 @@ class SpoolBackend(ExecutionBackend):
         if recovery is not None:
             logger.warning(
                 "resuming campaign %s on spool %s: %d shard(s) already done, "
-                "%d torn shard(s) dropped, %d task(s) republished",
+                "%d torn shard(s) dropped",
                 campaign_id[:12],
                 self.spool.root,
                 recovery["completed"],
                 recovery["torn_shards"],
-                recovery["republished"],
             )
             events.emit("campaign_resumed", scenario=spec.name, **recovery)
         else:
@@ -335,10 +305,8 @@ class SpoolBackend(ExecutionBackend):
             # Keyed after the fork, while the workers start up.
             key_by_index = {run_spec.index: run_spec.key for run_spec in pending}
             shards = self._collect(
-                pending,
                 key_by_index,
                 task_by_id,
-                spec.name,
                 worker_slots,
                 events=events,
                 trackers=trackers,
@@ -444,12 +412,13 @@ class SpoolBackend(ExecutionBackend):
         Called before :meth:`Spool.initialise`: when the spool's recorded
         ``campaign_id`` matches this exact work list, a previous coordinator
         (killed mid-campaign, crashed, or power-cut) left partial state we
-        can converge from — valid shards are kept, torn shards dropped, and
-        tasks that are nowhere (not pending, claimed, done, or quarantined)
-        are republished.  Claims are deliberately *not* force-reclaimed:
-        their holders may be live external workers, and expired leases are
-        reaped by the normal collect loop.  Returns the recovery stats, or
-        ``None`` when the spool holds a different campaign (purge as usual).
+        can converge from — valid shards are kept and torn shards dropped.
+        Tasks that are nowhere (not pending, claimed, done, or quarantined)
+        come back through the collect loop's drain rule.  Claims are
+        deliberately *not* force-reclaimed: their holders may be live
+        external workers, and expired leases are reaped by the normal
+        collect loop.  Returns the recovery stats, or ``None`` when the
+        spool holds a different campaign (purge as usual).
         """
         if self.spool.metadata().get("campaign_id") != campaign_id or not self.spool.exists():
             return None
@@ -466,20 +435,10 @@ class SpoolBackend(ExecutionBackend):
                 except FileNotFoundError:
                     pass
                 torn += 1
-        task_ids = {task.task_id for task in tasks}
-        present: Set[str] = set(self.spool.pending_task_ids())
-        present.update(self.spool.claimed_task_ids())
-        present.update(self.spool.quarantined_task_ids())
-        done = set(self.spool.completed_task_ids()) & task_ids
-        present.update(done)
-        republished = 0
-        for task in tasks:
-            if task.task_id not in present:
-                self._publish(task)
-                republished += 1
+        done = set(self.spool.completed_task_ids()) & {task.task_id for task in tasks}
         # Refresh the published lease/attempt policy for this coordinator.
         self.spool.write_campaign_metadata(metadata)
-        return {"completed": len(done), "torn_shards": torn, "republished": republished}
+        return {"completed": len(done), "torn_shards": torn}
 
     def _spawn_worker(self, generation: int = 0) -> BaseProcess:
         """Fork one local worker: it inherits the coordinator's imports,
@@ -498,10 +457,8 @@ class SpoolBackend(ExecutionBackend):
 
     def _collect(
         self,
-        pending: Sequence[RunSpec],
         key_by_index: Dict[int, str],
         task_by_id: Dict[str, SpoolTask],
-        scenario: str,
         worker_slots: Optional[List[Dict[str, Any]]] = None,
         events: Optional[EventLog] = None,
         trackers: Sequence[ProgressTracker] = (),
@@ -511,13 +468,8 @@ class SpoolBackend(ExecutionBackend):
         record is this campaign's (its key matches the cell's: a stale worker
         from a previous campaign may write shards under our task ids)."""
         expected: Set[int] = set(key_by_index)
-        spec_by_index: Dict[int, RunSpec] = {
-            run_spec.index: run_spec for run_spec in pending
-        }
         #: Cells with a shard or a quarantine failure: progress, termination.
         filled: Set[int] = set()
-        #: Cells with a shard: a shard that covers none anew is a twin.
-        covered: Set[int] = set()
         shards: Dict[str, List[Tuple[int, RunRecord]]] = {}
         #: mtime at which an unmatched (stale) shard was last parsed, so the
         #: poll loop re-reads it only after a worker atomically replaces it.
@@ -538,32 +490,17 @@ class SpoolBackend(ExecutionBackend):
                     with TRACER.span("ingest", cat="ingest", task=task_id):
                         shard_records = self.spool.read_result_shard(task_id)
                 except TornShardError:
-                    # Drop it and republish the task so its cells re-execute.
+                    # Its cells come back through the drain rule.
                     self._drop_torn_shard(task_id, events)
                     stale_shard_mtime.pop(task_id, None)
-                    task = task_by_id.get(task_id)
-                    if task is not None and not (
-                        (self.spool.tasks_dir / f"{task_id}.json").exists()
-                        or (self.spool.claimed_dir / f"{task_id}.json").exists()
-                        or (self.spool.quarantine_dir / f"{task_id}.json").exists()
-                    ):
-                        self._publish(task)
-                    # A shard under an id this coordinator did not publish
-                    # (another coordinator's recovery task) has no entry in
-                    # task_by_id; its cells come back through the
-                    # drain-time republish_missing catch-all.
                     continue
                 except FileNotFoundError:
                     continue
                 matched = True
-                fresh = False
                 for index, record in shard_records:
                     if key_by_index.get(index) != record.key:
                         matched = False
                         continue
-                    if index not in covered:
-                        covered.add(index)
-                        fresh = True
                     if index not in filled:
                         filled.add(index)
                         for tracker in trackers:
@@ -576,19 +513,6 @@ class SpoolBackend(ExecutionBackend):
                     continue
                 shards[task_id] = shard_records
                 stale_shard_mtime.pop(task_id, None)
-                if not fresh:
-                    # Every cell already landed via an earlier shard under
-                    # another id (a recovery task raced the original): a
-                    # byte-identical twin, which settle() passes over.
-                    logger.info(
-                        "superseded shard %s (all %d cell(s) already ingested)",
-                        task_id,
-                        len(shard_records),
-                    )
-                    if events is not None:
-                        events.emit(
-                            "task_superseded", task=task_id, cells=len(shard_records)
-                        )
 
         handled_quarantine: Set[str] = set()
 
@@ -633,17 +557,14 @@ class SpoolBackend(ExecutionBackend):
                 tracker.set_running(running)
                 tracker.set_workers(heartbeats)
 
-        recovery_tasks = 0
-
-        def republish_drained_missing() -> None:
-            """Recovery of last resort: the queue drained but cells are missing.
-
-            Covers what the per-task republish cannot: cells whose task file
-            is gone from every spool directory.  Only fires when nothing is
-            pending, claimed, newly quarantined, or sitting as an un-ingested
-            non-stale shard.
+        def republish_drained() -> None:
+            """The one way back for a lost cell: when the queue drains with
+            cells unfilled (a dropped torn shard, a task file removed by
+            hand, a resumed campaign's missing task), republish each task
+            that holds one under its own id.  Only fires when nothing is
+            pending, claimed, newly quarantined, or sitting as an
+            un-ingested non-stale shard.
             """
-            nonlocal recovery_tasks
             if filled == expected:
                 return
             if self.spool.pending_task_ids() or self.spool.claimed_task_ids():
@@ -653,20 +574,18 @@ class SpoolBackend(ExecutionBackend):
             for task_id in self.spool.completed_task_ids():
                 if task_id not in shards and task_id not in stale_shard_mtime:
                     return  # a shard landed this poll; ingest it first
-            missing = [
-                (spec_by_index[index].params, spec_by_index[index].seed, index)
-                for index in sorted(expected - filled)
+            lost = [
+                task
+                for task in task_by_id.values()
+                if any(index not in filled for _, _, index in task.cells)
             ]
-            republished = republish_missing(
-                self._publish, scenario, missing, first=recovery_tasks
-            )
-            recovery_tasks += len(republished)
-            task_by_id.update((task.task_id, task) for task in republished)
+            for task in lost:
+                self._publish(task)
             logger.warning(
-                "queue drained with %d cell(s) unfilled; republished them "
-                "as %d recovery task(s)",
-                len(missing),
-                len(republished),
+                "queue drained with %d cell(s) unfilled; republished %d task(s): %s",
+                len(expected - filled),
+                len(lost),
+                ", ".join(task.task_id for task in lost),
             )
 
         # NOTE: respawns append to the caller's list so execute()'s finally
@@ -740,7 +659,7 @@ class SpoolBackend(ExecutionBackend):
                 )
                 if events is not None:
                     events.emit("task_reclaimed", task=task_id)
-            republish_drained_missing()
+            republish_drained()
             if self.timeout is not None and time.time() - started > self.timeout:
                 missing = sorted(expected - filled)
                 raise SpoolDispatchError(

@@ -812,9 +812,21 @@ def _print_campaign_sidecar(store_path: str) -> None:
     print()
 
 
+def _recorded_trace_dir(target: str) -> Path:
+    """The trace directory of the campaign ``target`` names: the one its
+    progress file records (a ``--spool`` or ``--trace-dir`` campaign's),
+    else the default (``<store>.trace/``, or the spool itself)."""
+    paths = campaign_paths(target)
+    progress = read_progress(paths.progress)
+    if progress is not None and progress.trace_dir:
+        return Path(progress.trace_dir)
+    return paths.trace
+
+
 def _print_trace_phases(store_path: str) -> None:
-    """Surface the cell phases of the newest trace in ``<store>.trace/``."""
-    trace_dir = campaign_paths(store_path).trace
+    """Surface the cell phases of the newest trace the store's campaign
+    recorded (see :func:`_recorded_trace_dir`)."""
+    trace_dir = _recorded_trace_dir(store_path)
     spans = merge_trace_files(trace_dir)
     if not spans:
         return
@@ -1149,7 +1161,7 @@ def _cmd_tail(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    trace_dir = campaign_paths(args.target).trace
+    trace_dir = _recorded_trace_dir(args.target)
     spans = merge_trace_files(trace_dir)
     if not spans:
         print(

@@ -218,6 +218,7 @@ class WirelessMedium:
         """Attach a node; ``position_fn`` defaults to a fixed origin position."""
         if node_id in self._attachments:
             raise ValueError(f"node {node_id!r} is already attached")
+        self._check_channel(listening_channel)
         if position_fn is None:
             position_fn = lambda: (0.0, 0.0)
         self._attachments[node_id] = _Attachment(
@@ -239,12 +240,9 @@ class WirelessMedium:
         self._rebuild_rows()
 
     def _rebuild_rows(self) -> None:
-        channels = range(self.config.channels)
-        rows: List[List[_Attachment]] = [[] for _ in channels]
+        rows: List[List[_Attachment]] = [[] for _ in range(self.config.channels)]
         for attachment in self._attachments.values():
-            # A node tuned outside the medium's channels hears nothing.
-            if attachment.listening_channel in channels:
-                rows[int(attachment.listening_channel)].append(attachment)
+            rows[int(attachment.listening_channel)].append(attachment)
         self._rows = rows
 
     def listening_channel(self, node_id: str) -> int:

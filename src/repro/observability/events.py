@@ -28,12 +28,15 @@ kind                emitted when
 ``task_quarantined``  a poison task was retired after repeated failed claims
 ``vector_batch``      the vector backend settled a lockstep seed batch
 ``vector_evict``      a seed was evicted from a batch to the scalar kernel
-``task_superseded``   a shard landed while the campaign ran whose every cell an
-                      earlier shard holds: a byte-identical twin (a late shard
-                      that heals a quarantined cell is not superseded)
 ``cell_timeout``      a worker's watchdog killed a cell past its deadline
 =================== ========================================================
 
+Schema note (v6 of this taxonomy): ``task_superseded`` is gone.  A lost
+cell now comes back only by republishing its own task, so no shard can
+twin another under a different id; ``campaign_resumed`` carries
+``scenario``, ``completed`` and ``torn_shards``, and no longer
+``republished``.  Logs of older spools may still hold either, and
+readers pass them through like any unknown kind or field.
 Schema note (v5 of this taxonomy): the ``cache_hit`` and ``cache_miss``
 kinds are gone; spool workers no longer touch the result cache, whose
 counts live in its ``stats.jsonl`` ledger.  Logs of older spools may
@@ -83,7 +86,6 @@ EVENT_KINDS = frozenset(
         "task_quarantined",
         "vector_batch",
         "vector_evict",
-        "task_superseded",
         "cell_timeout",
     }
 )

@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Union
 
+from repro.observability.trace import TRACER
+
 PROGRESS_VERSION = 1
 
 _SPOOL_FILES = ("progress.json", "events.jsonl")
@@ -168,6 +170,11 @@ class CampaignProgress:
     #: Per-execution-path cell counts ("vector"/"scalar"/"store"/"cache"/
     #: backend name -> count); populated when the campaign closes.
     backend_cells: Dict[str, int] = field(default_factory=dict)
+    #: Absolute directory the campaign traced into (``run --trace``), or
+    #: ``None`` when untraced: ``report`` finds a ``--spool`` or
+    #: ``--trace-dir`` campaign's trace through it (a new optional key; the
+    #: document stays version 1).
+    trace_dir: Optional[str] = None
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {
@@ -190,6 +197,7 @@ class CampaignProgress:
             "eta_smoothed_s": self.eta_smoothed_s,
             "workers": self.workers,
             "backend_cells": self.backend_cells,
+            "trace_dir": self.trace_dir,
         }
 
     @classmethod
@@ -216,6 +224,7 @@ class CampaignProgress:
                 str(name): int(count)
                 for name, count in (payload.get("backend_cells") or {}).items()
             },
+            trace_dir=payload.get("trace_dir"),
         )
 
 
@@ -280,6 +289,7 @@ class ProgressTracker:
         self._last_write = 0.0
         self._ewma_rps: Optional[float] = None
         self._last_fresh_mono = 0.0  # previous fresh completion (monotonic)
+        self._trace_dir: Optional[str] = None
 
     # ---------------------------------------------------------------- updates
     def begin(self, total: int, reused: int = 0, cached: int = 0) -> None:
@@ -292,6 +302,8 @@ class ProgressTracker:
             self._started_at = time.time()
             self._started_mono = time.monotonic()
             self._last_fresh_mono = self._started_mono
+            if TRACER.enabled and TRACER.directory is not None:
+                self._trace_dir = str(TRACER.directory.resolve())
             self._write_locked(force=True)
 
     def record_record(self, ok: bool = True) -> None:
@@ -389,6 +401,7 @@ class ProgressTracker:
             eta_smoothed_s=eta_smoothed,
             workers=dict(self._workers),
             backend_cells=dict(self._backend_cells),
+            trace_dir=self._trace_dir,
         )
 
     def _write_locked(self, force: bool = False) -> None:

@@ -15,71 +15,3 @@ Beyond the paper, three ROADMAP workloads composed on the
 * :mod:`repro.usecases.corridor` -- chained multi-intersection arterial.
 * :mod:`repro.usecases.mixed_airspace` -- RPV + ground V2V spectrum sharing.
 """
-
-from repro.usecases.acc import (
-    PlatoonScenario,
-    PlatoonConfig,
-    PlatoonResults,
-    ArchitectureVariant,
-    build_acc_los_catalog,
-)
-from repro.usecases.intersection import (
-    IntersectionScenario,
-    IntersectionConfig,
-    IntersectionResults,
-    IntersectionMode,
-)
-from repro.usecases.lane_change import (
-    LaneChangeScenario,
-    LaneChangeConfig,
-    LaneChangeResults,
-)
-from repro.usecases.avionics import (
-    AvionicsScenario,
-    AvionicsConfig,
-    AvionicsResults,
-    AvionicsUseCase,
-)
-from repro.usecases.urban_grid import (
-    UrbanGridScenario,
-    UrbanGridConfig,
-    UrbanGridResults,
-)
-from repro.usecases.corridor import (
-    CorridorScenario,
-    CorridorConfig,
-    CorridorResults,
-)
-from repro.usecases.mixed_airspace import (
-    MixedAirspaceScenario,
-    MixedAirspaceConfig,
-    MixedAirspaceResults,
-)
-
-__all__ = [
-    "PlatoonScenario",
-    "PlatoonConfig",
-    "PlatoonResults",
-    "ArchitectureVariant",
-    "build_acc_los_catalog",
-    "IntersectionScenario",
-    "IntersectionConfig",
-    "IntersectionResults",
-    "IntersectionMode",
-    "LaneChangeScenario",
-    "LaneChangeConfig",
-    "LaneChangeResults",
-    "AvionicsScenario",
-    "AvionicsConfig",
-    "AvionicsResults",
-    "AvionicsUseCase",
-    "UrbanGridScenario",
-    "UrbanGridConfig",
-    "UrbanGridResults",
-    "CorridorScenario",
-    "CorridorConfig",
-    "CorridorResults",
-    "MixedAirspaceScenario",
-    "MixedAirspaceConfig",
-    "MixedAirspaceResults",
-]

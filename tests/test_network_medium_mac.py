@@ -185,6 +185,13 @@ class TestWirelessMedium:
         with pytest.raises(ValueError):
             medium.transmit(Frame(source="a", channel=99))
 
+    @pytest.mark.parametrize("channel", [7, 3, -1])
+    def test_attach_rejects_a_listening_channel_out_of_range(self, channel):
+        medium = make_medium(Simulator(), channels=3)
+        with pytest.raises(ValueError, match="out of range"):
+            medium.attach("a", lambda f, t: None, listening_channel=channel)
+        assert medium.attached_nodes() == []
+
     def test_random_loss_probability(self):
         sim = Simulator()
         medium = make_medium(sim, loss=0.5)

@@ -749,6 +749,27 @@ class TestCellPhasesCli:
         assert "cell phases of trace" in out and "(results.jsonl.trace)" in out
         assert set(_printed_counts(out).values()) == {1}
 
+    @pytest.mark.parametrize(
+        "flags, directory", [(["--spool", "sp", "--jobs", "2"], "sp"), (["--trace-dir", "td"], "td")]
+    )
+    def test_report_finds_a_trace_recorded_outside_the_store_sidecar(
+        self, tmp_path, monkeypatch, capsys, flags, directory
+    ):
+        # Relative directories, and a report from another working directory:
+        # the store's progress file records where the trace went.
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "demo/safety_kernel", "--seeds", "2", "--store", "s.jsonl", "--trace"]
+        assert cli_main(argv + flags) == 0
+        assert not (tmp_path / "s.jsonl.trace").exists()
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        capsys.readouterr()
+        assert cli_main(["report", str(tmp_path / "s.jsonl")]) == 0
+        out = capsys.readouterr().out
+        assert "cell phases of trace" in out and f"({directory})" in out
+        assert set(_printed_counts(out).values()) == {2}
+        assert cli_main(["trace", "summary", str(tmp_path / "s.jsonl")]) == 0
+
     def test_an_untraced_run_prints_and_writes_no_phase_table(self, tmp_path, capsys):
         store = tmp_path / "results.jsonl"
         assert cli_main(["run", "demo/safety_kernel", "--seeds", "1", "--store", str(store)]) == 0

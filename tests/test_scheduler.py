@@ -1,6 +1,6 @@
 """Spool scheduling and failure bounds: the default chunk schedule, cell
-deadlines, late shards after a lease reclaim, recovery tasks, idle jitter
-and spool fsck."""
+deadlines, late shards after a lease reclaim, lost tasks republished when
+the queue drains, idle jitter and spool fsck."""
 
 import json
 import os
@@ -20,11 +20,7 @@ from repro.distributed import (
     merge_spool_results,
     run_worker,
 )
-from repro.distributed.coordinator import (
-    RECOVERY_TASK_CELLS,
-    _campaign_id,
-    republish_missing,
-)
+from repro.distributed.coordinator import _campaign_id
 from repro.distributed.spool import chunk_sizes, shard_cells
 from repro.experiments import ParallelCampaignRunner, ResultStore
 from repro.experiments.cli import main as cli_main
@@ -200,7 +196,7 @@ class TestPlainPull:
         again, events = self._spool_run(tmp_path, 2, "again.jsonl")
         assert first.read_bytes() == again.read_bytes()
         (resumed,) = [event for event in events if event["kind"] == "campaign_resumed"]
-        assert resumed["completed"] == 2 and resumed["republished"] == 0
+        assert resumed["completed"] == 2
         # The resume keeps the first run's log; nothing is claimed after it.
         kinds = [event["kind"] for event in events]
         assert kinds.count("task_claimed") == 2
@@ -286,7 +282,6 @@ class TestChunkSchedule:
         kinds = [event["kind"] for event in events]
         (resumed,) = [event for event in events if event["kind"] == "campaign_resumed"]
         assert resumed["completed"] == len(chunk_sizes(9, 2))
-        assert resumed["republished"] == 0
         assert "task_claimed" not in kinds[kinds.index("campaign_resumed") :]
 
     def test_a_rerun_with_other_jobs_purges_and_republishes(self, tmp_path, capsys):
@@ -357,7 +352,6 @@ class TestLateShards:
         merged = tmp_path / "merged.jsonl"
         merge_spool_results(spool, ResultStore(merged))
         assert serial.read_bytes() == merged.read_bytes()
-        assert "task_superseded" not in kinds
         assert spool.pending_task_ids() == []
 
     def test_final_progress_counts_come_from_the_settled_records(
@@ -381,7 +375,6 @@ class TestLateShards:
         assert serial.read_bytes() == store.read_bytes()
         kinds = [event["kind"] for event in events]
         assert "task_quarantined" in kinds
-        assert "task_superseded" not in kinds
 
 
 # --------------------------------------------------------------------------
@@ -679,7 +672,8 @@ class TestFsck:
         (task,) = shard_cells(cells, "demo/random_walk", task_size=1)
         spool.publish_task(task)
         run_worker(spool.root, idle_timeout=0.05, poll_interval=0.01, max_tasks=1)
-        # A recovery task's shard holds the cell; the task itself is quarantined.
+        # Another task's shard holds the cell (as an older spool's recovery
+        # task could); the task itself is quarantined.
         (spool.results_dir / f"{task.task_id}.jsonl").rename(
             spool.results_dir / "task-r00000.jsonl"
         )
@@ -768,40 +762,81 @@ class TestFsck:
 
 
 # --------------------------------------------------------------------------
-# Recovery of last resort
+# Lost tasks come back under their own ids once the queue drains
 # --------------------------------------------------------------------------
 
 
-class TestRepublishMissing:
-    def test_recovery_task_ids_sort_after_every_numeric_id(self):
-        assert "task-99999" < "task-r00000" < "task-r00001"
+class TestLostTasks:
+    SEEDS = range(1, 7)
 
-    def test_republish_missing_covers_the_cells(self, tmp_path):
+    def _drain_log(self, caplog):
+        return [r.getMessage() for r in caplog.records if "queue drained" in r.getMessage()]
+
+    def test_a_task_file_removed_by_hand_is_republished_under_its_own_id(
+        self, tmp_path, caplog
+    ):
+        serial = _serial_store(tmp_path, self.SEEDS)
         spool = Spool(tmp_path / "spool")
-        spool.initialise()
-        _, cells = _demo_cells([1, 2, 3])
-        (task,) = republish_missing(spool.publish_task, "demo/random_walk", cells, first=2)
-        assert task.task_id == "task-r00002"
-        assert spool.pending_task_ids() == [task.task_id]
-        assert spool.claim(task.task_id).task.cells == tuple(cells)
+        backend = SpoolBackend(
+            spool.root, workers=0, task_size=2, poll_interval=0.01, timeout=120.0
+        )
+        store = tmp_path / "spool.jsonl"
+        outcome = {}
+        coordinator = threading.Thread(
+            target=lambda: outcome.setdefault(
+                "result",
+                ParallelCampaignRunner(store=ResultStore(store), backend=backend).run(
+                    "demo/random_walk", seeds=self.SEEDS
+                ),
+            )
+        )
+        with caplog.at_level("WARNING", logger="repro.distributed.coordinator"):
+            coordinator.start()
+            try:
+                deadline = time.monotonic() + 60.0
+                while not (spool.tasks_dir / "task-00002.json").exists():
+                    assert time.monotonic() < deadline, "tasks never published"
+                    time.sleep(0.01)
+                (spool.tasks_dir / "task-00001.json").unlink()
+                run_worker(spool.root, poll_interval=0.01)
+            finally:
+                spool.mark_complete()  # unstick the coordinator on failure
+                coordinator.join(timeout=60.0)
+        assert outcome["result"].failures == 0
+        assert serial.read_bytes() == store.read_bytes()
+        assert spool.completed_task_ids() == ["task-00000", "task-00001", "task-00002"]
+        (message,) = self._drain_log(caplog)
+        assert "2 cell(s) unfilled; republished 1 task(s): task-00001" in message
 
-    def test_many_missing_cells_come_back_in_bounded_recovery_tasks(self):
-        cells = [({"n": n}, n, n) for n in range(2 * RECOVERY_TASK_CELLS + 6)]
-        published = []
-        tasks = republish_missing(published.append, "demo/random_walk", cells)
-        assert tasks == published
-        assert [task.task_id for task in tasks] == [
-            "task-r00000", "task-r00001", "task-r00002"
-        ]
-        assert [len(task.cells) for task in tasks] == [
-            RECOVERY_TASK_CELLS, RECOVERY_TASK_CELLS, 6
-        ]
-        assert [cell for task in tasks for cell in task.cells] == cells
+    def test_a_resumed_campaign_reruns_its_missing_task_through_the_drain_rule(
+        self, tmp_path, caplog
+    ):
+        def run(name):
+            backend = SpoolBackend(
+                tmp_path / "spool", workers=1, task_size=2, poll_interval=0.02,
+                timeout=120.0,
+            )
+            store = tmp_path / name
+            result = ParallelCampaignRunner(store=ResultStore(store), backend=backend).run(
+                "demo/random_walk", seeds=self.SEEDS
+            )
+            assert result.failures == 0
+            return store
 
-    def test_nothing_missing_publishes_nothing(self):
-        published = []
-        assert republish_missing(published.append, "demo/random_walk", [], first=3) == []
-        assert published == []
+        first = run("first.jsonl")
+        spool = Spool(tmp_path / "spool")
+        (spool.results_dir / "task-00001.jsonl").unlink()
+        with caplog.at_level("WARNING", logger="repro.distributed.coordinator"):
+            again = run("again.jsonl")
+        assert first.read_bytes() == again.read_bytes()
+        assert spool.completed_task_ids() == ["task-00000", "task-00001", "task-00002"]
+        (resumed,) = [
+            event for event in read_events(spool.events_path)
+            if event["kind"] == "campaign_resumed"
+        ]
+        assert (resumed["completed"], resumed["torn_shards"]) == (2, 0)
+        (message,) = self._drain_log(caplog)
+        assert "republished 1 task(s): task-00001" in message
 
 
 # --------------------------------------------------------------------------

@@ -245,3 +245,25 @@ def test_use_cases_import_and_run_without_networkx():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert completed.returncode == 0, completed.stderr
+
+
+def test_importing_one_use_case_loads_none_of_its_siblings():
+    """``repro.usecases`` and ``repro.cooperation`` re-export nothing, so a
+    use case's module imports only what it uses itself."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys, repro.usecases.acc\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('repro.usecases', 'repro.cooperation'))))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "['repro.usecases', 'repro.usecases.acc']"
