@@ -218,7 +218,6 @@ class SpoolBackend(ExecutionBackend):
         pending: Sequence[RunSpec],
         records: List[Optional[RunRecord]],
         progress: Optional[ProgressTracker] = None,
-        events: Optional[EventLog] = None,
     ) -> None:
         # Workers resolve the scenario by name in the built-in registry.
         if spec.name not in REGISTRY or REGISTRY.get(spec.name) is not spec:
@@ -318,8 +317,9 @@ class SpoolBackend(ExecutionBackend):
             self._marked = True
             if self._pipes is not None:
                 self._pipes.close_campaign()
-            events.emit("campaign_complete", ok=ok)
             self._join_workers([slot["process"] for slot in worker_slots])
+            # After the join, so every forked worker's last event precedes it.
+            events.emit("campaign_complete", ok=ok)
             if self._pipes is not None:
                 self._pipes.close()
                 self._pipes = None

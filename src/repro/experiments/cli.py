@@ -582,11 +582,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{result.failures} failed) backend={result.backend} "
             f"jobs={getattr(backend, 'workers', 1)}"
         )
-        if result.backend_cells:
-            parts = ", ".join(
-                f"{label}={count}" for label, count in sorted(result.backend_cells.items())
-            )
-            print(f"cells by path: {parts}")
         if name == "vector":
             print(backend.stats.summary())
         if cache is not None:
@@ -794,21 +789,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _print_campaign_sidecar(store_path: str) -> None:
-    """Surface the last campaign's backend and per-path cell provenance.
+    """Surface the last campaign's backend.
 
-    Reads the `<store>.progress.json` sidecar the runner maintains; shows
-    which execution path (vector/scalar/store/cache/...) settled each cell.
+    Reads the `<store>.progress.json` sidecar the runner maintains.
     """
     progress = read_progress(campaign_paths(store_path).progress)
     if progress is None:
         return
-    line = f"last campaign: backend={progress.backend}"
-    if progress.backend_cells:
-        parts = ", ".join(
-            f"{label}={count}" for label, count in sorted(progress.backend_cells.items())
-        )
-        line += f", cells by path: {parts}"
-    print(line)
+    print(f"last campaign: backend={progress.backend}")
     print()
 
 
@@ -1033,11 +1021,6 @@ def _format_progress(progress: CampaignProgress) -> str:
             if progress.eta_smoothed_s is not None:
                 eta += f" (ewma {progress.eta_smoothed_s:.0f}s)"
             parts.append(eta)
-    if progress.backend_cells:
-        cells = ", ".join(
-            f"{label}={count}" for label, count in sorted(progress.backend_cells.items())
-        )
-        parts.append(f"| cells: {cells}")
     return " ".join(parts)
 
 

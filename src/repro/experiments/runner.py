@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.evaluation.metrics import summarize
-from repro.observability.events import EventLog
 from repro.observability.progress import CampaignPaths, ProgressTracker
 from repro.observability.trace import TRACER
 from repro.resilience.faults import inject
@@ -265,12 +264,9 @@ class ExecutionBackend:
     writes, aggregation).  ``progress`` is an optional
     :class:`~repro.observability.progress.ProgressTracker` the backend
     feeds one :meth:`record_record` per settled cell — purely advisory, so
-    a backend that ignores it is still correct.  ``events`` is an optional
-    :class:`~repro.observability.events.EventLog` for backends with
-    taxonomy events to report (the vector backend's batch/evict activity);
-    like ``progress`` it is advisory and safely ignorable.  Backends never
-    see the result cache: the runner looks every cell up before
-    :meth:`execute` and publishes the executed ones after it.
+    a backend that ignores it is still correct.  Backends never see the
+    result cache: the runner looks every cell up before :meth:`execute`
+    and publishes the executed ones after it.
     """
 
     name = "backend"
@@ -281,7 +277,6 @@ class ExecutionBackend:
         pending: Sequence[RunSpec],
         records: List[Optional[RunRecord]],
         progress: Optional[ProgressTracker] = None,
-        events: Optional[EventLog] = None,
     ) -> None:
         raise NotImplementedError
 
@@ -308,7 +303,6 @@ class InProcessBackend(ExecutionBackend):
         pending: Sequence[RunSpec],
         records: List[Optional[RunRecord]],
         progress: Optional[ProgressTracker] = None,
-        events: Optional[EventLog] = None,
     ) -> None:
         breaker = CircuitBreaker()
         for run_spec in pending:
@@ -417,9 +411,6 @@ class CampaignResult:
     #: Runs reused from the shared content-addressed cache.
     cached: int = 0
     backend: str = ""
-    #: Per-execution-path cell counts ("vector"/"scalar"/"store"/"cache"/
-    #: backend name -> count); surfaced by ``run`` and ``report``.
-    backend_cells: Dict[str, int] = field(default_factory=dict)
 
     @property
     def run_count(self) -> int:
@@ -552,26 +543,17 @@ class ParallelCampaignRunner:
         pending, cache_keys, cached = self._consult_cache(spec, pending, records)
 
         backend = self.backend
-        # The store's sidecars; a spool backend keeps its event log in the spool.
         store_path = getattr(self.store, "path", None)
-        sidecars = CampaignPaths(store_path) if store_path is not None else None
-        progress_path = self.progress_path or (sidecars.progress if sidecars else None)
+        progress_path = self.progress_path or (
+            CampaignPaths(store_path).progress if store_path is not None else None
+        )
         tracker = None
         if progress_path is not None:
             tracker = ProgressTracker(progress_path, scenario=spec.name, backend=backend.name)
             tracker.begin(total=len(run_specs), reused=reused, cached=cached)
             tracker.set_running(len(pending))
         if pending:
-            events = None
-            if sidecars is not None and backend.name != "spool":
-                events = EventLog(sidecars.events, source=backend.name)
-            backend.execute(
-                spec,
-                pending,
-                records,
-                progress=tracker,
-                events=events,
-            )
+            backend.execute(spec, pending, records, progress=tracker)
             # Backends that distinguish execution paths (vector/scalar) label
             # records themselves; everything else is attributed to the backend.
             for run_spec in pending:
@@ -580,13 +562,8 @@ class ParallelCampaignRunner:
                     record.executed_by = backend.name
             self._publish_to_cache(pending, cache_keys, records)
         backend.finalize(spec)
-        backend_cells: Dict[str, int] = {}
-        for record in records:
-            if record is not None:
-                label = record.executed_by or backend.name
-                backend_cells[label] = backend_cells.get(label, 0) + 1
         if tracker is not None:
-            tracker.finish(backend_cells=backend_cells, records=records)
+            tracker.finish(records=records)
         flush_stats = getattr(self.cache, "flush_stats", None)
         if flush_stats is not None:
             flush_stats()
@@ -613,7 +590,6 @@ class ParallelCampaignRunner:
             reused=reused,
             cached=cached,
             backend=backend.name,
-            backend_cells=backend_cells,
         )
 
     # ---------------------------------------------------------------- internal

@@ -14,7 +14,8 @@ tests, the future control plane — can rely on it:
 kind                emitted when
 =================== ========================================================
 ``campaign_start``    coordinator published a campaign's tasks onto a spool
-``campaign_complete`` every cell has a merged result (or the campaign aborted)
+``campaign_complete`` the coordinator joined its forked workers, with every
+                      cell settled (or the campaign aborted)
 ``task_claimed``      a worker won the atomic claim on a task file
 ``task_completed``    a worker wrote the task's result shard
 ``task_reclaimed``    an expired lease was re-queued (dead/stalled worker)
@@ -26,11 +27,15 @@ kind                emitted when
 ``campaign_resumed``  a restarted coordinator adopted an interrupted campaign
 ``shard_torn``        a result shard failed sha256 verification (re-executed)
 ``task_quarantined``  a poison task was retired after repeated failed claims
-``vector_batch``      the vector backend settled a lockstep seed batch
-``vector_evict``      a seed was evicted from a batch to the scalar kernel
 ``cell_timeout``      a worker's watchdog killed a cell past its deadline
 =================== ========================================================
 
+Schema note (v7 of this taxonomy): ``vector_batch`` and ``vector_evict``
+are gone; the vector backend keeps its batch accounting in its
+``VectorStats`` and its ``batch`` trace spans, and writes no event log.
+``campaign_complete`` now follows the ``worker_exit`` of every worker the
+coordinator forked.  Logs of older campaigns may still hold either kind,
+and readers pass them through like any unknown kind.
 Schema note (v6 of this taxonomy): ``task_superseded`` is gone.  A lost
 cell now comes back only by republishing its own task, so no shard can
 twin another under a different id; ``campaign_resumed`` carries
@@ -46,12 +51,9 @@ and ``cells``; ``cell_timeout`` carries ``task``, ``index`` and ``seconds``.
 v3 also had one kind each for straggler speculation and work stealing,
 which are gone; logs of older spools may still hold them, and readers
 pass them through like any unknown kind.
-Schema note (v2 of this taxonomy, PR 9): ``vector_batch`` carries
-``scenario``, ``size`` (seeds in the batch), ``verified`` (probe byte-match)
-and ``elapsed_s``; ``vector_evict`` carries ``scenario``, ``seed`` and
-``reason`` (``preflight``/``midflight``).  Readers must stay tolerant of
-kinds they do not know: ``read_events``/``follow_events`` filter by the
-*requested* kinds only and pass every other well-formed line through.
+Readers must stay tolerant of kinds they do not know:
+``read_events``/``follow_events`` filter by the *requested* kinds only and
+pass every other well-formed line through.
 
 Event timestamps are wall-clock and appear **only** here and in progress
 files — never in result records, so stores stay byte-identical with
@@ -84,8 +86,6 @@ EVENT_KINDS = frozenset(
         "campaign_resumed",
         "shard_torn",
         "task_quarantined",
-        "vector_batch",
-        "vector_evict",
         "cell_timeout",
     }
 )

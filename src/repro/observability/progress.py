@@ -167,9 +167,6 @@ class CampaignProgress:
     throughput_ewma_rps: Optional[float] = None
     eta_smoothed_s: Optional[float] = None
     workers: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: Per-execution-path cell counts ("vector"/"scalar"/"store"/"cache"/
-    #: backend name -> count); populated when the campaign closes.
-    backend_cells: Dict[str, int] = field(default_factory=dict)
     #: Absolute directory the campaign traced into (``run --trace``), or
     #: ``None`` when untraced: ``report`` finds a ``--spool`` or
     #: ``--trace-dir`` campaign's trace through it (a new optional key; the
@@ -196,7 +193,6 @@ class CampaignProgress:
             "throughput_ewma_rps": self.throughput_ewma_rps,
             "eta_smoothed_s": self.eta_smoothed_s,
             "workers": self.workers,
-            "backend_cells": self.backend_cells,
             "trace_dir": self.trace_dir,
         }
 
@@ -220,10 +216,6 @@ class CampaignProgress:
             throughput_ewma_rps=payload.get("throughput_ewma_rps"),
             eta_smoothed_s=payload.get("eta_smoothed_s"),
             workers=dict(payload.get("workers") or {}),
-            backend_cells={
-                str(name): int(count)
-                for name, count in (payload.get("backend_cells") or {}).items()
-            },
             trace_dir=payload.get("trace_dir"),
         )
 
@@ -281,7 +273,6 @@ class ProgressTracker:
         self._reused = 0
         self._running = 0
         self._workers: Dict[str, Dict[str, Any]] = {}
-        self._backend_cells: Dict[str, int] = {}
         self._complete = False
         self._started_at = 0.0
         self._fresh_done = 0  # executed this session; drives throughput/ETA
@@ -338,14 +329,10 @@ class ProgressTracker:
     def finish(
         self,
         complete: bool = True,
-        backend_cells: Optional[Dict[str, int]] = None,
         records: Optional[Iterable[Any]] = None,
     ) -> None:
         """Close the campaign and force a final snapshot.
 
-        ``backend_cells`` records which execution path settled each cell
-        (vector/scalar/store/cache/...); the runner passes its final
-        provenance counts so ``report`` and ``status`` can surface them.
         ``records`` are the campaign's settled records (``None`` entries
         are skipped): ``done``/``failed`` are recounted from their ``ok``
         rather than kept from the live tallies, which counted a quarantined
@@ -354,8 +341,6 @@ class ProgressTracker:
         with self._lock:
             self._complete = bool(complete)
             self._running = 0
-            if backend_cells is not None:
-                self._backend_cells = dict(backend_cells)
             if records is not None:
                 oks = [record.ok for record in records if record is not None]
                 self._done = sum(oks)
@@ -400,7 +385,6 @@ class ProgressTracker:
             throughput_ewma_rps=smoothed,
             eta_smoothed_s=eta_smoothed,
             workers=dict(self._workers),
-            backend_cells=dict(self._backend_cells),
             trace_dir=self._trace_dir,
         )
 

@@ -26,10 +26,6 @@ point                    where
 ``coordinator.poll``     coordinator collect loop, once per poll
 ``worker.deadline``      when a cell's wall-clock deadline is armed
                          (``stall`` disables the watchdog for the cell)
-``vector.evict``         vector backend, per cell while planning a
-                         lockstep batch — *any* planned fault here
-                         (directive or raised) evicts the seed to
-                         the scalar kernel
 ======================== ==========================================
 
 Fault kinds:

@@ -3,19 +3,20 @@
 The batch planner groups a campaign's pending cells by their fully-coerced
 parameter point (the scenario is fixed per campaign, so a group is
 homogeneous by construction), asks the program registry whether the group
-qualifies for the fast path, and runs qualifying groups as one
-:class:`~repro.vectorized.engine.LockstepBatch`.
+qualifies for the fast path, and hands qualifying groups' seeds to the
+program in one call.
 
 Correctness never depends on the fast path:
 
 * ineligible groups (no program, unsupported params, groups too small to
-  batch) fall back whole to the scalar kernel;
-* seeds evicted pre-flight (``vector.evict`` fault point) or mid-flight
-  (:meth:`LockstepBatch.evict`) finish on the scalar kernel;
-* every verified batch pays for one scalar **probe**: its first surviving
-  cell is executed on the scalar kernel and the probe's serialized record
-  bytes must equal the vector record's bytes — on mismatch the whole group
-  re-runs scalar (and the mismatch is counted and logged).
+  batch) and groups whose program raises fall back whole to the scalar
+  kernel;
+* every batch pays for one scalar **probe**: its first cell is executed on
+  the scalar kernel and the probe's serialized record bytes must equal the
+  vector record's bytes — on mismatch the whole group re-runs scalar (and
+  the mismatch is counted and logged);
+* a seed missing from a verified batch's output finishes on the scalar
+  kernel.
 
 Because fast-path records are built with the same ``extract_metrics`` and
 serialiser as scalar records, a `--backend vector` store is byte-identical
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import json
 import logging
-import time
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.runner import (
@@ -37,17 +38,54 @@ from repro.experiments.runner import (
     execute_run_with_retry,
 )
 from repro.experiments.spec import jsonable
-from repro.observability.events import EventLog
 from repro.observability.progress import ProgressTracker
 from repro.observability.trace import TRACER
-from repro.resilience.faults import InjectedFaultError, inject
 from repro.resilience.retry import CircuitBreaker, RetryPolicy
-from repro.vectorized.engine import LockstepBatch, VectorStats
 from repro.vectorized.programs import program_for
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["VectorBatchBackend"]
+__all__ = ["VectorBatchBackend", "VectorStats"]
+
+
+@dataclass
+class VectorStats:
+    """Occupancy accounting for one campaign's worth of vector batches.
+
+    ``fast_cells`` ran entirely on the lockstep fast path; ``probe_cells``
+    ran on the scalar kernel to cross-check their batch (one per batch);
+    ``fallback_cells`` ran scalar for any other reason (ineligible params,
+    no program, undersized group, program error, probe mismatch, or a seed
+    missing from the program's output).
+    """
+
+    batches: int = 0
+    groups: int = 0
+    ineligible_groups: int = 0
+    fast_cells: int = 0
+    probe_cells: int = 0
+    fallback_cells: int = 0
+    probe_mismatches: int = 0
+    program_errors: int = 0
+
+    @property
+    def total_cells(self) -> int:
+        return self.fast_cells + self.probe_cells + self.fallback_cells
+
+    @property
+    def occupancy(self) -> float:
+        """Fraction of backend-executed cells that stayed on the fast path."""
+        total = self.total_cells
+        return (self.fast_cells / total) if total else 0.0
+
+    def summary(self) -> str:
+        """One-line human summary, printed by ``run`` and grepped by CI."""
+        return (
+            f"vector: {self.batches} batch(es), "
+            f"{self.fast_cells}/{self.total_cells} cells on the fast path "
+            f"(occupancy {self.occupancy:.0%}), "
+            f"{self.probe_cells} probe, {self.fallback_cells} fallback"
+        )
 
 
 class VectorBatchBackend(ExecutionBackend):
@@ -67,7 +105,6 @@ class VectorBatchBackend(ExecutionBackend):
         pending: Sequence[Any],
         records: List[Optional[RunRecord]],
         progress: Optional[ProgressTracker] = None,
-        events: Optional[EventLog] = None,
     ) -> None:
         self.stats = VectorStats()
         breaker = CircuitBreaker()
@@ -81,7 +118,7 @@ class VectorBatchBackend(ExecutionBackend):
                 scalar_indices.update(cell.index for cell in cells)
                 continue
             scalar_indices.update(
-                self._run_group(spec, program, cells, records, progress, breaker, events)
+                self._run_group(spec, program, cells, records, progress, breaker)
             )
         # Scalar queue: original pending order, so retry/fault-plan counters
         # fire in a deterministic sequence.
@@ -115,57 +152,27 @@ class VectorBatchBackend(ExecutionBackend):
         records: List[Optional[RunRecord]],
         progress: Optional[ProgressTracker],
         breaker: CircuitBreaker,
-        events: Optional[EventLog] = None,
     ) -> List[int]:
         """Run one eligible group; returns indices that must finish scalar.
 
-        Observability: the whole group runs inside one ``batch`` trace span
-        (the scalar probe's cell span nests under it), per-seed evictions
-        and the probe are instant child events, and the shared event log —
-        when attached — gets one ``vector_batch`` line per settled batch
-        plus a ``vector_evict`` line per evicted seed.
+        The whole group runs inside one ``batch`` trace span; the scalar
+        probe is an instant child event, and its cell span nests under it.
         """
-
-        def evict_event(seed: int, reason: str) -> None:
-            TRACER.instant("evict", seed=seed, reason=reason)
-            if events is not None:
-                events.emit(
-                    "vector_evict", scenario=spec.name, seed=seed, reason=reason
-                )
-
-        # Pre-flight evictions: the `vector.evict` fault point lets chaos
-        # plans force structural divergence for chosen seeds.  Any planned
-        # fault there — directive or raised — evicts the cell.
-        batch_cells: List[Any] = []
-        evicted_indices: List[int] = []
         with TRACER.span(
             "batch", cat="batch", scenario=spec.name, size=len(cells)
         ) as batch_span:
-            for run_spec in cells:
-                try:
-                    rule = inject("vector.evict", scenario=spec.name, seed=run_spec.seed)
-                except InjectedFaultError:
-                    rule = True
-                if rule is not None:
-                    self.stats.record_eviction("fault-plan")
-                    evict_event(run_spec.seed, "preflight")
-                    evicted_indices.append(run_spec.index)
-                else:
-                    batch_cells.append(run_spec)
-            if len(batch_cells) < 2:
+            if len(cells) < 2:
                 # A lockstep batch needs at least one fast cell beyond the
                 # scalar probe to be worth planning; run undersized groups
                 # scalar.
-                self.stats.fallback_cells += len(batch_cells)
+                self.stats.fallback_cells += len(cells)
                 batch_span.set(outcome="undersized")
-                return evicted_indices + [cell.index for cell in batch_cells]
+                return [cell.index for cell in cells]
 
-            started = time.perf_counter()
-            batch = LockstepBatch(
-                spec.name, dict(cells[0].params), [c.seed for c in batch_cells]
-            )
             try:
-                outputs = program.run(spec, batch)
+                outputs = program.run(
+                    spec, [cell.seed for cell in cells], dict(cells[0].params)
+                )
             except Exception as exc:  # noqa: BLE001 — fast path must never kill a campaign
                 logger.warning(
                     "vector program for %r failed (%s: %s); group of %d falls back "
@@ -173,32 +180,16 @@ class VectorBatchBackend(ExecutionBackend):
                     spec.name,
                     type(exc).__name__,
                     exc,
-                    len(batch_cells),
+                    len(cells),
                 )
                 self.stats.program_errors += 1
-                self.stats.fallback_cells += len(batch_cells)
+                self.stats.fallback_cells += len(cells)
                 batch_span.set(outcome="program-error")
-                return evicted_indices + [cell.index for cell in batch_cells]
-            elapsed = time.perf_counter() - started
+                return [cell.index for cell in cells]
 
-            # Mid-flight evictions recorded on the batch by the program.
-            evicted_seeds = batch.evicted
-            survivors: List[Any] = []
-            for run_spec in batch_cells:
-                if run_spec.seed in evicted_seeds:
-                    self.stats.record_eviction(evicted_seeds[run_spec.seed] or "mid-batch")
-                    evict_event(run_spec.seed, "midflight")
-                    evicted_indices.append(run_spec.index)
-                else:
-                    survivors.append(run_spec)
-            if not survivors:
-                batch_span.set(outcome="all-evicted")
-                return evicted_indices
-
-            # Scalar probe: the batch's first surviving cell runs on the
-            # scalar kernel and must serialise to the exact bytes the vector
-            # path built.
-            probe_spec = survivors[0]
+            # Scalar probe: the batch's first cell runs on the scalar kernel
+            # and must serialise to the exact bytes the vector path built.
+            probe_spec = cells[0]
             TRACER.instant("probe", seed=probe_spec.seed)
             probe_record = execute_run_with_retry(
                 spec,
@@ -207,53 +198,36 @@ class VectorBatchBackend(ExecutionBackend):
                 breaker=breaker,
                 keep_result=True,
             )
-            vector_probe = self._vector_record(
-                spec, probe_spec, outputs.get(probe_spec.seed)
-            )
-            verified = vector_probe is not None and self._identical(
-                probe_record, vector_probe
-            )
-            if events is not None:
-                events.emit(
-                    "vector_batch",
-                    scenario=spec.name,
-                    size=len(survivors),
-                    verified=verified,
-                    elapsed_s=round(elapsed, 6),
-                )
-            if not verified:
-                self.stats.probe_mismatches += 1
-                self.stats.probe_cells += 1
-                self.stats.fallback_cells += len(survivors) - 1
-                logger.warning(
-                    "vector probe mismatch for %r seed %s; group of %d falls back "
-                    "to the scalar kernel",
-                    spec.name,
-                    probe_spec.seed,
-                    len(survivors),
-                )
-                probe_record.executed_by = "scalar"
-                records[probe_spec.index] = probe_record
-                if progress is not None:
-                    progress.record_record(ok=probe_record.ok)
-                batch_span.set(outcome="probe-mismatch")
-                return evicted_indices + [cell.index for cell in survivors[1:]]
-
-            # Verified: the batch's records are trusted as-is.
-            self.stats.batches += 1
             probe_record.executed_by = "scalar"
             records[probe_spec.index] = probe_record
             self.stats.probe_cells += 1
             if progress is not None:
                 progress.record_record(ok=probe_record.ok)
+            vector_probe = self._vector_record(
+                spec, probe_spec, outputs.get(probe_spec.seed)
+            )
+            if vector_probe is None or not self._identical(probe_record, vector_probe):
+                self.stats.probe_mismatches += 1
+                self.stats.fallback_cells += len(cells) - 1
+                logger.warning(
+                    "vector probe mismatch for %r seed %s; group of %d falls back "
+                    "to the scalar kernel",
+                    spec.name,
+                    probe_spec.seed,
+                    len(cells),
+                )
+                batch_span.set(outcome="probe-mismatch")
+                return [cell.index for cell in cells[1:]]
+
+            # Verified: the batch's records are trusted as-is.
+            self.stats.batches += 1
             leftover: List[int] = []
-            for run_spec in survivors[1:]:
+            for run_spec in cells[1:]:
                 record = self._vector_record(spec, run_spec, outputs.get(run_spec.seed))
                 if record is None:
-                    # The program silently dropped a seed it did not evict;
-                    # treat it like an eviction rather than trusting a hole.
-                    self.stats.record_eviction("missing-output")
-                    evict_event(run_spec.seed, "missing-output")
+                    # No output for this seed: run it scalar rather than
+                    # trust a hole.
+                    self.stats.fallback_cells += 1
                     leftover.append(run_spec.index)
                     continue
                 record.executed_by = "vector"
@@ -262,7 +236,7 @@ class VectorBatchBackend(ExecutionBackend):
                 if progress is not None:
                     progress.record_record(ok=True)
             batch_span.set(outcome="verified", fast_cells=self.stats.fast_cells)
-            return evicted_indices + leftover
+            return leftover
 
     def _vector_record(
         self, spec: Any, run_spec: Any, output: Optional[Dict[str, Any]]

@@ -19,18 +19,13 @@ Safety rails, in order:
 1. ``supports_params`` gates the parameter space to the cases the program
    covers (e.g. E4's ``churn`` adds a data-dependent joiner);
 2. the backend still runs one scalar *probe* cell per batch and compares
-   record bytes before trusting the remaining fast-path cells.
-
-Programs may evict individual seeds mid-flight via
-:meth:`~repro.vectorized.engine.LockstepBatch.evict` and omit them from the
-returned mapping; evicted seeds finish on the scalar kernel.
+   record bytes before trusting the remaining fast-path cells, and runs
+   any seed missing from a program's output on the scalar kernel.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
-
-from repro.vectorized.engine import LockstepBatch
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = [
     "VectorProgram",
@@ -50,8 +45,10 @@ class VectorProgram:
         """Whether this program runs the factory at *params* bit-exactly."""
         raise NotImplementedError
 
-    def run(self, spec: Any, batch: LockstepBatch) -> Dict[int, Dict[str, Any]]:
-        """Advance the batch; return ``{seed: factory_result}`` for active seeds."""
+    def run(
+        self, spec: Any, seeds: List[int], params: Dict[str, Any]
+    ) -> Dict[int, Dict[str, Any]]:
+        """Run *seeds* at *params*; return ``{seed: factory_result}``."""
         raise NotImplementedError
 
 
@@ -76,11 +73,12 @@ class SensorValidityProgram(VectorProgram):
 
         return str(params["fault_class"]) in {fc.value for fc in FaultClass}
 
-    def run(self, spec: Any, batch: LockstepBatch) -> Dict[int, Dict[str, Any]]:
+    def run(
+        self, spec: Any, seeds: List[int], params: Dict[str, Any]
+    ) -> Dict[int, Dict[str, Any]]:
         from repro.scenario.sensor_sweep import sensor_validity_sweep
 
-        seeds = batch.active_seeds()
-        return dict(zip(seeds, sensor_validity_sweep(seeds, **batch.params)))
+        return dict(zip(seeds, sensor_validity_sweep(seeds, **params)))
 
 
 # --------------------------------------------------------------------------
@@ -105,8 +103,10 @@ class TdmaConvergenceProgram(VectorProgram):
             return False
         return int(params["rows"]) >= 1 and int(params["cols"]) >= 1 and int(params["slots"]) >= 1
 
-    def run(self, spec: Any, batch: LockstepBatch) -> Dict[int, Dict[str, Any]]:
-        return {seed: spec.factory(seed, **batch.params) for seed in batch.active_seeds()}
+    def run(
+        self, spec: Any, seeds: List[int], params: Dict[str, Any]
+    ) -> Dict[int, Dict[str, Any]]:
+        return {seed: spec.factory(seed, **params) for seed in seeds}
 
 
 # --------------------------------------------------------------------------

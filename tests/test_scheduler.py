@@ -553,6 +553,7 @@ class TestOldSpoolStatus:
         tracker.finish(complete=True)
         document = json.loads(path.read_text())
         document["scheduler"] = {"speculated": 2, "splits_observed": 1}
+        document["backend_cells"] = {"scalar": 1, "vector": 1}
         path.write_text(json.dumps(document))
         progress = read_progress(path)
         assert progress is not None and progress.complete
@@ -560,6 +561,7 @@ class TestOldSpoolStatus:
         out = capsys.readouterr().out
         assert "w1: running" in out and "3 tasks" in out
         assert "elastic" not in out and "BENCHED" not in out and "cache" not in out
+        assert "cells:" not in out
         assert cli_main(["status", str(path), "--json"]) == 0
         assert "scheduler" not in json.loads(capsys.readouterr().out)
 
@@ -572,6 +574,11 @@ class TestOldSpoolStatus:
              "halves": ["task-00001-a", "task-00001-b"]},
             {"kind": "cache_hit", "source": "w1", "ts": 4.0, "task": "task-00002",
              "index": 2},
+            {"kind": "vector_batch", "source": "vector", "ts": 5.0,
+             "scenario": "tdma_convergence", "size": 8, "verified": True,
+             "elapsed_s": 0.5},
+            {"kind": "vector_evict", "source": "vector", "ts": 6.0,
+             "scenario": "tdma_convergence", "seed": 5, "reason": "preflight"},
         ]
         (tmp_path / "events.jsonl").write_text(
             "".join(json.dumps(line) + "\n" for line in lines)
@@ -583,10 +590,12 @@ class TestOldSpoolStatus:
         assert read_events(tmp_path / "events.jsonl") == lines
         assert cli_main(["tail", str(tmp_path)]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert len(out) == 4
+        assert len(out) == 6
         assert "task_speculated" in out[1] and "task-00000~1" in out[1]
         assert "shard_split" in out[2] and "task-00001" in out[2]
         assert "cache_hit" in out[3] and "task-00002" in out[3]
+        assert "vector_batch" in out[4] and "tdma_convergence" in out[4]
+        assert "vector_evict" in out[5] and "preflight" in out[5]
 
     def test_tail_rejects_a_retired_kind_as_a_filter(self, tmp_path, capsys):
         self._old_event_log(tmp_path)

@@ -1,12 +1,13 @@
 """Lockstep vectorized backend (``repro.vectorized`` / ``--backend vector``).
 
 The contract under test: a vector campaign's store is **byte-identical**
-to the inline kernel's for every seed, whatever mix of fast path, probe,
-eviction and fallback produced it.  Everything else (occupancy stats,
+to the inline kernel's for every seed, whatever mix of fast path, probe
+and fallback produced it.  Everything else (occupancy stats,
 provenance surfaces, CLI guards) hangs off that.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -15,10 +16,8 @@ from repro.experiments.cli import main as cli_main
 from repro.experiments.registry import load_builtin_scenarios
 from repro.observability.progress import read_progress
 from repro.observability.trace import disable_tracing, merge_trace_files, summarize_trace
-from repro.resilience import FaultPlan, FaultRule, armed
 from repro.vectorized import (
     PROGRAMS,
-    LockstepBatch,
     VectorBatchBackend,
     VectorStats,
     program_for,
@@ -133,7 +132,7 @@ class TestFallbacks:
         real = program_for
 
         class ExplodingProgram:
-            def run(self, spec, batch):
+            def run(self, spec, seeds, params):
                 raise RuntimeError("boom")
 
         monkeypatch.setattr(
@@ -147,45 +146,29 @@ class TestFallbacks:
         assert backend.stats.fallback_cells == 6
 
 
-class TestEviction:
-    @pytest.mark.parametrize("kind", ["stall", "io_error"])
-    def test_fault_plan_evicts_seed_to_scalar(self, tmp_path, kind):
-        inline = run_store(tmp_path, "inline.jsonl", "tdma_convergence", range(8))
-        backend = VectorBatchBackend()
-        plan = FaultPlan(
-            [FaultRule(point="vector.evict", kind=kind, match={"seed": 5})]
-        )
-        with armed(plan):
-            vector = run_store(
-                tmp_path, "vector.jsonl", "tdma_convergence", range(8), backend=backend
-            )
-        assert vector.read_bytes() == inline.read_bytes()
-        assert backend.stats.evicted_cells == 1
-        assert backend.stats.eviction_reasons == {"fault-plan": 1}
-        assert backend.stats.fast_cells == 6  # 8 - probe - evicted
-
-    def test_mid_batch_eviction_finishes_scalar(self, tmp_path, monkeypatch):
+    def test_seed_missing_from_output_finishes_scalar(self, tmp_path, monkeypatch):
         real = program_for
 
-        class EvictingProgram:
+        class DroppingProgram:
             def __init__(self, inner):
                 self.inner = inner
 
-            def run(self, spec, batch):
-                batch.evict(3, reason="test-divergence")
-                return self.inner.run(spec, batch)
+            def run(self, spec, seeds, params):
+                outputs = self.inner.run(spec, seeds, params)
+                del outputs[3]
+                return outputs
 
         monkeypatch.setattr(
             "repro.vectorized.backend.program_for",
             lambda spec, params: (
-                EvictingProgram(real(spec, params)) if real(spec, params) else None
+                DroppingProgram(real(spec, params)) if real(spec, params) else None
             ),
         )
         inline, vector, backend = run_pair(tmp_path, "tdma_convergence", range(8))
         assert vector == inline
-        assert backend.stats.evicted_cells == 1
-        assert backend.stats.eviction_reasons == {"test-divergence": 1}
         assert backend.stats.batches == 1
+        assert backend.stats.fallback_cells == 1
+        assert backend.stats.fast_cells == 6  # 8 - probe - missing seed
 
     def test_probe_mismatch_reruns_group_scalar(self, tmp_path, monkeypatch):
         real = program_for
@@ -194,9 +177,9 @@ class TestEviction:
             def __init__(self, inner):
                 self.inner = inner
 
-            def run(self, spec, batch):
-                outputs = self.inner.run(spec, batch)
-                probe_seed = batch.active_seeds()[0]
+            def run(self, spec, seeds, params):
+                outputs = self.inner.run(spec, seeds, params)
+                probe_seed = seeds[0]
                 outputs[probe_seed] = dict(outputs[probe_seed])
                 outputs[probe_seed]["frames_to_converge"] = 10**9
                 return outputs
@@ -221,30 +204,17 @@ class TestEngineUnits:
             assert program.scenario == name
             assert name in REGISTRY, f"program registered for unknown scenario {name!r}"
 
-    def test_lockstep_batch_eviction_bookkeeping(self):
-        batch = LockstepBatch("s", {}, [3, 1, 2])
-        assert len(batch) == 3
-        assert batch.active_seeds() == [3, 1, 2]
-        batch.evict(1, reason="why")
-        assert batch.active_seeds() == [3, 2]
-        assert batch.evicted == {1: "why"}
-        with pytest.raises(KeyError):
-            batch.evict(99)
-
     def test_vector_stats_occupancy_and_summary(self):
         stats = VectorStats()
         assert stats.occupancy == 0.0
         stats.batches = 1
         stats.fast_cells = 7
         stats.probe_cells = 1
-        stats.record_eviction("fault-plan")
-        stats.record_eviction("fault-plan")
-        assert stats.evicted_cells == 2
+        stats.fallback_cells = 2
         assert stats.total_cells == 10
         assert stats.occupancy == pytest.approx(0.7)
         summary = stats.summary()
         assert "7/10" in summary and "70%" in summary
-        assert stats.eviction_reasons == {"fault-plan": 2}
 
 
 class TestCliAndProvenance:
@@ -274,8 +244,7 @@ class TestCliAndProvenance:
         assert rc == 0
         out = capsys.readouterr().out
         assert "backend=vector" in out
-        assert "cells by path: scalar=1, vector=7" in out
-        assert "occupancy" in out
+        assert "7/8 cells on the fast path" in out
 
         inline = tmp_path / "inline.jsonl"
         assert (
@@ -289,17 +258,14 @@ class TestCliAndProvenance:
 
         progress = read_progress(tmp_path / "vector.jsonl.progress.json")
         assert progress.backend == "vector"
-        assert progress.backend_cells == {"scalar": 1, "vector": 7}
+        assert (progress.total, progress.done) == (8, 8)
 
         assert cli_main(["report", str(store)]) == 0
-        out = capsys.readouterr().out
-        assert "backend=vector" in out
-        assert "scalar=1, vector=7" in out
+        assert "last campaign: backend=vector" in capsys.readouterr().out
 
         assert cli_main(["status", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "[vector]" in out
-        assert "cells: scalar=1, vector=7" in out
+        assert "[vector]" in out and "8/8 done" in out
 
     def test_vector_trace_reports_batch_stats_and_probe_phases(self, tmp_path, capsys):
         store = tmp_path / "vector.jsonl"
@@ -323,9 +289,13 @@ class TestCliAndProvenance:
 
     def test_vector_stats_counters(self):
         backend = VectorBatchBackend()
-        ParallelCampaignRunner(registry=REGISTRY, backend=backend).run(
+        result = ParallelCampaignRunner(registry=REGISTRY, backend=backend).run(
             "tdma_convergence", seeds=list(range(8))
         )
         assert backend.stats.batches == 1
-        assert backend.stats.evicted_cells == 0
+        assert backend.stats.fallback_cells == 0
         assert 0.0 < backend.stats.occupancy < 1.0
+        assert Counter(record.executed_by for record in result.records) == {
+            "scalar": 1,
+            "vector": 7,
+        }
