@@ -16,6 +16,7 @@ from repro.experiments.cli import main as cli_main
 from repro.experiments.registry import load_builtin_scenarios
 from repro.observability.progress import read_progress
 from repro.observability.trace import disable_tracing, merge_trace_files, summarize_trace
+from repro.resilience import FaultPlan, FaultRule, armed
 from repro.vectorized import (
     PROGRAMS,
     VectorBatchBackend,
@@ -145,7 +146,6 @@ class TestFallbacks:
         assert backend.stats.batches == 0
         assert backend.stats.fallback_cells == 6
 
-
     def test_seed_missing_from_output_finishes_scalar(self, tmp_path, monkeypatch):
         real = program_for
 
@@ -195,6 +195,82 @@ class TestFallbacks:
         assert backend.stats.probe_mismatches == 1
         assert backend.stats.batches == 0
         assert backend.stats.fast_cells == 0
+
+    def test_probe_seed_missing_from_output_reruns_group_scalar(self, tmp_path, monkeypatch):
+        real = program_for
+
+        class ProbelessProgram:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def run(self, spec, seeds, params):
+                outputs = self.inner.run(spec, seeds, params)
+                del outputs[seeds[0]]
+                return outputs
+
+        monkeypatch.setattr(
+            "repro.vectorized.backend.program_for",
+            lambda spec, params: (
+                ProbelessProgram(real(spec, params)) if real(spec, params) else None
+            ),
+        )
+        inline, vector, backend = run_pair(tmp_path, "tdma_convergence", range(6))
+        assert vector == inline
+        # Nothing to compare the probe against counts as a mismatch: the
+        # rest of the group is not trusted.
+        assert backend.stats.probe_mismatches == 1
+        assert backend.stats.probe_cells == 1
+        assert backend.stats.fallback_cells == 5
+        assert backend.stats.fast_cells == 0
+
+
+class TestComposition:
+    def test_resumed_campaign_batches_only_pending_seeds(self, tmp_path):
+        inline = tmp_path / "inline.jsonl"
+        vector = tmp_path / "vector.jsonl"
+        for seeds in (range(4), range(8)):
+            run_store(tmp_path, "inline.jsonl", "tdma_convergence", seeds)
+        backend = VectorBatchBackend()
+        runner = ParallelCampaignRunner(
+            registry=REGISTRY, store=ResultStore(vector), backend=backend
+        )
+        runner.run("tdma_convergence", seeds=list(range(4)))
+        result = runner.run("tdma_convergence", seeds=list(range(8)))
+        assert vector.read_bytes() == inline.read_bytes()
+        assert Counter(record.executed_by for record in result.records) == {
+            "store": 4,
+            "scalar": 1,
+            "vector": 3,
+        }
+        assert [record.seed for record in result.records if record.executed_by == "scalar"] == [4]
+        assert backend.stats.batches == 1
+        assert backend.stats.total_cells == 4
+
+    def test_faulted_probe_is_retried_and_batch_verifies(self, tmp_path):
+        def plan():
+            return FaultPlan(
+                [FaultRule(point="run.cell", kind="io_error", match={"seed": 0}, times=1)]
+            )
+
+        inline_plan, vector_plan = plan(), plan()
+        with armed(inline_plan):
+            inline = run_store(tmp_path, "inline.jsonl", "tdma_convergence", range(6))
+        backend = VectorBatchBackend()
+        with armed(vector_plan):
+            vector = run_store(
+                tmp_path, "vector.jsonl", "tdma_convergence", range(6), backend=backend
+            )
+        assert inline_plan.fired_counts() == vector_plan.fired_counts() == {
+            "run.cell:io_error": 1
+        }
+        assert vector.read_bytes() == inline.read_bytes()
+        assert all(json.loads(line)["status"] == "ok" for line in inline.read_text().splitlines())
+        # The transient fault hit the probe's first attempt; the retry's
+        # record still matched the fast path, so the batch was verified.
+        assert backend.stats.probe_cells == 1
+        assert backend.stats.probe_mismatches == 0
+        assert backend.stats.batches == 1
+        assert backend.stats.fast_cells == 5
 
 
 class TestEngineUnits:
