@@ -5,8 +5,9 @@ A spool campaign publishes two advisory artifacts inside the spool
 directory while it runs:
 
 * ``progress.json`` — an atomically-replaced snapshot of the cell
-  accounting (pending / running / done / failed, throughput, ETA, worker
-  heartbeats).  ``python -m repro.experiments status <spool> --watch``
+  accounting (pending / running / done / failed, throughput, ETA) and
+  each worker's state, folded from ``events.jsonl``.
+  ``python -m repro.experiments status <spool> --watch``
   polls exactly this file.
 * ``events.jsonl`` — an append-only log of campaign transitions (tasks
   claimed and completed, workers starting and exiting).
@@ -57,7 +58,7 @@ def main() -> None:
             if line != seen:
                 seen = line
                 workers = ", ".join(
-                    f"{wid}={hb.get('state', '?')}" for wid, hb in sorted(progress.workers.items())
+                    f"{wid}={w.get('state', '?')}" for wid, w in sorted(progress.workers.items())
                 )
                 print(f"progress: {line}" + (f"   [{workers}]" if workers else ""))
             if progress.complete:

@@ -16,8 +16,9 @@ coordinator does not care who executes a task, only that every run-list
 index eventually has a shard record.
 
 While collecting, the coordinator keeps the spool's ``progress.json``
-current (cells pending/running/done/failed plus each worker's latest
-heartbeat), appends campaign lifecycle events to the shared event log, and
+current (cells pending/running/done/failed plus each worker's state,
+folded from the events appended to the shared event log since its last
+poll), appends campaign lifecycle events to that log, and
 reports reclaimed leases and early worker deaths *as they happen* via
 ``logging`` — not only in the terminal failure message.
 
@@ -49,7 +50,7 @@ from dataclasses import replace
 from multiprocessing.process import BaseProcess
 from pathlib import Path
 from types import CodeType
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.distributed.spool import (
     DEFAULT_LEASE_TIMEOUT,
@@ -66,7 +67,7 @@ from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import ExecutionBackend, RunRecord
 from repro.experiments.spec import RunSpec, ScenarioSpec
 from repro.experiments.store import ResultStore
-from repro.observability.events import EventLog
+from repro.observability.events import EventCursor, EventLog, worker_states
 from repro.observability.progress import ProgressTracker
 from repro.observability.trace import TRACER
 from repro.resilience.faults import GENERATION_ENV, arm_from_environment, inject
@@ -267,6 +268,15 @@ class SpoolBackend(ExecutionBackend):
         # runner's tracker — when a store is attached — is fed the same
         # per-cell completions via ``progress``.
         events = EventLog(self.spool.events_path, source="coordinator")
+        cursor = EventCursor(self.spool.events_path)
+        workers: Dict[str, Dict[str, Any]] = {}
+
+        def fold_workers() -> Dict[str, Dict[str, Any]]:
+            """Each worker's state, advanced by the events logged since the
+            last call: a poll reads only the bytes appended since."""
+            workers.update(worker_states(cursor.read(), time.time(), workers))
+            return workers
+
         tracker = ProgressTracker(
             self.spool.progress_path, scenario=spec.name, backend=self.name
         )
@@ -309,6 +319,7 @@ class SpoolBackend(ExecutionBackend):
                 worker_slots,
                 events=events,
                 trackers=trackers,
+                fold_workers=fold_workers,
             )
             ok = True
         finally:
@@ -323,16 +334,16 @@ class SpoolBackend(ExecutionBackend):
             if self._pipes is not None:
                 self._pipes.close()
                 self._pipes = None
-            # Joined workers have written their `exited` heartbeats; the
-            # last liveness fold predates them.  A killed one never wrote
-            # it, and its last heartbeat must not read as still running.
-            heartbeats = self.spool.worker_heartbeats()
+            # Joined workers have logged their `worker_exit`; the last
+            # liveness fold predates it.  A killed one never logged it, and
+            # must not read as still running.
+            states = fold_workers()
             for slot in worker_slots:
-                beat = heartbeats.get(f"worker-{slot['process'].pid}")
-                if beat is not None and beat.get("state") != "exited":
-                    beat["state"] = "dead"
+                worker = states.get(f"worker-{slot['process'].pid}")
+                if worker is not None and worker["state"] != "exited":
+                    worker.update(state="dead", current_task=None)
             for each in trackers:
-                each.set_workers(heartbeats)
+                each.set_workers(states)
             if not ok:
                 tracker.finish(complete=False)
         # Settled only now, after the join: a worker whose lease was
@@ -462,11 +473,14 @@ class SpoolBackend(ExecutionBackend):
         worker_slots: Optional[List[Dict[str, Any]]] = None,
         events: Optional[EventLog] = None,
         trackers: Sequence[ProgressTracker] = (),
+        fold_workers: Callable[[], Dict[str, Dict[str, Any]]] = dict,
     ) -> Dict[str, List[Tuple[int, RunRecord]]]:
         """Poll until every cell has a shard or a quarantine failure, for
         progress and termination only; returns the shards parsed whose every
         record is this campaign's (its key matches the cell's: a stale worker
-        from a previous campaign may write shards under our task ids)."""
+        from a previous campaign may write shards under our task ids).
+        Each poll hands ``fold_workers()``, the workers' states, to the
+        ``trackers``."""
         expected: Set[int] = set(key_by_index)
         #: Cells with a shard or a quarantine failure: progress, termination.
         filled: Set[int] = set()
@@ -545,17 +559,15 @@ class SpoolBackend(ExecutionBackend):
                             tracker.record_record(ok=False)
 
         def update_liveness() -> None:
-            """Fold claimed-cell counts and worker heartbeats into progress."""
-            if not trackers:
-                return
+            """Fold claimed-cell counts and worker states into progress."""
             running = sum(
                 len(task_by_id[task_id].cells) if task_id in task_by_id else 1
                 for task_id in self.spool.claimed_task_ids()
             )
-            heartbeats = self.spool.worker_heartbeats()
+            states = fold_workers()
             for tracker in trackers:
                 tracker.set_running(running)
-                tracker.set_workers(heartbeats)
+                tracker.set_workers(states)
 
         def republish_drained() -> None:
             """The one way back for a lost cell: when the queue drains with

@@ -20,7 +20,6 @@ Fault point: ``worker.deadline`` fires when a cell deadline is armed (a
 
 from __future__ import annotations
 
-import json
 import signal
 import threading
 import time
@@ -108,15 +107,15 @@ def fsck_spool(spool: Any, repair: bool = False) -> Dict[str, Any]:
     """Audit a spool for the damage the coordinator knows how to heal.
 
     Checks: torn result shards, orphaned leases (claims whose valid shard
-    already exists), expired leases, stale/unparsable worker heartbeats,
-    and quarantine/ledger inconsistencies (a quarantined task whose every
-    cell :func:`~repro.distributed.spool.settle` gives a shard record, or
-    one quarantined with fewer recorded failed attempts than the campaign
-    threshold).  With ``repair`` the same recovery paths the
-    coordinator uses online are applied — torn shards dropped, settled and
-    expired claims retired through the normal reclaim/quarantine ledger,
-    completed quarantine entries lifted, dead heartbeats removed — so an
-    operator can heal a spool without restarting its campaign.
+    already exists), expired leases, and quarantine/ledger inconsistencies
+    (a quarantined task whose every cell
+    :func:`~repro.distributed.spool.settle` gives a shard record, or one
+    quarantined with fewer recorded failed attempts than the campaign
+    threshold).  With ``repair`` the same recovery paths the coordinator
+    uses online are applied — torn shards dropped, settled and expired
+    claims retired through the normal reclaim/quarantine ledger, and
+    completed quarantine entries lifted — so an operator can heal a spool
+    without restarting its campaign.
 
     Returns ``{"issues": [...], "repaired": [...], "ok": bool}``; each
     issue is ``{"kind", "target", "detail"}``.
@@ -174,33 +173,6 @@ def fsck_spool(spool: Any, repair: bool = False) -> Dict[str, Any]:
                 for entry in issues
             ):
                 repaired.append(f"quarantined poison task {task_id}")
-
-    stale_after = 3.0 * spool.lease_timeout
-    if spool.workers_dir.is_dir():
-        for entry in sorted(spool.workers_dir.iterdir()):
-            if entry.suffix != ".json" or entry.name.startswith("."):
-                continue
-            try:
-                payload = json.loads(entry.read_text(encoding="utf-8"))
-                stamp = payload.get("ts") if isinstance(payload, dict) else None
-            except (OSError, ValueError):
-                payload, stamp = None, None
-            if payload is None:
-                issue("bad_heartbeat", entry.stem, "unparsable worker heartbeat file")
-            elif isinstance(stamp, (int, float)) and now - float(stamp) > stale_after:
-                issue(
-                    "stale_heartbeat",
-                    entry.stem,
-                    f"last heartbeat {now - float(stamp):.0f}s ago",
-                )
-            else:
-                continue
-            if repair:
-                try:
-                    entry.unlink()
-                    repaired.append(f"removed heartbeat {entry.stem}")
-                except OSError:
-                    pass
 
     quarantined = spool.quarantined_task_ids()
     try:

@@ -195,11 +195,6 @@ class Spool:
         return CampaignPaths(self.root, spool=True).progress
 
     @property
-    def workers_dir(self) -> Path:
-        """Per-worker heartbeat files (``workers/<worker_id>.json``)."""
-        return self.root / "workers"
-
-    @property
     def quarantine_dir(self) -> Path:
         """Poison tasks retired after ``max_task_attempts`` failed claims."""
         return self.root / "quarantine"
@@ -214,15 +209,14 @@ class Spool:
 
         Any state left over from a previous campaign on the same directory
         (task files, claims, result shards, the completion marker, the
-        event log, progress and worker heartbeats) is purged first — task
-        ids restart at ``task-00000`` per campaign, so stale shards would
-        otherwise be ingested as this campaign's results.
+        event log and progress) is purged first — task ids restart at
+        ``task-00000`` per campaign, so stale shards would otherwise be
+        ingested as this campaign's results.
         """
         for directory in (
             self.tasks_dir,
             self.claimed_dir,
             self.results_dir,
-            self.workers_dir,
             self.quarantine_dir,
         ):
             directory.mkdir(parents=True, exist_ok=True)
@@ -568,62 +562,6 @@ class Spool:
                 handle.write(line + "\n")
         except OSError:
             pass  # the ledger is advisory; losing a line only delays quarantine
-
-    # -------------------------------------------------------------- heartbeats
-    def write_worker_heartbeat(self, worker_id: str, payload: Dict[str, Any]) -> bool:
-        """Publish one worker's heartbeat summary (atomic; best-effort).
-
-        Distinct from the task-lease mtime heartbeat: this one is for
-        observers (``status``, the coordinator's progress file) and carries
-        task counts and runtimes.  It is advisory, so it is renamed into
-        place without an fsync: :meth:`worker_heartbeats` skips a missing or
-        unparsable file and the worker's next stamp replaces it.  Returns
-        ``False`` when nothing was published (no spool, or an I/O error).
-        Never creates the spool, so a worker pointed at an uninitialised
-        directory stays invisible.
-        """
-        if not self.workers_dir.is_dir():
-            return False
-        stamped = {"worker_id": worker_id, "ts": round(time.time(), 6)}
-        stamped.update(payload)
-        content = json.dumps(stamped, sort_keys=True)
-        path = self.workers_dir / f"{worker_id}.json"
-        try:
-            rule = inject("spool.worker_heartbeat", worker=worker_id)
-            if rule is not None and rule.kind == "torn_write":
-                # Simulate the pre-atomic-write failure mode: a partial
-                # heartbeat landing at the final path.  Readers must skip
-                # it (invalid JSON) and the next stamp heals it.
-                keep = int(rule.args.get("keep_bytes", max(1, len(content) // 2)))
-                with path.open("w", encoding="utf-8") as handle:
-                    handle.write(content[:keep])
-                return True
-            self._atomic_write(path, content, durable=False)
-        except OSError:
-            return False
-        return True
-
-    def worker_heartbeats(self, now: Optional[float] = None) -> Dict[str, Dict[str, Any]]:
-        """Latest heartbeat per worker, each with a computed ``age_s``."""
-        now = time.time() if now is None else now
-        heartbeats: Dict[str, Dict[str, Any]] = {}
-        if not self.workers_dir.is_dir():
-            return heartbeats
-        for entry in sorted(self.workers_dir.iterdir()):
-            if entry.suffix != ".json" or entry.name.startswith("."):
-                continue
-            try:
-                with entry.open("r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if not isinstance(payload, dict):
-                continue
-            stamp = payload.get("ts")
-            if isinstance(stamp, (int, float)):
-                payload["age_s"] = round(max(0.0, now - float(stamp)), 3)
-            heartbeats[entry.stem] = payload
-        return heartbeats
 
     # ----------------------------------------------------------------- results
     def write_result_shard(

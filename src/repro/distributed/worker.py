@@ -30,11 +30,9 @@ so results stay byte-identical to ``jobs=1``.
 
 Observability: each worker appends to the spool's shared event log (task
 claimed/completed, reclaims it performs, its own start/idle/exit
-transitions) and stamps a heartbeat file
-(``workers/<id>.json``) with task counts and runtimes, which the
-coordinator folds into ``progress.json``.  Both are advisory and
-best-effort — a worker on a spool that does not exist yet stays silent and
-keeps polling.
+transitions, its totals on exit), which the coordinator folds into
+``progress.json``.  The log is advisory and best-effort — a worker on a
+spool that does not exist yet stays silent and keeps polling.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ import random
 import select
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.distributed.scheduler import CellTimeout, cell_deadline
 from repro.distributed.spool import ClaimedTask, Spool
@@ -79,28 +77,6 @@ class WorkerStats:
     busy_s: float = 0.0
     #: Why the main loop returned: "complete" | "max_tasks" | "idle_timeout".
     exit_reason: str = ""
-
-    def heartbeat_payload(
-        self,
-        state: str,
-        current_task: Optional[str] = None,
-        events_dropped: int = 0,
-    ) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "state": state,
-            "tasks_completed": self.tasks_completed,
-            "runs_executed": self.runs_executed,
-            "failures": self.failures,
-            "busy_s": round(self.busy_s, 3),
-            "pid": os.getpid(),
-        }
-        if current_task is not None:
-            payload["current_task"] = current_task
-        if events_dropped:
-            payload["events_dropped"] = events_dropped
-        if self.timeouts:
-            payload["timeouts"] = self.timeouts
-        return payload
 
 
 def _readable(fds: Sequence[int], timeout: float) -> List[int]:
@@ -330,7 +306,6 @@ def run_worker(
         TRACER.source = stats.worker_id
     events = EventLog(spool.events_path, source=stats.worker_id)
     events.emit("worker_start", pid=os.getpid())
-    spool.write_worker_heartbeat(stats.worker_id, stats.heartbeat_payload("starting"))
     breaker = CircuitBreaker()
     announced_quarantine: set = set(spool.quarantined_task_ids())
     idle_wait = pipes.wait_idle if pipes is not None else time.sleep
@@ -388,23 +363,11 @@ def run_worker(
             if not was_idle:
                 was_idle = True  # one event per idle stretch, not per poll
                 events.emit("worker_idle")
-                spool.write_worker_heartbeat(
-                    stats.worker_id,
-                    stats.heartbeat_payload("idle", events_dropped=events.dropped),
-                )
             idle_wait(poll_interval * (0.75 + 0.5 * jitter.random()))
             continue
         idle_since = None
         was_idle = False
         events.emit("task_claimed", task=claimed.task_id, cells=len(claimed.task.cells))
-        spool.write_worker_heartbeat(
-            stats.worker_id,
-            stats.heartbeat_payload(
-                "running",
-                current_task=claimed.task_id,
-                events_dropped=events.dropped,
-            ),
-        )
         try:
             execute_task(
                 claimed,
@@ -454,10 +417,6 @@ def run_worker(
             time.sleep(poll_interval)
         if pipes is not None:
             pipes.note_landed()
-        spool.write_worker_heartbeat(
-            stats.worker_id,
-            stats.heartbeat_payload("running", events_dropped=events.dropped),
-        )
     events.emit(
         "worker_exit",
         reason=stats.exit_reason,
@@ -466,16 +425,6 @@ def run_worker(
         failures=stats.failures,
         timeouts=stats.timeouts,
         busy_s=round(stats.busy_s, 3),
-    )
-    spool.write_worker_heartbeat(
-        stats.worker_id,
-        stats.heartbeat_payload("exited", events_dropped=events.dropped),
-    )
-    logger.info(
-        "%s: exit (%s) after %d task(s), %d run(s)",
-        stats.worker_id,
-        stats.exit_reason or "done",
-        stats.tasks_completed,
-        stats.runs_executed,
+        **({"events_dropped": events.dropped} if events.dropped else {}),
     )
     return stats

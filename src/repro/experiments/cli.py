@@ -335,15 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     fsck_parser = sub.add_parser(
         "fsck",
         help="audit a campaign spool for torn shards, orphaned/expired "
-        "leases, stale heartbeats and quarantine-ledger inconsistencies",
+        "leases and quarantine-ledger inconsistencies",
         parents=[common],
     )
     fsck_parser.add_argument("spool", help="spool directory")
     fsck_parser.add_argument(
         "--repair", action="store_true",
         help="apply the coordinator's recovery paths (drop torn shards, "
-        "retire settled/expired claims, remove dead heartbeats, lift "
-        "completed quarantine entries)",
+        "retire settled/expired claims, lift completed quarantine entries)",
     )
     fsck_parser.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -1024,25 +1023,25 @@ def _format_progress(progress: CampaignProgress) -> str:
     return " ".join(parts)
 
 
-def _format_worker(worker_id: str, heartbeat: Dict[str, Any]) -> str:
-    state = heartbeat.get("state", "?")
+def _format_worker(worker_id: str, worker: Dict[str, Any]) -> str:
+    state = worker.get("state", "?")
     bits = [f"  {worker_id}: {state}"]
-    task = heartbeat.get("current_task")
+    task = worker.get("current_task")
     if state == "running" and task:
         bits.append(f"on {task}")
     counts = [
-        f"{heartbeat.get('tasks_completed', 0)} tasks",
-        f"{heartbeat.get('runs_executed', 0)} runs",
+        f"{worker.get('tasks_completed', 0)} tasks",
+        f"{worker.get('runs_executed', 0)} runs",
     ]
-    timeouts = heartbeat.get("timeouts", 0)
+    timeouts = worker.get("timeouts", 0)
     if isinstance(timeouts, int) and timeouts > 0:
         counts.append(f"{timeouts} timeout(s)")
-    dropped = heartbeat.get("events_dropped", 0)
+    dropped = worker.get("events_dropped", 0)
     if isinstance(dropped, int) and dropped > 0:
         counts.append(f"{dropped} dropped event(s)")
-    age = heartbeat.get("age_s")
+    age = worker.get("age_s")
     if isinstance(age, (int, float)):
-        counts.append(f"heartbeat {age:.1f}s ago")
+        counts.append(f"last event {age:.1f}s ago")
     bits.append(f"({', '.join(counts)})")
     return " ".join(bits)
 
@@ -1109,7 +1108,13 @@ def _format_event(event: Dict[str, Any]) -> str:
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:
-    path = campaign_paths(args.target).events
+    paths = campaign_paths(args.target)
+    if not paths.spool:
+        return _usage(
+            f"{args.target} is not a spool directory: only a spool campaign keeps "
+            "an event log, so tail its --spool DIR (or DIR/events.jsonl)"
+        )
+    path = paths.events
     unknown = sorted(set(args.kind) - EVENT_KINDS)
     if unknown:
         return _usage(

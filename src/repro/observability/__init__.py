@@ -7,9 +7,9 @@ session stats, ``VectorStats``), and a cell's build/sim/collect phases
 are spans of the trace:
 
 * :mod:`repro.observability.events` — an append-only JSONL event log with
-  a fixed taxonomy (task claimed/completed/reclaimed, cache hit/miss,
-  worker start/idle/exit, ...), safe for many processes appending to one
-  file on a shared filesystem.
+  a fixed taxonomy (task claimed/completed/reclaimed, worker
+  start/idle/exit, ...), safe for many processes appending to one file on
+  a shared filesystem, and the fold of a spool's log into its workers.
 * :mod:`repro.observability.progress` — the machine-readable
   ``progress.json`` snapshot (atomic tmp+rename) that the runner and the
   spool coordinator keep up to date, and that ``python -m

@@ -1,7 +1,7 @@
 """Append-only JSONL event log for campaign observability.
 
 Every interesting campaign transition is one JSON line appended to a
-shared ``events.jsonl`` (for spool campaigns it lives inside the spool
+shared ``events.jsonl`` (only spool campaigns keep one, inside the spool
 directory, next to ``progress.json``).  Appends are a single small
 ``write()`` on a file opened in append mode, so concurrent workers and the
 coordinator interleave whole lines, never fragments, and file order is the
@@ -30,6 +30,10 @@ kind                emitted when
 ``cell_timeout``      a worker's watchdog killed a cell past its deadline
 =================== ========================================================
 
+Schema note (v8 of this taxonomy): ``worker_exit`` carries
+``events_dropped`` when the worker lost any line.  Workers no longer
+stamp heartbeat files: the coordinator folds this log into each worker's
+state (:func:`worker_states`), which ``progress.json`` publishes.
 Schema note (v7 of this taxonomy): ``vector_batch`` and ``vector_evict``
 are gone; the vector backend keeps its batch accounting in its
 ``VectorStats`` and its ``batch`` trace spans, and writes no event log.
@@ -127,31 +131,56 @@ class EventLog:
         return event
 
 
+class EventCursor:
+    """Reads a log's events from where its last read stopped.
+
+    Each :meth:`read` returns the well-formed events appended since the
+    previous one (all of them on the first).  A last line still missing
+    its newline is held back until it completes: it is a live writer's
+    append in flight.  Torn or non-object lines are skipped, and a missing
+    file reads as empty.
+    """
+
+    def __init__(self, path: Union[str, os.PathLike], kinds: Optional[Iterable[str]] = None):
+        self.path = Path(path)
+        self.kinds = frozenset(kinds) if kinds is not None else None
+        #: Bytes of the file consumed so far.
+        self.offset = 0
+        self._partial = b""
+
+    def read(self, final: bool = False) -> List[Dict[str, Any]]:
+        """The events appended since the last read; ``final`` also parses
+        an unterminated last line (the log is not being written)."""
+        try:
+            with self.path.open("rb") as handle:
+                handle.seek(self.offset)
+                chunk = handle.read()
+        except OSError:
+            chunk = b""
+        self.offset += len(chunk)
+        *lines, self._partial = (self._partial + chunk).split(b"\n")
+        if final:
+            lines.append(self._partial)
+            self._partial = b""
+        events: List[Dict[str, Any]] = []
+        for raw in lines:
+            try:
+                event = json.loads(raw)
+            except ValueError:  # torn line (undecodable bytes included), or blank
+                continue
+            if not isinstance(event, dict):
+                continue
+            if self.kinds is not None and event.get("kind") not in self.kinds:
+                continue
+            events.append(event)
+        return events
+
+
 def read_events(
     path: Union[str, os.PathLike], kinds: Optional[Iterable[str]] = None
 ) -> List[Dict[str, Any]]:
     """Every parseable event in file order; missing file yields ``[]``."""
-    wanted = frozenset(kinds) if kinds is not None else None
-    events: List[Dict[str, Any]] = []
-    try:
-        handle = Path(path).open("r", encoding="utf-8")
-    except OSError:
-        return events
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue  # torn final line of a live log
-            if not isinstance(event, dict):
-                continue
-            if wanted is not None and event.get("kind") not in wanted:
-                continue
-            events.append(event)
-    return events
+    return EventCursor(path, kinds).read(final=True)
 
 
 def follow_events(
@@ -162,39 +191,87 @@ def follow_events(
 ) -> Iterator[Dict[str, Any]]:
     """Yield events as they are appended (``tail --follow``).
 
-    Polls the file for growth; returns once ``stop()`` is truthy *and* no
-    unread data remains (so events racing the stop condition still drain).
-    Without ``stop`` it follows forever — callers handle KeyboardInterrupt.
+    Polls the file for growth; returns once a read that began with
+    ``stop()`` truthy finds no new data (so events racing the stop
+    condition still drain).  Without ``stop`` it follows forever —
+    callers handle KeyboardInterrupt.
     """
-    wanted = frozenset(kinds) if kinds is not None else None
-    path = Path(path)
-    offset = 0
-    buffer = b""
+    cursor = EventCursor(path, kinds)
     while True:
-        try:
-            with path.open("rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read()
-        except OSError:
-            chunk = b""
-        if chunk:
-            offset += len(chunk)
-            buffer += chunk
-            *lines, buffer = buffer.split(b"\n")
-            for raw in lines:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    event = json.loads(raw.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
-                    continue
-                if not isinstance(event, dict):
-                    continue
-                if wanted is not None and event.get("kind") not in wanted:
-                    continue
-                yield event
-        else:
-            if stop is not None and stop():
+        stopping = stop is not None and stop()
+        offset = cursor.offset
+        yield from cursor.read()
+        if cursor.offset == offset:
+            if stopping:
                 return
             time.sleep(poll_interval)
+
+
+#: Kinds a worker emits about itself; the first one names its source a worker.
+_WORKER_KINDS = frozenset(
+    {"worker_start", "worker_idle", "task_claimed", "task_completed", "cell_timeout", "worker_exit"}
+)
+#: A worker's counts; its ``worker_exit`` carries the exact totals.
+_TOTALS = ("tasks_completed", "runs_executed", "failures", "timeouts", "busy_s", "events_dropped")
+
+
+def worker_states(
+    events: Iterable[Dict[str, Any]],
+    now: float,
+    previous: Optional[Dict[str, Dict[str, Any]]] = None,
+) -> Dict[str, Dict[str, Any]]:
+    """Each worker's state, counts and age, folded from the event log.
+
+    Maps every worker ``source`` to its ``state`` (starting, idle,
+    running, exited or dead), ``current_task`` (while it runs one),
+    ``pid``, the counts in ``_TOTALS``, ``ts`` (its last event) and
+    ``age_s`` (``now - ts``).  Counts add up ``task_completed`` and
+    ``cell_timeout`` until ``worker_exit`` replaces them with its totals.
+    The coordinator's ``worker_dead`` marks the worker with that pid dead
+    unless it has exited.  Other kinds only advance a known worker's
+    ``ts``.  ``previous``, an earlier result, is continued with the events
+    logged since, and left unmodified.
+    """
+    states = {source: dict(entry) for source, entry in (previous or {}).items()}
+    for event in events:
+        kind, source, stamp = event.get("kind"), event.get("source"), event.get("ts")
+        if not isinstance(kind, str) or not isinstance(source, str):
+            continue  # no line this program writes
+        if kind == "worker_dead":
+            pid = event.get("pid")
+            for entry in states.values():
+                if pid is not None and entry["pid"] == pid and entry["state"] != "exited":
+                    entry.update(state="dead", current_task=None)
+            continue
+        if source not in states:
+            if kind not in _WORKER_KINDS:
+                continue
+            states[source] = dict.fromkeys(_TOTALS, 0)
+            states[source].update(state="starting", current_task=None, pid=None, ts=None)
+        entry = states[source]
+        if isinstance(stamp, (int, float)):
+            entry["ts"] = stamp
+        if kind == "worker_start":
+            entry["pid"] = event.get("pid")
+        elif kind in ("worker_idle", "task_claimed", "task_completed", "cell_timeout"):
+            entry["state"] = "idle" if kind == "worker_idle" else "running"
+            entry["current_task"] = event.get("task") if kind == "task_claimed" else None
+            if kind == "task_completed":
+                entry["tasks_completed"] += 1
+                entry["runs_executed"] += _count(event, "cells")
+                entry["failures"] += _count(event, "failures")
+                entry["busy_s"] = round(entry["busy_s"] + _count(event, "elapsed_s"), 6)
+            elif kind == "cell_timeout":
+                entry["timeouts"] += 1
+        elif kind == "worker_exit":
+            entry.update({name: _count(event, name) for name in _TOTALS})
+            entry.update(state="exited", current_task=None)
+    for entry in states.values():
+        entry["age_s"] = None if entry["ts"] is None else round(max(0.0, now - entry["ts"]), 3)
+    return states
+
+
+def _count(event: Dict[str, Any], name: str) -> float:
+    """``event[name]`` if it is a number, else 0."""
+    value = event.get(name)
+    return value if isinstance(value, (int, float)) and not isinstance(value, bool) else 0

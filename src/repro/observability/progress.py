@@ -3,12 +3,13 @@
 A progress file is one JSON object describing a campaign in flight: how
 many cells are pending / running / done / failed, how many were served
 from the result store or the content-addressed cache, current throughput
-and an ETA, and — for spool campaigns — each worker's last heartbeat.
-The runner maintains ``<store>.progress.json`` next to its result store;
-the spool coordinator maintains ``progress.json`` inside the spool root.
-Either is what ``python -m repro.experiments status`` (and ROADMAP item
-1's control plane) polls.  :func:`campaign_paths` names both, and the
-campaign's other sidecars: its event log and its trace directory.
+and an ETA, and — for spool campaigns — each worker's state, counts and
+age, folded from the spool's ``events.jsonl``.  The runner maintains
+``<store>.progress.json`` next to its result store; the spool coordinator
+maintains ``progress.json`` inside the spool root.  Either is what
+``python -m repro.experiments status`` polls.  :func:`campaign_paths`
+names both, and the campaign's other sidecars: a spool's event log and
+its trace directory.
 
 This module is also the canonical home of the atomic publication helper
 (:func:`atomic_write_text`) that the spool layer, the result cache and
@@ -16,12 +17,11 @@ the progress tracker use.  Every publication writes a temp file and
 renames it into place, so a reader never sees a torn file.  *Durable*
 files are also fsynced before their rename: cache segments, spool task
 files, result shards, ``campaign.json`` and the completion marker.
-*Advisory* files are renamed without an fsync: ``progress.json`` and the
-spool's worker heartbeats.  They never feed back into scheduling or
-results, a crash that loses one only loses a view the next snapshot (or
-``events.jsonl``) rebuilds, and their readers (:func:`read_progress`,
-``Spool.worker_heartbeats``) treat a missing or unparsable file as absent
-— so they are not worth a disk barrier each.
+``progress.json`` is *advisory*: renamed without an fsync.  It never
+feeds back into scheduling or results, a crash that loses one only
+loses a view the next snapshot rebuilds, and :func:`read_progress`
+treats a missing or unparsable file as absent — so it is not worth a
+disk barrier each.
 
 The tracker also throttles rewrites so per-cell bookkeeping stays cheap
 even for thousand-cell campaigns.
@@ -33,7 +33,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Union
 
@@ -41,13 +41,12 @@ from repro.observability.trace import TRACER
 
 PROGRESS_VERSION = 1
 
-_SPOOL_FILES = ("progress.json", "events.jsonl")
-
 
 class CampaignPaths:
     """One campaign's sidecars: inside a spool directory, or beside a store
     (``<store>.progress.json``, ...).  Each is built when asked for, so a
-    caller that knows its ``root`` is a store pays for no ``stat``."""
+    caller that knows its ``root`` is a store pays for no ``stat``.  Only
+    a spool has an event log."""
 
     __slots__ = ("root", "spool")
 
@@ -65,8 +64,8 @@ class CampaignPaths:
 
     @property
     def events(self) -> Path:
-        """The log ``tail`` reads."""
-        return self._sidecar("events.jsonl")
+        """The log ``tail`` reads (a spool's; check :attr:`spool` first)."""
+        return self.root / "events.jsonl"
 
     @property
     def trace(self) -> Path:
@@ -79,16 +78,15 @@ def campaign_paths(target: Union[str, os.PathLike]) -> CampaignPaths:
 
     An existing directory is a spool (or a trace directory); anything else
     is a result store.  A spool's ``progress.json`` or ``events.jsonl``,
-    and a store's sidecar of either, name their own campaign.
+    and a store's ``<store>.progress.json``, name their own campaign.
     """
     path = Path(target)
-    if path.name in _SPOOL_FILES:
+    if path.name in ("progress.json", "events.jsonl"):
         return CampaignPaths(path.parent, spool=True)
     if path.is_dir():
         return CampaignPaths(path, spool=True)
-    for name in _SPOOL_FILES:
-        if path.name.endswith(f".{name}"):
-            return CampaignPaths(path.with_name(path.name[: -len(name) - 1]))
+    if path.name.endswith(".progress.json"):
+        return CampaignPaths(path.with_name(path.name[: -len(".progress.json")]))
     return CampaignPaths(path)
 
 
@@ -143,8 +141,8 @@ class CampaignProgress:
     failed == total``.  ``done`` counts settled-ok cells from *any* source
     — fresh execution, store reuse (``reused``) or cache hits (``cached``)
     — so a campaign is finished exactly when ``done + failed == total``.
-    ``workers`` maps worker id to its latest heartbeat summary (spool
-    campaigns only; see :meth:`Spool.worker_heartbeats`).
+    ``workers`` maps worker id to its state, counts and age (spool
+    campaigns only; see :func:`~repro.observability.events.worker_states`).
     """
 
     scenario: str
@@ -174,50 +172,14 @@ class CampaignProgress:
     trace_dir: Optional[str] = None
 
     def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "version": PROGRESS_VERSION,
-            "scenario": self.scenario,
-            "total": self.total,
-            "pending": self.pending,
-            "running": self.running,
-            "done": self.done,
-            "failed": self.failed,
-            "cached": self.cached,
-            "reused": self.reused,
-            "backend": self.backend,
-            "complete": self.complete,
-            "started_at": self.started_at,
-            "updated_at": self.updated_at,
-            "throughput_rps": self.throughput_rps,
-            "eta_s": self.eta_s,
-            "throughput_ewma_rps": self.throughput_ewma_rps,
-            "eta_smoothed_s": self.eta_smoothed_s,
-            "workers": self.workers,
-            "trace_dir": self.trace_dir,
-        }
+        return {"version": PROGRESS_VERSION, **vars(self)}
 
     @classmethod
     def from_json_dict(cls, payload: Dict[str, Any]) -> "CampaignProgress":
-        return cls(
-            scenario=str(payload.get("scenario", "")),
-            total=int(payload.get("total", 0)),
-            pending=int(payload.get("pending", 0)),
-            running=int(payload.get("running", 0)),
-            done=int(payload.get("done", 0)),
-            failed=int(payload.get("failed", 0)),
-            cached=int(payload.get("cached", 0)),
-            reused=int(payload.get("reused", 0)),
-            backend=str(payload.get("backend", "inline")),
-            complete=bool(payload.get("complete", False)),
-            started_at=float(payload.get("started_at", 0.0)),
-            updated_at=float(payload.get("updated_at", 0.0)),
-            throughput_rps=payload.get("throughput_rps"),
-            eta_s=payload.get("eta_s"),
-            throughput_ewma_rps=payload.get("throughput_ewma_rps"),
-            eta_smoothed_s=payload.get("eta_smoothed_s"),
-            workers=dict(payload.get("workers") or {}),
-            trace_dir=payload.get("trace_dir"),
-        )
+        """The document's fields; keys this version does not know (an older
+        or newer document's) are ignored."""
+        names = {item.name for item in fields(cls)}
+        return cls(**{key: value for key, value in payload.items() if key in names})
 
 
 def write_progress(path: Union[str, os.PathLike], progress: CampaignProgress) -> None:

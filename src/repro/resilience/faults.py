@@ -19,7 +19,6 @@ point                    where
 ``worker.cell``          worker loop, before each cell of a task
 ``spool.write_shard``    result-shard write
 ``spool.lease_heartbeat`` mtime lease renewal on a claimed task
-``spool.worker_heartbeat`` ``workers/<id>.json`` status stamp
 ``cache.get``            cache lookup
 ``cache.put``            cache publish
 ``events.emit``          events.jsonl append

@@ -15,8 +15,8 @@ Correctness never depends on the fast path:
   the scalar kernel and the probe's serialized record bytes must equal the
   vector record's bytes — on mismatch the whole group re-runs scalar (and
   the mismatch is counted and logged);
-* a seed missing from a verified batch's output finishes on the scalar
-  kernel.
+* a seed missing from a verified batch's output, or whose metric names
+  differ from the probe's, finishes on the scalar kernel.
 
 Because fast-path records are built with the same ``extract_metrics`` and
 serialiser as scalar records, a `--backend vector` store is byte-identical
@@ -56,7 +56,8 @@ class VectorStats:
     ran on the scalar kernel to cross-check their batch (one per batch);
     ``fallback_cells`` ran scalar for any other reason (ineligible params,
     no program, undersized group, program error, probe mismatch, or a seed
-    missing from the program's output).
+    missing from the program's output or not carrying the probe's metric
+    names).
     """
 
     batches: int = 0
@@ -219,14 +220,15 @@ class VectorBatchBackend(ExecutionBackend):
                 batch_span.set(outcome="probe-mismatch")
                 return [cell.index for cell in cells[1:]]
 
-            # Verified: the batch's records are trusted as-is.
+            # Verified: the batch's records are trusted if they carry the
+            # probe's metric names.
             self.stats.batches += 1
             leftover: List[int] = []
             for run_spec in cells[1:]:
                 record = self._vector_record(spec, run_spec, outputs.get(run_spec.seed))
-                if record is None:
-                    # No output for this seed: run it scalar rather than
-                    # trust a hole.
+                if record is None or record.metrics.keys() != probe_record.metrics.keys():
+                    # No output for this seed, or not the probe's shape: run
+                    # it scalar rather than trust a hole.
                     self.stats.fallback_cells += 1
                     leftover.append(run_spec.index)
                     continue

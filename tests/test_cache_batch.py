@@ -8,7 +8,7 @@ segment that holds its key, and an open index must see other processes'
 puts and clears on its next lookup.
 Durable spool files (task files, result shards, ``campaign.json``, the
 completion marker) are fsynced before their rename too; the advisory
-snapshots (``progress.json``, worker heartbeats) are renamed without one.
+``progress.json`` snapshot is renamed without one.
 """
 
 import json
@@ -503,14 +503,6 @@ class TestAdvisoryWrites:
         assert progress.complete and progress.done == progress.total == 3
         assert _leftover_temps(tmp_path) == []
 
-    def test_worker_heartbeat_is_renamed_without_fsync(self, spool, monkeypatch):
-        calls = _record_barriers(monkeypatch)
-        assert spool.write_worker_heartbeat("w1", {"tasks_completed": 2})
-        monkeypatch.undo()
-        assert [kind for kind, _ in calls] == ["replace"]
-        assert spool.worker_heartbeats()["w1"]["tasks_completed"] == 2
-        assert _leftover_temps(spool.root) == []
-
     def test_failed_progress_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
         path = tmp_path / "progress.json"
         _failing_replace(monkeypatch)
@@ -531,10 +523,3 @@ class TestAdvisoryWrites:
         assert not path.exists()
         assert _leftover_temps(tmp_path) == []
         assert tracker.snapshot().done == 1
-
-    def test_failed_heartbeat_rename_returns_false(self, spool, monkeypatch):
-        _failing_replace(monkeypatch)
-        assert spool.write_worker_heartbeat("w1", {"tasks_completed": 0}) is False
-        monkeypatch.undo()
-        assert spool.worker_heartbeats() == {}
-        assert _leftover_temps(spool.root) == []

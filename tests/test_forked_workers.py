@@ -19,6 +19,7 @@ from repro.experiments.registry import REGISTRY
 from repro.experiments.spec import ScenarioSpec, parameters_from_signature
 from repro.experiments.cli import main as cli_main
 from repro.observability.events import read_events
+from repro.observability.progress import read_progress
 from repro.observability.trace import disable_tracing, enable_tracing, read_trace_file
 from repro.resilience import PLAN_ENV, FaultPlan, FaultRule, InjectedFaultError, armed, inject
 
@@ -76,9 +77,12 @@ class TestForkedWorkerState:
         # Each worker dropped its own worker_start line and nothing else.
         assert read_events(spool.events_path, kinds={"worker_start"}) == []
         exits = read_events(spool.events_path, kinds={"worker_exit"})
-        assert len(exits) == 2
-        heartbeats = spool.worker_heartbeats()
-        assert sorted(beat.get("events_dropped", 0) for beat in heartbeats.values()) == [1, 1]
+        assert [event["events_dropped"] for event in exits] == [1, 1]
+        # The coordinator folds each worker from its events, worker_start or not.
+        workers = read_progress(spool.progress_path).workers
+        assert sorted(workers) == sorted(event["source"] for event in exits)
+        assert [worker["events_dropped"] for worker in workers.values()] == [1, 1]
+        assert {worker["state"] for worker in workers.values()} == {"exited"}
 
     def test_a_respawned_worker_runs_at_generation_one(self, tmp_path, monkeypatch):
         plan = FaultPlan(

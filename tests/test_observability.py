@@ -35,6 +35,7 @@ from repro.observability import (
     read_progress,
     write_progress,
 )
+from repro.observability.events import EventCursor, worker_states
 from repro.experiments.runner import execute_run
 from repro.observability.trace import (
     TRACER,
@@ -327,6 +328,128 @@ class TestEventLog:
         ]
 
 
+    def test_cursor_reads_only_what_was_appended_since(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        cursor = EventCursor(path)
+        assert cursor.read() == []  # no file yet
+        log = EventLog(path, source="w")
+        log.emit("worker_start")
+        assert [event["kind"] for event in cursor.read()] == ["worker_start"]
+        assert cursor.read() == []
+        log.emit("worker_idle")
+        with path.open("a") as handle:
+            handle.write('{"kind": "worker_exit", "sou')  # an append in flight
+        assert [event["kind"] for event in cursor.read()] == ["worker_idle"]
+        with path.open("a") as handle:
+            handle.write('rce": "w"}\n')
+        assert cursor.read() == [{"kind": "worker_exit", "source": "w"}]
+        assert cursor.offset == path.stat().st_size
+
+
+def _log(*lines):
+    """Hand-written event lines: (ts, source, kind, fields)."""
+    return [
+        {"ts": ts, "source": source, "kind": kind, **fields}
+        for ts, source, kind, fields in lines
+    ]
+
+
+class TestWorkerStates:
+    def test_every_transition(self):
+        log = _log(
+            (1.0, "w", "worker_start", {"pid": 7}),
+            (2.0, "w", "worker_idle", {}),
+            (3.0, "w", "task_claimed", {"task": "task-00000", "cells": 2}),
+            (4.0, "w", "task_completed", {"task": "task-00000", "cells": 2, "failures": 1,
+                                          "elapsed_s": 0.5}),
+            (5.0, "w", "task_claimed", {"task": "task-00001", "cells": 1}),
+            (6.0, "w", "cell_timeout", {"task": "task-00001", "index": 2, "seconds": 1.0}),
+            (7.0, "w", "worker_idle", {}),
+        )
+        seen = [
+            (state["w"]["state"], state["w"]["current_task"])
+            for state in (worker_states(log[:n], now=10.0) for n in range(1, len(log) + 1))
+        ]
+        assert seen == [
+            ("starting", None),
+            ("idle", None),
+            ("running", "task-00000"),
+            ("running", None),
+            ("running", "task-00001"),
+            ("running", None),
+            ("idle", None),
+        ]
+        (worker,) = worker_states(log, now=10.0).values()
+        assert worker == {
+            "state": "idle", "current_task": None, "pid": 7, "tasks_completed": 1,
+            "runs_executed": 2, "failures": 1, "timeouts": 1, "busy_s": 0.5,
+            "events_dropped": 0, "ts": 7.0, "age_s": 3.0,
+        }
+        exited = worker_states(log + _log((8.0, "w", "worker_exit", {"reason": "complete"})), 8.5)
+        assert (exited["w"]["state"], exited["w"]["age_s"]) == ("exited", 0.5)
+
+    def test_a_worker_dead_without_an_exit_is_dead(self):
+        log = _log(
+            (1.0, "w1", "worker_start", {"pid": 7}),
+            (1.0, "w2", "worker_start", {"pid": 8}),
+            (2.0, "w1", "task_claimed", {"task": "task-00000"}),
+            (3.0, "w2", "worker_exit", {"reason": "complete"}),
+            (4.0, "coordinator", "worker_dead", {"pid": 7, "returncode": -9}),
+            (4.0, "coordinator", "worker_dead", {"pid": 8, "returncode": 0}),
+        )
+        states = worker_states(log, now=5.0)
+        assert sorted(states) == ["w1", "w2"]  # the coordinator is no worker
+        assert (states["w1"]["state"], states["w1"]["current_task"]) == ("dead", None)
+        assert states["w1"]["age_s"] == 3.0  # from its own last event
+        assert states["w2"]["state"] == "exited"
+
+    def test_an_exited_workers_counts_are_its_worker_exit_fields(self):
+        totals = {"tasks_completed": 2, "runs_executed": 3, "failures": 1, "timeouts": 1,
+                  "busy_s": 1.25, "events_dropped": 4}
+        log = _log(
+            (1.0, "w", "task_claimed", {"task": "task-00000"}),
+            # A completion the worker never logged, and a scenario it could
+            # not resolve (cells that ran no simulation), leave the running
+            # sums short; the exit totals are the exact ones.
+            (2.0, "w", "task_completed", {"task": "task-00000", "cells": 4, "elapsed_s": 0.3}),
+            (3.0, "w", "worker_exit", {"reason": "complete", **totals}),
+        )
+        (worker,) = worker_states(log, now=3.0).values()
+        assert {name: worker[name] for name in totals} == totals
+
+    def test_torn_lines_and_unknown_or_retired_kinds_are_skipped(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        lines = [
+            json.dumps({"ts": 1.0, "source": "w", "kind": "worker_start", "pid": 7}),
+            '{"ts": 2.0, "source": "w", "kind": "task_cla',
+            "[1, 2]",
+            json.dumps({"ts": 3.0, "source": "w", "kind": "task_speculated", "task": "t"}),
+            json.dumps({"ts": 4.0, "source": "v", "kind": "vector_batch", "cells": 8}),
+            json.dumps({"ts": 5.0, "source": "v", "kind": "no_such_kind"}),
+            json.dumps({"ts": 6.0, "kind": "task_claimed", "task": "t"}),  # no source
+            json.dumps({"ts": 7.0, "source": ["w"], "kind": "task_claimed", "task": "t"}),
+            json.dumps({"ts": 8.0, "source": "w", "kind": ["worker_exit"]}),
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        states = worker_states(read_events(path), now=10.0)
+        assert list(states) == ["w"]
+        assert states["w"]["state"] == "starting"
+        assert states["w"]["tasks_completed"] == 0
+        assert states["w"]["ts"] == 3.0  # a retired kind still shows it alive
+
+    def test_a_fold_continues_from_its_previous_result(self):
+        log = _log(
+            (1.0, "w", "worker_start", {"pid": 7}),
+            (2.0, "w", "task_claimed", {"task": "task-00000"}),
+            (3.0, "w", "task_completed", {"task": "task-00000", "cells": 1, "elapsed_s": 0.1}),
+            (4.0, "w", "worker_exit", {"reason": "complete", "tasks_completed": 1}),
+        )
+        first = worker_states(log[:2], now=9.0)
+        frozen = json.dumps(first, sort_keys=True)
+        assert worker_states(log[2:], 9.0, first) == worker_states(log, 9.0)
+        assert json.dumps(first, sort_keys=True) == frozen
+
+
 # --------------------------------------------------------------------------
 # Runner and spool integration
 # --------------------------------------------------------------------------
@@ -403,12 +526,61 @@ class TestSpoolObservability:
         progress = read_progress(spool_root / "progress.json")
         assert progress.complete and progress.backend == "spool"
         assert (progress.total, progress.done, progress.failed) == (4, 4, 0)
-        heartbeats = Spool(spool_root).worker_heartbeats()
-        assert len(heartbeats) == 2
-        for heartbeat in heartbeats.values():
-            assert heartbeat["state"] == "exited"
-            assert heartbeat["tasks_completed"] >= 0
-            assert "age_s" in heartbeat
+        # progress.json's workers are the log's, with worker_exit's totals.
+        exits = {e["source"]: e for e in events if e["kind"] == "worker_exit"}
+        assert set(progress.workers) == set(exits) == sources
+        for source, worker in progress.workers.items():
+            assert worker["state"] == "exited"
+            for name in ("tasks_completed", "runs_executed", "failures", "busy_s"):
+                assert worker[name] == exits[source][name]
+            assert worker["age_s"] >= 0
+        assert sum(worker["tasks_completed"] for worker in progress.workers.values()) == len(
+            completed
+        )
+
+    def test_a_spool_campaign_writes_no_worker_files(self, tmp_path):
+        spool_root = tmp_path / "spool"
+        backend = SpoolBackend(spool_root, workers=2, timeout=120.0, poll_interval=0.01)
+        ParallelCampaignRunner(backend=backend).run("demo/random_walk", seeds=[1, 2, 3, 4])
+        assert not (spool_root / "workers").exists()
+
+    def test_progress_lists_hand_started_workers_mid_campaign(self, tmp_path, capsys):
+        """With ``--workers 0``, the coordinator folds the workers it never
+        forked from the log, while the campaign still waits for cells."""
+        spool_root = tmp_path / "spool"
+        backend = SpoolBackend(
+            spool_root, workers=0, task_size=1, timeout=120.0, poll_interval=0.01
+        )
+        campaign = threading.Thread(
+            target=ParallelCampaignRunner(backend=backend).run,
+            args=("demo/random_walk",),
+            kwargs={"seeds": [1, 2, 3]},
+        )
+        campaign.start()
+        try:
+            deadline = time.monotonic() + 60.0
+            while not (spool_root / "tasks").is_dir() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            run_worker(spool_root, max_tasks=1, poll_interval=0.01, worker_id="w1")
+            while time.monotonic() < deadline:
+                progress = read_progress(spool_root / "progress.json")
+                if progress is not None and "w1" in progress.workers:
+                    break
+                time.sleep(0.01)
+            assert not progress.complete
+            worker = progress.workers["w1"]
+            assert (worker["state"], worker["tasks_completed"]) == ("exited", 1)
+            assert worker["pid"] == os.getpid() and worker["age_s"] >= 0
+            capsys.readouterr()
+            assert cli_main(["status", str(spool_root)]) == 0
+            line = capsys.readouterr().out.splitlines()[1]
+            assert line.startswith("  w1: exited (1 tasks, 1 runs, last event ")
+        finally:
+            run_worker(spool_root, poll_interval=0.01, worker_id="w2")
+            campaign.join(60.0)
+        assert not campaign.is_alive()
+        workers = read_progress(spool_root / "progress.json").workers
+        assert {name: w["tasks_completed"] for name, w in workers.items()} == {"w1": 1, "w2": 2}
 
     def test_worker_reports_reclaimed_lease(self, tmp_path, caplog):
         spool = Spool(tmp_path / "spool", lease_timeout=0.01)
@@ -629,7 +801,7 @@ class TestStatusAndTailCli:
     def test_worker_line_joins_its_counts_with_commas(self):
         from repro.experiments.cli import _format_worker
 
-        heartbeat = {
+        worker = {
             "state": "running",
             "current_task": "task-00003",
             "tasks_completed": 3,
@@ -638,9 +810,9 @@ class TestStatusAndTailCli:
             "events_dropped": 2,
             "age_s": 0.5,
         }
-        assert _format_worker("w1", heartbeat) == (
+        assert _format_worker("w1", worker) == (
             "  w1: running on task-00003 (3 tasks, 5 runs, 1 timeout(s), "
-            "2 dropped event(s), heartbeat 0.5s ago)"
+            "2 dropped event(s), last event 0.5s ago)"
         )
         assert _format_worker("w2", {"state": "idle"}) == "  w2: idle (0 tasks, 0 runs)"
 
@@ -698,6 +870,16 @@ class TestStatusAndTailCli:
         assert "unknown event kind" in capsys.readouterr().err
         assert cli_main(["tail", str(tmp_path)]) == 1
         assert "no event log" in capsys.readouterr().err
+
+    def test_tail_on_a_store_points_at_the_spool(self, tmp_path, capsys):
+        store = self._complete_campaign(tmp_path)
+        capsys.readouterr()
+        for target in (store, f"{store}.events.jsonl"):
+            assert cli_main(["tail", target]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("error: ") and "--spool DIR" in err[0]
+        assert not (tmp_path / "results.jsonl.events.jsonl").exists()
 
 
 def _printed_counts(out):

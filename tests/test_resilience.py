@@ -391,28 +391,11 @@ class TestShardTrailers:
 
 
 # --------------------------------------------------------------------------
-# Heartbeat files / event-log degradation
+# Event-log degradation
 # --------------------------------------------------------------------------
 
 
 class TestObservabilityDegradation:
-    def test_torn_worker_heartbeat_is_skipped_and_healed(self, tmp_path):
-        """Worker heartbeats are written atomically; the injected torn
-        write simulates the pre-atomic failure mode and proves readers
-        tolerate a partial file until the next stamp replaces it."""
-        spool = Spool(tmp_path / "spool")
-        spool.initialise()
-        plan = FaultPlan([FaultRule(point="spool.worker_heartbeat", kind="torn_write")])
-        payload = {"state": "running", "tasks_completed": 3}
-        with armed(plan):
-            assert spool.write_worker_heartbeat("w1", payload)
-        torn = (spool.workers_dir / "w1.json").read_text()
-        with pytest.raises(ValueError):
-            json.loads(torn)  # genuinely torn on disk
-        assert spool.worker_heartbeats() == {}  # reader skips it
-        assert spool.write_worker_heartbeat("w1", payload)  # atomic heal
-        assert spool.worker_heartbeats()["w1"]["tasks_completed"] == 3
-
     def test_event_log_write_failures_are_counted_drops(self, tmp_path):
         log = EventLog(tmp_path / "events.jsonl", source="w1")
         plan = FaultPlan([FaultRule(point="events.emit", kind="io_error", times=None)])
@@ -423,12 +406,18 @@ class TestObservabilityDegradation:
         assert log.emit("worker_idle") is not None  # disarmed: log recovers
         assert len(read_events(log.path)) == 1
 
-    def test_heartbeat_payload_carries_drop_count_only_when_nonzero(self):
-        from repro.distributed import WorkerStats
-
-        stats = WorkerStats(worker_id="w1")
-        assert "events_dropped" not in stats.heartbeat_payload("idle")
-        assert stats.heartbeat_payload("idle", events_dropped=2)["events_dropped"] == 2
+    def test_worker_exit_carries_drop_count_only_when_nonzero(self, tmp_path):
+        spool = Spool(tmp_path / "spool")
+        spool.initialise()
+        run_worker(spool.root, idle_timeout=0.01, poll_interval=0.01, worker_id="clean")
+        plan = FaultPlan(
+            [FaultRule(point="events.emit", kind="io_error", match={"kind": "worker_idle"})]
+        )
+        with armed(plan):
+            run_worker(spool.root, idle_timeout=0.01, poll_interval=0.01, worker_id="lossy")
+        exits = {e["source"]: e for e in read_events(spool.events_path, kinds={"worker_exit"})}
+        assert "events_dropped" not in exits["clean"]
+        assert exits["lossy"]["events_dropped"] == 1
 
     def test_status_cli_surfaces_dropped_events(self, tmp_path, capsys):
         path = tmp_path / "progress.json"

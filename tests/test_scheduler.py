@@ -3,6 +3,7 @@ deadlines, late shards after a lease reclaim, lost tasks republished when
 the queue drains, idle jitter and spool fsck."""
 
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -377,6 +378,71 @@ class TestLateShards:
         assert "task_quarantined" in kinds
 
 
+    def test_a_hand_started_workers_shard_after_the_coordinator_returned(
+        self, tmp_path
+    ):
+        """With ``--workers 0`` nothing is joined: the coordinator settles
+        and returns as soon as the quarantine fills the cell.  The stalled
+        worker's shard lands later.  The store keeps the failure, ``merge``
+        of the spool heals it, and a rerun on the spool adopts the shard."""
+        serial = _serial_store(tmp_path, [1])
+        spool_root = tmp_path / "spool"
+        plan = FaultPlan(
+            [FaultRule(point="worker.cell", kind="sleep", args={"seconds": 3.0})]
+        )
+        # Started first, so no thread is running when it forks; it polls
+        # until the coordinator creates the spool.
+        worker = multiprocessing.get_context("fork").Process(
+            target=_stalled_worker, args=(spool_root, plan)
+        )
+        worker.start()
+
+        def campaign(store):
+            backend = SpoolBackend(
+                spool_root, workers=0, lease_timeout=0.5, max_task_attempts=1,
+                poll_interval=0.02, timeout=120.0,
+            )
+            return ParallelCampaignRunner(store=ResultStore(store), backend=backend).run(
+                "demo/random_walk", seeds=[1]
+            )
+
+        store = tmp_path / "spool.jsonl"
+        try:
+            result = campaign(store)
+        finally:
+            worker.join(60.0)
+        assert worker.exitcode == 0
+        spool = Spool(spool_root)
+        assert spool.verify_shard("task-00000")  # landed after the return
+        # The store keeps the quarantine's failure ...
+        assert [record.error_class for record in result.records] == ["TaskQuarantined"]
+        assert [r.error_class for r in ResultStore(store).records()] == ["TaskQuarantined"]
+        # ... merge of the spool heals it ...
+        merged = tmp_path / "merged.jsonl"
+        merge_spool_results(spool, ResultStore(merged))
+        assert merged.read_bytes() == serial.read_bytes()
+        # ... and a rerun on the spool adopts the late shard, executing nothing.
+        rerun = campaign(store)
+        assert rerun.failures == 0
+        serial_records = ResultStore(serial).records()
+        assert [r.to_json_dict() for r in ResultStore(store).records()] == [
+            r.to_json_dict() for r in serial_records
+        ]
+        fresh = tmp_path / "fresh.jsonl"
+        campaign(fresh)
+        assert fresh.read_bytes() == serial.read_bytes()
+        kinds = [event["kind"] for event in read_events(spool.events_path)]
+        assert kinds.count("task_claimed") == 1
+        assert kinds.count("campaign_resumed") == 2
+
+
+def _stalled_worker(spool_root, plan):
+    """A worker started by hand, whose every cell first sleeps ``plan``'s
+    seconds, long past the spool's lease."""
+    with armed(plan):
+        run_worker(spool_root, poll_interval=0.02, worker_id="hand")
+
+
 # --------------------------------------------------------------------------
 # One settle rule: under seeded faults the store equals the merged spool
 # --------------------------------------------------------------------------
@@ -628,12 +694,6 @@ class TestFsck:
         assert spool.claim(tasks[2].task_id) is not None
         good = (spool.results_dir / f"{tasks[0].task_id}.jsonl").read_bytes()
         (spool.results_dir / f"{tasks[2].task_id}.jsonl").write_bytes(good)
-        # Stale + unparsable heartbeats:
-        spool.workers_dir.mkdir(parents=True, exist_ok=True)
-        (spool.workers_dir / "w-stale.json").write_text(
-            json.dumps({"state": "idle", "ts": time.time() - 10_000})
-        )
-        (spool.workers_dir / "w-bad.json").write_text("not json")
         return spool, tasks
 
     def test_fsck_detects_damage_and_repair_heals_it(self, tmp_path):
@@ -642,8 +702,6 @@ class TestFsck:
         kinds = {issue["kind"] for issue in report["issues"]}
         assert "torn_shard" in kinds
         assert "orphaned_lease" in kinds
-        assert "stale_heartbeat" in kinds
-        assert "bad_heartbeat" in kinds
         assert report["ok"] is False
 
         repaired = fsck_spool(spool, repair=True)
@@ -652,8 +710,6 @@ class TestFsck:
         clean = fsck_spool(spool)
         assert clean["issues"] == [] and clean["ok"] is True
         assert not (spool.results_dir / f"{tasks[1].task_id}.jsonl").exists()
-        assert not (spool.workers_dir / "w-stale.json").exists()
-        assert not (spool.workers_dir / "w-bad.json").exists()
 
     def test_fsck_lifts_quarantine_on_a_completed_task(self, tmp_path):
         spool = Spool(tmp_path / "spool", max_task_attempts=1)

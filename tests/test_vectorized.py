@@ -170,6 +170,30 @@ class TestFallbacks:
         assert backend.stats.fallback_cells == 1
         assert backend.stats.fast_cells == 6  # 8 - probe - missing seed
 
+    def test_seed_without_the_probes_metrics_finishes_scalar(self, tmp_path, monkeypatch):
+        real = program_for
+
+        class HollowProgram:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def run(self, spec, seeds, params):
+                outputs = self.inner.run(spec, seeds, params)
+                outputs[3] = {}
+                return outputs
+
+        monkeypatch.setattr(
+            "repro.vectorized.backend.program_for",
+            lambda spec, params: (
+                HollowProgram(real(spec, params)) if real(spec, params) else None
+            ),
+        )
+        inline, vector, backend = run_pair(tmp_path, "tdma_convergence", range(8))
+        assert vector == inline
+        assert backend.stats.batches == 1
+        assert backend.stats.fallback_cells == 1
+        assert backend.stats.fast_cells == 6  # 8 - probe - hollow seed
+
     def test_probe_mismatch_reruns_group_scalar(self, tmp_path, monkeypatch):
         real = program_for
 
