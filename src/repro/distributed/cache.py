@@ -29,11 +29,12 @@ records are cached — failures always re-run.
 
 Every lookup goes to the disk and touches one key: a miss is one failed
 ``open`` of its link, a hit one ``open`` of its link, which is its
-segment.  An index remembers the bytes of the last segment it read, so a
-run of hits in one batch reads that segment once; it holds nothing else
-in memory, a fresh process pays nothing for the size of the cache, and an
-index already open sees other processes' puts and ``cache clear`` on its
-next lookup.  Records from the per-record ``objects/`` layout this module
+segment.  An index remembers the last segment it read, indexed once into
+key -> record bytes, so a run of hits in one batch reads that segment
+once and then costs a dict lookup each; it holds nothing else in memory,
+a fresh process pays nothing for the size of the cache, and an index
+already open sees other processes' puts and ``cache clear`` on its next
+lookup.  Records from the per-record ``objects/`` layout this module
 used to write are never read; :meth:`CacheIndex.clear` removes them.
 
 Segments are never rewritten: a repair removes only the key's link.  A
@@ -77,6 +78,17 @@ def _check_key(key: str) -> None:
         raise ValueError(f"invalid cache key: {key!r}")
 
 
+def _index_segment(data: bytes) -> Dict[bytes, bytes]:
+    """Key -> record bytes of each whole ``key\trecord`` line of a segment.
+
+    A last line without its newline is not whole and indexes nothing; of
+    two lines of one key the first wins, as a scan from the top finds it.
+    """
+    *lines, _unterminated = data.split(b"\n")
+    parts = (line.partition(b"\t") for line in reversed(lines))
+    return {key: payload for key, tab, payload in parts if tab}
+
+
 class CacheIndex:
     """Filesystem-backed content-addressed store of successful run records.
 
@@ -101,8 +113,8 @@ class CacheIndex:
         self._flushed = (0, 0, 0, 0)
         #: Set after the first infrastructure-level OSError; see degraded.
         self._degraded = False
-        #: The last segment read: its identity and its bytes after a "\n".
-        self._segment: Tuple[Optional[tuple], bytes] = (None, b"")
+        #: The last segment read: its identity and its index (_index_segment).
+        self._segment: Tuple[Optional[tuple], Dict[bytes, bytes]] = (None, {})
 
     @property
     def degraded(self) -> bool:
@@ -146,27 +158,25 @@ class CacheIndex:
         ``None`` when ``key`` has no link.  Raises ``ValueError`` for a
         corrupt entry and ``OSError`` when the cache is unreachable."""
         try:
-            fd = os.open(self.keys_dir / key, os.O_RDONLY)
+            fd = os.open(os.path.join(self.root, "keys", key), os.O_RDONLY)
         except FileNotFoundError:
             return None
-        prefix = b"\n" + key.encode("ascii") + b"\t"
+        entry = key.encode("ascii")
         try:
             stat = os.fstat(fd)
             identity = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
-            data = self._segment[1] if self._segment[0] == identity else b""
-            start = data.find(prefix)
-            if start < 0:
+            remembered, index = self._segment
+            payload = index.get(entry) if remembered == identity else None
+            if payload is None:
                 # Not the remembered segment, or a reused inode that looks
-                # like it: read the segment afresh.
-                data = b"\n" + os.pread(fd, stat.st_size, 0)
-                self._segment = (identity, data)
-                start = data.find(prefix)
+                # like it: read and index the segment afresh.
+                index = _index_segment(os.pread(fd, stat.st_size, 0))
+                self._segment = (identity, index)
+                payload = index.get(entry)
         finally:
             os.close(fd)
-        end = data.find(b"\n", start + 1)
-        if start < 0 or end < 0:
+        if payload is None:
             raise ValueError("its segment holds no whole line for it")
-        payload = data[start + len(prefix) : end]
         # The cache writes ASCII only, so any other byte is damage.
         if not payload.isascii():
             raise ValueError("non-ASCII bytes")

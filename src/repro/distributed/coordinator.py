@@ -192,7 +192,10 @@ class SpoolBackend(ExecutionBackend):
         #: ``None``: a temporary spool per campaign (see :meth:`execute`).
         self.spool_root = spool_root
         self.spool = Spool(
-            spool_root or "", lease_timeout=lease_timeout, max_task_attempts=max_task_attempts
+            spool_root or "",
+            lease_timeout=lease_timeout,
+            max_task_attempts=max_task_attempts,
+            source="coordinator",
         )
         self.workers = int(workers)
         self.task_size = task_size
@@ -533,7 +536,8 @@ class SpoolBackend(ExecutionBackend):
         def absorb_quarantined() -> None:
             """Count a poison task's cells as failed, so the campaign
             completes (with visible failures) instead of stalling forever;
-            settle() gives them their records unless a shard lands first."""
+            settle() gives them their records unless a shard lands first.
+            The process whose rename quarantined the task logged its event."""
             for task_id in self.spool.quarantined_task_ids():
                 if task_id in handled_quarantine:
                     continue
@@ -550,8 +554,6 @@ class SpoolBackend(ExecutionBackend):
                     task_id,
                     attempts,
                 )
-                if events is not None:
-                    events.emit("task_quarantined", task=task_id, attempts=attempts)
                 for index, record in failures:
                     if key_by_index.get(index) == record.key and index not in filled:
                         filled.add(index)
@@ -665,7 +667,9 @@ class SpoolBackend(ExecutionBackend):
                     f"{len(expected - filled)} cell(s) unfinished; check the "
                     "workers' stderr for import or startup errors"
                 )
-            for task_id in self.spool.reclaim_expired():
+            for task_id, outcome in self.spool.reclaim_expired().items():
+                if outcome != "requeued":
+                    continue  # absorbed on the next poll
                 logger.warning(
                     "reclaimed expired lease on %s (worker dead or stalled)", task_id
                 )

@@ -165,13 +165,10 @@ def fsck_spool(spool: Any, repair: bool = False) -> Dict[str, Any]:
                 f"lease {age:.1f}s old (timeout {spool.lease_timeout:g}s)",
             )
     if repair and any(entry["kind"] == "expired_lease" for entry in issues):
-        for task_id in spool.reclaim_expired(now=now):
-            repaired.append(f"requeued expired claim {task_id}")
-        for task_id in spool.quarantined_task_ids():
-            if any(
-                entry["kind"] == "expired_lease" and entry["target"] == task_id
-                for entry in issues
-            ):
+        for task_id, outcome in spool.reclaim_expired(now=now).items():
+            if outcome == "requeued":
+                repaired.append(f"requeued expired claim {task_id}")
+            else:
                 repaired.append(f"quarantined poison task {task_id}")
 
     quarantined = spool.quarantined_task_ids()

@@ -33,7 +33,8 @@ A task reclaimed ``max_task_attempts`` times without producing a shard is
 so a cell that crashes its executor cannot grind the campaign forever.
 The reclaim ledger (``attempts.jsonl``) is how racing reclaimers agree on
 the attempt count: the process that wins the reclaim rename appends one
-line.  ``quarantine list|retry`` on the CLI inspects and re-queues them.
+line, and logs the one ``task_quarantined`` event of a quarantine.
+``quarantine list|retry`` on the CLI inspects and re-queues them.
 
 One rule, :func:`settle`, decides the record each cell of a spool keeps,
 for every reader: the coordinator's store, ``merge`` and ``fsck``.  The
@@ -57,6 +58,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Uni
 
 from repro.experiments.runner import RunRecord
 from repro.experiments.spec import jsonable
+from repro.observability.events import EventLog
 from repro.resilience.faults import inject
 
 # Canonical home is the observability layer (its progress files need the
@@ -154,6 +156,7 @@ class Spool:
         root: Union[str, os.PathLike],
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         max_task_attempts: int = DEFAULT_MAX_TASK_ATTEMPTS,
+        source: Optional[str] = None,
     ):
         if lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
@@ -162,6 +165,9 @@ class Spool:
         self.root = Path(root)
         self.lease_timeout = float(lease_timeout)
         self.max_task_attempts = int(max_task_attempts)
+        #: This process in the event log (a worker id, ``"coordinator"``):
+        #: the source of the events the spool itself emits.
+        self.source = source
 
     # ------------------------------------------------------------------ layout
     @property
@@ -368,7 +374,7 @@ class Spool:
         except FileNotFoundError:
             pass
 
-    def reclaim_expired(self, now: Optional[float] = None) -> List[str]:
+    def reclaim_expired(self, now: Optional[float] = None) -> Dict[str, str]:
         """Re-queue claimed tasks whose lease expired without a result shard.
 
         Any process may call this; renaming the claim file back into
@@ -376,11 +382,12 @@ class Spool:
         task.  A claimed task whose *valid* shard already exists is settled
         instead (the claim marker is removed); a torn shard is deleted so
         the task re-executes.  A task on its ``max_task_attempts``-th
-        failed claim is quarantined rather than re-queued (not included in
-        the returned list — see :meth:`quarantined_task_ids`).
+        failed claim is quarantined rather than re-queued.  Returns what
+        this call did to each task it retired, in claim order:
+        ``"requeued"`` or ``"quarantined"``.
         """
         now = time.time() if now is None else now
-        reclaimed: List[str] = []
+        retired: Dict[str, str] = {}
         for task_id in self.claimed_task_ids():
             claim_path = self.claimed_dir / f"{task_id}.json"
             shard_path = self.results_dir / f"{task_id}.jsonl"
@@ -404,9 +411,9 @@ class Spool:
             if age < self.lease_timeout:
                 continue
             outcome = self._retire_claim(claim_path, task_id)
-            if outcome == "requeued":
-                reclaimed.append(task_id)
-        return reclaimed
+            if outcome is not None:
+                retired[task_id] = outcome
+        return retired
 
     def requeue(
         self, claimed: ClaimedTask, event: str = "reclaim", **extra: Any
@@ -432,7 +439,8 @@ class Spool:
         """Move a failed claim back to pending — or into quarantine at cap.
 
         Only the process whose rename succeeds appends the ledger line, so
-        racing reclaimers agree on the attempt count without locks.
+        racing reclaimers agree on the attempt count without locks; for the
+        same reason it alone logs the ``task_quarantined`` event.
         """
         attempt = self.reclaim_count(task_id) + 1
         if attempt >= self.max_task_attempts:
@@ -455,6 +463,10 @@ class Spool:
             self._append_attempt(task_id, ledger_event, cause=event, **extra)
         else:
             self._append_attempt(task_id, ledger_event, **extra)
+        if outcome == "quarantined":
+            EventLog(self.events_path, source=self.source).emit(
+                "task_quarantined", task=task_id, attempts=attempt
+            )
         return outcome
 
     def campaign_cell_timeout(self) -> Optional[float]:

@@ -44,7 +44,7 @@ import random
 import select
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.distributed.scheduler import CellTimeout, cell_deadline
 from repro.distributed.spool import ClaimedTask, Spool
@@ -54,7 +54,7 @@ from repro.experiments.registry import (
     load_builtin_scenarios,
 )
 from repro.experiments.runner import RunRecord, execute_run_with_retry, unresolved_record
-from repro.experiments.spec import RunSpec
+from repro.experiments.spec import RunSpec, encode_params
 from repro.observability.events import EventLog
 from repro.observability.trace import TRACER
 from repro.resilience.faults import inject
@@ -210,6 +210,10 @@ def execute_task(
         resolve_error = f"worker could not resolve scenario: {exc.args[0]}"
 
     results: List[Tuple[int, RunRecord]] = []
+    # One encoding per distinct params of the task, by ``repr``: the task
+    # file's params are JSON values, whose reprs are equal only when their
+    # types are too (``==`` equates ``True``, ``1`` and ``1.0``).
+    encodings: Dict[str, str] = {}
     with TRACER.span(
         "task",
         cat="task",
@@ -221,15 +225,20 @@ def execute_task(
     ):
         for params, seed, index in task.cells:
             inject("worker.cell", task=task.task_id, index=index, scenario=task.scenario)
+            text = repr(params)
+            params_json = encodings.get(text)
+            if params_json is None:
+                params_json = encodings[text] = encode_params(params)
+            cell = RunSpec(
+                scenario=task.scenario, params=params, seed=seed, index=index,
+                params_json=params_json,
+            )
             if spec is None:
-                record = unresolved_record(task.scenario, params, seed, resolve_error)
+                record = unresolved_record(cell, resolve_error)
             else:
                 with cell_deadline(cell_timeout, task=task.task_id, index=index):
                     record = execute_run_with_retry(
-                        spec,
-                        RunSpec(scenario=spec.name, params=dict(params), seed=seed, index=index),
-                        policy=retry_policy,
-                        breaker=breaker,
+                        spec, cell, policy=retry_policy, breaker=breaker
                     )
                 if stats is not None:
                     stats.runs_executed += 1
@@ -286,12 +295,12 @@ def run_worker(
     _import_scenario_modules(scenario_modules)
     if registry is None:
         registry = load_builtin_scenarios()
-    spool = (
-        Spool(spool_root)
-        if lease_timeout is None
-        else Spool(spool_root, lease_timeout=lease_timeout)
-    )
     stats = WorkerStats(worker_id=worker_id or f"worker-{os.getpid()}")
+    spool = (
+        Spool(spool_root, source=stats.worker_id)
+        if lease_timeout is None
+        else Spool(spool_root, lease_timeout=lease_timeout, source=stats.worker_id)
+    )
     # A ``sleep`` here stands for a worker that is slow to start up.
     inject("worker.start", worker=stats.worker_id)
     # Seeded per worker id: each worker's idle polling is deterministic in
@@ -307,7 +316,6 @@ def run_worker(
     events = EventLog(spool.events_path, source=stats.worker_id)
     events.emit("worker_start", pid=os.getpid())
     breaker = CircuitBreaker()
-    announced_quarantine: set = set(spool.quarantined_task_ids())
     idle_wait = pipes.wait_idle if pipes is not None else time.sleep
     idle_since: Optional[float] = None
     was_idle = False
@@ -340,20 +348,18 @@ def run_worker(
                 )
             if lease_timeout is None:
                 spool.refresh_lease_timeout()
-            for task_id in spool.reclaim_expired():
-                logger.warning(
-                    "%s: reclaimed expired lease on %s", stats.worker_id, task_id
-                )
-                events.emit("task_reclaimed", task=task_id)
-            for task_id in spool.quarantined_task_ids():
-                if task_id not in announced_quarantine:
-                    announced_quarantine.add(task_id)
+            for task_id, outcome in spool.reclaim_expired().items():
+                if outcome == "quarantined":
                     logger.error(
                         "%s: task %s quarantined as poison after repeated failed claims",
                         stats.worker_id,
                         task_id,
                     )
-                    events.emit("task_quarantined", task=task_id)
+                    continue
+                logger.warning(
+                    "%s: reclaimed expired lease on %s", stats.worker_id, task_id
+                )
+                events.emit("task_reclaimed", task=task_id)
             now = time.time()
             if idle_since is None:
                 idle_since = now

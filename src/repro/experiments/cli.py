@@ -1024,6 +1024,9 @@ def _format_progress(progress: CampaignProgress) -> str:
 
 
 def _format_worker(worker_id: str, worker: Dict[str, Any]) -> str:
+    """One worker's status line.  Its age is measured now, from its last
+    event's ``ts``, not frozen at the snapshot; an entry without ``ts``
+    falls back to its ``age_s``."""
     state = worker.get("state", "?")
     bits = [f"  {worker_id}: {state}"]
     task = worker.get("current_task")
@@ -1039,7 +1042,11 @@ def _format_worker(worker_id: str, worker: Dict[str, Any]) -> str:
     dropped = worker.get("events_dropped", 0)
     if isinstance(dropped, int) and dropped > 0:
         counts.append(f"{dropped} dropped event(s)")
-    age = worker.get("age_s")
+    stamp = worker.get("ts")
+    if isinstance(stamp, (int, float)):
+        age = max(0.0, time.time() - stamp)
+    else:
+        age = worker.get("age_s")
     if isinstance(age, (int, float)):
         counts.append(f"last event {age:.1f}s ago")
     bits.append(f"({', '.join(counts)})")

@@ -35,19 +35,20 @@ from repro.observability.trace import TRACER
 from repro.resilience.faults import inject
 from repro.resilience.retry import DEFAULT_RETRY_POLICY, CircuitBreaker, RetryPolicy
 from repro.experiments.registry import REGISTRY, ScenarioRegistry, load_builtin_scenarios
-from repro.experiments.spec import (
-    RunSpec,
-    ScenarioSpec,
-    canonical_key,
-    content_cache_key,
-    jsonable,
-)
+from repro.experiments.spec import RunSpec, ScenarioSpec, canonical_key, jsonable
 
 logger = logging.getLogger(__name__)
 
 @dataclass
 class RunRecord:
-    """The persisted outcome of one campaign run."""
+    """The persisted outcome of one campaign run.
+
+    A record's ``scenario``, ``params`` and ``seed`` are its cell's identity
+    and never change after construction (:meth:`relabelled` makes a new
+    record for another cell), so its :attr:`key` is computed at most once:
+    a record made for a :class:`RunSpec` takes the cell's key, and any other
+    encodes its fields on the first read.
+    """
 
     scenario: str
     params: Dict[str, Any]
@@ -76,10 +77,15 @@ class RunRecord:
     #: "cache", or a backend name); provenance only — transient and never
     #: serialised, so stores stay byte-identical across backends.
     executed_by: Optional[str] = field(default=None, compare=False, repr=False)
+    #: The cell's canonical key once known: given by the maker of the
+    #: record, or filled in by the first read of :attr:`key`.
+    _key: Optional[str] = field(default=None, compare=False, repr=False)
 
     @property
     def key(self) -> str:
-        return canonical_key(self.scenario, self.params, self.seed)
+        if self._key is None:
+            self._key = canonical_key(self.scenario, self.params, self.seed)
+        return self._key
 
     @property
     def ok(self) -> bool:
@@ -115,7 +121,7 @@ class RunRecord:
             error_class=payload.get("error_class"),
         )
 
-    def relabelled(self, scenario: str, params: Mapping[str, Any], seed: int) -> "RunRecord":
+    def relabelled(self, cell: RunSpec) -> "RunRecord":
         """This record's results re-labelled onto another campaign cell.
 
         Content-addressed cache keys are name-independent (source-addressed),
@@ -126,28 +132,28 @@ class RunRecord:
         :meth:`ParallelCampaignRunner._consult_cache`, goes through it.
         """
         return RunRecord(
-            scenario=scenario,
-            params=dict(params),
-            seed=seed,
+            scenario=cell.scenario,
+            params=dict(cell.params),
+            seed=cell.seed,
             status=self.status,
             metrics=dict(self.metrics),
             error=self.error,
             attempts=self.attempts,
             error_class=self.error_class,
+            _key=cell.key,
         )
 
 
-def unresolved_record(
-    scenario: str, params: Mapping[str, Any], seed: int, error: Optional[str]
-) -> RunRecord:
+def unresolved_record(cell: RunSpec, error: Optional[str]) -> RunRecord:
     """The failed record of a cell whose scenario a worker could not resolve."""
     return RunRecord(
-        scenario=scenario,
-        params=dict(params),
-        seed=seed,
+        scenario=cell.scenario,
+        params=dict(cell.params),
+        seed=cell.seed,
         status="failed",
         error=error,
         error_class="ScenarioResolutionError",
+        _key=cell.key,
     )
 
 
@@ -163,6 +169,9 @@ def execute_run(
     and ``scenario.sim`` spans.
     """
     start = time.perf_counter()
+    # The record is labelled with the spec's name, so the cell's key is
+    # the record's only when the cell names the same scenario.
+    key = run_spec.key if run_spec.scenario == spec.name else None
     try:
         inject("run.cell", scenario=spec.name, seed=run_spec.seed)
         result = spec.build(run_spec.seed, run_spec.params)
@@ -175,6 +184,7 @@ def execute_run(
             status="ok",
             metrics=metrics,
             raw_result=result if keep_result else None,
+            _key=key,
         )
     except Exception as exc:  # noqa: BLE001 — a run failure must not kill the campaign
         record = RunRecord(
@@ -185,6 +195,7 @@ def execute_run(
             error="".join(traceback.format_exception_only(type(exc), exc)).strip(),
             error_class=type(exc).__name__,
             exception=exc,
+            _key=key,
         )
     record.duration = time.perf_counter() - start
     return record
@@ -622,11 +633,11 @@ class ParallelCampaignRunner:
         cached = 0
         with TRACER.span("cache.get", cat="cache", cells=len(pending)):
             for run_spec in pending:
-                key = content_cache_key(source_fingerprint, run_spec.params, run_spec.seed)
+                key = run_spec.cache_key(source_fingerprint)
                 cache_keys[run_spec.index] = key
                 record = self.cache.get(key)
                 if record is not None and record.ok:
-                    hit = record.relabelled(run_spec.scenario, run_spec.params, run_spec.seed)
+                    hit = record.relabelled(run_spec)
                     hit.executed_by = "cache"
                     records[run_spec.index] = hit
                     cached += 1

@@ -7,6 +7,15 @@ the cartesian product of a :class:`ParameterGrid` (or any iterable of
 parameter dicts) with a seed list; each cell is a :class:`RunSpec` whose
 :attr:`RunSpec.key` canonically identifies the ``(scenario, params, seed)``
 triple for result stores and resume logic.
+
+A cell's identity is encoded once per sweep point, not once per use:
+:meth:`ScenarioSpec.runs` passes each point's coerced params through
+:func:`encode_params` and hands the one string to every cell of the point
+(:attr:`RunSpec.params_json`).  The cell's store key and its
+content-addressed cache key are then string formatting over it, and the
+records made for a cell take its key rather than encoding it again.
+:func:`canonical_key` and :func:`content_cache_key` build the same strings
+from a params dict.
 """
 
 from __future__ import annotations
@@ -51,10 +60,24 @@ def jsonable(value: Any) -> Any:
         return str(value)
 
 
+def encode_params(params: Mapping[str, Any]) -> str:
+    """The canonical JSON of a parameter dict, stable across dict ordering:
+    the one encoding both keys of a cell are built from."""
+    return json.dumps(jsonable(dict(params)), sort_keys=True, separators=(",", ":"))
+
+
+def _run_key(scenario: str, params_json: str, seed: int) -> str:
+    return f"{scenario}|{params_json}|seed={seed}"
+
+
+def _cache_key(source_fingerprint: str, params_json: str, seed: int) -> str:
+    blob = f"{source_fingerprint}|{params_json}|seed={seed}"
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def canonical_key(scenario: str, params: Mapping[str, Any], seed: int) -> str:
     """Canonical store key for one run: stable across dict ordering."""
-    payload = json.dumps(jsonable(dict(params)), sort_keys=True, separators=(",", ":"))
-    return f"{scenario}|{payload}|seed={seed}"
+    return _run_key(scenario, encode_params(params), seed)
 
 
 def content_cache_key(source_fingerprint: str, params: Mapping[str, Any], seed: int) -> str:
@@ -65,9 +88,7 @@ def content_cache_key(source_fingerprint: str, params: Mapping[str, Any], seed: 
     scenario's factory invalidates exactly that scenario's cached runs —
     renaming a scenario, or editing an unrelated one, invalidates nothing.
     """
-    payload = json.dumps(jsonable(dict(params)), sort_keys=True, separators=(",", ":"))
-    blob = f"{source_fingerprint}|{payload}|seed={seed}"
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _cache_key(source_fingerprint, encode_params(params), seed)
 
 
 #: Scenario-catalog modules excluded from the engine fingerprint: editing a
@@ -234,16 +255,33 @@ class ParameterGrid:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One cell of a campaign: a scenario name, a parameter dict and a seed."""
+    """One cell of a campaign: a scenario name, a parameter dict and a seed.
+
+    ``params_json`` is :func:`encode_params` of ``params``, encoded here
+    unless given.  :meth:`ScenarioSpec.runs` encodes each sweep point once
+    and gives the string to every cell of the point, so a cell's
+    :attr:`key` and :meth:`cache_key` are string formatting, and the
+    records made for the cell take its :attr:`key` as theirs.
+    """
 
     scenario: str
     params: Dict[str, Any]
     seed: int
     index: int = 0
+    params_json: Optional[str] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.params_json is None:
+            object.__setattr__(self, "params_json", encode_params(self.params))
 
     @property
     def key(self) -> str:
-        return canonical_key(self.scenario, self.params, self.seed)
+        """:func:`canonical_key` of the cell."""
+        return _run_key(self.scenario, self.params_json, self.seed)
+
+    def cache_key(self, source_fingerprint: str) -> str:
+        """:func:`content_cache_key` of the cell."""
+        return _cache_key(source_fingerprint, self.params_json, self.seed)
 
 
 @dataclass(frozen=True)
@@ -310,7 +348,10 @@ class ScenarioSpec:
         sweep: Optional[Iterable[Mapping[str, Any]]] = None,
         seeds: Optional[Sequence[int]] = None,
     ) -> List[RunSpec]:
-        """The deterministic run list: sweep points (outer) x seeds (inner)."""
+        """The deterministic run list: sweep points (outer) x seeds (inner).
+
+        Each point's params are coerced and encoded once, and its cells
+        share both the dict and the encoding."""
         seed_list = [int(s) for s in (seeds if seeds is not None else self.default_seeds)]
         if not seed_list:
             raise ValueError(f"scenario {self.name!r}: at least one seed is required")
@@ -323,6 +364,7 @@ class ScenarioSpec:
         run_specs: List[RunSpec] = []
         for point in points:
             full = self.coerce_params(point)
+            params_json = encode_params(full)
             for seed in seed_list:
                 run_specs.append(
                     RunSpec(
@@ -330,6 +372,7 @@ class ScenarioSpec:
                         params=full,
                         seed=seed,
                         index=len(run_specs),
+                        params_json=params_json,
                     )
                 )
         return run_specs

@@ -26,7 +26,8 @@ kind                emitted when
 ``worker_respawn``    the coordinator started a replacement for a dead worker
 ``campaign_resumed``  a restarted coordinator adopted an interrupted campaign
 ``shard_torn``        a result shard failed sha256 verification (re-executed)
-``task_quarantined``  a poison task was retired after repeated failed claims
+``task_quarantined``  a poison task was retired after repeated failed claims;
+                      logged once, by the process whose rename retired it
 ``cell_timeout``      a worker's watchdog killed a cell past its deadline
 =================== ========================================================
 

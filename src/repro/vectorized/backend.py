@@ -37,7 +37,6 @@ from repro.experiments.runner import (
     RunRecord,
     execute_run_with_retry,
 )
-from repro.experiments.spec import jsonable
 from repro.observability.progress import ProgressTracker
 from repro.observability.trace import TRACER
 from repro.resilience.retry import CircuitBreaker, RetryPolicy
@@ -136,7 +135,7 @@ class VectorBatchBackend(ExecutionBackend):
         groups: Dict[str, List[Any]] = {}
         order: List[str] = []
         for run_spec in pending:
-            key = json.dumps(jsonable(run_spec.params), sort_keys=True)
+            key = run_spec.params_json
             bucket = groups.get(key)
             if bucket is None:
                 groups[key] = [run_spec]
@@ -255,6 +254,7 @@ class VectorBatchBackend(ExecutionBackend):
             seed=run_spec.seed,
             status="ok",
             metrics=metrics,
+            _key=run_spec.key,
         )
 
     @staticmethod

@@ -252,27 +252,87 @@ class TestSegments:
         assert reader.get(batches[0][0][0]) == batches[0][0][1]  # back to the first
         assert len(opened) == 2 and len(reads) == 4
 
-    def test_a_remembered_segment_never_stands_in_for_another(self, tmp_path, monkeypatch):
-        # Every segment looks alike to fstat, as a reused inode would.
-        root = tmp_path / "cache"
-        first, second = _records(2)
-        CacheIndex(root).put(*first)
-        CacheIndex(root).put(*second)
-        same = os.stat(tmp_path)
-        monkeypatch.setattr(os, "fstat", lambda fd: same)
-        reader = CacheIndex(root)
-        assert reader.get(first[0]) == first[1]
-        assert reader.get(second[0]) == second[1]
-        assert reader.repairs == 0
 
-    def test_an_open_index_sees_another_process_clear(self, tmp_path):
+    def test_64_hits_on_one_segment_read_it_once(self, tmp_path, monkeypatch):
+        root = tmp_path / "cache"
+        pairs = _records(64)
+        CacheIndex(root).put_many(pairs)
+        reads = []
+        real_pread = os.pread
+
+        def recording_pread(fd, length, offset):
+            reads.append(length)
+            return real_pread(fd, length, offset)
+
+        monkeypatch.setattr(os, "pread", recording_pread)
+        reader = CacheIndex(root)
+        assert [reader.get(key) for key, _ in pairs] == [record for _, record in pairs]
+        assert reader.hits == 64
+        assert len(reads) == 1
+
+    def test_a_corrupt_entry_inside_an_indexed_segment_is_repaired(self, tmp_path):
+        root = tmp_path / "cache"
+        pairs = _records(5)
+        CacheIndex(root).put_many(pairs)
+        reader = CacheIndex(root)
+        assert reader.get(pairs[0][0]) == pairs[0][1]  # the segment is indexed
+        key = pairs[2][0]
+        garble_entry(root, key, b"{to\nrn")  # breaks the line in two
+        assert reader.get(key) is None
+        assert reader.repairs == 1 and key not in reader.keys()
+        neighbours = [pair for pair in pairs if pair[0] != key]
+        assert [reader.get(k) for k, _ in neighbours] == [r for _, r in neighbours]
+        assert reader.repairs == 1 and reader.hits == 1 + len(neighbours)
+
+    def test_a_segment_without_a_whole_line_for_its_key_is_a_repair(self, tmp_path):
         root = tmp_path / "cache"
         pairs = _records(3)
+        CacheIndex(root).put_many(pairs)
+        segment = root / "segments" / segment_of(root, pairs[0][0])
+        data = segment.read_bytes()
+        with segment.open("r+b") as handle:  # lose the last line's newline
+            handle.truncate(len(data) - 1)
         reader = CacheIndex(root)
-        assert reader.put_many(pairs) == 3
-        assert reader.get(pairs[0][0]) == pairs[0][1]
-        assert _in_children(lambda: CacheIndex(root).clear() == 3) == [0]
-        assert [reader.get(key) for key, _ in pairs] == [None] * 3
+        assert reader.get(pairs[2][0]) is None and reader.repairs == 1
+        assert [reader.get(k) for k, _ in pairs[:2]] == [r for _, r in pairs[:2]]
+
+    def test_a_remembered_segment_never_stands_in_for_another(self, tmp_path, monkeypatch):
+        # Every segment looks alike to fstat, as a reused inode would, and
+        # each holds keys the other lacks: the old index never serves them.
+        root = tmp_path / "cache"
+        pairs = _records(4)
+        CacheIndex(root).put_many(pairs[:2])
+        CacheIndex(root).put_many(pairs[2:])
+        same = os.stat(tmp_path)
+        monkeypatch.setattr(os, "fstat", lambda fd: same)
+        reads = []
+        real_pread = os.pread
+
+        def recording_pread(fd, length, offset):
+            reads.append(length)
+            return real_pread(fd, length, offset)
+
+        monkeypatch.setattr(os, "pread", recording_pread)
+        reader = CacheIndex(root)
+        order = [pairs[0], pairs[2], pairs[1], pairs[3], pairs[0]]
+        assert [reader.get(key) for key, _ in order] == [record for _, record in order]
+        assert len(reads) == 5  # each switch of segment reads it afresh
+        assert reader.repairs == 0 and reader.misses == 0
+
+    def test_an_open_index_sees_another_process_put_many_and_clear(self, tmp_path):
+        root = tmp_path / "cache"
+        first, later = _records(3), _records(3, start=3)
+        reader = CacheIndex(root)
+        assert reader.put_many(first) == 3
+        assert reader.get(first[0][0]) == first[0][1]  # the index is open
+        assert _in_children(lambda: CacheIndex(root).put_many(later) == 3) == [0]
+        assert [reader.get(key) for key, _ in later] == [record for _, record in later]
+        # A re-put moves a key to another segment; the index follows it.
+        relabelled = [(key, RunRecord(scenario="t", params={}, seed=0)) for key, _ in first]
+        assert _in_children(lambda: CacheIndex(root).put_many(relabelled) == 3) == [0]
+        assert [reader.get(key) for key, _ in first] == [record for _, record in relabelled]
+        assert _in_children(lambda: CacheIndex(root).clear() == 6) == [0]
+        assert [reader.get(key) for key, _ in first + later] == [None] * 6
         assert len(reader) == 0 and reader.repairs == 0
 
     def test_stray_temp_files_are_ignored(self, tmp_path):

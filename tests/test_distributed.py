@@ -100,11 +100,11 @@ class TestSpool:
         assert claimed is not None
 
         # Within the lease nothing is reclaimable.
-        assert spool.reclaim_expired() == []
+        assert spool.reclaim_expired() == {}
         # Backdate the claim beyond the lease: any process may reclaim it.
         stale = time.time() - 60.0
         os.utime(claimed.claimed_path, (stale, stale))
-        assert spool.reclaim_expired() == [claimed.task_id]
+        assert spool.reclaim_expired() == {claimed.task_id: "requeued"}
         assert sorted(spool.pending_task_ids()) == ["task-00000", "task-00001"]
         assert spool.claimed_task_ids() == []
 
@@ -121,7 +121,7 @@ class TestSpool:
         # reclaim must settle it instead of re-queueing finished work.
         stale = time.time() - 60.0
         os.utime(claimed.claimed_path, (stale, stale))
-        assert spool.reclaim_expired() == []
+        assert spool.reclaim_expired() == {}
         assert spool.pending_task_ids() == []
         assert spool.claimed_task_ids() == []
         assert spool.completed_task_ids() == [task.task_id]
@@ -169,9 +169,10 @@ class TestSpool:
         # coordinator's published lease — must NOT be reclaimed.
         stale = time.time() - 120.0
         os.utime(claimed.claimed_path, (stale, stale))
-        assert worker_spool.reclaim_expired() == []
+        assert worker_spool.reclaim_expired() == {}
         # An explicit override beats the published value.
-        assert Spool(tmp_path / "spool", lease_timeout=90.0).reclaim_expired() == [task.task_id]
+        reclaimer = Spool(tmp_path / "spool", lease_timeout=90.0)
+        assert reclaimer.reclaim_expired() == {task.task_id: "requeued"}
 
     def test_result_shard_roundtrip_is_atomic_and_complete(self, tmp_path):
         spool = Spool(tmp_path / "spool")

@@ -816,6 +816,29 @@ class TestStatusAndTailCli:
         )
         assert _format_worker("w2", {"state": "idle"}) == "  w2: idle (0 tasks, 0 runs)"
 
+    def test_status_measures_a_workers_age_when_it_is_read(self, tmp_path, capsys):
+        """The snapshot froze ``age_s`` at 0.0 when the campaign ended; the
+        worker's last event is 60 s old by the time ``status`` reads it."""
+        path = tmp_path / "progress.json"
+        tracker = ProgressTracker(path, scenario="s", backend="spool")
+        tracker.begin(total=1)
+        tracker.set_workers(
+            {
+                "w1": {"state": "exited", "tasks_completed": 1, "runs_executed": 1,
+                       "ts": time.time() - 60.0, "age_s": 0.0},
+                "w2": {"state": "exited", "tasks_completed": 0, "runs_executed": 0,
+                       "age_s": 7.5},
+            }
+        )
+        tracker.record_record(ok=True)
+        tracker.finish(complete=True)
+        capsys.readouterr()
+        assert cli_main(["status", str(path)]) == 0
+        w1, w2 = capsys.readouterr().out.splitlines()[1:]
+        age = float(w1.split("last event ")[1].split("s ago")[0])
+        assert 60.0 <= age < 120.0, w1
+        assert w2 == "  w2: exited (0 tasks, 0 runs, last event 7.5s ago)"
+
     def test_status_on_spool_directory(self, tmp_path, capsys):
         spool_root = tmp_path / "spool"
         backend = SpoolBackend(spool_root, workers=1, timeout=120.0, poll_interval=0.01)

@@ -369,7 +369,7 @@ class TestShardTrailers:
             spool.write_result_shard(task.task_id, [(0, RunRecord(scenario="s", params={}, seed=1))])
         stale = time.time() - 60.0
         os.utime(claimed.claimed_path, (stale, stale))
-        assert spool.reclaim_expired() == [task.task_id]
+        assert spool.reclaim_expired() == {task.task_id: "requeued"}
         assert spool.pending_task_ids() == [task.task_id]
         assert spool.completed_task_ids() == []
 
@@ -528,6 +528,37 @@ class TestQuarantine:
         assert "quarantined after 2 failed execution attempt(s)" in record.error
         kinds = [event["kind"] for event in read_events(Spool(spool_root).events_path)]
         assert "task_quarantined" in kinds
+
+    def test_one_quarantine_is_logged_once_whoever_sees_it(self, tmp_path, monkeypatch):
+        """Every worker that claims task-00001 dies on it; the second death
+        quarantines it.  Only the process whose rename retired the task logs
+        the event, not each worker that later finds it, nor the coordinator."""
+        plan = FaultPlan(
+            [
+                FaultRule(
+                    point="worker.cell", kind="crash", match={"task": "task-00001"}, times=None
+                )
+            ]
+        )
+        monkeypatch.setenv(PLAN_ENV, str(plan.save(tmp_path / "plan.json")))
+        backend = SpoolBackend(
+            tmp_path / "spool",
+            workers=2,
+            task_size=1,
+            lease_timeout=0.5,
+            max_task_attempts=2,
+            max_respawns=2,
+            poll_interval=0.02,
+            timeout=120.0,
+        )
+        result = ParallelCampaignRunner(backend=backend).run(
+            "demo/random_walk", seeds=[1, 2, 3, 4]
+        )
+        assert [record.error_class for record in result.failed_records] == ["TaskQuarantined"]
+        events = read_events(Spool(tmp_path / "spool").events_path)
+        quarantined = [event for event in events if event["kind"] == "task_quarantined"]
+        assert [event["task"] for event in quarantined] == ["task-00001"]
+        assert quarantined[0]["attempts"] == 2
 
     def test_quarantine_cli_list_and_retry(self, tmp_path, capsys):
         spool, task = self._spool_with_task(tmp_path, max_task_attempts=2)
