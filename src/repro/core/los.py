@@ -11,7 +11,7 @@ components below the hybridisation line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,15 @@ class LoSCatalog:
     The catalog enforces the paper's structural requirements: ranks are
     unique, there is exactly one rank-0 level, and the rank-0 level must not
     be cooperative (it must be realisable below the hybridisation line).
+    The rank order is resolved once per change of the catalog (see
+    :meth:`descending`), not on every safety-manager cycle.
     """
 
     def __init__(self, functionality: str, levels: Optional[List[LevelOfService]] = None):
         self.functionality = functionality
         self._levels: Dict[int, LevelOfService] = {}
+        #: The levels highest rank first; ``None`` until asked for after a change.
+        self._descending: Optional[Tuple[LevelOfService, ...]] = None
         for level in levels or []:
             self.add(level)
 
@@ -68,6 +72,7 @@ class LoSCatalog:
         if level.rank == 0 and level.cooperative:
             raise ValueError("the rank-0 LoS must not depend on cooperative components")
         self._levels[level.rank] = level
+        self._descending = None
         return level
 
     def validate(self) -> None:
@@ -96,9 +101,19 @@ class LoSCatalog:
                 return level
         raise KeyError(name)
 
+    def descending(self) -> Tuple[LevelOfService, ...]:
+        """Levels highest rank first, as a tuple kept until :meth:`add`."""
+        order = self._descending
+        if order is None:
+            order = self._descending = tuple(
+                self._levels[rank] for rank in sorted(self._levels, reverse=True)
+            )
+        return order
+
     def ordered(self, descending: bool = True) -> List[LevelOfService]:
-        """Levels ordered by rank (highest first by default)."""
-        return [self._levels[r] for r in sorted(self._levels, reverse=descending)]
+        """Levels ordered by rank (highest first by default), as a new list."""
+        order = self.descending()
+        return list(order) if descending else list(reversed(order))
 
     def ranks(self) -> List[int]:
         return sorted(self._levels)

@@ -113,11 +113,18 @@ def _as_float(value, default: float = float("-inf")) -> float:
 
 
 class DesignTimeSafetyInfo:
-    """The per-functionality, per-LoS rule sets fixed at design time."""
+    """The per-functionality, per-LoS rule sets fixed at design time.
+
+    Each ``(functionality, rank)``'s cumulative rule list is resolved once,
+    on its first use, and kept as a tuple until :meth:`add_rule` changes the
+    rule set, so a safety-manager cycle does not rebuild it.
+    """
 
     def __init__(self):
         #: (functionality, rank) -> list of rules that must ALL hold for that LoS.
         self._rules: Dict[Tuple[str, int], List[SafetyRule]] = {}
+        #: (functionality, rank) -> the rules of ranks 1..rank (see rules_for).
+        self._cumulative: Dict[Tuple[str, int], Tuple[SafetyRule, ...]] = {}
 
     def add_rule(self, functionality: str, rank: int, rule: SafetyRule) -> None:
         """Attach ``rule`` to the given functionality and LoS rank.
@@ -128,10 +135,22 @@ class DesignTimeSafetyInfo:
         if rank == 0:
             raise ValueError("the rank-0 LoS is unconditionally safe; it cannot carry rules")
         self._rules.setdefault((functionality, rank), []).append(rule)
+        self._cumulative.clear()
 
     def add_rules(self, functionality: str, rank: int, rules: Sequence[SafetyRule]) -> None:
         for rule in rules:
             self.add_rule(functionality, rank, rule)
+
+    def _resolved(self, functionality: str, rank: int) -> Tuple[SafetyRule, ...]:
+        key = (functionality, rank)
+        rules = self._cumulative.get(key)
+        if rules is None:
+            rules = self._cumulative[key] = tuple(
+                rule
+                for level in range(1, rank + 1)
+                for rule in self._rules.get((functionality, level), ())
+            )
+        return rules
 
     def rules_for(self, functionality: str, rank: int) -> List[SafetyRule]:
         """Rules that must hold for ``functionality`` to run at LoS ``rank``.
@@ -140,18 +159,24 @@ class DesignTimeSafetyInfo:
         of every rank from 1 up to *r* to hold (a higher LoS is at least as
         demanding as the levels below it).
         """
-        rules: List[SafetyRule] = []
-        for level in range(1, rank + 1):
-            rules.extend(self._rules.get((functionality, level), []))
-        return rules
+        return list(self._resolved(functionality, rank))
 
     def evaluate(
         self, functionality: str, rank: int, data: RuntimeSafetyData
     ) -> Tuple[bool, List[SafetyRule]]:
-        """Evaluate all rules for a LoS; returns (all_hold, violated_rules)."""
-        violated = [
-            rule for rule in self.rules_for(functionality, rank) if not rule.holds(data)
-        ]
+        """Evaluate all rules for a LoS; returns (all_hold, violated_rules).
+
+        A rule holds as :meth:`SafetyRule.holds` says: a predicate that
+        raises, or whose result has no truth value, is a violation.
+        """
+        violated: List[SafetyRule] = []
+        for rule in self._resolved(functionality, rank):
+            try:
+                if rule.predicate(data):
+                    continue
+            except Exception:
+                pass
+            violated.append(rule)
         return (not violated, violated)
 
     def functionalities(self) -> List[str]:

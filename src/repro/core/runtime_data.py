@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class RuntimeSafetyData:
@@ -84,17 +86,28 @@ class RuntimeSafetyCollector:
 
         Provider exceptions are treated as missing data (validity 0 / age
         infinity / unhealthy), never propagated: a failing monitor must
-        degrade the LoS, not crash the safety kernel.
+        degrade the LoS, not crash the safety kernel.  A validity or age
+        provider returning ``None`` is missing data too.
         """
         self.collections += 1
         validities: Dict[str, float] = {}
         ages: Dict[str, float] = {}
         health: Dict[str, bool] = {}
         indicators: Dict[str, Any] = {}
+        # The provider calls are inlined: this runs once per safety-kernel
+        # cycle for every provider.
         for item, provider in self._validity_providers.items():
-            validities[item] = self._safe_float(provider, default=0.0)
+            try:
+                value = provider()
+            except Exception:
+                value = None
+            validities[item] = 0.0 if value is None else float(value)
         for item, provider in self._age_providers.items():
-            ages[item] = self._safe_float(provider, default=float("inf"))
+            try:
+                value = provider()
+            except Exception:
+                value = None
+            ages[item] = _INF if value is None else float(value)
         for component, provider in self._health_providers.items():
             try:
                 health[component] = bool(provider())
@@ -105,20 +118,4 @@ class RuntimeSafetyCollector:
                 indicators[name] = provider()
             except Exception:
                 indicators[name] = None
-        return RuntimeSafetyData(
-            time=now,
-            validities=validities,
-            ages=ages,
-            component_health=health,
-            indicators=indicators,
-        )
-
-    @staticmethod
-    def _safe_float(provider: Callable[[], Optional[float]], default: float) -> float:
-        try:
-            value = provider()
-        except Exception:
-            return default
-        if value is None:
-            return default
-        return float(value)
+        return RuntimeSafetyData(now, validities, ages, health, indicators)

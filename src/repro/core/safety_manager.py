@@ -13,6 +13,30 @@ The manager therefore records, per cycle, how long the cycle took (in
 simulated time, via the scheduler's observed period) and how long each LoS
 switch took to become effective, so the E1/E9 experiments can assert the
 bounded-cycle and bounded-switch claims.
+
+Hot-path notes: every vehicle runs one cycle per ``cycle_period`` for the
+whole simulation, so a cycle pays only for the run-time evidence it
+evaluates.
+
+* Resolved once, at design time: each catalog's levels in descending rank
+  order (:meth:`LoSCatalog.descending`, reset by ``add``) and each
+  ``(functionality, rank)``'s cumulative rules, kept as a tuple by
+  :class:`~repro.core.rules.DesignTimeSafetyInfo` and dropped by
+  ``add_rule``; so a level or rule added after :meth:`SafetyManager.start`
+  still counts from the next cycle on.  The cycle period is checked once,
+  at construction, so :class:`~repro.sim.kernel.PeriodicTask` re-arms an
+  unjittered cycle at ``now + period``.
+* Per cycle: one provider call each (inlined in
+  :meth:`RuntimeSafetyCollector.collect`), one predicate call per rule of
+  each rank tried, highest first, until one holds, and one
+  :class:`LoSDecision` per functionality.
+* Decisions are not kept: :meth:`SafetyManager.downgrades` and
+  :meth:`SafetyManager.los_residency` read running counters, whose keys
+  keep their first-seen order.  The ``los_decision`` fields are built only
+  when the trace is enabled.
+
+None of this moves a decision, a trace record (fields and their order), an
+RNG draw or an event, so the stores made from a run stay byte-identical.
 """
 
 from __future__ import annotations
@@ -59,8 +83,8 @@ class SafetyManager:
         trace: Optional[TraceRecorder] = None,
         jitter_fn: Optional[Callable[[], float]] = None,
     ):
-        if cycle_period <= 0:
-            raise ValueError("cycle_period must be positive")
+        if not 0 < cycle_period < float("inf"):
+            raise ValueError(f"cycle_period must be positive and finite, got {cycle_period}")
         self.simulator = simulator
         self.design_info = design_info
         self.collector = collector
@@ -73,7 +97,9 @@ class SafetyManager:
         self._current: Dict[str, LevelOfService] = {}
         self._task: Optional[PeriodicTask] = None
         self.cycles = 0
-        self.decisions: List[LoSDecision] = []
+        #: Running tallies of every decision (downgrades(), los_residency()).
+        self._downgrades = 0
+        self._residency: Dict[str, Dict[str, int]] = {}
         self.switch_latencies: List[float] = []
         self.last_snapshot: Optional[RuntimeSafetyData] = None
 
@@ -134,13 +160,10 @@ class SafetyManager:
         self.cycles += 1
         snapshot = self.collector.collect(now)
         self.last_snapshot = snapshot
-        decisions: List[LoSDecision] = []
-        for functionality, catalog in self._catalogs.items():
-            decision = self._evaluate(functionality, catalog, snapshot, now)
-            decisions.append(decision)
-            if decision.changed:
-                self._enact(decision)
-        return decisions
+        return [
+            self._evaluate(functionality, catalog, snapshot, now)
+            for functionality, catalog in self._catalogs.items()
+        ]
 
     # --------------------------------------------------------------- internals
     def _evaluate(
@@ -150,43 +173,53 @@ class SafetyManager:
         snapshot: RuntimeSafetyData,
         now: float,
     ) -> LoSDecision:
+        """Select, record and (on a change) enact one functionality's LoS."""
         previous = self._current.get(functionality)
         violated_by_rank: Dict[int, List[str]] = {}
-        selected = catalog.fallback
-        for level in catalog.ordered(descending=True):
-            if level.rank == 0:
-                selected = level
+        evaluate = self.design_info.evaluate
+        # A registered catalog has a rank-0 level, and it comes last, so the
+        # loop always breaks: ``level`` is the selected LoS.
+        for level in catalog.descending():
+            rank = level.rank
+            if rank == 0:
                 break
-            holds, violated = self.design_info.evaluate(functionality, level.rank, snapshot)
+            holds, violated = evaluate(functionality, rank, snapshot)
             if holds:
-                selected = level
                 break
-            violated_by_rank[level.rank] = [rule.name for rule in violated]
-        decision = LoSDecision(
-            functionality=functionality,
-            time=now,
-            selected=selected,
-            previous=previous,
-            violated_rules=violated_by_rank,
-        )
-        self.decisions.append(decision)
-        self.trace.record(
-            now,
-            "los_decision",
-            f"safety-manager:{functionality}",
-            selected=selected.name,
-            rank=selected.rank,
-            changed=decision.changed,
-            downgrade=decision.is_downgrade,
-            violated={rank: names for rank, names in violated_by_rank.items()},
-        )
-        return decision
+            violated_by_rank[rank] = [rule.name for rule in violated]
+        selected = level
+        if previous is None:
+            changed, downgrade = True, False
+        else:
+            changed = previous.rank != selected.rank
+            downgrade = selected.rank < previous.rank
+        if downgrade:
+            self._downgrades += 1
+        residency = self._residency.get(functionality)
+        if residency is None:
+            residency = self._residency[functionality] = {}
+        name = selected.name
+        residency[name] = residency.get(name, 0) + 1
+        trace = self.trace
+        if trace.enabled:
+            trace.record(
+                now,
+                "los_decision",
+                f"safety-manager:{functionality}",
+                selected=name,
+                rank=selected.rank,
+                changed=changed,
+                downgrade=downgrade,
+                violated=dict(violated_by_rank),
+            )
+        if changed:
+            self._enact(functionality, selected, downgrade)
+        return LoSDecision(functionality, now, selected, previous, violated_by_rank)
 
-    def _enact(self, decision: LoSDecision) -> None:
-        functionality = decision.functionality
+    def _enact(self, functionality: str, selected: LevelOfService, downgrade: bool) -> None:
         start = self.simulator.now
-        self._enactors[functionality](decision.selected)
-        self._current[functionality] = decision.selected
+        self._enactors[functionality](selected)
+        self._current[functionality] = selected
         latency = self.simulator.now - start
         # Enactment is synchronous in this implementation, so the switch
         # latency is bounded by the cycle period plus the (zero) enactment
@@ -197,10 +230,10 @@ class SafetyManager:
             start,
             "los_switch",
             f"safety-manager:{functionality}",
-            to=decision.selected.name,
-            rank=decision.selected.rank,
+            to=selected.name,
+            rank=selected.rank,
             latency=latency,
-            downgrade=decision.is_downgrade,
+            downgrade=downgrade,
         )
 
     # ----------------------------------------------------------------- queries
@@ -208,12 +241,17 @@ class SafetyManager:
         return max(self.switch_latencies) if self.switch_latencies else 0.0
 
     def downgrades(self) -> int:
-        return sum(1 for decision in self.decisions if decision.is_downgrade)
+        """Decisions that selected a lower rank than the current one."""
+        return self._downgrades
 
     def los_residency(self) -> Dict[str, Dict[str, int]]:
-        """Per functionality: number of cycles spent at each LoS name."""
-        residency: Dict[str, Dict[str, int]] = {}
-        for decision in self.decisions:
-            per_func = residency.setdefault(decision.functionality, {})
-            per_func[decision.selected.name] = per_func.get(decision.selected.name, 0) + 1
-        return residency
+        """Per functionality: number of cycles spent at each LoS name.
+
+        Functionalities and names appear in the order they were first
+        decided, so the result (and any store JSON made from it) keeps one
+        key order for a given run.
+        """
+        return {
+            functionality: dict(counts)
+            for functionality, counts in self._residency.items()
+        }

@@ -42,6 +42,10 @@ repair that overlaps a re-put of the same key can remove the fresh link;
 the cell then re-executes once more, and no reader gets a wrong record.
 A segment whose last key link a re-put replaces or a repair removes is
 deleted: its link count (``st_nlink``) is then 1, its ``segments/`` name.
+While a writer links its keys it holds its segment by a second,
+``.``-prefixed name, so a peer re-putting the same keys never deletes a
+segment whose writer has keys still to link; the writer then drops that
+name and deletes its segment itself if peers replaced every link to it.
 Concurrent replacements of the same segment's links can each see another
 link still there and leave it behind; ``cache clear`` removes it.
 
@@ -76,6 +80,16 @@ def _check_key(key: str) -> None:
     """Keys name files and sit in ASCII lines: letters and digits only."""
     if not (key.isascii() and key.isalnum()):
         raise ValueError(f"invalid cache key: {key!r}")
+
+
+def _delete_if_dead(segment: Union[str, os.PathLike]) -> None:
+    """Delete ``segment`` if no key links to it (its name is its last link);
+    a peer may have deleted it first."""
+    try:
+        if os.stat(segment).st_nlink == 1:
+            os.unlink(segment)
+    except FileNotFoundError:
+        pass
 
 
 def _index_segment(data: bytes) -> Dict[bytes, bytes]:
@@ -265,20 +279,30 @@ class CacheIndex:
             atomic_write_text(
                 segment, "".join(f"{key}\t{payload}\n" for key, payload in written.items())
             )
+            # Hold the segment by a second name while its keys are linked: a
+            # peer re-putting the same keys may replace every link made so
+            # far, and must not see the segment as dead before the rest.
+            held = self.segments_dir / f".{name}.tmp"
+            os.link(segment, held)
             replaced: Set[int] = set()
-            for key in written:
-                link = self.keys_dir / key
-                try:
-                    os.link(segment, link)
-                except FileExistsError:
-                    temp = self.keys_dir / f".{key}.{name}"
-                    os.link(segment, temp)
+            try:
+                for key in written:
+                    link = self.keys_dir / key
                     try:
-                        replaced.add(link.stat().st_ino)
-                    except FileNotFoundError:
-                        pass  # removed meanwhile (a repair, a clear)
-                    os.replace(temp, link)
+                        os.link(segment, link)
+                    except FileExistsError:
+                        temp = self.keys_dir / f".{key}.{name}"
+                        os.link(segment, temp)
+                        try:
+                            replaced.add(link.stat().st_ino)
+                        except FileNotFoundError:
+                            pass  # removed meanwhile (a repair, a clear)
+                        os.replace(temp, link)
+            finally:
+                held.unlink()
             self._delete_dead_segments(replaced)
+            # Peers may have replaced every link to this segment meanwhile.
+            _delete_if_dead(segment)
         except OSError as exc:
             self._degrade(exc)
             return 0
@@ -292,13 +316,9 @@ class CacheIndex:
             return
         with os.scandir(self.segments_dir) as entries:
             for entry in entries:
-                if entry.inode() not in inodes:
-                    continue
-                try:
-                    if entry.stat(follow_symlinks=False).st_nlink == 1:
-                        os.unlink(entry.path)
-                except FileNotFoundError:
-                    pass
+                # A ``.``-prefixed name is a temp file or a writer's hold.
+                if entry.name[0] != "." and entry.inode() in inodes:
+                    _delete_if_dead(entry.path)
 
     # ------------------------------------------------------------ effectiveness
     def session_stats(self) -> Dict[str, int]:

@@ -90,6 +90,12 @@ class PeriodicTask:
     The KARYON safety manager, heartbeat senders and sensor sampling loops are
     all periodic tasks.  The task keeps jitter bookkeeping so experiments can
     assert bounded-cycle behaviour.
+
+    ``period`` is checked once, at construction: it must be positive and
+    finite (a NaN or infinite period raises :class:`SimulationError`).  A
+    task without ``jitter_fn`` therefore re-arms at ``now + period`` with no
+    per-fire check; a jittered delay, and the initial delay, are clamped at
+    zero and checked for finiteness on every arm.
     """
 
     def __init__(
@@ -101,8 +107,8 @@ class PeriodicTask:
         jitter_fn: Optional[Callable[[], float]] = None,
         priority: int = 0,
     ):
-        if period <= 0:
-            raise SimulationError(f"period must be positive, got {period}")
+        if not 0 < period < math.inf:
+            raise SimulationError(f"period must be positive and finite, got {period}")
         self.simulator = simulator
         self.period = period
         self.callback = callback
@@ -121,7 +127,7 @@ class PeriodicTask:
         if self.running:
             return
         self.running = True
-        self._schedule(initial_delay)
+        self._schedule(self._checked_delay(initial_delay))
 
     def stop(self) -> None:
         self.running = False
@@ -129,14 +135,18 @@ class PeriodicTask:
             self.simulator._cancel(self._event)
             self._event = None
 
-    def _schedule(self, delay: float) -> None:
+    def _checked_delay(self, delay: float) -> float:
+        """``delay`` plus one jitter draw, clamped at zero; must be finite."""
         jitter = self.jitter_fn() if self.jitter_fn else 0.0
         delay = max(0.0, delay + jitter)
         if not math.isfinite(delay):
             raise SimulationError(f"delay must be finite, got {delay}")
-        # Inlined simulator.schedule(): the clamp above already guarantees a
-        # valid delay, and periodic re-arms are hot enough that skipping the
-        # extra call and negative-delay check matters.
+        return delay
+
+    def _schedule(self, delay: float) -> None:
+        # Inlined simulator.schedule(): every caller passes a valid delay,
+        # and periodic re-arms are hot enough that skipping the extra call
+        # and negative-delay check matters.
         simulator = self.simulator
         event = _Event(simulator._now + delay, self._fire)
         heapq.heappush(
@@ -158,7 +168,12 @@ class PeriodicTask:
         self.invocations += 1
         self.callback()
         if self.running:
-            self._schedule(self.period)
+            # Without jitter the delay is the period, checked at
+            # construction; ``now + period`` is bit-identical to the clamped
+            # ``now + max(0.0, period + 0.0)`` for a finite positive period.
+            self._schedule(
+                self._checked_delay(self.period) if self.jitter_fn else self.period
+            )
 
 
 class Simulator:

@@ -371,6 +371,42 @@ class TestSegments:
         assert reader.repairs == 0 and not reader.degraded
         assert _leftover_temps(tmp_path) == []
 
+    @pytest.mark.parametrize("after_links", [1, 2])
+    def test_a_peer_re_put_between_a_writer_key_links_loses_nothing(
+        self, tmp_path, monkeypatch, after_links
+    ):
+        # A peer puts the same two keys right after the writer has linked
+        # one (or both) of them, replacing those links while the writer
+        # still holds its segment.
+        root = tmp_path / "cache"
+        pairs = _records(2)
+        real_link = os.link
+        key_links = []
+        peer = []
+
+        def link(src, dst, *args, **kwargs):
+            real_link(src, dst, *args, **kwargs)
+            dst = Path(dst)
+            if dst.parent.name != "keys" or dst.name[0] == ".":
+                return
+            key_links.append(dst.name)
+            if len(key_links) == after_links and not peer:
+                peer.append(None)  # the peer's own links must not re-enter
+                peer[0] = CacheIndex(root).put_many(pairs)
+
+        monkeypatch.setattr(os, "link", link)
+        writer = CacheIndex(root)
+        assert writer.put_many(pairs) == 2
+        assert peer == [2] and not writer.degraded
+        monkeypatch.undo()
+        reader = CacheIndex(root)
+        assert [reader.get(key) for key, _ in pairs] == [record for _, record in pairs]
+        assert reader.repairs == 0
+        # Every segment left is the target of some key link: none is dead.
+        segments = os.listdir(root / "segments")
+        assert sorted(segments) == sorted({segment_of(root, key) for key, _ in pairs})
+        assert _leftover_temps(tmp_path) == []
+
     def test_repaired_entry_is_healed_by_a_re_put(self, tmp_path):
         root = tmp_path / "cache"
         pairs = _records(3)

@@ -19,15 +19,18 @@ from repro.core.kernel import SafetyKernel
 from repro.core.los import LevelOfService, LoSCatalog
 from repro.core.rules import (
     DesignTimeSafetyInfo,
+    SafetyRule,
     component_healthy,
     freshness_within,
+    indicator_at_least,
     indicator_at_most,
     indicator_true,
     validity_at_least,
 )
 from repro.core.runtime_data import RuntimeSafetyCollector, RuntimeSafetyData
-from repro.core.safety_manager import SafetyManager
+from repro.core.safety_manager import LoSDecision, SafetyManager
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceRecorder
 
 
 class TestAsilAndHazards:
@@ -109,6 +112,25 @@ class TestLoSCatalog:
         ordered = [l.rank for l in catalog.ordered(descending=False)]
         assert ordered == sorted(ranks)
 
+    def test_ordered_is_a_fresh_list_and_add_reorders(self):
+        catalog = self._catalog()
+        ordered = catalog.ordered()
+        ordered.clear()
+        catalog.ordered(descending=False).reverse()
+        assert [l.rank for l in catalog.ordered()] == [2, 1, 0]
+        catalog.add(LevelOfService("platoon", 5, cooperative=True))
+        catalog.add(LevelOfService("assisted", 4))
+        assert [l.rank for l in catalog.ordered()] == [5, 4, 2, 1, 0]
+        assert [l.rank for l in catalog] == [0, 1, 2, 4, 5]
+        assert catalog.descending() == tuple(catalog.ordered())
+
+
+class _NoTruthValue:
+    """A predicate result that raises when tested for truth."""
+
+    def __bool__(self):
+        raise ValueError("no truth value")
+
 
 def snapshot(validities=None, ages=None, health=None, indicators=None, time=0.0):
     return RuntimeSafetyData(
@@ -157,6 +179,28 @@ class TestRules:
         info.add_rule("acc", 2, freshness_within("v2v", 0.3))
         assert len(info.rules_for("acc", 1)) == 1
         assert len(info.rules_for("acc", 2)) == 2
+
+    def test_rules_for_is_a_fresh_list_and_a_later_rule_counts(self):
+        info = DesignTimeSafetyInfo()
+        info.add_rule("acc", 1, validity_at_least("range", 0.5))
+        data = snapshot(validities={"range": 0.9, "v2v": 0.1})
+        assert info.evaluate("acc", 2, data) == (True, [])
+        info.rules_for("acc", 2).clear()
+        late = validity_at_least("v2v", 0.5)
+        info.add_rule("acc", 2, late)
+        assert info.evaluate("acc", 2, data) == (False, [late])
+        assert info.evaluate("acc", 1, data) == (True, [])
+        assert [rule.name for rule in info.rules_for("acc", 2)] == [
+            "validity(range)>=0.5",
+            "validity(v2v)>=0.5",
+        ]
+
+    def test_a_predicate_without_a_truth_value_is_a_violation(self):
+        info = DesignTimeSafetyInfo()
+        rule = SafetyRule("no-truth-value", lambda data: _NoTruthValue())
+        info.add_rule("acc", 1, rule)
+        assert not rule.holds(snapshot())
+        assert info.evaluate("acc", 1, snapshot()) == (False, [rule])
 
     def test_rank_zero_cannot_carry_rules(self):
         info = DesignTimeSafetyInfo()
@@ -314,6 +358,15 @@ class TestSafetyManager:
         assert manager.switch_latencies
         assert manager.max_switch_latency() <= manager.switch_bound
 
+    @pytest.mark.parametrize("period", [float("nan"), float("inf"), float("-inf"), 0])
+    def test_cycle_period_must_be_positive_and_finite(self, period):
+        # A NaN cycle period once ran every cycle at t=0, forever.
+        sim = Simulator()
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_manager(sim, lambda: {"range": 1.0, "v2v": 1.0}, cycle_period=period)
+        with pytest.raises(ValueError, match="positive and finite"):
+            SafetyKernel("veh1", sim, cycle_period=period)
+
     def test_los_residency_accounting(self):
         sim = Simulator()
         state = {"range": 1.0, "v2v": 1.0}
@@ -374,3 +427,303 @@ class TestSafetyKernelFacade:
         assert summary["vehicle"] == "veh1"
         assert summary["current_los"]["f"] == "only"
         assert summary["cycles"] > 0
+
+
+# ----------------------------------------------------------------------------
+# The cycle against a reference: the safety-manager cycle as first written,
+# which sorted the catalog, rebuilt each rank's cumulative rule list and kept
+# every decision in a list on every cycle.  The manager resolves those
+# design-time facts once, so for any catalog, rule set and provider values,
+# cycle by cycle, it must decide, trace and enact exactly as this does.
+
+_RAISE = object()
+_NAN = float("nan")
+_ITEMS = ("range", "v2v", "unpolled")
+_COMPONENTS = ("radar", "radio")
+_INDICATORS = ("stable", "gap")
+
+
+def _raising_predicate(data):
+    raise RuntimeError("monitor crashed")
+
+
+class _ReferenceManager:
+    """The first safety-manager cycle, kept here as the oracle."""
+
+    def __init__(self, simulator, trace):
+        self.simulator = simulator
+        self.trace = trace
+        self.rules = {}
+        self.levels = {}
+        self.enactors = {}
+        self.current = {}
+        self.providers = {"validity": {}, "age": {}, "health": {}, "indicator": {}}
+        self.decisions = []
+
+    def add_rule(self, functionality, rank, rule):
+        self.rules.setdefault((functionality, rank), []).append(rule)
+
+    def rules_for(self, functionality, rank):
+        rules = []
+        for level in range(1, rank + 1):
+            rules.extend(self.rules.get((functionality, level), []))
+        return rules
+
+    def register(self, functionality, levels, enactor, initial_rank):
+        self.levels[functionality] = {level.rank: level for level in levels}
+        self.enactors[functionality] = enactor
+        initial = self.levels[functionality][initial_rank or 0]
+        self.current[functionality] = initial
+        enactor(initial)
+
+    @staticmethod
+    def _safe_float(provider, default):
+        try:
+            value = provider()
+        except Exception:
+            return default
+        if value is None:
+            return default
+        return float(value)
+
+    def collect(self, now):
+        providers = self.providers
+        validities = {
+            item: self._safe_float(provider, default=0.0)
+            for item, provider in providers["validity"].items()
+        }
+        ages = {
+            item: self._safe_float(provider, default=float("inf"))
+            for item, provider in providers["age"].items()
+        }
+        health = {}
+        for component, provider in providers["health"].items():
+            try:
+                health[component] = bool(provider())
+            except Exception:
+                health[component] = False
+        indicators = {}
+        for name, provider in providers["indicator"].items():
+            try:
+                indicators[name] = provider()
+            except Exception:
+                indicators[name] = None
+        return RuntimeSafetyData(
+            time=now,
+            validities=validities,
+            ages=ages,
+            component_health=health,
+            indicators=indicators,
+        )
+
+    def run_cycle(self):
+        now = self.simulator.now
+        snapshot = self.collect(now)
+        decisions = []
+        for functionality, levels in self.levels.items():
+            decision = self._evaluate(functionality, levels, snapshot, now)
+            decisions.append(decision)
+            if decision.changed:
+                self._enact(decision)
+        return decisions
+
+    def _evaluate(self, functionality, levels, snapshot, now):
+        previous = self.current.get(functionality)
+        violated_by_rank = {}
+        selected = levels[0]
+        for rank in sorted(levels, reverse=True):
+            level = levels[rank]
+            if rank == 0:
+                selected = level
+                break
+            violated = [
+                rule for rule in self.rules_for(functionality, rank) if not rule.holds(snapshot)
+            ]
+            if not violated:
+                selected = level
+                break
+            violated_by_rank[rank] = [rule.name for rule in violated]
+        decision = LoSDecision(
+            functionality=functionality,
+            time=now,
+            selected=selected,
+            previous=previous,
+            violated_rules=violated_by_rank,
+        )
+        self.decisions.append(decision)
+        self.trace.record(
+            now,
+            "los_decision",
+            f"safety-manager:{functionality}",
+            selected=selected.name,
+            rank=selected.rank,
+            changed=decision.changed,
+            downgrade=decision.is_downgrade,
+            violated={rank: names for rank, names in violated_by_rank.items()},
+        )
+        return decision
+
+    def _enact(self, decision):
+        start = self.simulator.now
+        self.enactors[decision.functionality](decision.selected)
+        self.current[decision.functionality] = decision.selected
+        self.trace.record(
+            start,
+            "los_switch",
+            f"safety-manager:{decision.functionality}",
+            to=decision.selected.name,
+            rank=decision.selected.rank,
+            latency=self.simulator.now - start,
+            downgrade=decision.is_downgrade,
+        )
+
+    def downgrades(self):
+        return sum(1 for decision in self.decisions if decision.is_downgrade)
+
+    def los_residency(self):
+        residency = {}
+        for decision in self.decisions:
+            per_func = residency.setdefault(decision.functionality, {})
+            per_func[decision.selected.name] = per_func.get(decision.selected.name, 0) + 1
+        return residency
+
+
+_rules = st.one_of(
+    st.builds(validity_at_least, st.sampled_from(_ITEMS), st.sampled_from([0.0, 0.5, 0.9])),
+    st.builds(freshness_within, st.sampled_from(_ITEMS), st.sampled_from([0.1, 1.0])),
+    st.builds(component_healthy, st.sampled_from(_COMPONENTS)),
+    st.builds(indicator_true, st.sampled_from(_INDICATORS)),
+    st.builds(indicator_at_least, st.sampled_from(_INDICATORS), st.sampled_from([1.0, 3.0])),
+    st.builds(indicator_at_most, st.sampled_from(_INDICATORS), st.sampled_from([1.0, 3.0])),
+    st.just(SafetyRule("raises", _raising_predicate)),
+    st.just(SafetyRule("no-truth-value", lambda data: _NoTruthValue())),
+)
+
+#: Per provider kind: the names it may cover and the values it may return
+#: (``_RAISE``: the provider raises).
+_PROVIDERS = {
+    "validity": (_ITEMS[:2], [0.0, 0.4, 0.9, 1.0, None, _NAN, _RAISE]),
+    "age": (_ITEMS[:2], [0.0, 0.05, 0.5, 3.0, None, _NAN, _RAISE]),
+    "health": (_COMPONENTS, [True, False, _RAISE]),
+    "indicator": (_INDICATORS, [True, False, 0.0, 2.5, 9.0, None, _NAN, _RAISE]),
+}
+
+
+@st.composite
+def _kernel_histories(draw):
+    """Catalogs, rules, providers and a sequence of cycles and late changes."""
+    catalogs = []
+    for functionality in draw(st.sampled_from([("acc",), ("acc", "lane")])):
+        ranks = draw(st.lists(st.integers(1, 6), max_size=3, unique=True))
+        levels = [LevelOfService(f"{functionality}-0", 0)] + [
+            LevelOfService(f"{functionality}-{rank}", rank, cooperative=rank % 2 == 0)
+            for rank in ranks
+        ]
+        initial = draw(st.sampled_from([None] + ranks))
+        rules = draw(st.lists(st.tuples(st.integers(1, 6), _rules), max_size=6))
+        catalogs.append((functionality, levels, initial, rules))
+    providers = []
+    for kind, (names, values) in _PROVIDERS.items():
+        for name in draw(st.lists(st.sampled_from(names), unique=True)):
+            sequence = draw(st.lists(st.sampled_from(values), min_size=1, max_size=4))
+            providers.append((kind, name, sequence))
+    functionalities = [functionality for functionality, *_ in catalogs]
+    step = st.one_of(
+        st.just(("cycle",)),
+        st.tuples(st.just("rule"), st.sampled_from(functionalities), st.integers(1, 6), _rules),
+        st.tuples(st.just("level"), st.sampled_from(functionalities), st.integers(1, 6)),
+    )
+    steps = [("cycle",)] + draw(st.lists(step, min_size=1, max_size=14))
+    traced = draw(st.booleans())
+    return catalogs, providers, steps, traced
+
+
+def _trace_rows(trace):
+    return [(r.time, r.kind, r.source, list(r.fields.items())) for r in trace]
+
+
+def _nested_items(residency):
+    return [(functionality, list(counts.items())) for functionality, counts in residency.items()]
+
+
+class TestCycleAgainstReference:
+    @given(history=_kernel_histories())
+    @settings(max_examples=120, deadline=None)
+    def test_manager_decides_traces_and_enacts_as_the_reference(self, history):
+        catalogs, providers, steps, traced = history
+        sim = Simulator()
+        clock = {"cycle": 0}
+
+        def provider(sequence):
+            def poll():
+                value = sequence[clock["cycle"] % len(sequence)]
+                if value is _RAISE:
+                    raise RuntimeError("provider failed")
+                return value
+
+            return poll
+
+        info = DesignTimeSafetyInfo()
+        collector = RuntimeSafetyCollector()
+        manager = SafetyManager(sim, info, collector, trace=TraceRecorder(enabled=traced))
+        reference = _ReferenceManager(sim, TraceRecorder(enabled=traced))
+        register = {
+            "validity": collector.provide_validity,
+            "age": collector.provide_age,
+            "health": collector.provide_health,
+            "indicator": collector.provide_indicator,
+        }
+        for kind, name, sequence in providers:
+            register[kind](name, provider(sequence))
+            reference.providers[kind][name] = provider(sequence)
+        enacted, reference_enacted = [], []
+        catalog_of = {}
+        for functionality, levels, initial, rules in catalogs:
+            for rank, rule in rules:
+                info.add_rule(functionality, rank, rule)
+                reference.add_rule(functionality, rank, rule)
+            catalog_of[functionality] = catalog = LoSCatalog(functionality, levels)
+            manager.register_functionality(
+                catalog,
+                lambda level, f=functionality: enacted.append((f, level, sim.now)),
+                initial_rank=initial,
+            )
+            reference.register(
+                functionality,
+                levels,
+                lambda level, f=functionality: reference_enacted.append((f, level, sim.now)),
+                initial,
+            )
+
+        for step in steps:
+            if step[0] == "rule":
+                _, functionality, rank, rule = step
+                info.add_rule(functionality, rank, rule)
+                reference.add_rule(functionality, rank, rule)
+                continue
+            if step[0] == "level":
+                _, functionality, rank = step
+                if rank not in catalog_of[functionality]:
+                    level = LevelOfService(f"{functionality}-late-{rank}", rank)
+                    catalog_of[functionality].add(level)
+                    reference.levels[functionality][rank] = level
+                continue
+            sim.run_until(sim.now + 0.1)
+            decisions = manager.run_cycle()
+            expected = reference.run_cycle()
+            clock["cycle"] += 1
+            assert [
+                (d.functionality, d.time, d.selected, d.previous, d.violated_rules)
+                for d in decisions
+            ] == [
+                (d.functionality, d.time, d.selected, d.previous, d.violated_rules)
+                for d in expected
+            ]
+            assert _trace_rows(manager.trace) == _trace_rows(reference.trace)
+            assert manager.downgrades() == reference.downgrades()
+            assert _nested_items(manager.los_residency()) == _nested_items(
+                reference.los_residency()
+            )
+            assert enacted == reference_enacted
+        assert manager.cycles == clock["cycle"]
+        assert len(manager.trace) == (len(reference.trace) if traced else 0)

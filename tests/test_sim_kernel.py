@@ -161,10 +161,45 @@ def test_periodic_task_tracks_max_interval_with_jitter():
     assert task.max_observed_interval == pytest.approx(1.3)
 
 
-def test_periodic_rejects_nonpositive_period():
+@pytest.mark.parametrize("period", [float("nan"), float("inf"), float("-inf"), 0])
+def test_periodic_rejects_a_period_that_is_not_positive_and_finite(period):
+    # A NaN period once passed the check and re-armed at t=0 forever.
     sim = Simulator()
-    with pytest.raises(SimulationError):
-        PeriodicTask(sim, 0.0, lambda: None)
+    fired = []
+    with pytest.raises(SimulationError, match="positive and finite"):
+        PeriodicTask(sim, period, lambda: fired.append(sim.now))
+    with pytest.raises(SimulationError, match="positive and finite"):
+        sim.periodic(period, lambda: fired.append(sim.now))
+    sim.run(max_events=100)
+    assert fired == [] and sim.pending_events() == 0
+
+
+def test_periodic_rearm_accumulates_the_period_exactly():
+    # Without jitter a fire re-arms at now + period, the same float as the
+    # clamped now + max(0.0, period + 0.0).
+    sim = Simulator()
+    times = []
+    sim.periodic(0.1, lambda: times.append(sim.now), initial_delay=0.05)
+    sim.run_until(3.0)
+    expected = [0.05]
+    while len(expected) < len(times):
+        expected.append(expected[-1] + max(0.0, 0.1 + 0.0))
+    assert len(times) == 30 and times == expected
+
+
+def test_periodic_jittered_rearm_is_clamped_and_checked_every_fire():
+    sim = Simulator()
+    jitters = iter([0.0, -5.0, float("inf")])
+    times = []
+    task = PeriodicTask(
+        sim, 1.0, lambda: times.append(sim.now), jitter_fn=lambda: next(jitters)
+    )
+    task.start()
+    # The first re-arm's delay 1.0 - 5.0 is clamped at zero; the next one's
+    # infinite jitter leaves a delay that is not finite.
+    with pytest.raises(SimulationError, match="finite"):
+        sim.run_until(5.0)
+    assert times == [0.0, 0.0]
 
 
 def test_stop_interrupts_run():
